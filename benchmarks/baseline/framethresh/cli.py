@@ -1,0 +1,431 @@
+"""Command-line surface: thresholds, denoise, simulate, diagnose, replay.
+
+Every run writes a manifest next to its primary output; `framethresh replay
+manifest.json` re-executes the stored command line, reproducing simulate and
+diagnose outputs byte-for-byte (seeded, counter-based randomness).
+
+Exit codes: 0 success, 2 invalid parameters, 3 parse error, 4 I/O error.
+Failures emit a machine-readable JSON object on stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+
+import numpy as np
+
+from . import __version__, evt, io, signals, simulate
+from .core import FrameError, frame_bounds, gram_coherence_counts
+from .diagnostics import comparison_bound, frame_gram, rest_split, rest_sum, stability_check
+from .evt import ThresholdError, ThresholdSpec
+from .norms import NormSpec, NormSpecError
+from .shrink import denoise
+from .transforms import TIWaveletFrame, frame_from_spec, get_filters
+
+EXIT_VALIDATION = 2
+EXIT_PARSE = 3
+EXIT_IO = 4
+
+
+class CliError(Exception):
+    def __init__(self, code, kind, message, flag=None):
+        super().__init__(message)
+        self.code = code
+        self.kind = kind
+        self.flag = flag
+
+
+def _fail(code, kind, message, flag=None):
+    raise CliError(code, kind, message, flag)
+
+
+def _write_manifest(args, outputs, started, command):
+    manifest = {
+        "command": command,
+        "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+        "seed": getattr(args, "seed", None),
+        "tool_version": __version__,
+        "wall_clock_s": round(time.time() - started, 3),
+        "outputs": outputs,
+    }
+    path = (outputs[0] if outputs else "run") + ".manifest.json"
+    with open(path, "w") as fh:
+        json.dump(io.to_jsonable(manifest), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
+def _load_frame(spec, flag="--frame-spec"):
+    try:
+        return frame_from_spec(spec)
+    except FileNotFoundError as exc:
+        _fail(EXIT_IO, "io", str(exc), flag)
+    except json.JSONDecodeError as exc:
+        _fail(EXIT_PARSE, "parse", f"frame spec is not valid JSON: {exc}", flag)
+    except FrameError as exc:
+        _fail(EXIT_VALIDATION, "validation", str(exc), flag)
+
+
+# --- thresholds ---------------------------------------------------------------
+
+def cmd_thresholds(args):
+    if args.sigma <= 0:
+        _fail(EXIT_VALIDATION, "validation", "sigma must be > 0", "--sigma")
+    if args.n < 2:
+        _fail(EXIT_VALIDATION, "validation", "n must be >= 2", "--n")
+    for a in args.alpha:
+        if not 0 < a < 1:
+            _fail(EXIT_VALIDATION, "validation",
+                  f"alpha={a} outside (0, 1)", "--alpha")
+    rows = [{"rule": "universal", "alpha": None,
+             "threshold": evt.universal_threshold(args.sigma, args.n)}]
+    c_row = None
+    if args.wavelet is not None:
+        try:
+            filters = get_filters(args.wavelet)
+        except FrameError as exc:
+            _fail(EXIT_VALIDATION, "validation", str(exc), "--wavelet")
+        if filters.differentiable:
+            c_row = evt.ti_constant_c(filters).c
+    for a in args.alpha:
+        rows.append({"rule": "evt", "alpha": a,
+                     "threshold": evt.evt_threshold(args.sigma, a, args.n)})
+        if args.M is not None:
+            try:
+                rows.append({"rule": "cyclespin", "alpha": a, "M": args.M,
+                             "threshold": evt.cyclespin_threshold(
+                                 args.sigma, a, args.n, args.M)})
+            except ThresholdError as exc:
+                _fail(EXIT_VALIDATION, "validation", str(exc), "--M")
+        if c_row is not None:
+            rows.append({"rule": "ti", "alpha": a, "c": c_row,
+                         "threshold": evt.ti_threshold(args.sigma, a, args.n, c_row)})
+    table = {"sigma": args.sigma, "n": args.n, "rows": rows}
+    text = json.dumps(io.to_jsonable(table), indent=2, sort_keys=True)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    return []
+
+
+# --- denoise --------------------------------------------------------------------
+
+def cmd_denoise(args):
+    frame = _load_frame(args.frame_spec)
+    try:
+        data = io.read_signal(args.input)
+    except FileNotFoundError as exc:
+        _fail(EXIT_IO, "io", str(exc), "--input")
+    except io.FileFormatError as exc:
+        _fail(EXIT_PARSE, "parse", str(exc), "--input")
+    if len(data) != frame.n:
+        _fail(EXIT_VALIDATION, "validation",
+              f"signal length {len(data)} does not match frame n={frame.n}",
+              "--input")
+    if args.sigma <= 0:
+        _fail(EXIT_VALIDATION, "validation", "sigma must be > 0", "--sigma")
+    spec = ThresholdSpec(rule=args.threshold_rule, sigma=args.sigma,
+                         alpha=args.alpha, z=args.z, M=getattr(frame, "M", None),
+                         c=args.c, value=args.fixed_value)
+    try:
+        result = denoise(frame, data, spec, rule=args.rule)
+    except (ThresholdError, ValueError) as exc:
+        _fail(EXIT_VALIDATION, "validation", str(exc), "--threshold-rule")
+    io.write_signal(args.output, result.estimate)
+    outputs = [args.output]
+    report = {
+        "frame": frame.name,
+        "rule": args.rule,
+        "threshold_rule": args.threshold_rule,
+        "threshold_used": result.threshold_used,
+        "kept_count": result.kept_count,
+        "n": frame.n,
+        "atom_count": frame.atom_count,
+    }
+    if args.clean:
+        clean = io.read_signal(args.clean)
+        if len(clean) != frame.n:
+            _fail(EXIT_VALIDATION, "validation",
+                  "clean signal length mismatch", "--clean")
+        report["mse"] = float(np.mean((result.estimate - clean) ** 2))
+        report["input_mse"] = float(np.mean((data - clean) ** 2))
+    if args.report:
+        io.write_report(args.report, report)
+        outputs.append(args.report)
+    if args.coeffs:
+        io.write_coefficients(args.coeffs, result.thresholded_coeffs)
+        outputs.append(args.coeffs)
+    return outputs
+
+
+# --- simulate -------------------------------------------------------------------
+
+def cmd_simulate(args):
+    if args.trials < 1:
+        _fail(EXIT_VALIDATION, "validation", "trials must be >= 1", "--trials")
+    if args.sigma <= 0:
+        _fail(EXIT_VALIDATION, "validation", "sigma must be > 0", "--sigma")
+    cfg = simulate.McConfig(trials=args.trials, seed=args.seed,
+                            sigma=args.sigma, parallel=args.parallel)
+    exp = args.experiment
+    report = {"experiment": exp, "trials": args.trials, "seed": args.seed,
+              "sigma": args.sigma}
+    outputs = [args.out]
+    if exp == "gumbel":
+        frame = _load_frame(args.frame_spec)
+        dist = simulate.sample_max_abs(frame, cfg)
+        norms = evt.norms_chi(frame.evt_count)
+        resc = simulate.rescale_to_gumbel(dist, norms, cfg.sigma)
+        report.update(frame=frame.name, m=frame.evt_count,
+                      ks_distance=simulate.ks_distance(resc),
+                      sample_min=dist.samples[0], sample_max=dist.samples[-1])
+        if args.qq:
+            io.write_qq(args.qq, simulate.qq_data(resc))
+            outputs.append(args.qq)
+    elif exp == "coverage":
+        frame = _load_frame(args.frame_spec)
+        _need_alpha(args)
+        threshold = None
+        if getattr(frame, "M", None) is not None and args.use_cyclespin_rule:
+            threshold = evt.cyclespin_threshold(cfg.sigma, args.alpha, frame.n, frame.M)
+        rep = simulate.coverage_experiment(frame, args.alpha, cfg, threshold=threshold)
+        report.update(frame=frame.name, **io.to_jsonable(rep))
+    elif exp == "sidak":
+        frame = _load_frame(args.frame_spec)
+        m_ref = args.reference_m or frame.distinct_count
+        rows = simulate.sidak_experiment(frame, m_ref, args.T, cfg)
+        report.update(frame=frame.name, reference_m=m_ref,
+                      rows=io.to_jsonable(rows))
+    elif exp == "ti":
+        frame = _load_frame(args.frame_spec)
+        if not isinstance(frame, TIWaveletFrame):
+            _fail(EXIT_VALIDATION, "validation",
+                  "ti experiment needs a ti frame spec", "--frame-spec")
+        try:
+            c = evt.ti_constant_c(frame.filters).c
+        except ThresholdError as exc:
+            _fail(EXIT_VALIDATION, "validation", str(exc), "--frame-spec")
+        rows = simulate.ti_bound_experiment(frame, c, args.z, cfg)
+        report.update(frame=frame.name, c=c, rows=io.to_jsonable(rows))
+    elif exp == "smoothness":
+        frame = _load_frame(args.frame_spec)
+        _need_alpha(args)
+        clean = (io.read_signal(args.clean) if args.clean
+                 else signals.piecewise_constant(frame.n))
+        try:
+            norm_spec = NormSpec.from_json(args.norm_spec)
+        except (NormSpecError, json.JSONDecodeError, KeyError) as exc:
+            _fail(EXIT_PARSE, "parse", f"bad norm spec: {exc}", "--norm-spec")
+        try:
+            rep = simulate.smoothness_experiment(frame, clean, args.alpha,
+                                                 norm_spec, cfg, rule=args.rule)
+        except ValueError as exc:
+            _fail(EXIT_VALIDATION, "validation", str(exc), "--rule")
+        report.update(frame=frame.name, **io.to_jsonable(rep))
+    elif exp == "risk":
+        frame = _load_frame(args.frame_spec)
+        _need_alpha(args)
+        clean = (io.read_signal(args.clean) if args.clean
+                 else np.zeros(frame.n))
+        rep = simulate.oracle_risk_experiment(frame, clean, args.alpha, cfg)
+        report.update(frame=frame.name, **io.to_jsonable(rep))
+    elif exp == "risk1d":
+        rows = simulate.risk_1d_check(args.mu, args.T, cfg)
+        report.update(rows=io.to_jsonable(rows))
+    elif exp == "comparison":
+        rows = simulate.comparison_bound_experiment(
+            cfg, n_matrices=args.matrices, dim=args.dim,
+            thresholds=tuple(args.T), draws=args.draws)
+        report.update(rows=io.to_jsonable(rows))
+    else:
+        _fail(EXIT_VALIDATION, "validation",
+              f"unknown experiment {exp!r}", "--experiment")
+    io.write_report(args.out, report)
+    return outputs
+
+
+def _need_alpha(args):
+    if args.alpha is None or not 0 < args.alpha < 1:
+        _fail(EXIT_VALIDATION, "validation",
+              "this experiment needs --alpha in (0, 1)", "--alpha")
+
+
+# --- diagnose -------------------------------------------------------------------
+
+def cmd_diagnose(args):
+    try:
+        template = json.loads(args.frame_spec) if args.frame_spec.strip().startswith("{") \
+            else json.load(open(args.frame_spec))
+    except (json.JSONDecodeError, OSError) as exc:
+        _fail(EXIT_PARSE, "parse", f"bad frame spec: {exc}", "--frame-spec")
+    if not 0 < args.rho < 1:
+        _fail(EXIT_VALIDATION, "validation", "rho must be in (0, 1)", "--rho")
+    frames = []
+    for n in args.n_list:
+        spec = dict(template)
+        spec["n"] = n
+        frames.append(_load_frame(spec))
+    try:
+        stab = stability_check(frames, args.rho, deduplicate=not args.keep_duplicates)
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, "validation", str(exc), "--n-list")
+    report = {"stability": io.to_jsonable(stab)}
+    if args.T:
+        largest = frames[-1]
+        gram = frame_gram(largest, deduplicate=not args.keep_duplicates)
+        m = gram.shape[0]
+        report["rest_sum"] = rest_sum(gram, m)
+        if args.delta is not None:
+            try:
+                r1, r2, r3 = rest_split(gram, m, args.rho, args.delta)
+            except ValueError as exc:
+                _fail(EXIT_VALIDATION, "validation", str(exc), "--delta")
+            report["rest_split"] = {"R1": r1, "R2": r2, "R3": r3}
+        report["comparison_bounds"] = [
+            io.to_jsonable(comparison_bound(gram, T, flavor=args.flavor))
+            for T in args.T]
+    io.write_report(args.out, report)
+    return [args.out]
+
+
+# --- replay ---------------------------------------------------------------------
+
+def cmd_replay(args):
+    try:
+        manifest = json.load(open(args.manifest))
+    except OSError as exc:
+        _fail(EXIT_IO, "io", str(exc), "manifest")
+    except json.JSONDecodeError as exc:
+        _fail(EXIT_PARSE, "parse", f"bad manifest: {exc}", "manifest")
+    command = manifest.get("command")
+    if not command:
+        _fail(EXIT_PARSE, "parse", "manifest has no command", "manifest")
+    return _dispatch(command)
+
+
+# --- wiring ---------------------------------------------------------------------
+
+def build_parser():
+    p = argparse.ArgumentParser(prog="framethresh",
+                                description="Frame thresholding toolkit")
+    sub = p.add_subparsers(dest="subcommand", required=True)
+
+    t = sub.add_parser("thresholds", help="print the threshold-rule table")
+    t.add_argument("--sigma", type=float, default=1.0)
+    t.add_argument("--n", type=int, required=True)
+    t.add_argument("--M", type=int, default=None)
+    t.add_argument("--alpha", type=float, action="append", default=None)
+    t.add_argument("--wavelet", type=str, default=None)
+    t.add_argument("--out", type=str, default=None)
+    t.set_defaults(func=cmd_thresholds)
+
+    d = sub.add_parser("denoise", help="threshold a signal in a frame")
+    d.add_argument("--input", required=True)
+    d.add_argument("--frame-spec", required=True)
+    d.add_argument("--rule", default="soft", choices=("soft", "hard", "garrote"))
+    d.add_argument("--threshold-rule", default="universal",
+                   choices=("universal", "evt", "from_zn", "cyclespin", "ti", "fixed"))
+    d.add_argument("--alpha", type=float, default=None)
+    d.add_argument("--z", type=float, default=None)
+    d.add_argument("--c", type=float, default=None)
+    d.add_argument("--fixed-value", type=float, default=None)
+    d.add_argument("--sigma", type=float, default=1.0)
+    d.add_argument("--output", required=True)
+    d.add_argument("--report", default=None)
+    d.add_argument("--coeffs", default=None)
+    d.add_argument("--clean", default=None)
+    d.set_defaults(func=cmd_denoise)
+
+    s = sub.add_parser("simulate", help="run a seeded Monte Carlo experiment")
+    s.add_argument("--experiment", required=True,
+                   choices=("gumbel", "coverage", "sidak", "ti", "smoothness",
+                            "risk", "risk1d", "comparison"))
+    s.add_argument("--frame-spec", default=None)
+    s.add_argument("--alpha", type=float, default=None)
+    s.add_argument("--trials", type=int, default=10 ** 4)
+    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--sigma", type=float, default=1.0)
+    s.add_argument("--parallel", action="store_true")
+    s.add_argument("--out", required=True)
+    s.add_argument("--qq", default=None)
+    s.add_argument("--T", type=float, action="append", default=None)
+    s.add_argument("--z", type=float, action="append", default=None)
+    s.add_argument("--mu", type=float, action="append", default=None)
+    s.add_argument("--reference-m", type=int, default=None)
+    s.add_argument("--clean", default=None)
+    s.add_argument("--norm-spec", default='{"kind":"pqr_wavelet","p":1,"q":1,"r":0}')
+    s.add_argument("--rule", default="soft")
+    s.add_argument("--use-cyclespin-rule", action="store_true")
+    s.add_argument("--matrices", type=int, default=20)
+    s.add_argument("--dim", type=int, default=8)
+    s.add_argument("--draws", type=int, default=10 ** 6)
+    s.set_defaults(func=cmd_simulate)
+
+    g = sub.add_parser("diagnose", help="stability census and comparison bounds")
+    g.add_argument("--frame-spec", required=True)
+    g.add_argument("--n-list", type=int, nargs="+", required=True)
+    g.add_argument("--rho", type=float, default=0.5)
+    g.add_argument("--delta", type=float, default=None)
+    g.add_argument("--T", type=float, action="append", default=None)
+    g.add_argument("--flavor", default="abs", choices=("abs", "normal"))
+    g.add_argument("--keep-duplicates", action="store_true")
+    g.add_argument("--out", required=True)
+    g.set_defaults(func=cmd_diagnose)
+
+    r = sub.add_parser("replay", help="re-run a recorded manifest")
+    r.add_argument("manifest")
+    r.set_defaults(func=cmd_replay)
+    return p
+
+
+def _apply_defaults(args):
+    if getattr(args, "alpha", None) is None and args.subcommand == "thresholds":
+        args.alpha = [0.1]
+    if getattr(args, "T", None) is None:
+        if args.subcommand == "simulate" and args.experiment == "sidak":
+            args.T = [2.5, 3.0, 3.5]
+        elif args.subcommand == "simulate" and args.experiment in ("risk1d", "comparison"):
+            args.T = [1.0, 2.0, 3.0]
+        else:
+            args.T = []
+    if getattr(args, "z", None) is None and args.subcommand == "simulate":
+        args.z = [-1.0, 0.0, 1.0, 2.0]
+    if getattr(args, "mu", None) is None and args.subcommand == "simulate":
+        args.mu = [0.0, 3.0]
+
+
+def _dispatch(argv):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _apply_defaults(args)
+    started = time.time()
+    outputs = args.func(args)
+    if outputs and args.subcommand != "replay":
+        _write_manifest(args, outputs, started, list(argv))
+    return outputs
+
+
+def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        _dispatch(argv)
+    except CliError as exc:
+        error = {"error": {"kind": exc.kind, "code": exc.code,
+                           "message": str(exc), "flag": exc.flag}}
+        print(json.dumps(error, sort_keys=True), file=sys.stderr)
+        return exc.code
+    except FrameError as exc:
+        print(json.dumps({"error": {"kind": "validation", "code": EXIT_VALIDATION,
+                                    "message": str(exc), "flag": None}},
+                         sort_keys=True), file=sys.stderr)
+        return EXIT_VALIDATION
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

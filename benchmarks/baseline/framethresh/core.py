@@ -1,0 +1,328 @@
+"""Frame abstraction: analysis, dual synthesis, frame bounds, Gram summaries.
+
+A frame here is a finite family of unit-norm atoms in R^n indexed by a flat
+position 0..atom_count-1, optionally carrying structured labels such as
+(scale, location) or (scale, location, shift).  Analysis maps a signal to the
+inner products with all atoms; dual synthesis applies the pseudoinverse of the
+analysis operator.  Frames may additionally carry an unthresholded "carry"
+payload (retained scaling coefficients) so that synthesize(analyze(u)) == u on
+the full signal space even when the atom family only spans a subspace.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+
+
+class FrameError(Exception):
+    """Invalid frame or frame operation."""
+
+
+class DimensionMismatch(FrameError):
+    pass
+
+
+class IterationError(FrameError):
+    """Eigenvalue iteration failed to converge."""
+
+    def __init__(self, msg, iterations):
+        super().__init__(f"{msg} (after {iterations} iterations)")
+        self.iterations = iterations
+
+
+@dataclass
+class CoefficientVector:
+    """Coefficients indexed by the frame's flat positions.
+
+    labels holds one integer column per index component (e.g. scale j and
+    location k); carry holds retained coefficients that are never thresholded
+    (scaling coefficients of wavelet-type frames).
+    """
+
+    values: np.ndarray
+    label_names: tuple = ("omega",)
+    labels: tuple = ()
+    carry: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if not self.labels:
+            self.labels = (np.arange(len(self.values)),)
+        for col in self.labels:
+            if len(col) != len(self.values):
+                raise ValueError("label column length does not match values")
+
+    @property
+    def count(self):
+        return len(self.values)
+
+    def index_of(self, position):
+        """FrameIndex (tuple of label components) at a flat position."""
+        return tuple(int(col[position]) for col in self.labels)
+
+    def replace_values(self, values):
+        values = np.asarray(values, dtype=float)
+        if len(values) != self.count:
+            raise ValueError("replacement length mismatch")
+        return CoefficientVector(values, self.label_names, self.labels,
+                                 None if self.carry is None else self.carry.copy())
+
+
+@dataclass
+class GramSummary:
+    frame_bounds: tuple
+    coherence_counts: dict
+    max_offdiag: float
+    distinct_count: int
+    include_diagonal: bool = False
+
+
+class Frame:
+    """Abstract frame of R^n with unit-norm atoms.
+
+    Subclasses must provide analyze / dual_synthesize / atom and set
+    n, atom_count and name.  Frames are immutable after construction; all
+    operations are pure functions of their inputs.
+    """
+
+    name = "frame"
+    n = 0
+    atom_count = 0
+
+    def analyze(self, signal) -> CoefficientVector:
+        raise NotImplementedError
+
+    def dual_synthesize(self, coeffs) -> np.ndarray:
+        raise NotImplementedError
+
+    def atom(self, position) -> np.ndarray:
+        """Materialize the unit-norm analysis atom at a flat position."""
+        raise NotImplementedError
+
+    # --- span / multiplicity defaults -------------------------------------
+
+    #: dimension of the atom span, or None to determine it numerically
+    span_dim = None
+    #: dimension of the carried (unthresholded) coefficient space
+    carry_dim = 0
+
+    def project_span(self, u):
+        """Project a signal onto the subspace on which reconstruction holds
+        (atom span plus carry space); identity for full-space frames."""
+        return np.asarray(u, dtype=float)
+
+    def atom_multiplicity(self, position):
+        """Multiset weight of the atom at this position; duplicated atoms are
+        retained as distinct indices and weighted here."""
+        return 1.0
+
+    @property
+    def distinct_count(self):
+        """Number of distinct atoms; equals atom_count unless overridden."""
+        return self.atom_count
+
+    def distinct_positions(self):
+        """Flat positions selecting one representative per distinct atom."""
+        return np.arange(self.atom_count)
+
+    @property
+    def evt_count(self):
+        """Effective |Omega| used by extreme-value threshold rules."""
+        return self.distinct_count
+
+    @property
+    def redundancy(self):
+        return self.atom_count / self.n
+
+    # --- generic operator plumbing ----------------------------------------
+
+    def _check_signal(self, signal):
+        signal = np.asarray(signal, dtype=float)
+        if signal.shape != (self.n,):
+            raise DimensionMismatch(
+                f"signal has shape {signal.shape}, frame {self.name} expects ({self.n},)")
+        return signal
+
+    def _check_coeffs(self, coeffs):
+        if coeffs.count != self.atom_count:
+            raise DimensionMismatch(
+                f"coefficient vector has {coeffs.count} entries, "
+                f"frame {self.name} has {self.atom_count} atoms")
+        return coeffs
+
+    def frame_operator_apply(self, u):
+        """Apply Phi* W Phi with multiset weights W (default: via atoms)."""
+        u = self._check_signal(u)
+        out = np.zeros(self.n)
+        for block, positions in self.iter_atom_blocks():
+            w = np.array([self.atom_multiplicity(p) for p in positions])
+            out += block.T @ (w * (block @ u))
+        return out
+
+    def iter_atom_blocks(self, block_size=256):
+        """Yield (block_matrix, positions) pairs, materializing atoms lazily
+        in blocks to bound memory at large n."""
+        for start in range(0, self.atom_count, block_size):
+            positions = np.arange(start, min(start + block_size, self.atom_count))
+            block = np.stack([self.atom(p) for p in positions])
+            yield block, positions
+
+
+def analyze(frame, signal):
+    """Coefficients <phi_omega, signal> of a signal in the given frame."""
+    return frame.analyze(signal)
+
+
+def dual_synthesize(frame, coeffs):
+    """Pseudoinverse reconstruction from frame coefficients."""
+    return frame.dual_synthesize(coeffs)
+
+
+_DENSE_EIG_LIMIT = 4096
+
+
+def frame_bounds(frame, tol=1e-6, max_iter=20000):
+    """Extreme eigenvalues (a_n, b_n) of the frame operator on the atom span.
+
+    Dense eigensolve up to n = 4096; power iteration (with Rayleigh-quotient
+    convergence test at relative accuracy `tol`) above.  Multiset weights are
+    included, so duplicated atoms raise the bounds.
+    """
+    n = frame.n
+    if n <= _DENSE_EIG_LIMIT:
+        gram_op = _dense_frame_operator(frame)
+        eigvals = np.sort(np.linalg.eigvalsh(gram_op))
+        rank = frame.span_dim
+        if rank is None:
+            cutoff = n * np.finfo(float).eps * max(eigvals[-1], 1.0)
+            rank = int(np.count_nonzero(eigvals > cutoff))
+        if rank <= 0:
+            raise FrameError("frame has empty atom span")
+        a_n = float(eigvals[n - rank])
+        b_n = float(eigvals[-1])
+    else:
+        b_n = _power_iteration(frame.frame_operator_apply, n, tol, max_iter)
+        shifted = lambda u: b_n * u - frame.frame_operator_apply(u)
+        a_n = b_n - _power_iteration(shifted, n, tol, max_iter)
+    if a_n <= 0 or not np.isfinite(b_n):
+        raise FrameError(
+            f"frame property violated for {frame.name}: bounds ({a_n}, {b_n})")
+    return a_n, b_n
+
+
+def _dense_frame_operator(frame):
+    n = frame.n
+    op = np.zeros((n, n))
+    for block, positions in frame.iter_atom_blocks():
+        w = np.array([frame.atom_multiplicity(p) for p in positions])
+        op += block.T @ (w[:, None] * block)
+    return op
+
+
+def _power_iteration(apply_op, n, tol, max_iter):
+    rng = np.random.default_rng(12345)
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    lam = 0.0
+    for it in range(max_iter):
+        v = apply_op(u)
+        norm = np.linalg.norm(v)
+        if norm == 0:
+            return 0.0
+        lam_new = float(u @ v)
+        u = v / norm
+        if it > 0 and abs(lam_new - lam) <= tol * abs(lam_new):
+            return lam_new
+        lam = lam_new
+    raise IterationError("power iteration did not converge", max_iter)
+
+
+def gram_coherence_counts(frame, deltas, deduplicate=True, include_diagonal=False):
+    """Count off-diagonal Gram entries |<phi_w, phi_w'>| >= delta.
+
+    Counts ordered pairs (w, w'), w != w', so totals are even by symmetry.
+    With deduplicate=True (default) the census runs over distinct atoms only;
+    duplicated atoms otherwise trivially contribute |<phi,phi>| = 1 pairs.
+    Atoms are materialized lazily in blocks of 256.
+    """
+    deltas = [float(d) for d in deltas]
+    for d in deltas:
+        if not 0 < d <= 1:
+            raise ValueError(f"coherence level delta={d} outside (0, 1]")
+    positions = frame.distinct_positions() if deduplicate else np.arange(frame.atom_count)
+    counts = {d: 0 for d in deltas}
+    diag_counts = {d: 0 for d in deltas}
+    max_off = 0.0
+    blocks = []
+    for start in range(0, len(positions), 256):
+        blocks.append(positions[start:start + 256])
+    mats = [np.stack([frame.atom(p) for p in blk]) for blk in blocks]
+    for bi, mi in enumerate(mats):
+        for bj in range(bi, len(mats)):
+            g = mi @ mats[bj].T
+            if bi == bj:
+                off = np.abs(g - np.diag(np.diag(g)))
+                if off.size:
+                    max_off = max(max_off, float(off.max()))
+                for d in deltas:
+                    counts[d] += int(np.count_nonzero(off >= d))
+                    diag_counts[d] += int(np.count_nonzero(np.abs(np.diag(g)) >= d))
+            else:
+                ga = np.abs(g)
+                max_off = max(max_off, float(ga.max()))
+                for d in deltas:
+                    counts[d] += 2 * int(np.count_nonzero(ga >= d))
+    bounds = frame_bounds(frame)
+    final = {}
+    for d in deltas:
+        final[d] = counts[d] + (diag_counts[d] if include_diagonal else 0)
+    return GramSummary(frame_bounds=bounds, coherence_counts=final,
+                       max_offdiag=max_off, distinct_count=len(positions),
+                       include_diagonal=include_diagonal)
+
+
+class ExplicitFrame(Frame):
+    """Frame given by an explicit atom matrix (rows are atoms).
+
+    Rows are renormalized to unit norm.  The atoms must span R^n (the frame
+    property); dual synthesis solves the normal equations with a dense
+    Cholesky factorization of the frame operator.
+    """
+
+    def __init__(self, matrix, name="explicit"):
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.ndim != 2:
+            raise FrameError("explicit frame needs a 2-d atom matrix")
+        norms = np.linalg.norm(matrix, axis=1)
+        if np.any(norms == 0):
+            raise FrameError("explicit frame contains a zero atom")
+        self._atoms = matrix / norms[:, None]
+        self.atom_count, self.n = self._atoms.shape
+        self.name = name
+        self.span_dim = self.n
+        s = self._atoms.T @ self._atoms
+        eigvals = np.linalg.eigvalsh(s)
+        cutoff = max(self.n, self.atom_count) * np.finfo(float).eps * eigvals[-1]
+        if eigvals[0] <= max(cutoff, 0.0):
+            raise FrameError(
+                "explicit frame operator is singular: atoms do not span R^n")
+        self._cho = cho_factor(s)
+
+    def analyze(self, signal):
+        signal = self._check_signal(signal)
+        return CoefficientVector(self._atoms @ signal)
+
+    def dual_synthesize(self, coeffs):
+        self._check_coeffs(coeffs)
+        return cho_solve(self._cho, self._atoms.T @ coeffs.values)
+
+    def atom(self, position):
+        return self._atoms[position].copy()
+
+    def iter_atom_blocks(self, block_size=256):
+        for start in range(0, self.atom_count, block_size):
+            positions = np.arange(start, min(start + block_size, self.atom_count))
+            yield self._atoms[positions], positions

@@ -1,0 +1,186 @@
+"""Quantitative checks of the asymptotic-stability hypotheses.
+
+The stability census counts strongly correlated atom pairs against the
+o(|Omega|/sqrt(log |Omega|)) budget and tracks upper frame bounds; the
+comparison sum R and its three-way split mirror the proof decomposition; the
+comparison bounds evaluate the Li-Shao inequalities (factor 1/4 for maxima of
+absolute values, 1/8 without absolute values).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .core import frame_bounds, gram_coherence_counts
+
+
+@dataclass
+class StabilityRow:
+    n: int
+    omega_count: int
+    count_geq_rho: int
+    ratio: float  # count * sqrt(log |Omega|) / |Omega|
+    per_atom: float  # count / |Omega|
+    upper_frame_bound: float
+    count_with_diagonal: int
+
+
+@dataclass
+class StabilityReport:
+    rho: float
+    rows: list
+    ratio_nonincreasing: bool
+    per_atom_bounded: bool
+    sup_frame_bound: float
+    frame_bounds_bounded: bool  # heuristic: b_n not growing with n
+    verdict: str
+
+
+def stability_check(frame_family, rho, deduplicate=True):
+    """Count off-diagonal Gram pairs |<phi,phi'>| >= rho across a family of
+    frames of increasing n and report finite-n evidence for both conditions.
+
+    Counts are reported both without (omega != omega') and with the diagonal
+    (the definition is ambiguous on that point); the ratio column is
+    count*sqrt(log|Omega|)/|Omega|.  The o(.) condition cannot be proved at
+    finite n, so the verdict rests on trend evidence: the per-atom count
+    count/|Omega| staying bounded (within 15% relative slack across the
+    family) and the upper frame bounds not growing with n (compared against
+    sqrt of the n growth between the last two rows).  The strict
+    ratio-nonincreasing flag is reported alongside.
+    """
+    if not 0 < rho < 1:
+        raise ValueError(f"rho={rho} outside (0, 1)")
+    frames = list(frame_family)
+    if len(frames) < 3:
+        raise ValueError("need at least 3 frames of increasing n")
+    rows = []
+    for fr in frames:
+        summary = gram_coherence_counts(fr, [rho], deduplicate=deduplicate)
+        count = summary.coherence_counts[rho]
+        m = summary.distinct_count if deduplicate else fr.atom_count
+        rows.append(StabilityRow(
+            n=fr.n, omega_count=m, count_geq_rho=count,
+            ratio=count * math.sqrt(math.log(m)) / m,
+            per_atom=count / m,
+            upper_frame_bound=summary.frame_bounds[1],
+            count_with_diagonal=count + m))
+    ratios = [r.ratio for r in rows]
+    nonincreasing = all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
+    per_atom = [r.per_atom for r in rows]
+    per_atom_bounded = per_atom[-1] <= 1.15 * max(per_atom[0], 1e-12) + 1e-12
+    bounds = [r.upper_frame_bound for r in rows]
+    growth = bounds[-1] / bounds[-2]
+    n_growth = rows[-1].n / rows[-2].n
+    bounded = growth < math.sqrt(n_growth)
+    if per_atom_bounded and bounded:
+        verdict = "stable"
+    elif not bounded:
+        verdict = "unstable: upper frame bounds grow with n"
+    else:
+        verdict = "unstable: strongly-coherent pair count grows per atom"
+    return StabilityReport(rho=rho, rows=rows, ratio_nonincreasing=nonincreasing,
+                           per_atom_bounded=per_atom_bounded,
+                           sup_frame_bound=max(bounds),
+                           frame_bounds_bounded=bounded, verdict=verdict)
+
+
+def _check_gram(gram):
+    gram = np.asarray(gram, dtype=float)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise ValueError("gram must be a square matrix")
+    if np.max(np.abs(np.diag(gram) - 1.0)) > 1e-9:
+        raise ValueError("gram diagonal must be 1 within 1e-9")
+    if np.max(np.abs(gram)) > 1 + 1e-9:
+        raise ValueError("gram entries must lie in [-1, 1]")
+    return gram
+
+
+def _offdiag_terms(gram, m):
+    """(|kappa|, term) pairs over ordered off-diagonal entries in fixed
+    row-major order; term = |kappa| (log m / m^2)^{1/(1+|kappa|)}."""
+    base = math.log(m) / m ** 2
+    out = []
+    k = gram.shape[0]
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            a = abs(float(gram[i, j]))
+            out.append((a, a * base ** (1.0 / (1.0 + a))))
+    return out
+
+
+def rest_sum(gram, m):
+    """R = sum_{w != w'} |kappa| (log m / m^2)^{1/(1+|kappa|)} in a fixed
+    deterministic order with error-free (fsum) accumulation."""
+    gram = _check_gram(gram)
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    return math.fsum(t for _, t in _offdiag_terms(gram, m))
+
+
+def rest_split(gram, m, rho, delta):
+    """Partial sums (R1, R2, R3) over |kappa| >= rho, delta <= |kappa| < rho,
+    |kappa| < delta; the proof's decomposition, so R1+R2+R3 = rest_sum."""
+    gram = _check_gram(gram)
+    if not 0 < delta < 1.0 / 3.0:
+        raise ValueError(f"delta={delta} outside (0, 1/3)")
+    if not delta <= rho < 1:
+        raise ValueError(f"rho={rho} outside [delta, 1)")
+    parts = ([], [], [])
+    for a, t in _offdiag_terms(gram, m):
+        if a >= rho:
+            parts[0].append(t)
+        elif a >= delta:
+            parts[1].append(t)
+        else:
+            parts[2].append(t)
+    return tuple(math.fsum(p) for p in parts)
+
+
+@dataclass
+class ComparisonBound:
+    value: float
+    threshold: float
+    flavor: str
+    max_term: float
+    argmax_pair: tuple
+
+
+def comparison_bound(gram, threshold, flavor="abs"):
+    """Li-Shao bound on |P{max <= T}(independent) - P{max <= T}(gram)|:
+    (1/4 for abs, 1/8 for normal) * sum_{w != w'} |kappa| exp(-T^2/(1+|kappa|)).
+    """
+    gram = _check_gram(gram)
+    if flavor not in ("abs", "normal"):
+        raise ValueError(f"flavor must be 'abs' or 'normal', got {flavor!r}")
+    factor = 0.25 if flavor == "abs" else 0.125
+    t2 = float(threshold) ** 2
+    k = gram.shape[0]
+    terms = []
+    max_term = 0.0
+    argmax = (0, 0)
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            a = abs(float(gram[i, j]))
+            term = a * math.exp(-t2 / (1.0 + a))
+            terms.append(term)
+            if term > max_term:
+                max_term = term
+                argmax = (i, j)
+    return ComparisonBound(value=factor * math.fsum(terms), threshold=float(threshold),
+                           flavor=flavor, max_term=factor * max_term,
+                           argmax_pair=argmax)
+
+
+def frame_gram(frame, deduplicate=True):
+    """Dense Gram matrix of (distinct) atoms; for diagnostics at modest n."""
+    positions = frame.distinct_positions() if deduplicate else np.arange(frame.atom_count)
+    atoms = np.stack([frame.atom(p) for p in positions])
+    return atoms @ atoms.T

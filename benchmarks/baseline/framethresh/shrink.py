@@ -1,0 +1,97 @@
+"""Shrinkage rules and the frame denoising estimator.
+
+The estimator is analysis -> coefficient-wise shrinkage -> dual synthesis.
+Carried (scaling) coefficients pass through untouched.  Only the soft rule
+satisfies the shrinkage property |F(y +/- T, T)| <= |y| that the smoothness
+claim rests on; hard (which maps y + T to itself once past the threshold) and
+the nonnegative garrote both violate it and are excluded from the
+smoothness-claim experiments.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core import CoefficientVector, DimensionMismatch
+from .evt import ThresholdSpec
+
+SHRINKAGE_RULES = ("soft", "hard", "garrote")
+
+#: rules satisfying |F(y +/- T, T)| <= |y| (needed by the smoothness claim)
+SHRINKING_RULES = ("soft",)
+
+
+def shrink_value(y, threshold, rule="soft"):
+    """Apply a shrinkage rule coefficient-wise.
+
+    soft:    sign(y) (|y| - T)_+          (soft(T, T) = 0)
+    hard:    y 1{|y| >= T}                (hard(T, T) = T: boundary kept)
+    garrote: y max(1 - T^2/y^2, 0), 0 at y = 0
+    """
+    if threshold < 0:
+        raise ValueError(f"threshold {threshold} must be >= 0")
+    y = np.asarray(y, dtype=float)
+    a = np.abs(y)
+    if rule == "soft":
+        return np.sign(y) * np.maximum(a - threshold, 0.0)
+    if rule == "hard":
+        return np.where(a >= threshold, y, 0.0)
+    if rule == "garrote":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = np.where(y != 0.0, 1.0 - (threshold / np.where(y != 0.0, a, 1.0)) ** 2, 0.0)
+        return y * np.maximum(factor, 0.0)
+    raise ValueError(f"unknown shrinkage rule {rule!r}")
+
+
+@dataclass
+class DenoiseResult:
+    estimate: np.ndarray
+    thresholded_coeffs: CoefficientVector
+    threshold_used: float
+    kept_count: int
+    rule: str
+
+
+def denoise(frame, data, spec, rule="soft"):
+    """Frame soft/hard/garrote thresholding estimator.
+
+    spec is a ThresholdSpec (or a bare numeric threshold); the resolved
+    threshold applies to all indexed coefficients, never to the carry.
+    kept_count counts coefficients with |Y(omega)| > T.
+    """
+    if rule not in SHRINKAGE_RULES:
+        raise ValueError(f"unknown shrinkage rule {rule!r}")
+    if isinstance(spec, ThresholdSpec):
+        threshold = spec.resolve(frame)
+    else:
+        threshold = float(spec)
+        if threshold < 0:
+            raise ValueError("threshold must be >= 0")
+    coeffs = frame.analyze(data)
+    shrunk = coeffs.replace_values(shrink_value(coeffs.values, threshold, rule))
+    estimate = frame.dual_synthesize(shrunk)
+    kept = int(np.count_nonzero(np.abs(coeffs.values) > threshold))
+    return DenoiseResult(estimate=estimate, thresholded_coeffs=shrunk,
+                         threshold_used=threshold, kept_count=kept, rule=rule)
+
+
+def confidence_region_contains(center, threshold, candidate):
+    """Membership in the sup-norm ball of radius T around the data
+    coefficients: true iff ||candidate - center||_inf <= T."""
+    if isinstance(center, CoefficientVector):
+        cvals, clabels = center.values, center.labels
+    else:
+        cvals, clabels = np.asarray(center, dtype=float), None
+    if isinstance(candidate, CoefficientVector):
+        dvals, dlabels = candidate.values, candidate.labels
+    else:
+        dvals, dlabels = np.asarray(candidate, dtype=float), None
+    if len(cvals) != len(dvals):
+        raise DimensionMismatch("coefficient index sets differ in length")
+    if clabels is not None and dlabels is not None:
+        for a, b in zip(clabels, dlabels):
+            if not np.array_equal(a, b):
+                raise DimensionMismatch("coefficient index sets differ")
+    return bool(np.max(np.abs(dvals - cvals)) <= threshold) if len(cvals) else True

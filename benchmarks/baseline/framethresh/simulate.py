@@ -1,0 +1,464 @@
+"""Seeded Monte Carlo harness for the distributional claims.
+
+Every experiment draws trial t of a run from an independent Philox stream
+keyed by (seed, t), so reports are bit-identical for identical (seed, config)
+regardless of trial scheduling; set parallel=True to fan trials across a
+thread pool (capped by FRAMETHRESH_THREADS).
+
+One-sided distributional checks use 3 Monte Carlo standard errors of slack;
+two-sided exact-oracle checks use 3 s.e. around the exact value.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+
+import numpy as np
+from scipy.special import ndtr
+
+from . import rng as _rng
+from .core import CoefficientVector, frame_bounds
+from .diagnostics import comparison_bound
+from .evt import (GumbelNorms, evt_threshold, gumbel_cdf, norms_chi,
+                  ti_threshold_at_z, universal_threshold)
+from .norms import evaluate as norm_evaluate
+from .shrink import SHRINKING_RULES, shrink_value
+
+
+@dataclass(frozen=True)
+class McConfig:
+    trials: int
+    seed: int
+    sigma: float = 1.0
+    parallel: bool = False
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if not self.sigma >= 0:
+            raise ValueError("sigma must be >= 0")
+
+
+def _thread_cap():
+    raw = os.environ.get("FRAMETHRESH_THREADS")
+    if raw:
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            pass
+    return min(4, os.cpu_count() or 1)
+
+
+def _map_trials(cfg, fn):
+    """Evaluate fn(trial) for every trial; deterministic output order."""
+    out = np.empty(cfg.trials)
+    workers = _thread_cap() if cfg.parallel else 1
+    if workers <= 1:
+        for t in range(cfg.trials):
+            out[t] = fn(t)
+        return out
+    chunk = max(64, cfg.trials // (8 * workers))
+    def run(start):
+        stop = min(start + chunk, cfg.trials)
+        vals = [fn(t) for t in range(start, stop)]
+        return start, vals
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        for start, vals in ex.map(run, range(0, cfg.trials, chunk)):
+            out[start:start + len(vals)] = vals
+    return out
+
+
+@dataclass
+class EmpiricalDistribution:
+    samples: np.ndarray  # sorted ascending
+    count: int
+
+    @staticmethod
+    def from_samples(values):
+        values = np.sort(np.asarray(values, dtype=float))
+        return EmpiricalDistribution(samples=values, count=len(values))
+
+    def cdf(self, x):
+        """Right-continuous empirical CDF #{samples <= x}/count."""
+        return np.searchsorted(self.samples, x, side="right") / self.count
+
+
+def mc_se(p_hat, trials):
+    return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
+
+
+# --- max statistics -----------------------------------------------------------
+
+def sample_max_abs(frame, cfg):
+    """Per trial: draw white noise, return max_w |<phi_w, eps>|."""
+    def one(t):
+        eps = _rng.normal(cfg.seed, t, frame.n, cfg.sigma)
+        return float(np.max(np.abs(frame.analyze(eps).values)))
+    return EmpiricalDistribution.from_samples(_map_trials(cfg, one))
+
+
+def rescale_to_gumbel(samples, norms, sigma=1.0):
+    """M -> (M/sigma - b)/a."""
+    if norms.a <= 0:
+        raise ValueError("scale constant a must be positive")
+    if isinstance(samples, EmpiricalDistribution):
+        samples = samples.samples
+    return EmpiricalDistribution.from_samples(norms.rescale(samples, sigma))
+
+
+def ks_distance(samples):
+    """Sup-norm distance of the empirical CDF to the Gumbel CDF."""
+    if isinstance(samples, EmpiricalDistribution):
+        dist = samples
+    else:
+        dist = EmpiricalDistribution.from_samples(samples)
+    if dist.count < 10:
+        raise ValueError("need at least 10 samples for a KS distance")
+    g = gumbel_cdf(dist.samples)
+    i = np.arange(1, dist.count + 1)
+    upper = np.max(i / dist.count - g)
+    lower = np.max(g - (i - 1) / dist.count)
+    return float(max(upper, lower))
+
+
+def qq_data(samples):
+    """(empirical quantile, Gumbel quantile) pairs at plotting positions
+    (i - 0.5)/count."""
+    if isinstance(samples, EmpiricalDistribution):
+        dist = samples
+    else:
+        dist = EmpiricalDistribution.from_samples(samples)
+    if dist.count < 10:
+        raise ValueError("need at least 10 samples for a Q-Q table")
+    p = (np.arange(1, dist.count + 1) - 0.5) / dist.count
+    gq = -np.log(-np.log(p))
+    return np.column_stack([dist.samples, gq])
+
+
+# --- coverage -----------------------------------------------------------------
+
+@dataclass
+class CoverageReport:
+    alpha: float
+    threshold: float
+    empirical: float
+    se: float
+    exact: float | None
+    trials: int
+    frame_name: str
+
+    @property
+    def within_3se_of_exact(self):
+        if self.exact is None:
+            return None
+        return abs(self.empirical - self.exact) <= 3.0 * self.se
+
+    def one_sided_ok(self):
+        return self.empirical >= (1.0 - self.alpha) - 3.0 * self.se
+
+
+def exact_independent_coverage(threshold, m, sigma=1.0):
+    """(2 Phi(T/sigma) - 1)^m: max of m iid |N(0, sigma^2)| below T."""
+    return float((2.0 * ndtr(threshold / sigma) - 1.0) ** m)
+
+
+def _is_orthonormal(frame):
+    if frame.atom_count != frame.span_dim:
+        return False
+    a, b = frame_bounds(frame)
+    return abs(a - 1) < 1e-9 and abs(b - 1) < 1e-9
+
+
+def coverage_experiment(frame, alpha, cfg, threshold=None, exact_oracle=None):
+    """Empirical P{ ||Phi eps||_inf <= T } against the 1-alpha target.
+
+    threshold defaults to the EVT threshold at the frame's count; for
+    orthonormal frames (auto-detected, or forced via exact_oracle=True with
+    m = atom_count) the exact finite-m value (2 Phi(T)-1)^m is included.
+    """
+    if threshold is None:
+        threshold = evt_threshold(cfg.sigma, alpha, frame.evt_count)
+    maxima = sample_max_abs(frame, cfg)
+    emp = float(np.mean(maxima.samples <= threshold))
+    exact = None
+    if exact_oracle is None:
+        exact_oracle = _is_orthonormal(frame)
+    if exact_oracle:
+        exact = exact_independent_coverage(threshold, frame.atom_count, cfg.sigma)
+    return CoverageReport(alpha=alpha, threshold=float(threshold), empirical=emp,
+                          se=mc_se(emp, cfg.trials), exact=exact,
+                          trials=cfg.trials, frame_name=frame.name)
+
+
+# --- Sidak domination -----------------------------------------------------------
+
+@dataclass
+class SidakRow:
+    threshold: float
+    empirical_dependent: float
+    exact_independent: float
+    se: float
+    dominates: bool
+
+
+def sidak_experiment(dependent_frame, reference_m, thresholds, cfg):
+    """Dependent max-abs coverage vs the exact independent reference with
+    reference_m coefficients; asserts dependent >= independent - 3 se."""
+    maxima = sample_max_abs(dependent_frame, cfg)
+    rows = []
+    for T in thresholds:
+        emp = float(np.mean(maxima.samples <= T))
+        exact = exact_independent_coverage(T, reference_m, cfg.sigma)
+        se = mc_se(emp, cfg.trials)
+        rows.append(SidakRow(threshold=float(T), empirical_dependent=emp,
+                             exact_independent=exact, se=se,
+                             dominates=emp >= exact - 3.0 * se))
+    return rows
+
+
+# --- translation invariant bound ------------------------------------------------
+
+@dataclass
+class TiBoundRow:
+    z: float
+    threshold: float
+    empirical: float
+    gumbel: float
+    se: float
+    holds: bool
+
+
+def ti_bound_experiment(ti_frame, c, z_list, cfg):
+    """Empirical P{ ||W_{n,n} eps||_inf <= T(z) } with
+    T(z) = sigma [sqrt(2 log n) + (z + log(c/pi))/sqrt(2 log n)], compared
+    one-sidedly against exp(-e^{-z})."""
+    if not ti_frame.filters.differentiable:
+        raise ValueError("ti bound needs a continuously differentiable wavelet")
+    maxima = sample_max_abs(ti_frame, cfg)
+    rows = []
+    for z in z_list:
+        T = ti_threshold_at_z(cfg.sigma, z, ti_frame.n, float(c))
+        emp = float(np.mean(maxima.samples <= T))
+        target = float(gumbel_cdf(z))
+        se = mc_se(emp, cfg.trials)
+        rows.append(TiBoundRow(z=float(z), threshold=T, empirical=emp,
+                               gumbel=target, se=se,
+                               holds=emp >= target - 3.0 * se))
+    return rows
+
+
+# --- smoothness -----------------------------------------------------------------
+
+@dataclass
+class SmoothnessReport:
+    alpha: float
+    threshold: float
+    frequency: float
+    se: float
+    trials: int
+    clean_value: float
+
+    def one_sided_ok(self):
+        return self.frequency >= (1.0 - self.alpha) - 3.0 * self.se
+
+
+def smoothness_experiment(frame, clean_signal, alpha, norm_spec, cfg, rule="soft"):
+    """Frequency of J(shrunk coefficients) <= J(clean coefficients).
+
+    Only shrinkage rules with |F(y +/- T, T)| <= |y| are accepted; the
+    nonnegative garrote violates the property and is refused.
+    """
+    if rule not in SHRINKING_RULES:
+        raise ValueError(
+            f"rule {rule!r} violates the shrinkage property needed by the "
+            "smoothness claim")
+    clean = np.asarray(clean_signal, dtype=float)
+    x_clean = frame.analyze(clean)
+    j_clean = norm_evaluate(norm_spec, x_clean)
+    threshold = evt_threshold(cfg.sigma, alpha, frame.evt_count)
+
+    def one(t):
+        eps = _rng.normal(cfg.seed, t, frame.n, cfg.sigma)
+        cv = frame.analyze(clean + eps)
+        shrunk = cv.replace_values(shrink_value(cv.values, threshold, rule))
+        return 1.0 if norm_evaluate(norm_spec, shrunk) <= j_clean * (1 + 1e-12) else 0.0
+
+    hits = _map_trials(cfg, one)
+    freq = float(np.mean(hits))
+    return SmoothnessReport(alpha=alpha, threshold=threshold, frequency=freq,
+                            se=mc_se(freq, cfg.trials), trials=cfg.trials,
+                            clean_value=j_clean)
+
+
+# --- oracle risk ----------------------------------------------------------------
+
+@dataclass
+class RiskReport:
+    empirical_risk: float
+    se: float
+    bound: float
+    first_summand: float
+    second_summand: float
+    lower_frame_bound: float
+    threshold: float
+    assumption_ok: bool  # T(alpha, m) <= universal threshold
+    trials: int
+
+    @property
+    def within_bound(self):
+        return self.empirical_risk <= self.bound + 3.0 * self.se
+
+
+def oracle_bound(frame, clean_signal, alpha, sigma=1.0):
+    """(sigma^2/a_n) [ log(1/(1-alpha)) sqrt(pi log m)
+                       + (1 + 2 log m) sum_w min(1, x_w^2/sigma^2) ]."""
+    m = frame.evt_count
+    a_n, _ = frame_bounds(frame)
+    x = frame.analyze(np.asarray(clean_signal, dtype=float)).values
+    first = math.log(1.0 / (1.0 - alpha)) * math.sqrt(math.pi * math.log(m))
+    second = (1.0 + 2.0 * math.log(m)) * float(
+        np.sum(np.minimum(1.0, (x / sigma) ** 2)))
+    return (sigma ** 2 / a_n) * (first + second), first, second, a_n
+
+
+def oracle_risk_experiment(frame, clean_signal, alpha, cfg):
+    """Empirical E||u - u_hat||^2 for the pure frame estimator
+    Phi^+ S(Phi V, T(alpha, m)) against the oracle bound.
+
+    The carry (scaling part) is zeroed on both the estimator and the target,
+    so the comparison is exactly the thresholded-subspace risk the bound
+    controls; for whole-space frames this changes nothing.  The bound's
+    assumption T <= sigma sqrt(2 log m) is checked and reported; the
+    experiment still runs when it fails.
+    """
+    clean = np.asarray(clean_signal, dtype=float)
+    m = frame.evt_count
+    threshold = evt_threshold(cfg.sigma, alpha, m)
+    assumption_ok = threshold <= universal_threshold(cfg.sigma, m) + 1e-12
+    bound, first, second, a_n = oracle_bound(frame, clean, alpha, cfg.sigma)
+    target = frame.dual_synthesize(_zero_carry(frame.analyze(clean)))
+
+    def one(t):
+        eps = _rng.normal(cfg.seed, t, frame.n, cfg.sigma)
+        cv = frame.analyze(clean + eps)
+        shrunk = _zero_carry(cv.replace_values(
+            shrink_value(cv.values, threshold, "soft")))
+        est = frame.dual_synthesize(shrunk)
+        return float(np.sum((est - target) ** 2))
+
+    risks = _map_trials(cfg, one)
+    emp = float(np.mean(risks))
+    se = float(np.std(risks, ddof=1) / math.sqrt(cfg.trials))
+    return RiskReport(empirical_risk=emp, se=se, bound=bound,
+                      first_summand=first, second_summand=second,
+                      lower_frame_bound=a_n, threshold=threshold,
+                      assumption_ok=assumption_ok, trials=cfg.trials)
+
+
+def _zero_carry(cv):
+    if cv.carry is None:
+        return cv
+    return CoefficientVector(cv.values.copy(), cv.label_names, cv.labels,
+                             carry=np.zeros_like(cv.carry))
+
+
+@dataclass
+class Risk1dRow:
+    mu: float
+    threshold: float
+    empirical: float
+    se: float
+    bound: float
+
+    @property
+    def within_bound(self):
+        return self.empirical <= self.bound + 3.0 * self.se
+
+
+def risk_1d_check(mu_list, threshold_list, cfg):
+    """E|mu - S(y, T)|^2 for y ~ N(mu, 1) against e^{-T^2/2} + min(1+T^2, mu^2),
+    by Monte Carlo with one stream per (mu, T) cell."""
+    rows = []
+    cell = 0
+    for mu in mu_list:
+        for T in threshold_list:
+            gen = _rng.trial_generator(cfg.seed, cell)
+            cell += 1
+            vals = np.empty(cfg.trials)
+            done = 0
+            while done < cfg.trials:
+                block = min(cfg.trials - done, 1 << 16)
+                y = mu + _rng.stream_normal(gen, block)
+                vals[done:done + block] = (mu - shrink_value(y, T, "soft")) ** 2
+                done += block
+            emp = float(np.mean(vals))
+            se = float(np.std(vals, ddof=1) / math.sqrt(cfg.trials))
+            bound = math.exp(-T ** 2 / 2.0) + min(1.0 + T ** 2, mu ** 2)
+            rows.append(Risk1dRow(mu=float(mu), threshold=float(T),
+                                  empirical=emp, se=se, bound=bound))
+    return rows
+
+
+# --- normal comparison bound -----------------------------------------------------
+
+@dataclass
+class ComparisonRow:
+    matrix_index: int
+    threshold: float
+    empirical_dependent: float
+    empirical_independent: float
+    observed_gap: float
+    bound: float
+    joint_se: float
+
+    @property
+    def within_bound(self):
+        return self.observed_gap <= self.bound + 3.0 * self.joint_se
+
+
+def random_correlation_matrix(gen, dim):
+    """Normalized Wishart draw: C = D^(-1/2) A A^T D^(-1/2)."""
+    a = _rng.stream_normal(gen, (dim, dim))
+    s = a @ a.T
+    d = np.sqrt(np.diag(s))
+    return s / np.outer(d, d)
+
+
+def comparison_bound_experiment(cfg, n_matrices=20, dim=8, thresholds=(1.0, 2.0, 3.0),
+                                draws=10 ** 6, flavor="abs"):
+    """Monte Carlo validation of the normal comparison bound for maxima of
+    absolute values: per matrix and threshold,
+    |P_hat{||eta||_inf <= T} - P_hat{||xi||_inf <= T}| <= bound + 3 joint s.e.
+    eta iid, xi ~ N(0, C).  One Philox stream per matrix."""
+    rows = []
+    for idx in range(n_matrices):
+        gen = _rng.trial_generator(cfg.seed, idx)
+        corr = random_correlation_matrix(gen, dim)
+        chol = np.linalg.cholesky(corr)
+        dep_counts = np.zeros(len(thresholds))
+        ind_counts = np.zeros(len(thresholds))
+        done = 0
+        while done < draws:
+            block = min(draws - done, 1 << 15)
+            z = _rng.stream_normal(gen, (block, dim))
+            dep_max = np.max(np.abs(z @ chol.T), axis=1)
+            w = _rng.stream_normal(gen, (block, dim))
+            ind_max = np.max(np.abs(w), axis=1)
+            for k, T in enumerate(thresholds):
+                dep_counts[k] += np.count_nonzero(dep_max <= T)
+                ind_counts[k] += np.count_nonzero(ind_max <= T)
+            done += block
+        for k, T in enumerate(thresholds):
+            p_dep = dep_counts[k] / draws
+            p_ind = ind_counts[k] / draws
+            se = math.sqrt(mc_se(p_dep, draws) ** 2 + mc_se(p_ind, draws) ** 2)
+            bnd = comparison_bound(corr, T, flavor=flavor).value
+            rows.append(ComparisonRow(matrix_index=idx, threshold=float(T),
+                                      empirical_dependent=p_dep,
+                                      empirical_independent=p_ind,
+                                      observed_gap=abs(p_dep - p_ind),
+                                      bound=bnd, joint_se=se))
+    return rows
