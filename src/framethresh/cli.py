@@ -127,6 +127,9 @@ def cmd_denoise(args):
         _fail(EXIT_VALIDATION, "validation",
               f"signal length {len(data)} does not match frame n={frame.n}",
               "--input")
+    if not np.all(np.isfinite(data)):
+        _fail(EXIT_VALIDATION, "validation",
+              "input signal contains NaN or infinite values", "--input")
     if args.sigma <= 0:
         _fail(EXIT_VALIDATION, "validation", "sigma must be > 0", "--sigma")
     spec = ThresholdSpec(rule=args.threshold_rule, sigma=args.sigma,
@@ -350,7 +353,8 @@ def build_parser():
     s.add_argument("--trials", type=int, default=10 ** 4)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--sigma", type=float, default=1.0)
-    s.add_argument("--parallel", action="store_true")
+    s.add_argument("--parallel", action="store_true",
+                   help="accepted for old manifests; trials always run serially")
     s.add_argument("--out", required=True)
     s.add_argument("--qq", default=None)
     s.add_argument("--T", type=float, action="append", default=None)

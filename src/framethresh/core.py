@@ -99,7 +99,9 @@ class Frame:
         raise NotImplementedError
 
     def atom(self, position) -> np.ndarray:
-        """Materialize the unit-norm analysis atom at a flat position."""
+        """Materialize unit-norm analysis atoms: shape (n,) for an int flat
+        position, (len(position), n) with one atom per row for an index
+        array."""
         raise NotImplementedError
 
     # --- span / multiplicity defaults -------------------------------------
@@ -115,9 +117,10 @@ class Frame:
         return np.asarray(u, dtype=float)
 
     def atom_multiplicity(self, position):
-        """Multiset weight of the atom at this position; duplicated atoms are
-        retained as distinct indices and weighted here."""
-        return 1.0
+        """Multiset weight of the atom at this position (elementwise for an
+        index array); duplicated atoms are retained as distinct indices and
+        weighted here."""
+        return np.ones_like(position, dtype=float)
 
     @property
     def distinct_count(self):
@@ -157,18 +160,21 @@ class Frame:
         """Apply Phi* W Phi with multiset weights W (default: via atoms)."""
         u = self._check_signal(u)
         out = np.zeros(self.n)
-        for block, positions in self.iter_atom_blocks():
-            w = np.array([self.atom_multiplicity(p) for p in positions])
-            out += block.T @ (w * (block @ u))
+        for positions, block in _atom_blocks(self, np.arange(self.atom_count)):
+            out += block.T @ (self.atom_multiplicity(positions) * (block @ u))
         return out
 
-    def iter_atom_blocks(self, block_size=256):
-        """Yield (block_matrix, positions) pairs, materializing atoms lazily
-        in blocks to bound memory at large n."""
-        for start in range(0, self.atom_count, block_size):
-            positions = np.arange(start, min(start + block_size, self.atom_count))
-            block = np.stack([self.atom(p) for p in positions])
-            yield block, positions
+
+#: atoms materialized per block by the atom-based operators and the census
+_BLOCK = 256
+
+
+def _atom_blocks(frame, positions):
+    """Yield (block_positions, block_atoms) over consecutive blocks of
+    positions, so at most one block of atoms is materialized per step."""
+    for start in range(0, len(positions), _BLOCK):
+        block = positions[start:start + _BLOCK]
+        yield block, frame.atom(block)
 
 
 def analyze(frame, signal):
@@ -216,9 +222,8 @@ def frame_bounds(frame, tol=1e-6, max_iter=20000):
 def _dense_frame_operator(frame):
     n = frame.n
     op = np.zeros((n, n))
-    for block, positions in frame.iter_atom_blocks():
-        w = np.array([frame.atom_multiplicity(p) for p in positions])
-        op += block.T @ (w[:, None] * block)
+    for positions, block in _atom_blocks(frame, np.arange(frame.atom_count)):
+        op += block.T @ (frame.atom_multiplicity(positions)[:, None] * block)
     return op
 
 
@@ -246,7 +251,7 @@ def gram_coherence_counts(frame, deltas, deduplicate=True, include_diagonal=Fals
     Counts ordered pairs (w, w'), w != w', so totals are even by symmetry.
     With deduplicate=True (default) the census runs over distinct atoms only;
     duplicated atoms otherwise trivially contribute |<phi,phi>| = 1 pairs.
-    Atoms are materialized lazily in blocks of 256.
+    Atoms are materialized lazily in blocks of 256, at most two at a time.
     """
     deltas = [float(d) for d in deltas]
     for d in deltas:
@@ -256,25 +261,19 @@ def gram_coherence_counts(frame, deltas, deduplicate=True, include_diagonal=Fals
     counts = {d: 0 for d in deltas}
     diag_counts = {d: 0 for d in deltas}
     max_off = 0.0
-    blocks = []
-    for start in range(0, len(positions), 256):
-        blocks.append(positions[start:start + 256])
-    mats = [np.stack([frame.atom(p) for p in blk]) for blk in blocks]
-    for bi, mi in enumerate(mats):
-        for bj in range(bi, len(mats)):
-            g = mi @ mats[bj].T
-            if bi == bj:
-                off = np.abs(g - np.diag(np.diag(g)))
-                if off.size:
-                    max_off = max(max_off, float(off.max()))
-                for d in deltas:
-                    counts[d] += int(np.count_nonzero(off >= d))
-                    diag_counts[d] += int(np.count_nonzero(np.abs(np.diag(g)) >= d))
-            else:
-                ga = np.abs(g)
-                max_off = max(max_off, float(ga.max()))
-                for d in deltas:
-                    counts[d] += 2 * int(np.count_nonzero(ga >= d))
+    for start in range(0, len(positions), _BLOCK):
+        mi = frame.atom(positions[start:start + _BLOCK])
+        g = mi @ mi.T
+        off = np.abs(g - np.diag(np.diag(g)))
+        max_off = max(max_off, float(off.max()))
+        for d in deltas:
+            counts[d] += int(np.count_nonzero(off >= d))
+            diag_counts[d] += int(np.count_nonzero(np.abs(np.diag(g)) >= d))
+        for _, mj in _atom_blocks(frame, positions[start + _BLOCK:]):
+            ga = np.abs(mi @ mj.T)
+            max_off = max(max_off, float(ga.max()))
+            for d in deltas:
+                counts[d] += 2 * int(np.count_nonzero(ga >= d))
     bounds = frame_bounds(frame)
     final = {}
     for d in deltas:
@@ -321,8 +320,3 @@ class ExplicitFrame(Frame):
 
     def atom(self, position):
         return self._atoms[position].copy()
-
-    def iter_atom_blocks(self, block_size=256):
-        for start in range(0, self.atom_count, block_size):
-            positions = np.arange(start, min(start + block_size, self.atom_count))
-            yield self._atoms[positions], positions

@@ -182,5 +182,5 @@ def comparison_bound(gram, threshold, flavor="abs"):
 def frame_gram(frame, deduplicate=True):
     """Dense Gram matrix of (distinct) atoms; for diagnostics at modest n."""
     positions = frame.distinct_positions() if deduplicate else np.arange(frame.atom_count)
-    atoms = np.stack([frame.atom(p) for p in positions])
+    atoms = frame.atom(positions)
     return atoms @ atoms.T

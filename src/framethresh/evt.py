@@ -142,9 +142,7 @@ def ti_threshold(sigma, alpha, n, c):
         raise ThresholdError(f"autocorrelation curvature constant c={c} must be > 0")
     if n < 4:
         raise ThresholdError("ti threshold needs n >= 4")
-    z = gumbel_quantile(alpha)
-    s = math.sqrt(2.0 * math.log(float(n)))
-    return sigma * (s + (z + math.log(c / math.pi)) / s)
+    return ti_threshold_at_z(sigma, gumbel_quantile(alpha), n, c)
 
 
 def ti_threshold_at_z(sigma, z, n, c):

@@ -21,8 +21,13 @@ def read_signal(path):
     (.f64/.bin/.raw)."""
     ext = os.path.splitext(path)[1].lower()
     if ext in (".f64", ".bin", ".raw"):
-        data = np.frombuffer(open(path, "rb").read(), dtype="<f8")
-        return np.array(data, dtype=float)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if len(raw) % 8:
+            raise FileFormatError(
+                f"signal file {path} holds {len(raw)} bytes, "
+                "not a whole number of float64 values")
+        return np.frombuffer(raw, dtype="<f8").astype(float)
     try:
         values = np.loadtxt(path, dtype=float, ndmin=1)
     except ValueError as exc:

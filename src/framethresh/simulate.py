@@ -2,8 +2,9 @@
 
 Every experiment draws trial t of a run from an independent Philox stream
 keyed by (seed, t), so reports are bit-identical for identical (seed, config)
-regardless of trial scheduling; set parallel=True to fan trials across a
-thread pool (capped by FRAMETHRESH_THREADS).
+regardless of trial scheduling.  Trials run serially: a thread pool was
+measured slower than the serial loop, so McConfig.parallel is accepted and
+ignored (old manifests that set it still replay).
 
 One-sided distributional checks use 3 Monte Carlo standard errors of slack;
 two-sided exact-oracle checks use 3 s.e. around the exact value.
@@ -12,8 +13,6 @@ two-sided exact-oracle checks use 3 s.e. around the exact value.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,7 @@ class McConfig:
     trials: int
     seed: int
     sigma: float = 1.0
-    parallel: bool = False
+    parallel: bool = False  # accepted for old configs; trials run serially
 
     def __post_init__(self):
         if self.trials < 1:
@@ -42,32 +41,11 @@ class McConfig:
             raise ValueError("sigma must be >= 0")
 
 
-def _thread_cap():
-    raw = os.environ.get("FRAMETHRESH_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
 def _map_trials(cfg, fn):
-    """Evaluate fn(trial) for every trial; deterministic output order."""
+    """Evaluate fn(trial) for every trial, in trial order."""
     out = np.empty(cfg.trials)
-    workers = _thread_cap() if cfg.parallel else 1
-    if workers <= 1:
-        for t in range(cfg.trials):
-            out[t] = fn(t)
-        return out
-    chunk = max(64, cfg.trials // (8 * workers))
-    def run(start):
-        stop = min(start + chunk, cfg.trials)
-        vals = [fn(t) for t in range(start, stop)]
-        return start, vals
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        for start, vals in ex.map(run, range(0, cfg.trials, chunk)):
-            out[start:start + len(vals)] = vals
+    for t in range(cfg.trials):
+        out[t] = fn(t)
     return out
 
 

@@ -140,6 +140,15 @@ def _upsample_filter(f, step):
     return out
 
 
+def _shifted_atoms(bases, rows, shifts):
+    """Circular shifts of unit base atoms: np.roll(bases[rows], shifts),
+    gathered in one indexing step.  Scalar rows/shifts give one (n,) atom,
+    index arrays give one atom per row."""
+    rows, shifts = np.asarray(rows), np.asarray(shifts)
+    n = bases.shape[1]
+    return bases[rows[..., None], (np.arange(n) - shifts[..., None]) % n]
+
+
 def _check_dyadic(n):
     if n < 2 or n & (n - 1):
         raise FrameError(f"signal length {n} is not a power of two")
@@ -215,7 +224,13 @@ class WaveletBasis(Frame):
         for j in range(self.coarsest_level, J):
             self._scale_slices[j] = slice(off, off + 2 ** j)
             off += 2 ** j
-        self._scale_norms = self._compute_scale_norms()
+        # every scale-j atom is a shift of the k = 0 atom by multiples of n/2^j
+        raw = np.stack([self._raw_atom(j) for j in range(self.coarsest_level, J)])
+        self._norms = np.array([np.linalg.norm(row) for row in raw])
+        if np.any(self._norms == 0):
+            raise FrameError("degenerate wavelet filter: zero atom")
+        self._bases = raw / self._norms[:, None]
+        self._scale = self._norms[self._labels[0] - self.coarsest_level]
 
     # raw detail list index l (finest first, l=0) corresponds to scale
     # j = J - 1 - l; the stacked layout is coarsest first.
@@ -228,43 +243,34 @@ class WaveletBasis(Frame):
         return [values[self._scale_slices[j]]
                 for j in range(self.J - 1, self.coarsest_level - 1, -1)]
 
-    def _compute_scale_norms(self):
-        norms = {}
-        for j in range(self.coarsest_level, self.J):
-            norms[j] = float(np.linalg.norm(self._raw_atom(j, 0)))
-            if norms[j] == 0:
-                raise FrameError("degenerate wavelet filter: zero atom")
-        return norms
-
-    def _raw_atom(self, j, k):
+    def _raw_atom(self, j):
+        """Unnormalized analysis atom at scale j, location k = 0."""
         details = [np.zeros(2 ** jj) for jj in range(self.J - 1, self.coarsest_level - 1, -1)]
-        details[self.J - 1 - j][k] = 1.0
+        details[self.J - 1 - j][0] = 1.0
         approx = np.zeros(2 ** self.coarsest_level)
         return _dwt_adjoint_raw(details, approx, self.filters)
 
     def scale_norm(self, j):
-        return self._scale_norms[j]
+        return float(self._norms[j - self.coarsest_level])
 
     def analyze(self, signal):
         signal = self._check_signal(signal)
         details, approx = _dwt_raw(signal, self.filters, self.levels)
         values = self._details_to_values(details)
-        scale = np.array([self._scale_norms[j] for j in self._labels[0]])
-        return CoefficientVector(values / scale, ("j", "k"), self._labels,
+        return CoefficientVector(values / self._scale, ("j", "k"), self._labels,
                                  carry=approx)
 
     def dual_synthesize(self, coeffs):
         self._check_coeffs(coeffs)
-        scale = np.array([self._scale_norms[j] for j in self._labels[0]])
-        details = self._values_to_details(coeffs.values * scale)
+        details = self._values_to_details(coeffs.values * self._scale)
         approx = coeffs.carry if coeffs.carry is not None \
             else np.zeros(2 ** self.coarsest_level)
         return _idwt_raw(details, approx, self.filters)
 
     def atom(self, position):
-        j = int(self._labels[0][position])
-        k = int(self._labels[1][position])
-        return self._raw_atom(j, k) / self._scale_norms[j]
+        j = self._labels[0][position]
+        return _shifted_atoms(self._bases, j - self.coarsest_level,
+                              self._labels[1][position] * (self.n >> j))
 
     def scaling_atom(self, k=0):
         """Unit-norm analysis scaling atom at the coarsest level."""
@@ -276,15 +282,6 @@ class WaveletBasis(Frame):
 
     def label_arrays(self):
         return self._labels
-
-
-def dwt_forward(basis, signal):
-    """Detail coefficients (per-scale unit-norm atoms) plus carried scaling."""
-    return basis.analyze(signal)
-
-
-def dwt_inverse(basis, coeffs):
-    return basis.dual_synthesize(coeffs)
 
 
 # --- cycle spinning ----------------------------------------------------------
@@ -359,9 +356,10 @@ class CycleSpinFrame(Frame):
         return out / self.M
 
     def atom(self, position):
-        bc = self.basis.atom_count
-        m, r = divmod(int(position), bc)
-        return np.roll(self.basis.atom(r), m)
+        # T_m psi_{j,k} is psi_{j,0} shifted by m + k*n/2^j
+        j, k, m = (col[position] for col in self._labels)
+        return _shifted_atoms(self.basis._bases, j - self.basis.coarsest_level,
+                              m + k * (self.n >> j))
 
     @property
     def distinct_count(self):
@@ -371,23 +369,11 @@ class CycleSpinFrame(Frame):
         """One representative per distinct shifted atom.
 
         T_m psi_{j,k} equals the circular shift of psi_{j,0} by m + k*n/2^j,
-        so distinctness is decided by (j, shift mod n)."""
-        seen = set()
-        keep = []
+        so distinctness is decided by (j, shift mod n); the first position
+        of each key is kept."""
         bj, bk, bm = self._labels
-        for pos in range(self.atom_count):
-            j, k, m = int(bj[pos]), int(bk[pos]), int(bm[pos])
-            shift = (m + k * (self.n >> j)) % self.n
-            key = (j, shift)
-            if key not in seen:
-                seen.add(key)
-                keep.append(pos)
-        return np.array(keep, dtype=int)
-
-
-def cs_analyze(frame, signal):
-    """Stacked shifted-basis coefficients W_n T_m signal, m = 0..M-1."""
-    return frame.analyze(signal)
+        key = bj * self.n + (bm + bk * (self.n >> bj)) % self.n
+        return np.sort(np.unique(key, return_index=True)[1])
 
 
 def cycle_spin_denoise_loop(basis, data, threshold, shrink_fn, M):
@@ -432,22 +418,22 @@ class TIWaveletFrame(Frame):
         js = np.repeat(np.arange(self.coarsest_level, J), self.n)
         ss = np.tile(np.arange(self.n), self.levels)
         self._labels = (js, ss)
-        self._base_atoms, self._base_scaling = self._materialize_bases()
-        self._norms = {j: float(np.linalg.norm(a))
-                       for j, a in self._base_atoms.items()}
+        base, base_scaling = self._materialize_bases()
+        self._norms = {j: float(np.linalg.norm(a)) for j, a in base.items()}
+        scales = range(self.coarsest_level, J)
+        # unit base atom per scale; atom (j, s) is its circular shift by s
+        self._bases = np.stack([base[j] / self._norms[j] for j in scales])
         # analysis = circular cross-correlation with each base atom, done in
         # the Fourier domain: one rfft of the signal, one irfft per scale
         self._analysis_mult = np.stack(
-            [np.conj(np.fft.rfft(self._base_atoms[j])) / self._norms[j]
-             for j in range(self.coarsest_level, self.J)])
-        self._scaling_mult = np.conj(np.fft.rfft(self._base_scaling))
+            [np.conj(np.fft.rfft(base[j])) / self._norms[j] for j in scales])
+        self._scaling_mult = np.conj(np.fft.rfft(base_scaling))
         self._fft_symbol = self._compute_symbol()
         self.span_dim = int(np.count_nonzero(self._fft_symbol >
                                              self.n * 1e-12 * self._fft_symbol.max()))
 
     def atom_multiplicity(self, position):
-        j = int(self._labels[0][position])
-        return float(2 ** j)
+        return 2.0 ** self._labels[0][position]
 
     @property
     def distinct_count(self):
@@ -480,8 +466,8 @@ class TIWaveletFrame(Frame):
     def _compute_symbol(self):
         """FFT symbol of the multiset frame operator sum_j 2^j C_j."""
         sym = np.zeros(self.n)
-        for j, a in self._base_atoms.items():
-            ah = np.fft.fft(a / self._norms[j])
+        for j in range(self.J - 1, self.coarsest_level - 1, -1):  # finest first
+            ah = np.fft.fft(self._bases[j - self.coarsest_level])
             sym += (2 ** j) * np.abs(ah) ** 2
         return sym
 
@@ -500,7 +486,7 @@ class TIWaveletFrame(Frame):
         for j in range(self.coarsest_level, self.J):
             block = coeffs.values[(j - self.coarsest_level) * self.n:
                                   (j - self.coarsest_level + 1) * self.n]
-            ah = np.fft.fft(self._base_atoms[j] / self._norms[j])
+            ah = np.fft.fft(self._bases[j - self.coarsest_level])
             y += (2 ** j) * ah * np.fft.fft(block)
         sym = self._fft_symbol
         good = sym > self.n * 1e-12 * sym.max()
@@ -527,9 +513,8 @@ class TIWaveletFrame(Frame):
         return _fft_convolve(np.asarray(carry, float), synth) * (mult / self.n)
 
     def atom(self, position):
-        j = int(self._labels[0][position])
-        s = int(self._labels[1][position])
-        return np.roll(self._base_atoms[j] / self._norms[j], s)
+        j, s = (col[position] for col in self._labels)
+        return _shifted_atoms(self._bases, j - self.coarsest_level, s)
 
     def scale_norm(self, j):
         return self._norms[j]
@@ -542,11 +527,6 @@ def _fft_convolve(x, f):
     for m, v in enumerate(f):
         fp[m % n] += v
     return np.fft.ifft(np.fft.fft(x) * np.fft.fft(fp)).real
-
-
-def ti_analyze(frame, signal):
-    """All n shifts at every scale via the a-trous scheme, O(n log n)."""
-    return frame.analyze(signal)
 
 
 # --- sine frames --------------------------------------------------------------
@@ -610,15 +590,10 @@ class SineFrame(Frame):
         raw = -spec.imag[self._fft_bins]
         return CoefficientVector(raw / self._raw_norms, ("omega",), self._labels)
 
-    def _atoms_matrix(self):
-        k = np.arange(self.n)
-        mat = np.sin(np.pi * self.frequencies[:, None] * k[None, :] / self.n)
-        return mat / self._raw_norms[:, None]
-
     def dual_synthesize(self, coeffs):
         self._check_coeffs(coeffs)
         if self._pinv_cache is None:
-            atoms = self._atoms_matrix()
+            atoms = self.atom(np.arange(self.atom_count))
             s = atoms.T @ atoms
             vals, vecs = np.linalg.eigh(s)
             keep = vals > self.n * np.finfo(float).eps * vals[-1]
@@ -629,23 +604,15 @@ class SineFrame(Frame):
 
     def atom(self, position):
         k = np.arange(self.n)
-        w = self.frequencies[position]
-        return np.sin(np.pi * w * k / self.n) / self._raw_norms[position]
-
-    def iter_atom_blocks(self, block_size=256):
-        k = np.arange(self.n)
-        for start in range(0, self.atom_count, block_size):
-            positions = np.arange(start, min(start + block_size, self.atom_count))
-            block = np.sin(np.pi * self.frequencies[positions, None] * k[None, :] / self.n)
-            block /= self._raw_norms[positions, None]
-            yield block, positions
-
-
-def sine_frame_build(n, oversample=1):
-    return SineFrame(n, oversample)
+        w = self.frequencies[position][..., None]
+        return np.sin(np.pi * w * k / self.n) / self._raw_norms[position][..., None]
 
 
 # --- frame construction from JSON specs ---------------------------------------
+
+_REQUIRED_SPEC_KEYS = {"wavelet": ("n",), "cyclespin": ("n", "M"), "ti": ("n",),
+                       "sine": ("n",), "explicit": ("matrix_path",)}
+
 
 def frame_from_spec(spec):
     """Build a frame from a JSON spec string, dict, or file path.
@@ -664,6 +631,9 @@ def frame_from_spec(spec):
     if not isinstance(spec, dict):
         raise FrameError("frame spec must be a JSON object")
     kind = spec.get("type")
+    for key in _REQUIRED_SPEC_KEYS.get(kind, ()):
+        if spec.get(key) is None:
+            raise FrameError(f"{kind} frame spec needs {key!r}")
     if kind == "wavelet":
         return WaveletBasis(spec["n"], spec.get("filters", "haar"),
                             spec.get("coarsest_level", 0))
@@ -676,9 +646,6 @@ def frame_from_spec(spec):
     if kind == "sine":
         return SineFrame(spec["n"], spec.get("oversample", 1))
     if kind == "explicit":
-        path = spec.get("matrix_path")
-        if path is None:
-            raise FrameError("explicit frame spec needs matrix_path")
-        matrix = np.loadtxt(path, delimiter=",", ndmin=2)
+        matrix = np.loadtxt(spec["matrix_path"], delimiter=",", ndmin=2)
         return ExplicitFrame(matrix, name=spec.get("name", "explicit"))
     raise FrameError(f"unknown frame type {kind!r}")

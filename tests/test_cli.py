@@ -194,3 +194,40 @@ def test_norm_spec_weights_path(tmp_path):
         {"kind": "weighted_l2", "weights_path": str(wpath)}))
     val = evaluate(spec, CoefficientVector(np.array([1.0, 1.0, 1.0])))
     assert val == pytest.approx(np.sqrt(14.0))
+
+
+def test_denoise_nan_input_is_validation_error(tmp_path):
+    sig = tmp_path / "x.csv"
+    x = np.zeros(16)
+    x[3] = np.nan
+    ftio.write_signal(sig, x)
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(["denoise", "--input", str(sig),
+                            "--frame-spec", '{"type":"wavelet","n":16}',
+                            "--output", str(out)])
+    assert code == 2
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "validation" and payload["flag"] == "--input"
+    assert not out.exists()
+
+
+def test_denoise_truncated_binary_input_is_parse_error(tmp_path):
+    sig = tmp_path / "x.f64"
+    sig.write_bytes(np.zeros(16).tobytes()[:-3])
+    code, _, err = run_cli(["denoise", "--input", str(sig),
+                            "--frame-spec", '{"type":"wavelet","n":16}',
+                            "--output", str(tmp_path / "o.csv")])
+    assert code == 3
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "parse" and payload["flag"] == "--input"
+
+
+@pytest.mark.parametrize("spec", ['{"type":"wavelet"}', '{"type":"cyclespin","n":16}'])
+def test_denoise_incomplete_frame_spec_is_validation_error(tmp_path, spec):
+    sig = tmp_path / "x.csv"
+    ftio.write_signal(sig, np.zeros(16))
+    code, _, err = run_cli(["denoise", "--input", str(sig), "--frame-spec", spec,
+                            "--output", str(tmp_path / "o.csv")])
+    assert code == 2
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "validation" and payload["flag"] == "--frame-spec"

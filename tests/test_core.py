@@ -125,6 +125,21 @@ def test_atom_normalization():
             assert abs(np.linalg.norm(frame.atom(p)) - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "frame",
+    ALL_SMALL_FRAMES + [ExplicitFrame(np.random.default_rng(7).standard_normal((20, 8)))],
+    ids=lambda frame: frame.name)
+def test_atom_index_array_matches_per_atom_and_analysis(frame, rng):
+    positions = np.arange(frame.atom_count)
+    atoms = frame.atom(positions)
+    assert np.array_equal(atoms, np.stack([frame.atom(int(p)) for p in positions]))
+    assert np.array_equal(frame.atom_multiplicity(positions),
+                          [frame.atom_multiplicity(int(p)) for p in positions])
+    # filter banks / FFTs are the independent reference for the atom rows
+    u = rng.standard_normal(frame.n)
+    assert np.allclose(atoms @ u, frame.analyze(u).values, rtol=0, atol=1e-12)
+
+
 def test_gram_counts_orthonormal_zero(haar64):
     summary = gram_coherence_counts(haar64, [0.1, 0.5, 1.0])
     assert all(c == 0 for c in summary.coherence_counts.values())

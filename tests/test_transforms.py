@@ -127,13 +127,23 @@ def test_cs_distinct_count_examples():
 
 def test_cs_distinct_count_matches_enumeration():
     for n in (8, 16, 32):
-        M = 2
+        M = 1
         while M <= n:
             frame = CycleSpinFrame(n, M, "haar")
             atoms = {frame.atom(p).round(12).tobytes()
                      for p in range(frame.atom_count)}
             assert len(atoms) == cs_distinct_count(n, M)
-            # no duplicates yet at M=2 (count = M(n-1)); strictly fewer beyond
+            # representatives: first position of each (j, shift mod n) key
+            bj, bk, bm = frame._labels
+            seen, first = set(), []
+            for pos in range(frame.atom_count):
+                j = int(bj[pos])
+                key = (j, (int(bm[pos]) + int(bk[pos]) * (n >> j)) % n)
+                if key not in seen:
+                    seen.add(key)
+                    first.append(pos)
+            assert np.array_equal(frame.distinct_positions(), first)
+            # no duplicates yet at M <= 2 (count = M(n-1)); strictly fewer beyond
             if M >= 4:
                 assert cs_distinct_count(n, M) < M * (n - 1)
             else:
