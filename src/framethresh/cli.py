@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__, evt, io, signals, simulate
-from .core import FrameError, frame_bounds, gram_coherence_counts
+from .core import FrameError
 from .diagnostics import comparison_bound, frame_gram, rest_split, rest_sum, stability_check
 from .evt import ThresholdError, ThresholdSpec
 from .norms import NormSpec, NormSpecError
@@ -69,6 +69,15 @@ def _load_frame(spec, flag="--frame-spec"):
         _fail(EXIT_VALIDATION, "validation", str(exc), flag)
 
 
+def _read_signal(path, flag):
+    try:
+        return io.read_signal(path)
+    except FileNotFoundError as exc:
+        _fail(EXIT_IO, "io", str(exc), flag)
+    except io.FileFormatError as exc:
+        _fail(EXIT_PARSE, "parse", str(exc), flag)
+
+
 # --- thresholds ---------------------------------------------------------------
 
 def cmd_thresholds(args):
@@ -117,12 +126,7 @@ def cmd_thresholds(args):
 
 def cmd_denoise(args):
     frame = _load_frame(args.frame_spec)
-    try:
-        data = io.read_signal(args.input)
-    except FileNotFoundError as exc:
-        _fail(EXIT_IO, "io", str(exc), "--input")
-    except io.FileFormatError as exc:
-        _fail(EXIT_PARSE, "parse", str(exc), "--input")
+    data = _read_signal(args.input, "--input")
     if len(data) != frame.n:
         _fail(EXIT_VALIDATION, "validation",
               f"signal length {len(data)} does not match frame n={frame.n}",
@@ -132,6 +136,12 @@ def cmd_denoise(args):
               "input signal contains NaN or infinite values", "--input")
     if args.sigma <= 0:
         _fail(EXIT_VALIDATION, "validation", "sigma must be > 0", "--sigma")
+    clean = None
+    if args.clean:
+        clean = _read_signal(args.clean, "--clean")
+        if len(clean) != frame.n:
+            _fail(EXIT_VALIDATION, "validation",
+                  "clean signal length mismatch", "--clean")
     spec = ThresholdSpec(rule=args.threshold_rule, sigma=args.sigma,
                          alpha=args.alpha, z=args.z, M=getattr(frame, "M", None),
                          c=args.c, value=args.fixed_value)
@@ -150,11 +160,7 @@ def cmd_denoise(args):
         "n": frame.n,
         "atom_count": frame.atom_count,
     }
-    if args.clean:
-        clean = io.read_signal(args.clean)
-        if len(clean) != frame.n:
-            _fail(EXIT_VALIDATION, "validation",
-                  "clean signal length mismatch", "--clean")
+    if clean is not None:
         report["mse"] = float(np.mean((result.estimate - clean) ** 2))
         report["input_mse"] = float(np.mean((data - clean) ** 2))
     if args.report:
@@ -218,7 +224,7 @@ def cmd_simulate(args):
     elif exp == "smoothness":
         frame = _load_frame(args.frame_spec)
         _need_alpha(args)
-        clean = (io.read_signal(args.clean) if args.clean
+        clean = (_read_signal(args.clean, "--clean") if args.clean
                  else signals.piecewise_constant(frame.n))
         try:
             norm_spec = NormSpec.from_json(args.norm_spec)
@@ -233,7 +239,7 @@ def cmd_simulate(args):
     elif exp == "risk":
         frame = _load_frame(args.frame_spec)
         _need_alpha(args)
-        clean = (io.read_signal(args.clean) if args.clean
+        clean = (_read_signal(args.clean, "--clean") if args.clean
                  else np.zeros(frame.n))
         rep = simulate.oracle_risk_experiment(frame, clean, args.alpha, cfg)
         report.update(frame=frame.name, **io.to_jsonable(rep))

@@ -11,7 +11,7 @@ the full signal space even when the atom family only spans a subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -26,7 +26,7 @@ class DimensionMismatch(FrameError):
 
 
 class IterationError(FrameError):
-    """Eigenvalue iteration failed to converge."""
+    """An iterative solver failed to converge."""
 
     def __init__(self, msg, iterations):
         super().__init__(f"{msg} (after {iterations} iterations)")
@@ -108,6 +108,9 @@ class Frame:
 
     #: dimension of the atom span, or None to determine it numerically
     span_dim = None
+    #: exact (a_n, b_n) of the multiset frame operator on the atom span, set
+    #: by constructors that already hold its spectrum; None otherwise
+    bounds = None
     #: dimension of the carried (unthresholded) coefficient space
     carry_dim = 0
 
@@ -156,16 +159,8 @@ class Frame:
                 f"frame {self.name} has {self.atom_count} atoms")
         return coeffs
 
-    def frame_operator_apply(self, u):
-        """Apply Phi* W Phi with multiset weights W (default: via atoms)."""
-        u = self._check_signal(u)
-        out = np.zeros(self.n)
-        for positions, block in _atom_blocks(self, np.arange(self.atom_count)):
-            out += block.T @ (self.atom_multiplicity(positions) * (block @ u))
-        return out
 
-
-#: atoms materialized per block by the atom-based operators and the census
+#: atoms materialized per block by the dense frame operator and the census
 _BLOCK = 256
 
 
@@ -190,29 +185,30 @@ def dual_synthesize(frame, coeffs):
 _DENSE_EIG_LIMIT = 4096
 
 
-def frame_bounds(frame, tol=1e-6, max_iter=20000):
+def frame_bounds(frame):
     """Extreme eigenvalues (a_n, b_n) of the frame operator on the atom span.
 
-    Dense eigensolve up to n = 4096; power iteration (with Rayleigh-quotient
-    convergence test at relative accuracy `tol`) above.  Multiset weights are
-    included, so duplicated atoms raise the bounds.
+    Multiset weights are included, so duplicated atoms raise the bounds.
+    Frames whose constructor holds the spectrum answer from `frame.bounds`;
+    otherwise the frame operator is built densely and eigensolved, up to
+    n = 4096.  Above that, frames without `bounds` raise FrameError.
     """
+    if frame.bounds is not None:
+        return frame.bounds
     n = frame.n
-    if n <= _DENSE_EIG_LIMIT:
-        gram_op = _dense_frame_operator(frame)
-        eigvals = np.sort(np.linalg.eigvalsh(gram_op))
-        rank = frame.span_dim
-        if rank is None:
-            cutoff = n * np.finfo(float).eps * max(eigvals[-1], 1.0)
-            rank = int(np.count_nonzero(eigvals > cutoff))
-        if rank <= 0:
-            raise FrameError("frame has empty atom span")
-        a_n = float(eigvals[n - rank])
-        b_n = float(eigvals[-1])
-    else:
-        b_n = _power_iteration(frame.frame_operator_apply, n, tol, max_iter)
-        shifted = lambda u: b_n * u - frame.frame_operator_apply(u)
-        a_n = b_n - _power_iteration(shifted, n, tol, max_iter)
+    if n > _DENSE_EIG_LIMIT:
+        raise FrameError(
+            f"no frame bounds for {frame.name}: n={n} exceeds the dense "
+            f"eigensolve limit {_DENSE_EIG_LIMIT}")
+    eigvals = np.sort(np.linalg.eigvalsh(_dense_frame_operator(frame)))
+    rank = frame.span_dim
+    if rank is None:
+        cutoff = n * np.finfo(float).eps * max(eigvals[-1], 1.0)
+        rank = int(np.count_nonzero(eigvals > cutoff))
+    if rank <= 0:
+        raise FrameError("frame has empty atom span")
+    a_n = float(eigvals[n - rank])
+    b_n = float(eigvals[-1])
     if a_n <= 0 or not np.isfinite(b_n):
         raise FrameError(
             f"frame property violated for {frame.name}: bounds ({a_n}, {b_n})")
@@ -225,24 +221,6 @@ def _dense_frame_operator(frame):
     for positions, block in _atom_blocks(frame, np.arange(frame.atom_count)):
         op += block.T @ (frame.atom_multiplicity(positions)[:, None] * block)
     return op
-
-
-def _power_iteration(apply_op, n, tol, max_iter):
-    rng = np.random.default_rng(12345)
-    u = rng.standard_normal(n)
-    u /= np.linalg.norm(u)
-    lam = 0.0
-    for it in range(max_iter):
-        v = apply_op(u)
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            return 0.0
-        lam_new = float(u @ v)
-        u = v / norm
-        if it > 0 and abs(lam_new - lam) <= tol * abs(lam_new):
-            return lam_new
-        lam = lam_new
-    raise IterationError("power iteration did not converge", max_iter)
 
 
 def gram_coherence_counts(frame, deltas, deduplicate=True, include_diagonal=False):
@@ -287,8 +265,10 @@ class ExplicitFrame(Frame):
     """Frame given by an explicit atom matrix (rows are atoms).
 
     Rows are renormalized to unit norm.  The atoms must span R^n (the frame
-    property); dual synthesis solves the normal equations with a dense
-    Cholesky factorization of the frame operator.
+    property).  The constructor eigensolves the frame operator A^T A once,
+    which gives the frame bounds, and keeps the pseudoinverse
+    (A^T A)^{-1} A^T from its Cholesky factorization, so dual synthesis is
+    one matrix product.
     """
 
     def __init__(self, matrix, name="explicit"):
@@ -308,7 +288,8 @@ class ExplicitFrame(Frame):
         if eigvals[0] <= max(cutoff, 0.0):
             raise FrameError(
                 "explicit frame operator is singular: atoms do not span R^n")
-        self._cho = cho_factor(s)
+        self.bounds = (float(eigvals[0]), float(eigvals[-1]))
+        self._pinv = cho_solve(cho_factor(s), self._atoms.T)
 
     def analyze(self, signal):
         signal = self._check_signal(signal)
@@ -316,7 +297,7 @@ class ExplicitFrame(Frame):
 
     def dual_synthesize(self, coeffs):
         self._check_coeffs(coeffs)
-        return cho_solve(self._cho, self._atoms.T @ coeffs.values)
+        return self._pinv @ coeffs.values
 
     def atom(self, position):
         return self._atoms[position].copy()

@@ -10,11 +10,11 @@ absolute values, 1/8 without absolute values).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import frame_bounds, gram_coherence_counts
+from .core import gram_coherence_counts
 
 
 @dataclass

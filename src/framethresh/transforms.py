@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CoefficientVector, DimensionMismatch, ExplicitFrame, Frame,
-                   FrameError)
+                   FrameError, IterationError)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -400,6 +400,11 @@ class TIWaveletFrame(Frame):
     multiplicity 2^j of each scale-j atom enters the frame operator and the
     dual synthesis, so frame bounds report the tight multiset value b_n = n
     for orthonormal filters.
+
+    The multiset frame operator sum_j 2^j C_j is circulant: its spectrum is
+    the FFT symbol computed once at construction, which gives the exact
+    frame bounds and, with the cached per-scale synthesis kernels, the
+    pseudoinverse as one division in the Fourier domain.
     """
 
     def __init__(self, n, filters=HAAR, coarsest_level=0):
@@ -428,9 +433,18 @@ class TIWaveletFrame(Frame):
         self._analysis_mult = np.stack(
             [np.conj(np.fft.rfft(base[j])) / self._norms[j] for j in scales])
         self._scaling_mult = np.conj(np.fft.rfft(base_scaling))
-        self._fft_symbol = self._compute_symbol()
-        self.span_dim = int(np.count_nonzero(self._fft_symbol >
-                                             self.n * 1e-12 * self._fft_symbol.max()))
+        # multiset weights 2^j; dual synthesis kernels 2^j fft(base_j)
+        weights = 2.0 ** np.arange(self.coarsest_level, J)[:, None]
+        ah = np.fft.fft(self._bases)
+        self._synthesis_mult = weights * ah
+        # FFT symbol of the multiset frame operator sum_j 2^j C_j, summed
+        # finest first
+        sym = (weights * np.abs(ah) ** 2)[::-1].sum(axis=0)
+        self._fft_symbol = sym
+        self._good = sym > self.n * 1e-12 * sym.max()
+        self.span_dim = int(np.count_nonzero(self._good))
+        self.bounds = (float(sym[self._good].min()), float(sym.max()))
+        self._scaling_synthesis = self._scaling_kernel()
 
     def atom_multiplicity(self, position):
         return 2.0 ** self._labels[0][position]
@@ -463,14 +477,6 @@ class TIWaveletFrame(Frame):
         base_scaling = approx[(-np.arange(self.n)) % self.n]
         return base, base_scaling
 
-    def _compute_symbol(self):
-        """FFT symbol of the multiset frame operator sum_j 2^j C_j."""
-        sym = np.zeros(self.n)
-        for j in range(self.J - 1, self.coarsest_level - 1, -1):  # finest first
-            ah = np.fft.fft(self._bases[j - self.coarsest_level])
-            sym += (2 ** j) * np.abs(ah) ** 2
-        return sym
-
     def analyze(self, signal):
         signal = self._check_signal(signal)
         spec = np.fft.rfft(signal)
@@ -482,35 +488,34 @@ class TIWaveletFrame(Frame):
         """Multiset pseudoinverse on the detail span plus the shift-averaged
         scaling reconstruction (exact complement for orthonormal filters)."""
         self._check_coeffs(coeffs)
-        y = np.zeros(self.n, dtype=complex)
-        for j in range(self.coarsest_level, self.J):
-            block = coeffs.values[(j - self.coarsest_level) * self.n:
-                                  (j - self.coarsest_level + 1) * self.n]
-            ah = np.fft.fft(self._bases[j - self.coarsest_level])
-            y += (2 ** j) * ah * np.fft.fft(block)
-        sym = self._fft_symbol
-        good = sym > self.n * 1e-12 * sym.max()
-        y[good] /= sym[good]
-        y[~good] = 0.0
+        spec = np.fft.fft(coeffs.values.reshape(self.levels, self.n))
+        y = (self._synthesis_mult * spec).sum(axis=0)  # coarsest first
+        y[self._good] /= self._fft_symbol[self._good]
+        y[~self._good] = 0.0
         out = np.fft.ifft(y).real
         if coeffs.carry is not None:
             out += self._scaling_reconstruct(coeffs.carry)
         return out
 
-    def _scaling_reconstruct(self, carry):
-        """(1/n) sum_s carry[s] T_s phi_synth: average over all shifted bases
-        of their scaling-space reconstructions."""
+    def _scaling_kernel(self):
+        """FFT of the synthesis scaling atom at shift 0: delta run through
+        the dilated synthesis lowpass filters, coarsest level first."""
         _, _, rec_lo, _ = self.filters.arrays()
-        delta = np.zeros(self.n)
-        delta[0] = 1.0
-        synth = delta
+        synth = np.zeros(self.n)
+        synth[0] = 1.0
         for lev in range(self.levels, 0, -1):
             step = 2 ** (lev - 1)
             lo = _upsample_filter(rec_lo, step)
             # adjoint placement: conv with the (undilated-origin) filter
             synth = _fft_convolve(synth, lo)
+        return _periodized_fft(synth, self.n)
+
+    def _scaling_reconstruct(self, carry):
+        """(1/n) sum_s carry[s] T_s phi_synth: average over all shifted bases
+        of their scaling-space reconstructions."""
         mult = 2 ** self.coarsest_level
-        return _fft_convolve(np.asarray(carry, float), synth) * (mult / self.n)
+        spec = np.fft.fft(np.asarray(carry, float)) * self._scaling_synthesis
+        return np.fft.ifft(spec).real * (mult / self.n)
 
     def atom(self, position):
         j, s = (col[position] for col in self._labels)
@@ -520,22 +525,39 @@ class TIWaveletFrame(Frame):
         return self._norms[j]
 
 
+def _periodized_fft(f, n):
+    """FFT of the filter periodized to length n."""
+    fp = np.zeros(n)
+    np.add.at(fp, np.arange(len(f)) % n, f)
+    return np.fft.fft(fp)
+
+
 def _fft_convolve(x, f):
     """Circular convolution with the filter periodized to length n."""
-    n = len(x)
-    fp = np.zeros(n)
-    for m, v in enumerate(f):
-        fp[m % n] += v
-    return np.fft.ifft(np.fft.fft(x) * np.fft.fft(fp)).real
+    return np.fft.ifft(np.fft.fft(x) * _periodized_fft(f, len(x))).real
 
 
 # --- sine frames --------------------------------------------------------------
+
+#: conjugate-gradient stopping rule of the sine dual synthesis: relative
+#: (recursive) residual and iteration cap
+_CG_RTOL = 1e-14
+_CG_MAX_ITER = 100
+
 
 class SineFrame(Frame):
     """Oversampled sine frame: unit-norm atoms sin(pi w k / n) for w on the
     grid {1/r, 2/r, ..., n}.  Frequencies whose raw atom vanishes identically
     (w = n) are excluded and reported in `excluded`.  The atoms span the
     subspace {u : u(0) = 0}; r = 1 gives an orthonormal basis of it.
+
+    Analysis and its adjoint are zero-padded FFTs of length 2rn.  Dual
+    synthesis solves the frame-operator equation by conjugate gradients on
+    these two maps (the accelerated frame algorithm), which converges in a
+    few iterations: the frame is tight for r <= 2, and b_n/a_n stays below
+    1.18 for r <= 8 (measured at n = 64 and 1024), where it takes 6-7.  No
+    n x n matrix is built; frame bounds come from the dense eigensolve of
+    core.frame_bounds.
     """
 
     def __init__(self, n, oversample=1):
@@ -568,7 +590,6 @@ class SineFrame(Frame):
         # coefficient at w = m/r is -Im(FFT_{2rn}(x))[m]
         self._fft_len = 2 * self.oversample * self.n
         self._fft_bins = np.round(self.frequencies * self.oversample).astype(int)
-        self._pinv_cache = None
 
     def frequency_of(self, position):
         return float(self.frequencies[position])
@@ -584,23 +605,45 @@ class SineFrame(Frame):
         u[0] = 0.0
         return u
 
+    def _analysis(self, x):
+        """Unit-atom coefficients <phi_w, x> of a signal."""
+        spec = np.fft.rfft(x, self._fft_len)
+        return -spec.imag[self._fft_bins] / self._raw_norms
+
+    def _adjoint(self, values):
+        """Phi^T c = sum_w c_w phi_w, by one FFT of the coefficients placed
+        at their bins."""
+        d = np.zeros(self._fft_len)
+        d[self._fft_bins] = values / self._raw_norms
+        return -np.fft.rfft(d).imag[:self.n]
+
     def analyze(self, signal):
         signal = self._check_signal(signal)
-        spec = np.fft.rfft(signal, self._fft_len)
-        raw = -spec.imag[self._fft_bins]
-        return CoefficientVector(raw / self._raw_norms, ("omega",), self._labels)
+        return CoefficientVector(self._analysis(signal), ("omega",), self._labels)
 
     def dual_synthesize(self, coeffs):
+        """Minimum-norm solution of Phi^T Phi x = Phi^T c, by conjugate
+        gradients started at 0: the iterates stay in the atom span, so the
+        limit is the pseudoinverse Phi^+ c."""
         self._check_coeffs(coeffs)
-        if self._pinv_cache is None:
-            atoms = self.atom(np.arange(self.atom_count))
-            s = atoms.T @ atoms
-            vals, vecs = np.linalg.eigh(s)
-            keep = vals > self.n * np.finfo(float).eps * vals[-1]
-            self._pinv_cache = (atoms, vals[keep], vecs[:, keep])
-        atoms, vals, vecs = self._pinv_cache
-        rhs = atoms.T @ coeffs.values
-        return vecs @ ((vecs.T @ rhs) / vals)
+        r = self._adjoint(coeffs.values)
+        x = np.zeros(self.n)
+        p = r.copy()
+        rr = r @ r
+        tol = _CG_RTOL ** 2 * rr
+        it = 0
+        while not rr <= tol:  # a NaN residual runs into the cap
+            if it == _CG_MAX_ITER:
+                raise IterationError(
+                    f"sine dual synthesis did not reach residual {_CG_RTOL}", it)
+            it += 1
+            q = self._adjoint(self._analysis(p))
+            step = rr / (p @ q)
+            x += step * p
+            r -= step * q
+            rr, rr_old = r @ r, rr
+            p = r + (rr / rr_old) * p
+        return x
 
     def atom(self, position):
         k = np.arange(self.n)
@@ -612,6 +655,7 @@ class SineFrame(Frame):
 
 _REQUIRED_SPEC_KEYS = {"wavelet": ("n",), "cyclespin": ("n", "M"), "ti": ("n",),
                        "sine": ("n",), "explicit": ("matrix_path",)}
+_INTEGER_SPEC_KEYS = ("n", "M", "oversample", "coarsest_level")
 
 
 def frame_from_spec(spec):
@@ -620,6 +664,8 @@ def frame_from_spec(spec):
     {"type": "wavelet"|"cyclespin"|"ti"|"sine"|"explicit", "n": ...,
      "filters": "haar"|"d4"|"cdf97", "M": ..., "oversample": ...,
      "matrix_path": ..., "coarsest_level": ...}
+
+    n, M, oversample and coarsest_level must be JSON integers.
     """
     if isinstance(spec, str):
         s = spec.strip()
@@ -634,6 +680,11 @@ def frame_from_spec(spec):
     for key in _REQUIRED_SPEC_KEYS.get(kind, ()):
         if spec.get(key) is None:
             raise FrameError(f"{kind} frame spec needs {key!r}")
+    for key in _INTEGER_SPEC_KEYS:
+        value = spec.get(key)
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, (int, np.integer))):
+            raise FrameError(f"frame spec {key!r} must be an integer, got {value!r}")
     if kind == "wavelet":
         return WaveletBasis(spec["n"], spec.get("filters", "haar"),
                             spec.get("coarsest_level", 0))

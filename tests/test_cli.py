@@ -231,3 +231,42 @@ def test_denoise_incomplete_frame_spec_is_validation_error(tmp_path, spec):
     assert code == 2
     payload = json.loads(err)["error"]
     assert payload["kind"] == "validation" and payload["flag"] == "--frame-spec"
+
+
+def test_denoise_missing_clean_is_io_error(tmp_path):
+    sig = tmp_path / "x.csv"
+    ftio.write_signal(sig, np.zeros(16))
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(["denoise", "--input", str(sig),
+                            "--frame-spec", '{"type":"wavelet","n":16}',
+                            "--output", str(out), "--clean", str(tmp_path / "nope.csv")])
+    assert code == 4
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "io" and payload["flag"] == "--clean"
+    assert not out.exists()
+
+
+def test_simulate_risk_missing_clean_is_io_error(tmp_path):
+    code, _, err = run_cli(["simulate", "--experiment", "risk", "--seed", "1",
+                            "--trials", "2", "--alpha", "0.1",
+                            "--frame-spec", '{"type":"wavelet","n":16}',
+                            "--clean", str(tmp_path / "nope.csv"),
+                            "--out", str(tmp_path / "r.json")])
+    assert code == 4
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "io" and payload["flag"] == "--clean"
+
+
+@pytest.mark.parametrize("spec, key", [('{"type":"wavelet","n":"16"}', "'n'"),
+                                       ('{"type":"sine","n":16.5}', "'n'")])
+def test_denoise_non_integer_spec_field_is_validation_error(tmp_path, spec, key):
+    sig = tmp_path / "x.csv"
+    ftio.write_signal(sig, np.zeros(16))
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(["denoise", "--input", str(sig), "--frame-spec", spec,
+                            "--output", str(out)])
+    assert code == 2
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "validation" and payload["flag"] == "--frame-spec"
+    assert key in payload["message"]
+    assert not out.exists()

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from framethresh import core, transforms
 from framethresh.core import (CoefficientVector, DimensionMismatch, ExplicitFrame,
-                              FrameError, frame_bounds, gram_coherence_counts)
+                              FrameError, IterationError, frame_bounds,
+                              gram_coherence_counts)
 from framethresh.transforms import (CycleSpinFrame, SineFrame, TIWaveletFrame,
                                     WaveletBasis)
 
@@ -81,6 +83,25 @@ def test_explicit_pseudoinverse_matches_dense_oracle(rng):
     assert np.max(np.abs(fr.dual_synthesize(cv) - oracle)) < 1e-10
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_sine_pseudoinverse_matches_dense_oracle(r, rng):
+    # conjugate gradients against the SVD pseudoinverse of the atom matrix,
+    # on coefficients that are not the analysis of any signal
+    fr = SineFrame(64, r)
+    values = rng.standard_normal(fr.atom_count)
+    oracle = np.linalg.pinv(fr.atom(np.arange(fr.atom_count))) @ values
+    got = fr.dual_synthesize(CoefficientVector(values))
+    assert np.linalg.norm(got - oracle) <= 1e-11 * np.linalg.norm(oracle)
+
+
+def test_sine_dual_synthesis_iteration_cap_carries_count(monkeypatch, rng):
+    fr = SineFrame(64, 3)  # not tight: needs several iterations
+    monkeypatch.setattr(transforms, "_CG_MAX_ITER", 1)
+    with pytest.raises(IterationError) as exc:
+        fr.dual_synthesize(CoefficientVector(rng.standard_normal(fr.atom_count)))
+    assert exc.value.iterations == 1
+
+
 def test_dual_synthesize_singular_frame_rejected():
     with pytest.raises(FrameError):
         ExplicitFrame(np.array([[1.0, 0.0], [2.0, 0.0]]))  # rank 1, no span
@@ -103,6 +124,29 @@ def test_frame_bounds_ti_equals_n(n):
     a, b = frame_bounds(TIWaveletFrame(n, "haar"))
     assert b == pytest.approx(n, rel=1e-6)
     assert a == pytest.approx(n, rel=1e-6)
+
+
+@pytest.mark.parametrize("frame", [
+    TIWaveletFrame(64, "haar"), TIWaveletFrame(64, "haar", 2),
+    TIWaveletFrame(64, "cdf97r"), TIWaveletFrame(64, "cdf97r", 2),
+    ExplicitFrame(np.random.default_rng(1729).standard_normal((24, 12)), "random")],
+    ids=lambda frame: frame.name)
+def test_constructor_bounds_match_dense_eigensolve(frame):
+    eigvals = np.linalg.eigvalsh(core._dense_frame_operator(frame))
+    dense = (eigvals[frame.n - frame.span_dim], eigvals[-1])
+    assert frame.bounds == pytest.approx(dense, rel=1e-10)
+    assert frame_bounds(frame) == frame.bounds
+
+
+def test_frame_bounds_ti_above_dense_limit():
+    a, b = frame_bounds(TIWaveletFrame(8192, "haar"))
+    assert a == pytest.approx(8192, rel=1e-9)
+    assert b == pytest.approx(8192, rel=1e-9)
+
+
+def test_frame_bounds_without_structure_above_dense_limit_raises():
+    with pytest.raises(FrameError):
+        frame_bounds(WaveletBasis(8192, "cdf97"))
 
 
 def test_parseval_bound(rng):
@@ -200,23 +244,3 @@ def test_atom_materialization_consistent_with_analysis(position):
     e = frame.atom(position)
     cv = frame.analyze(e)
     assert cv.values[position] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_power_iteration_path(monkeypatch, rng):
-    import framethresh.core as core
-    frame = ExplicitFrame(rng.standard_normal((24, 12)), "iterative")
-    dense = frame_bounds(frame)
-    monkeypatch.setattr(core, "_DENSE_EIG_LIMIT", 4)
-    iterative = frame_bounds(frame, tol=1e-9)
-    assert iterative[0] == pytest.approx(dense[0], rel=1e-5)
-    assert iterative[1] == pytest.approx(dense[1], rel=1e-5)
-
-
-def test_power_iteration_nonconvergence_carries_count(monkeypatch, rng):
-    import framethresh.core as core
-    from framethresh.core import IterationError
-    frame = ExplicitFrame(rng.standard_normal((24, 12)), "iterative")
-    monkeypatch.setattr(core, "_DENSE_EIG_LIMIT", 4)
-    with pytest.raises(IterationError) as exc:
-        frame_bounds(frame, tol=1e-18, max_iter=7)
-    assert exc.value.iterations == 7
