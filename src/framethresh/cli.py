@@ -23,7 +23,7 @@ from .diagnostics import comparison_bound, frame_gram, rest_split, rest_sum, sta
 from .evt import ThresholdError, ThresholdSpec
 from .norms import NormSpec, NormSpecError
 from .shrink import denoise
-from .transforms import TIWaveletFrame, frame_from_spec, get_filters
+from .transforms import TIWaveletFrame, frame_from_spec, get_filters, load_frame_spec
 
 EXIT_VALIDATION = 2
 EXIT_PARSE = 3
@@ -58,10 +58,11 @@ def _write_manifest(args, outputs, started, command):
     return path
 
 
-def _load_frame(spec, flag="--frame-spec"):
+def _load_frame(spec, load=frame_from_spec, flag="--frame-spec"):
+    """load(spec) with its failures mapped to the exit-code contract."""
     try:
-        return frame_from_spec(spec)
-    except FileNotFoundError as exc:
+        return load(spec)
+    except OSError as exc:
         _fail(EXIT_IO, "io", str(exc), flag)
     except json.JSONDecodeError as exc:
         _fail(EXIT_PARSE, "parse", f"frame spec is not valid JSON: {exc}", flag)
@@ -267,18 +268,12 @@ def _need_alpha(args):
 # --- diagnose -------------------------------------------------------------------
 
 def cmd_diagnose(args):
-    try:
-        template = json.loads(args.frame_spec) if args.frame_spec.strip().startswith("{") \
-            else json.load(open(args.frame_spec))
-    except (json.JSONDecodeError, OSError) as exc:
-        _fail(EXIT_PARSE, "parse", f"bad frame spec: {exc}", "--frame-spec")
+    template = _load_frame(args.frame_spec, load=load_frame_spec)
     if not 0 < args.rho < 1:
         _fail(EXIT_VALIDATION, "validation", "rho must be in (0, 1)", "--rho")
     frames = []
     for n in args.n_list:
-        spec = dict(template)
-        spec["n"] = n
-        frames.append(_load_frame(spec))
+        frames.append(_load_frame({**template, "n": n}))
     try:
         stab = stability_check(frames, args.rho, deduplicate=not args.keep_duplicates)
     except ValueError as exc:

@@ -144,9 +144,11 @@ def exact_independent_coverage(threshold, m, sigma=1.0):
 
 
 def _is_orthonormal(frame):
-    if frame.atom_count != frame.span_dim:
+    """Decided from the constructor's exact bounds; frames without them
+    (biorthogonal wavelets among others) count as not orthonormal."""
+    if frame.atom_count != frame.span_dim or frame.bounds is None:
         return False
-    a, b = frame_bounds(frame)
+    a, b = frame.bounds
     return abs(a - 1) < 1e-9 and abs(b - 1) < 1e-9
 
 

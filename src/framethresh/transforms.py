@@ -231,6 +231,8 @@ class WaveletBasis(Frame):
             raise FrameError("degenerate wavelet filter: zero atom")
         self._bases = raw / self._norms[:, None]
         self._scale = self._norms[self._labels[0] - self.coarsest_level]
+        if filters.analysis_lowpass == filters.synthesis_lowpass:
+            self.bounds = (1.0, 1.0)  # orthonormal: the atoms are a basis of their span
 
     # raw detail list index l (finest first, l=0) corresponds to scale
     # j = J - 1 - l; the stacked layout is coarsest first.
@@ -303,8 +305,12 @@ class CycleSpinFrame(Frame):
 
     Index layout is shift-major: block m holds the wavelet atoms of the basis
     shifted by m, in the basis ordering.  Restricted to orthonormal filter
-    pairs, for which the frame is tight with bound M on the wavelet subspace
-    and the dual synthesis is adjoint/M.
+    pairs, for which the dual synthesis is adjoint/M.  At coarsest_level 0
+    every shifted basis has the same detail space (the complement of the
+    constants), so the frame is tight there with bounds (M, M).  At coarser
+    levels the shifted detail spaces differ and a_n < M (haar, n = 64, M = 4,
+    coarsest_level 1: a_n = 0.311); bounds then come from the dense
+    eigensolve.
     """
 
     def __init__(self, basis_or_n, M, filters=HAAR, coarsest_level=0):
@@ -325,6 +331,8 @@ class CycleSpinFrame(Frame):
         self.atom_count = M * basis.atom_count
         self.carry_dim = basis.carry_dim
         self.span_dim = None  # determined numerically when needed
+        if basis.coarsest_level == 0:
+            self.bounds = (float(M), float(M))
         self.name = f"cyclespin[{basis.filters.name},n={self.n},M={M}]"
         bj, bk = basis.label_arrays()
         self._labels = (np.tile(bj, M), np.tile(bk, M),
@@ -556,34 +564,33 @@ class SineFrame(Frame):
     these two maps (the accelerated frame algorithm), which converges in a
     few iterations: the frame is tight for r <= 2, and b_n/a_n stays below
     1.18 for r <= 8 (measured at n = 64 and 1024), where it takes 6-7.  No
-    n x n matrix is built; frame bounds come from the dense eigensolve of
-    core.frame_bounds.
+    n x n matrix is built.  For r <= 2 the bounds are exact,
+    a_n = b_n = (rn - 1)/(n - 1): the r = 1 atoms are an orthonormal basis of
+    the span, and for r = 2 the odd-bin atoms have squared norm (n - 1)/2
+    and sum to (n/2) P_span.  For r >= 3 frame bounds come from the dense
+    eigensolve of core.frame_bounds.
     """
 
     def __init__(self, n, oversample=1):
         if oversample < 1 or int(oversample) != oversample:
             raise FrameError("oversample must be a positive integer")
+        if n < 2:
+            raise FrameError(f"sine frame needs n >= 2, got {n}")
         self.n = int(n)
         self.oversample = int(oversample)
-        k = np.arange(self.n)
-        freqs = np.arange(1, self.oversample * self.n + 1) / self.oversample
-        raw_norms = []
-        kept = []
-        excluded = []
-        zero_tol = 1e-6 * np.sqrt(self.n)  # identically-zero atoms up to fp noise
-        for w in freqs:
-            v = np.sin(np.pi * w * k / self.n)
-            nv = np.linalg.norm(v)
-            if nv < zero_tol:
-                excluded.append(float(w))
-            else:
-                kept.append(w)
-                raw_norms.append(nv)
-        self.frequencies = np.array(kept)
-        self.excluded = excluded
-        self._raw_norms = np.array(raw_norms)
-        self.atom_count = len(kept)
+        r = self.oversample
+        # the grid {1/r, ..., n}; w = n is the one point whose atom vanishes
+        w = np.arange(1, r * self.n) / r
+        self.frequencies = w
+        self.excluded = [float(self.n)]
+        # ||sin(pi w k / n)||^2 over k < n, by summing the cosine series
+        self._raw_norms = np.sqrt(self.n / 2 - 0.5 * np.sin(np.pi * w)
+                                  * np.cos(np.pi * w * (self.n - 1) / self.n)
+                                  / np.sin(np.pi * w / self.n))
+        self.atom_count = len(w)
         self.span_dim = self.n - 1
+        if r <= 2:
+            self.bounds = ((r * self.n - 1) / (self.n - 1),) * 2
         self.name = f"sine[n={n},r={oversample}]"
         self._labels = (np.arange(self.atom_count),)
         # analysis via zero-padded FFT when the grid is uniform: the raw
@@ -658,6 +665,23 @@ _REQUIRED_SPEC_KEYS = {"wavelet": ("n",), "cyclespin": ("n", "M"), "ti": ("n",),
 _INTEGER_SPEC_KEYS = ("n", "M", "oversample", "coarsest_level")
 
 
+def load_frame_spec(spec):
+    """A frame spec as a dict, from a JSON string, a dict, or a file path.
+
+    Raises OSError for an unreadable file, json.JSONDecodeError for bad
+    JSON and FrameError for a spec that is not a JSON object.
+    """
+    if isinstance(spec, str):
+        if spec.strip().startswith("{"):
+            spec = json.loads(spec)
+        else:
+            with open(spec) as fh:
+                spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise FrameError("frame spec must be a JSON object")
+    return spec
+
+
 def frame_from_spec(spec):
     """Build a frame from a JSON spec string, dict, or file path.
 
@@ -667,15 +691,7 @@ def frame_from_spec(spec):
 
     n, M, oversample and coarsest_level must be JSON integers.
     """
-    if isinstance(spec, str):
-        s = spec.strip()
-        if s.startswith("{"):
-            spec = json.loads(s)
-        else:
-            with open(spec) as fh:
-                spec = json.load(fh)
-    if not isinstance(spec, dict):
-        raise FrameError("frame spec must be a JSON object")
+    spec = load_frame_spec(spec)
     kind = spec.get("type")
     for key in _REQUIRED_SPEC_KEYS.get(kind, ()):
         if spec.get(key) is None:

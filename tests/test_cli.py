@@ -270,3 +270,27 @@ def test_denoise_non_integer_spec_field_is_validation_error(tmp_path, spec, key)
     assert payload["kind"] == "validation" and payload["flag"] == "--frame-spec"
     assert key in payload["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("content, code, kind", [
+    (None, 4, "io"), ("[1, 2]", 2, "validation"), ("{not json", 3, "parse")],
+    ids=["missing", "list", "bad-json"])
+def test_diagnose_frame_spec_file_errors(tmp_path, content, code, kind):
+    spec = tmp_path / "spec.json"
+    if content is not None:
+        spec.write_text(content)
+    rc, _, err = run_cli(["diagnose", "--frame-spec", str(spec),
+                          "--n-list", "16", "32", "64", "--out", str(tmp_path / "d.json")])
+    assert rc == code
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == kind and payload["flag"] == "--frame-spec"
+
+
+def test_simulate_coverage_wavelet_above_dense_limit(tmp_path):
+    out = tmp_path / "c.json"
+    code, _, err = run_cli(["simulate", "--experiment", "coverage",
+                            "--frame-spec", '{"type":"wavelet","n":8192}',
+                            "--alpha", "0.1", "--trials", "2", "--seed", "1",
+                            "--out", str(out)])
+    assert code == 0, err
+    assert json.loads(out.read_text())["exact"] is not None

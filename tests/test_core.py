@@ -129,19 +129,46 @@ def test_frame_bounds_ti_equals_n(n):
 @pytest.mark.parametrize("frame", [
     TIWaveletFrame(64, "haar"), TIWaveletFrame(64, "haar", 2),
     TIWaveletFrame(64, "cdf97r"), TIWaveletFrame(64, "cdf97r", 2),
-    ExplicitFrame(np.random.default_rng(1729).standard_normal((24, 12)), "random")],
+    ExplicitFrame(np.random.default_rng(1729).standard_normal((24, 12)), "random"),
+    WaveletBasis(64, "haar"), WaveletBasis(64, "d4"), CycleSpinFrame(64, 4, "haar"),
+    SineFrame(64, 1), SineFrame(64, 2), SineFrame(256, 2)],
     ids=lambda frame: frame.name)
 def test_constructor_bounds_match_dense_eigensolve(frame):
     eigvals = np.linalg.eigvalsh(core._dense_frame_operator(frame))
-    dense = (eigvals[frame.n - frame.span_dim], eigvals[-1])
+    # cyclespin leaves span_dim unset: count the span numerically
+    rank = frame.span_dim or int(np.count_nonzero(
+        eigvals > frame.n * np.finfo(float).eps * max(eigvals[-1], 1.0)))
+    dense = (eigvals[frame.n - rank], eigvals[-1])
     assert frame.bounds == pytest.approx(dense, rel=1e-10)
     assert frame_bounds(frame) == frame.bounds
+
+
+@pytest.mark.parametrize("filters", ["haar", "d4"])
+def test_cyclespin_above_coarsest_level_0_is_not_tight(filters):
+    # the shifted bases' detail spaces differ once scaling atoms are carried
+    frame = CycleSpinFrame(64, 4, filters, coarsest_level=1)
+    assert frame.bounds is None
+    a, b = frame_bounds(frame)
+    assert a < 0.5
+    assert b == pytest.approx(4.0, rel=1e-10)
+
+
+def test_no_constructor_bounds_without_closed_form():
+    assert WaveletBasis(64, "cdf97").bounds is None
+    assert SineFrame(64, 3).bounds is None
 
 
 def test_frame_bounds_ti_above_dense_limit():
     a, b = frame_bounds(TIWaveletFrame(8192, "haar"))
     assert a == pytest.approx(8192, rel=1e-9)
     assert b == pytest.approx(8192, rel=1e-9)
+
+
+@pytest.mark.parametrize("frame, bound", [
+    (WaveletBasis(8192, "haar"), 1.0), (CycleSpinFrame(8192, 4, "d4"), 4.0),
+    (SineFrame(8192, 2), 16383 / 8191)], ids=["wavelet", "cyclespin", "sine"])
+def test_frame_bounds_from_structure_above_dense_limit(frame, bound):
+    assert frame_bounds(frame) == (bound, bound)
 
 
 def test_frame_bounds_without_structure_above_dense_limit_raises():

@@ -41,6 +41,55 @@ def test_rest_sum_validates_gram():
         rest_sum(np.array([[0.9, 0.0], [0.0, 1.0]]), 2)  # diagonal not 1
     with pytest.raises(ValueError):
         rest_sum(np.array([[1.0, 1.2], [1.2, 1.0]]), 2)  # entry outside [-1,1]
+    with pytest.raises(ValueError):
+        rest_sum(np.array([[1.0, np.nan], [np.nan, 1.0]]), 2)  # off-diagonal NaN
+    with pytest.raises(ValueError):
+        rest_sum(np.array([[np.nan, 0.5], [0.5, 1.0]]), 2)  # diagonal NaN
+
+
+def _reference_sums(gram, m, rho, delta, threshold, flavor):
+    """The three formulas as plain double loops over the ordered
+    off-diagonal pairs, in row-major order."""
+    k = gram.shape[0]
+    base = math.log(m) / m ** 2
+    parts = ([], [], [])
+    terms = []
+    max_term, argmax = 0.0, (0, 0)
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            a = abs(float(gram[i, j]))
+            r = a * base ** (1.0 / (1.0 + a))
+            parts[0 if a >= rho else 1 if a >= delta else 2].append(r)
+            c = a * math.exp(-threshold ** 2 / (1.0 + a))
+            terms.append(c)
+            if c > max_term:
+                max_term, argmax = c, (i, j)
+    factor = 0.25 if flavor == "abs" else 0.125
+    return (math.fsum(parts[0] + parts[1] + parts[2]),
+            tuple(math.fsum(p) for p in parts),
+            (factor * math.fsum(terms), factor * max_term, argmax))
+
+
+def test_offdiag_sums_match_elementwise_reference(rng):
+    a = rng.uniform(-1, 1, (40, 40))
+    random = np.clip((a + a.T) / 2, -0.999, 0.999)
+    np.fill_diagonal(random, 1.0)
+    # numpy's vectorized exp and pow (on AVX-512 hosts) move some TI cdf97r
+    # n=32 sums by one ulp against the C library's scalar functions
+    grams = [frame_gram(TIWaveletFrame(16, "haar")), frame_gram(SineFrame(32, 2)),
+             frame_gram(TIWaveletFrame(32, "cdf97r")), random, np.eye(5)]
+    for gram in grams:
+        m = gram.shape[0]
+        for threshold in (1.0, 3.0):
+            for flavor in ("abs", "normal"):
+                r, parts, (value, max_term, argmax) = _reference_sums(
+                    gram, m, 0.5, 0.2, threshold, flavor)
+                assert rest_sum(gram, m) == r
+                assert rest_split(gram, m, 0.5, 0.2) == parts
+                cb = comparison_bound(gram, threshold, flavor)
+                assert (cb.value, cb.max_term, cb.argmax_pair) == (value, max_term, argmax)
 
 
 def test_rest_sum_monotone_in_coherence(rng):

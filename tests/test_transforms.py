@@ -218,6 +218,22 @@ def test_sine_excludes_zero_frequency_atom():
         assert sf.atom_count == r * 1024 - 1
 
 
+@pytest.mark.parametrize("n", [64, 1000, 1024])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_sine_closed_form_norms_match_per_frequency_norm(n, r):
+    sf = SineFrame(n, r)
+    assert sf.excluded == [float(n)]
+    k = np.arange(n)
+    norms = np.array([np.linalg.norm(np.sin(np.pi * w * k / n)) for w in sf.frequencies])
+    assert np.max(np.abs(sf._raw_norms / norms - 1)) < 1e-12
+    assert np.array_equal(sf.frequencies, np.arange(1, r * n) / r)
+
+
+def test_sine_rejects_length_below_two():
+    with pytest.raises(FrameError):
+        SineFrame(1, 2)
+
+
 def test_sine_on_grid_signal_two_dominant_coefficients():
     n = 1024
     k = np.arange(n)
