@@ -1,8 +1,10 @@
 """Command-line surface: thresholds, denoise, simulate, diagnose, replay.
 
-Every run writes a manifest next to its primary output; `framethresh replay
-manifest.json` re-executes the stored command line, reproducing simulate and
-diagnose outputs byte-for-byte (seeded, counter-based randomness).
+Every run writes a manifest next to its primary output, with the python,
+numpy and scipy versions and a sha256 of each output file; `framethresh
+replay manifest.json` re-executes the stored command line, reproducing
+simulate and diagnose outputs byte-for-byte (seeded, counter-based
+randomness).
 
 Exit codes: 0 success, 2 invalid parameters, 3 parse error, 4 I/O error.
 Failures emit a machine-readable JSON object on stderr.
@@ -11,11 +13,14 @@ Failures emit a machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__, evt, io, signals, simulate
 from .core import FrameError
@@ -48,14 +53,22 @@ def _write_manifest(args, outputs, started, command):
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
         "wall_clock_s": round(time.time() - started, 3),
         "outputs": outputs,
+        "output_sha256": {path: _sha256(path) for path in outputs},
     }
     path = (outputs[0] if outputs else "run") + ".manifest.json"
     with open(path, "w") as fh:
         json.dump(io.to_jsonable(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _load_frame(spec, load=frame_from_spec, flag="--frame-spec"):
@@ -240,11 +253,13 @@ def cmd_simulate(args):
     elif exp == "risk":
         frame = _load_frame(args.frame_spec)
         _need_alpha(args)
+        _need_two_trials(args)
         clean = (_read_signal(args.clean, "--clean") if args.clean
                  else np.zeros(frame.n))
         rep = simulate.oracle_risk_experiment(frame, clean, args.alpha, cfg)
         report.update(frame=frame.name, **io.to_jsonable(rep))
     elif exp == "risk1d":
+        _need_two_trials(args)
         rows = simulate.risk_1d_check(args.mu, args.T, cfg)
         report.update(rows=io.to_jsonable(rows))
     elif exp == "comparison":
@@ -263,6 +278,12 @@ def _need_alpha(args):
     if args.alpha is None or not 0 < args.alpha < 1:
         _fail(EXIT_VALIDATION, "validation",
               "this experiment needs --alpha in (0, 1)", "--alpha")
+
+
+def _need_two_trials(args):
+    if args.trials < 2:
+        _fail(EXIT_VALIDATION, "validation",
+              "this experiment's standard error needs --trials >= 2", "--trials")
 
 
 # --- diagnose -------------------------------------------------------------------
@@ -301,14 +322,18 @@ def cmd_diagnose(args):
 
 def cmd_replay(args):
     try:
-        manifest = json.load(open(args.manifest))
+        with open(args.manifest) as fh:
+            manifest = json.load(fh)
     except OSError as exc:
         _fail(EXIT_IO, "io", str(exc), "manifest")
     except json.JSONDecodeError as exc:
         _fail(EXIT_PARSE, "parse", f"bad manifest: {exc}", "manifest")
-    command = manifest.get("command")
-    if not command:
-        _fail(EXIT_PARSE, "parse", "manifest has no command", "manifest")
+    command = manifest.get("command") if isinstance(manifest, dict) else None
+    if (not isinstance(command, list) or not command
+            or not all(isinstance(arg, str) for arg in command)):
+        _fail(EXIT_PARSE, "parse",
+              "manifest must be a JSON object whose command is a non-empty "
+              "list of strings", "manifest")
     return _dispatch(command)
 
 
@@ -355,7 +380,7 @@ def build_parser():
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--sigma", type=float, default=1.0)
     s.add_argument("--parallel", action="store_true",
-                   help="accepted for old manifests; trials always run serially")
+                   help="accepted for old manifests and ignored")
     s.add_argument("--out", required=True)
     s.add_argument("--qq", default=None)
     s.add_argument("--T", type=float, action="append", default=None)

@@ -7,6 +7,10 @@ inner products with all atoms; dual synthesis applies the pseudoinverse of the
 analysis operator.  Frames may additionally carry an unthresholded "carry"
 payload (retained scaling coefficients) so that synthesize(analyze(u)) == u on
 the full signal space even when the atom family only spans a subspace.
+
+Both operators are batched: a (B, n) block of signals analyzes to a (B, m)
+block of coefficients, one row per signal, and a (B, m) block synthesizes to
+(B, n); 1-D inputs give 1-D results.
 """
 
 from __future__ import annotations
@@ -39,7 +43,9 @@ class CoefficientVector:
 
     labels holds one integer column per index component (e.g. scale j and
     location k); carry holds retained coefficients that are never thresholded
-    (scaling coefficients of wavelet-type frames).
+    (scaling coefficients of wavelet-type frames).  values may be a (B, m)
+    block with one coefficient vector per row; carry is then (B, c) and the
+    labels keep length m.
     """
 
     values: np.ndarray
@@ -48,16 +54,19 @@ class CoefficientVector:
     carry: np.ndarray | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        # C order, so that a block's row sums run like 1-D sums
+        self.values = np.ascontiguousarray(self.values, dtype=float)
+        if self.carry is not None:
+            self.carry = np.asarray(self.carry, dtype=float)
         if not self.labels:
-            self.labels = (np.arange(len(self.values)),)
+            self.labels = (np.arange(self.count),)
         for col in self.labels:
-            if len(col) != len(self.values):
+            if len(col) != self.count:
                 raise ValueError("label column length does not match values")
 
     @property
     def count(self):
-        return len(self.values)
+        return self.values.shape[-1]
 
     def index_of(self, position):
         """FrameIndex (tuple of label components) at a flat position."""
@@ -65,7 +74,7 @@ class CoefficientVector:
 
     def replace_values(self, values):
         values = np.asarray(values, dtype=float)
-        if len(values) != self.count:
+        if values.shape != self.values.shape:
             raise ValueError("replacement length mismatch")
         return CoefficientVector(values, self.label_names, self.labels,
                                  None if self.carry is None else self.carry.copy())
@@ -146,17 +155,23 @@ class Frame:
     # --- generic operator plumbing ----------------------------------------
 
     def _check_signal(self, signal):
+        """A signal (n,) or a block of signals (B, n) as floats."""
         signal = np.asarray(signal, dtype=float)
-        if signal.shape != (self.n,):
+        if signal.ndim not in (1, 2) or signal.shape[-1] != self.n:
             raise DimensionMismatch(
-                f"signal has shape {signal.shape}, frame {self.name} expects ({self.n},)")
+                f"signal has shape {signal.shape}, frame {self.name} expects "
+                f"({self.n},) or (B, {self.n})")
         return signal
 
     def _check_coeffs(self, coeffs):
-        if coeffs.count != self.atom_count:
+        values = coeffs.values
+        if values.ndim not in (1, 2) or coeffs.count != self.atom_count:
             raise DimensionMismatch(
-                f"coefficient vector has {coeffs.count} entries, "
-                f"frame {self.name} has {self.atom_count} atoms")
+                f"coefficient values have shape {values.shape}, frame "
+                f"{self.name} has {self.atom_count} atoms")
+        if coeffs.carry is not None and coeffs.carry.shape[:-1] != values.shape[:-1]:
+            raise DimensionMismatch(
+                f"carry has shape {coeffs.carry.shape}, values {values.shape}")
         return coeffs
 
 
@@ -268,7 +283,9 @@ class ExplicitFrame(Frame):
     property).  The constructor eigensolves the frame operator A^T A once,
     which gives the frame bounds, and keeps the pseudoinverse
     (A^T A)^{-1} A^T from its Cholesky factorization, so dual synthesis is
-    one matrix product.
+    one matrix product.  A (B, .) block is one matrix product too; for a
+    non-identity matrix its rows can differ from the 1-D products in the
+    last ulp, since BLAS sums a block in another order.
     """
 
     def __init__(self, matrix, name="explicit"):
@@ -293,11 +310,11 @@ class ExplicitFrame(Frame):
 
     def analyze(self, signal):
         signal = self._check_signal(signal)
-        return CoefficientVector(self._atoms @ signal)
+        return CoefficientVector(signal @ self._atoms.T)
 
     def dual_synthesize(self, coeffs):
         self._check_coeffs(coeffs)
-        return self._pinv @ coeffs.values
+        return coeffs.values @ self._pinv.T
 
     def atom(self, position):
         return self._atoms[position].copy()

@@ -75,7 +75,8 @@ def evaluate(spec, coeffs):
     pqr_wavelet: (sum_j 2^{jsq} ||x(j,.)||_p^q)^{1/q} over the scale label j
     pqr_oriented: same with the sum over (scale, orientation) pairs
     Carried scaling coefficients are not part of the index set and hence are
-    excluded, matching the detail-space estimator.
+    excluded, matching the detail-space estimator.  A (B, m) block of values
+    gives an array of B values, one per row; 1-D values give a float.
     """
     if not isinstance(coeffs, CoefficientVector):
         coeffs = CoefficientVector(np.asarray(coeffs, dtype=float))
@@ -85,18 +86,33 @@ def evaluate(spec, coeffs):
             w = np.ones_like(x)
         else:
             w = np.asarray(spec.weights, dtype=float)
-            if len(w) != len(x):
+            if len(w) != coeffs.count:
                 raise NormSpecError(
-                    f"weight vector length {len(w)} does not match {len(x)} coefficients")
-        return float(np.sqrt(np.sum(w * x ** 2)))
+                    f"weight vector length {len(w)} does not match "
+                    f"{coeffs.count} coefficients")
+        return _per_row(np.sqrt(np.sum(w * x ** 2, axis=-1)))
     groups = _scale_groups(spec, coeffs)
     s = spec.scale_exponent
     total = 0.0
     for key, idx in groups:
         j = key[0]
-        block_p = np.sum(np.abs(x[idx]) ** spec.p) ** (1.0 / spec.p)
-        total += 2.0 ** (j * s * spec.q) * block_p ** spec.q
-    return float(total ** (1.0 / spec.q))
+        block_p = _scalar_pow(np.sum(np.abs(x.take(idx, axis=-1)) ** spec.p, axis=-1),
+                              1.0 / spec.p)
+        total += 2.0 ** (j * s * spec.q) * _scalar_pow(block_p, spec.q)
+    return _per_row(_scalar_pow(total, 1.0 / spec.q))
+
+
+def _scalar_pow(values, exponent):
+    """values ** exponent by numpy's scalar power, one value at a time.
+    numpy's vectorized pow can differ from it in the last ulp, so this keeps
+    each row of a block equal to the evaluation of that row alone."""
+    values = np.asarray(values)
+    return np.array([v ** exponent for v in values.flat]).reshape(values.shape)
+
+
+def _per_row(value):
+    """A float for one coefficient vector, the array for a block."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 _GROUP_CACHE = {}

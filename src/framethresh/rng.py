@@ -2,7 +2,9 @@
 
 Every Monte Carlo trial draws from its own Philox stream keyed by
 (seed, trial index), so results are bit-identical however trials are
-scheduled.  Normal variates go through the inverse-CDF transform applied to
+scheduled.  The harness runs trials in blocks by stacking these per-trial
+draws, one row per trial; no stream is shared between rows, so the block
+layout changes no draw.  Normal variates go through the inverse-CDF transform applied to
 open-interval uniforms (scipy's ndtri rational approximation, absolute error
 well below 1e-9), keeping the streams platform-independent.
 """

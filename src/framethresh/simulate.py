@@ -2,9 +2,14 @@
 
 Every experiment draws trial t of a run from an independent Philox stream
 keyed by (seed, t), so reports are bit-identical for identical (seed, config)
-regardless of trial scheduling.  Trials run serially: a thread pool was
-measured slower than the serial loop, so McConfig.parallel is accepted and
-ignored (old manifests that set it still replay).
+regardless of trial scheduling.  Trials run in blocks: the rows of a block
+are the trials' own draws, stacked, and each block goes through one batched
+analyze, shrink and reduce (and one dual_synthesize for the risk).  A block
+holds at most _BLOCK_ENTRIES coefficients, so memory stays bounded at every
+n, and the layout depends only on the frame's atom count and the trial
+count.  A thread pool was measured slower than the serial loop, so
+McConfig.parallel is accepted and ignored (old manifests that set it still
+replay).
 
 One-sided distributional checks use 3 Monte Carlo standard errors of slack;
 two-sided exact-oracle checks use 3 s.e. around the exact value.
@@ -32,7 +37,7 @@ class McConfig:
     trials: int
     seed: int
     sigma: float = 1.0
-    parallel: bool = False  # accepted for old configs; trials run serially
+    parallel: bool = False  # accepted for old configs and ignored
 
     def __post_init__(self):
         if self.trials < 1:
@@ -41,12 +46,18 @@ class McConfig:
             raise ValueError("sigma must be >= 0")
 
 
-def _map_trials(cfg, fn):
-    """Evaluate fn(trial) for every trial, in trial order."""
-    out = np.empty(cfg.trials)
-    for t in range(cfg.trials):
-        out[t] = fn(t)
-    return out
+#: coefficient entries per trial block (2^18 doubles, 2 MB): 256 trials of a
+#: Haar basis at n = 1024, 25 of a TI frame with 10 levels
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _noise_blocks(frame, cfg):
+    """The noise of consecutive trial blocks, as (B, n) arrays in trial
+    order; row t is trial t's own draw."""
+    per_block = max(1, _BLOCK_ENTRIES // frame.atom_count)
+    for start in range(0, cfg.trials, per_block):
+        trials = range(start, min(start + per_block, cfg.trials))
+        yield np.stack([_rng.normal(cfg.seed, t, frame.n, cfg.sigma) for t in trials])
 
 
 @dataclass
@@ -72,10 +83,9 @@ def mc_se(p_hat, trials):
 
 def sample_max_abs(frame, cfg):
     """Per trial: draw white noise, return max_w |<phi_w, eps>|."""
-    def one(t):
-        eps = _rng.normal(cfg.seed, t, frame.n, cfg.sigma)
-        return float(np.max(np.abs(frame.analyze(eps).values)))
-    return EmpiricalDistribution.from_samples(_map_trials(cfg, one))
+    maxima = [np.max(np.abs(frame.analyze(eps).values), axis=-1)
+              for eps in _noise_blocks(frame, cfg)]
+    return EmpiricalDistribution.from_samples(np.concatenate(maxima))
 
 
 def rescale_to_gumbel(samples, norms, sigma=1.0):
@@ -259,15 +269,12 @@ def smoothness_experiment(frame, clean_signal, alpha, norm_spec, cfg, rule="soft
     x_clean = frame.analyze(clean)
     j_clean = norm_evaluate(norm_spec, x_clean)
     threshold = evt_threshold(cfg.sigma, alpha, frame.evt_count)
-
-    def one(t):
-        eps = _rng.normal(cfg.seed, t, frame.n, cfg.sigma)
+    hits = []
+    for eps in _noise_blocks(frame, cfg):
         cv = frame.analyze(clean + eps)
         shrunk = cv.replace_values(shrink_value(cv.values, threshold, rule))
-        return 1.0 if norm_evaluate(norm_spec, shrunk) <= j_clean * (1 + 1e-12) else 0.0
-
-    hits = _map_trials(cfg, one)
-    freq = float(np.mean(hits))
+        hits.append(norm_evaluate(norm_spec, shrunk) <= j_clean * (1 + 1e-12))
+    freq = float(np.mean(np.concatenate(hits)))
     return SmoothnessReport(alpha=alpha, threshold=threshold, frequency=freq,
                             se=mc_se(freq, cfg.trials), trials=cfg.trials,
                             clean_value=j_clean)
@@ -312,24 +319,25 @@ def oracle_risk_experiment(frame, clean_signal, alpha, cfg):
     so the comparison is exactly the thresholded-subspace risk the bound
     controls; for whole-space frames this changes nothing.  The bound's
     assumption T <= sigma sqrt(2 log m) is checked and reported; the
-    experiment still runs when it fails.
+    experiment still runs when it fails.  The standard error needs at least
+    2 trials; fewer raise ValueError.
     """
+    if cfg.trials < 2:
+        raise ValueError("the risk standard error needs at least 2 trials")
     clean = np.asarray(clean_signal, dtype=float)
     m = frame.evt_count
     threshold = evt_threshold(cfg.sigma, alpha, m)
     assumption_ok = threshold <= universal_threshold(cfg.sigma, m) + 1e-12
     bound, first, second, a_n = oracle_bound(frame, clean, alpha, cfg.sigma)
     target = frame.dual_synthesize(_zero_carry(frame.analyze(clean)))
-
-    def one(t):
-        eps = _rng.normal(cfg.seed, t, frame.n, cfg.sigma)
+    risks = []
+    for eps in _noise_blocks(frame, cfg):
         cv = frame.analyze(clean + eps)
         shrunk = _zero_carry(cv.replace_values(
             shrink_value(cv.values, threshold, "soft")))
         est = frame.dual_synthesize(shrunk)
-        return float(np.sum((est - target) ** 2))
-
-    risks = _map_trials(cfg, one)
+        risks.append(np.sum((est - target) ** 2, axis=-1))
+    risks = np.concatenate(risks)
     emp = float(np.mean(risks))
     se = float(np.std(risks, ddof=1) / math.sqrt(cfg.trials))
     return RiskReport(empirical_risk=emp, se=se, bound=bound,
@@ -360,7 +368,10 @@ class Risk1dRow:
 
 def risk_1d_check(mu_list, threshold_list, cfg):
     """E|mu - S(y, T)|^2 for y ~ N(mu, 1) against e^{-T^2/2} + min(1+T^2, mu^2),
-    by Monte Carlo with one stream per (mu, T) cell."""
+    by Monte Carlo with one stream per (mu, T) cell.  The standard error
+    needs at least 2 trials; fewer raise ValueError."""
+    if cfg.trials < 2:
+        raise ValueError("the risk standard error needs at least 2 trials")
     rows = []
     cell = 0
     for mu in mu_list:

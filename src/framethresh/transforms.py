@@ -17,6 +17,10 @@ through analysis untouched and are never thresholded.
 Analysis atoms are renormalized per scale to unit Euclidean norm (exact for
 orthonormal filters, a genuine correction for CDF 9/7), so noise coefficients
 have variance sigma^2 in every coordinate.
+
+Every frame's analyze and dual_synthesize act along the last axis, so a
+(B, n) block of signals is one call: the filter banks roll along axis -1, and
+the TI and sine analyses are one FFT of the block.
 """
 
 from __future__ import annotations
@@ -102,34 +106,34 @@ def get_filters(name):
 
 
 # --- periodic filtering primitives -----------------------------------------
+# All act along the last axis; leading axes are a batch of signals.
 
 def _periodic_correlate_down(x, f):
     """y[k] = sum_m f[m] x[(2k+m) mod n]."""
-    n = len(x)
-    y = np.zeros(n // 2)
+    y = np.zeros(x.shape[:-1] + (x.shape[-1] // 2,))
     for m, fm in enumerate(f):
         if fm != 0.0:
-            y += fm * np.roll(x, -m)[::2]
+            y += fm * np.roll(x, -m, axis=-1)[..., ::2]
     return y
 
 
 def _periodic_up_conv(a, f, n):
     """x[i] = sum_k a[k] f[(i-2k) mod n]."""
-    up = np.zeros(n)
-    up[::2] = a
-    y = np.zeros(n)
+    up = np.zeros(a.shape[:-1] + (n,))
+    up[..., ::2] = a
+    y = np.zeros_like(up)
     for m, fm in enumerate(f):
         if fm != 0.0:
-            y += fm * np.roll(up, m)
+            y += fm * np.roll(up, m, axis=-1)
     return y
 
 
 def _periodic_correlate(x, f):
     """Undecimated: y[i] = sum_m f[m] x[(i+m) mod n]."""
-    y = np.zeros(len(x))
+    y = np.zeros_like(x)
     for m, fm in enumerate(f):
         if fm != 0.0:
-            y += fm * np.roll(x, -m)
+            y += fm * np.roll(x, -m, axis=-1)
     return y
 
 
@@ -172,7 +176,7 @@ def _idwt_raw(details, approx, filt):
     _, _, rec_lo, rec_hi = filt.arrays()
     a = np.asarray(approx, dtype=float)
     for d in reversed(details):
-        n = 2 * len(a)
+        n = 2 * a.shape[-1]
         a = _periodic_up_conv(a, rec_lo, n) + _periodic_up_conv(d, rec_hi, n)
     return a
 
@@ -185,7 +189,7 @@ def _dwt_adjoint_raw(details, approx, filt):
     dec_lo, dec_hi, _, _ = filt.arrays()
     a = np.asarray(approx, dtype=float)
     for d in reversed(details):
-        n = 2 * len(a)
+        n = 2 * a.shape[-1]
         a = _periodic_up_conv(a, dec_lo, n) + _periodic_up_conv(d, dec_hi, n)
     return a
 
@@ -239,10 +243,10 @@ class WaveletBasis(Frame):
 
     def _details_to_values(self, details):
         # details is finest-first; the stacked layout is coarsest-first
-        return np.concatenate(details[::-1])
+        return np.concatenate(details[::-1], axis=-1)
 
     def _values_to_details(self, values):
-        return [values[self._scale_slices[j]]
+        return [values[..., self._scale_slices[j]]
                 for j in range(self.J - 1, self.coarsest_level - 1, -1)]
 
     def _raw_atom(self, j):
@@ -266,7 +270,7 @@ class WaveletBasis(Frame):
         self._check_coeffs(coeffs)
         details = self._values_to_details(coeffs.values * self._scale)
         approx = coeffs.carry if coeffs.carry is not None \
-            else np.zeros(2 ** self.coarsest_level)
+            else np.zeros(coeffs.values.shape[:-1] + (self.carry_dim,))
         return _idwt_raw(details, approx, self.filters)
 
     def atom(self, position):
@@ -343,24 +347,24 @@ class CycleSpinFrame(Frame):
         vals = []
         carries = []
         for m in range(self.M):
-            cv = self.basis.analyze(np.roll(signal, -m))
+            cv = self.basis.analyze(np.roll(signal, -m, axis=-1))
             vals.append(cv.values)
             carries.append(cv.carry)
-        return CoefficientVector(np.concatenate(vals), ("j", "k", "m"),
-                                 self._labels, carry=np.concatenate(carries))
+        return CoefficientVector(np.concatenate(vals, axis=-1), ("j", "k", "m"),
+                                 self._labels, carry=np.concatenate(carries, axis=-1))
 
     def dual_synthesize(self, coeffs):
         self._check_coeffs(coeffs)
         bc = self.basis.atom_count
         cd = self.basis.carry_dim
-        out = np.zeros(self.n)
+        out = np.zeros(coeffs.values.shape[:-1] + (self.n,))
         for m in range(self.M):
-            block = coeffs.values[m * bc:(m + 1) * bc]
+            block = coeffs.values[..., m * bc:(m + 1) * bc]
             carry = None if coeffs.carry is None \
-                else coeffs.carry[m * cd:(m + 1) * cd]
+                else coeffs.carry[..., m * cd:(m + 1) * cd]
             cv = CoefficientVector(block, ("j", "k"), self.basis.label_arrays(),
                                    carry=carry)
-            out += np.roll(self.basis.dual_synthesize(cv), m)
+            out += np.roll(self.basis.dual_synthesize(cv), m, axis=-1)
         return out / self.M
 
     def atom(self, position):
@@ -488,7 +492,8 @@ class TIWaveletFrame(Frame):
     def analyze(self, signal):
         signal = self._check_signal(signal)
         spec = np.fft.rfft(signal)
-        vals = np.fft.irfft(spec[None, :] * self._analysis_mult, self.n).ravel()
+        vals = np.fft.irfft(spec[..., None, :] * self._analysis_mult, self.n)
+        vals = vals.reshape(signal.shape[:-1] + (self.atom_count,))
         carry = np.fft.irfft(spec * self._scaling_mult, self.n)
         return CoefficientVector(vals, ("j", "s"), self._labels, carry=carry)
 
@@ -496,10 +501,11 @@ class TIWaveletFrame(Frame):
         """Multiset pseudoinverse on the detail span plus the shift-averaged
         scaling reconstruction (exact complement for orthonormal filters)."""
         self._check_coeffs(coeffs)
-        spec = np.fft.fft(coeffs.values.reshape(self.levels, self.n))
-        y = (self._synthesis_mult * spec).sum(axis=0)  # coarsest first
-        y[self._good] /= self._fft_symbol[self._good]
-        y[~self._good] = 0.0
+        values = coeffs.values
+        spec = np.fft.fft(values.reshape(values.shape[:-1] + (self.levels, self.n)))
+        y = (self._synthesis_mult * spec).sum(axis=-2)  # coarsest first
+        y[..., self._good] /= self._fft_symbol[self._good]
+        y[..., ~self._good] = 0.0
         out = np.fft.ifft(y).real
         if coeffs.carry is not None:
             out += self._scaling_reconstruct(coeffs.carry)
@@ -522,7 +528,7 @@ class TIWaveletFrame(Frame):
         """(1/n) sum_s carry[s] T_s phi_synth: average over all shifted bases
         of their scaling-space reconstructions."""
         mult = 2 ** self.coarsest_level
-        spec = np.fft.fft(np.asarray(carry, float)) * self._scaling_synthesis
+        spec = np.fft.fft(carry) * self._scaling_synthesis
         return np.fft.ifft(spec).real * (mult / self.n)
 
     def atom(self, position):
@@ -609,13 +615,13 @@ class SineFrame(Frame):
 
     def project_span(self, u):
         u = self._check_signal(u).copy()
-        u[0] = 0.0
+        u[..., 0] = 0.0
         return u
 
     def _analysis(self, x):
         """Unit-atom coefficients <phi_w, x> of a signal."""
         spec = np.fft.rfft(x, self._fft_len)
-        return -spec.imag[self._fft_bins] / self._raw_norms
+        return -spec.imag[..., self._fft_bins] / self._raw_norms
 
     def _adjoint(self, values):
         """Phi^T c = sum_w c_w phi_w, by one FFT of the coefficients placed
@@ -631,9 +637,18 @@ class SineFrame(Frame):
     def dual_synthesize(self, coeffs):
         """Minimum-norm solution of Phi^T Phi x = Phi^T c, by conjugate
         gradients started at 0: the iterates stay in the atom span, so the
-        limit is the pseudoinverse Phi^+ c."""
+        limit is the pseudoinverse Phi^+ c.  A (B, m) block is solved row by
+        row, since each row stops at its own iteration count."""
         self._check_coeffs(coeffs)
-        r = self._adjoint(coeffs.values)
+        values = coeffs.values
+        out = np.empty(values.shape[:-1] + (self.n,))
+        for row in np.ndindex(values.shape[:-1]):
+            out[row] = self._solve(values[row])
+        return out
+
+    def _solve(self, values):
+        """Conjugate gradients for one coefficient vector."""
+        r = self._adjoint(values)
         x = np.zeros(self.n)
         p = r.copy()
         rr = r @ r

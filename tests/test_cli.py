@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -294,3 +295,40 @@ def test_simulate_coverage_wavelet_above_dense_limit(tmp_path):
                             "--out", str(out)])
     assert code == 0, err
     assert json.loads(out.read_text())["exact"] is not None
+
+
+@pytest.mark.parametrize("content", ['[1]', '{"command": "nope"}', '{"command": []}',
+                                     '{"command": ["simulate", 3]}'],
+                         ids=["list", "string-command", "empty-command", "non-string"])
+def test_replay_malformed_manifest_is_parse_error(tmp_path, content):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(content)
+    code, _, err = run_cli(["replay", str(manifest)])
+    assert code == 3
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "parse" and payload["flag"] == "manifest"
+
+
+@pytest.mark.parametrize("args", [
+    ["--experiment", "risk", "--frame-spec", '{"type":"wavelet","n":64}', "--alpha", "0.1"],
+    ["--experiment", "risk1d", "--mu", "0", "--T", "3"]], ids=["risk", "risk1d"])
+def test_simulate_risk_single_trial_is_validation_error(tmp_path, args):
+    out = tmp_path / "r.json"
+    code, _, err = run_cli(["simulate", *args, "--trials", "1", "--seed", "1",
+                            "--out", str(out)])
+    assert code == 2
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "validation" and payload["flag"] == "--trials"
+    assert not out.exists()
+
+
+def test_simulate_manifest_records_versions_and_output_digests(tmp_path):
+    out, qq = tmp_path / "g.json", tmp_path / "qq.csv"
+    code = main(["simulate", "--experiment", "gumbel",
+                 "--frame-spec", '{"type":"wavelet","n":64}', "--trials", "50",
+                 "--seed", "3", "--out", str(out), "--qq", str(qq)])
+    assert code == 0
+    manifest = json.loads((tmp_path / "g.json.manifest.json").read_text())
+    assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+    assert manifest["output_sha256"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, qq)}

@@ -271,3 +271,57 @@ def test_atom_materialization_consistent_with_analysis(position):
     e = frame.atom(position)
     cv = frame.analyze(e)
     assert cv.values[position] == pytest.approx(1.0, abs=1e-9)
+
+
+BATCH_FRAMES = [
+    WaveletBasis(64, "haar"),
+    WaveletBasis(64, "cdf97"),
+    CycleSpinFrame(64, 4, "haar"),
+    TIWaveletFrame(64, "haar"),
+    TIWaveletFrame(64, "cdf97r"),
+    SineFrame(64, 1),
+    SineFrame(64, 2),
+    SineFrame(64, 3),
+    ExplicitFrame(np.eye(48), name="identity"),
+    ExplicitFrame(np.random.default_rng(11).standard_normal((70, 32)), name="random"),
+]
+
+
+def _assert_rows_equal(block, rows, frame):
+    if frame.name == "random":
+        # BLAS sums a matrix-matrix product in another order than the
+        # matrix-vector products
+        assert np.allclose(block, rows, rtol=1e-12, atol=0)
+    else:
+        assert np.array_equal(block, rows)
+
+
+@pytest.mark.parametrize("frame", BATCH_FRAMES, ids=lambda frame: frame.name)
+def test_batched_operators_equal_stacked_rows(frame, rng):
+    signals = rng.standard_normal((5, frame.n))
+    block = frame.analyze(signals)
+    rows = [frame.analyze(x) for x in signals]
+    assert block.values.shape == (5, frame.atom_count)
+    assert block.count == frame.atom_count
+    _assert_rows_equal(block.values, np.stack([cv.values for cv in rows]), frame)
+    if block.carry is None:
+        assert all(cv.carry is None for cv in rows)
+    else:
+        _assert_rows_equal(block.carry, np.stack([cv.carry for cv in rows]), frame)
+    values = rng.standard_normal(block.values.shape)
+    carry = None if block.carry is None else rng.standard_normal(block.carry.shape)
+    coeffs = CoefficientVector(values, block.label_names, block.labels, carry)
+    per_row = [frame.dual_synthesize(CoefficientVector(
+        values[b], block.label_names, block.labels,
+        None if carry is None else carry[b])) for b in range(5)]
+    _assert_rows_equal(frame.dual_synthesize(coeffs), np.stack(per_row), frame)
+
+
+@pytest.mark.parametrize("frame", BATCH_FRAMES, ids=lambda frame: frame.name)
+def test_batched_operators_reject_bad_shapes(frame):
+    for shape in [(3, frame.n + 1), (2, 3, frame.n)]:
+        with pytest.raises(DimensionMismatch):
+            frame.analyze(np.zeros(shape))
+    for shape in [(3, frame.atom_count + 1), (2, 3, frame.atom_count)]:
+        with pytest.raises(DimensionMismatch):
+            frame.dual_synthesize(CoefficientVector(np.zeros(shape)))

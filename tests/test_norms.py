@@ -146,3 +146,19 @@ def test_wavelet_coefficients_feed_pqr_directly(rng):
     expected = sum(2.0 ** (-0.5 * j) * np.sum(np.abs(cv.values[js == j]))
                    for j in np.unique(js))
     assert val == pytest.approx(expected, rel=1e-12)
+
+
+def test_evaluate_block_equals_per_row(rng):
+    tpl = wavelet_template()
+    cases = [(NormSpec("weighted_l2"), tpl),
+             (NormSpec("weighted_l2", weights=tuple(rng.uniform(0.5, 2.0, tpl.count))), tpl),
+             (NormSpec("pqr_wavelet", p=1, q=1, r=0), tpl),
+             (NormSpec("pqr_wavelet", p=2, q=3, r=1.5), tpl),
+             (NormSpec("pqr_oriented", p=2, q=1, r=1), oriented_template())]
+    for spec, template in cases:
+        block = rng.standard_normal((6, template.count))
+        got = evaluate(spec, CoefficientVector(block, template.label_names,
+                                               template.labels))
+        want = [evaluate(spec, template.replace_values(row)) for row in block]
+        assert got.shape == (6,)
+        assert np.array_equal(got, want)

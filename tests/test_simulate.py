@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from framethresh import evt
-from framethresh.core import ExplicitFrame
-from framethresh.norms import NormSpec
+from framethresh import evt, simulate
+from framethresh.core import CoefficientVector, ExplicitFrame
+from framethresh.norms import NormSpec, evaluate
+from framethresh.rng import normal as rng_normal
+from framethresh.shrink import shrink_value
 from framethresh.signals import piecewise_constant
 from framethresh.simulate import (EmpiricalDistribution, McConfig,
                                   comparison_bound_experiment,
@@ -236,3 +238,65 @@ def test_empirical_distribution_cdf_convention():
     assert dist.cdf(0.5) == 0.0
     assert dist.cdf(2.0) == 0.75  # right-continuous: #{<= x}/count
     assert dist.cdf(3.0) == 1.0
+
+
+def _reference_maxima(frame, cfg):
+    """The per-trial loop the block harness replaces."""
+    return np.sort([np.max(np.abs(frame.analyze(
+        rng_normal(cfg.seed, t, frame.n, cfg.sigma)).values)) for t in range(cfg.trials)])
+
+
+def _reference_smoothness_hits(frame, clean, threshold, spec, j_clean, cfg):
+    hits = []
+    for t in range(cfg.trials):
+        cv = frame.analyze(clean + rng_normal(cfg.seed, t, frame.n, cfg.sigma))
+        shrunk = cv.replace_values(shrink_value(cv.values, threshold, "soft"))
+        hits.append(evaluate(spec, shrunk) <= j_clean * (1 + 1e-12))
+    return np.mean(hits)
+
+
+def _reference_risks(frame, clean, threshold, cfg):
+    def zero_carry(cv):
+        return cv if cv.carry is None else CoefficientVector(
+            cv.values, cv.label_names, cv.labels, np.zeros_like(cv.carry))
+    target = frame.dual_synthesize(zero_carry(frame.analyze(clean)))
+    risks = []
+    for t in range(cfg.trials):
+        cv = frame.analyze(clean + rng_normal(cfg.seed, t, frame.n, cfg.sigma))
+        est = frame.dual_synthesize(zero_carry(
+            cv.replace_values(shrink_value(cv.values, threshold, "soft"))))
+        risks.append(np.sum((est - target) ** 2))
+    return np.array(risks)
+
+
+@pytest.mark.parametrize("frame", [
+    WaveletBasis(64, "haar"), CycleSpinFrame(32, 4, "haar"),
+    TIWaveletFrame(32, "haar"), ExplicitFrame(np.eye(40), name="identity")],
+    ids=lambda frame: frame.name)
+@pytest.mark.parametrize("per_block", [7, 4, 3, 1])
+def test_blocks_match_per_trial_reference(frame, per_block, monkeypatch):
+    # 7 trials in 1 block, 4 + 3, 3 + 3 + 1 and seven blocks of one
+    monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", per_block * frame.atom_count)
+    cfg = McConfig(trials=7, seed=2024)
+    assert np.array_equal(sample_max_abs(frame, cfg).samples,
+                          _reference_maxima(frame, cfg))
+    clean = piecewise_constant(frame.n, n_pieces=4, seed=5)
+    spec = (NormSpec("weighted_l2") if isinstance(frame, ExplicitFrame)
+            else NormSpec("pqr_wavelet", p=1, q=1, r=0))
+    # a small alpha keeps some trials below J(clean) and some above
+    rep = smoothness_experiment(frame, clean, 0.999, spec, cfg)
+    j_clean = evaluate(spec, frame.analyze(clean))
+    assert rep.frequency == _reference_smoothness_hits(
+        frame, clean, rep.threshold, spec, j_clean, cfg)
+    risk = oracle_risk_experiment(frame, clean, 0.1, cfg)
+    risks = _reference_risks(frame, clean, risk.threshold, cfg)
+    assert risk.empirical_risk == float(np.mean(risks))
+    assert risk.se == float(np.std(risks, ddof=1) / math.sqrt(cfg.trials))
+
+
+def test_risk_experiments_need_two_trials():
+    cfg = McConfig(trials=1, seed=1)
+    with pytest.raises(ValueError, match="2 trials"):
+        oracle_risk_experiment(WaveletBasis(16, "haar"), np.zeros(16), 0.1, cfg)
+    with pytest.raises(ValueError, match="2 trials"):
+        risk_1d_check([0.0], [3.0], cfg)
