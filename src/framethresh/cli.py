@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.metadata
 import json
+import math
 import platform
 import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__, evt, io, signals, simulate
 from .core import FrameError
@@ -54,7 +55,7 @@ def _write_manifest(args, outputs, started, command):
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
         "versions": {"python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy.__version__},
+                     "numpy": np.__version__, "scipy": importlib.metadata.version("scipy")},
         "wall_clock_s": round(time.time() - started, 3),
         "outputs": outputs,
         "output_sha256": {path: _sha256(path) for path in outputs},
@@ -193,6 +194,10 @@ def cmd_simulate(args):
         _fail(EXIT_VALIDATION, "validation", "trials must be >= 1", "--trials")
     if args.sigma <= 0:
         _fail(EXIT_VALIDATION, "validation", "sigma must be > 0", "--sigma")
+    for T in args.T:
+        if not (math.isfinite(T) and T >= 0):
+            _fail(EXIT_VALIDATION, "validation",
+                  f"threshold T={T} must be finite and >= 0", "--T")
     cfg = simulate.McConfig(trials=args.trials, seed=args.seed,
                             sigma=args.sigma, parallel=args.parallel)
     exp = args.experiment
@@ -200,6 +205,9 @@ def cmd_simulate(args):
               "sigma": args.sigma}
     outputs = [args.out]
     if exp == "gumbel":
+        if args.trials < 10:
+            _fail(EXIT_VALIDATION, "validation",
+                  "the KS distance and Q-Q table need --trials >= 10", "--trials")
         frame = _load_frame(args.frame_spec)
         dist = simulate.sample_max_abs(frame, cfg)
         norms = evt.norms_chi(frame.evt_count)
@@ -289,6 +297,9 @@ def _need_two_trials(args):
 # --- diagnose -------------------------------------------------------------------
 
 def cmd_diagnose(args):
+    for T in args.T:
+        if not math.isfinite(T):
+            _fail(EXIT_VALIDATION, "validation", f"threshold T={T} is not finite", "--T")
     template = _load_frame(args.frame_spec, load=load_frame_spec)
     if not 0 < args.rho < 1:
         _fail(EXIT_VALIDATION, "validation", "rho must be in (0, 1)", "--rho")

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 
 class FrameError(Exception):
@@ -289,6 +288,10 @@ class ExplicitFrame(Frame):
     """
 
     def __init__(self, matrix, name="explicit"):
+        # imported here: scipy.linalg takes longer to load than the rest of
+        # the package, and only explicit frames need it
+        from scipy.linalg import cho_factor, cho_solve
+
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise FrameError("explicit frame needs a 2-d atom matrix")

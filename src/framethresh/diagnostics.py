@@ -5,6 +5,12 @@ o(|Omega|/sqrt(log |Omega|)) budget and tracks upper frame bounds; the
 comparison sum R and its three-way split mirror the proof decomposition; the
 comparison bounds evaluate the Li-Shao inequalities (factor 1/4 for maxima of
 absolute values, 1/8 without absolute values).
+
+The three sums run on the histogram of the absolute Gram matrix with its
+diagonal zeroed: the distinct |kappa| with their pair counts.  Each term
+comes from the scalar formula once per distinct |kappa|, and each sum is the
+exactly rounded count-weighted sum over them, so it does not depend on the
+order of the pairs.
 """
 
 from __future__ import annotations
@@ -57,6 +63,9 @@ def stability_check(frame_family, rho, deduplicate=True):
     frames = list(frame_family)
     if len(frames) < 3:
         raise ValueError("need at least 3 frames of increasing n")
+    ns = [fr.n for fr in frames]
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"frame sizes n={ns} must strictly increase")
     rows = []
     for fr in frames:
         summary = gram_coherence_counts(fr, [rho], deduplicate=deduplicate)
@@ -92,34 +101,41 @@ def _check_gram(gram):
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValueError("gram must be a square matrix")
-    if not np.all(np.isfinite(gram)):
+    # max and min propagate NaN, and need no m x m temporary
+    hi, lo = float(gram.max()), float(gram.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("gram entries must be finite")
     if np.max(np.abs(np.diag(gram) - 1.0)) > 1e-9:
         raise ValueError("gram diagonal must be 1 within 1e-9")
-    if np.max(np.abs(gram)) > 1 + 1e-9:
+    if max(hi, -lo) > 1 + 1e-9:
         raise ValueError("gram entries must lie in [-1, 1]")
     return gram
 
 
 def _offdiag_terms(gram, term):
-    """(|kappa|, term(|kappa|)) over the whole Gram matrix, with |kappa| set
-    to 0 on the diagonal: every term vanishes there, so each sum runs over
-    the full array, and fsum makes its order irrelevant.  The scalar formula
-    runs once per distinct |kappa| on Python floats, so every term equals
-    the scalar formula's bit for bit (numpy's vectorized exp and pow differ
-    from the C library's in the last ulp on a few percent of inputs);
-    shift-structured Grams hold few distinct values."""
+    """(a, values, counts, terms) of a Gram matrix: a is |kappa| with the
+    diagonal set to 0 (every term vanishes there, so each sum runs over the
+    whole array), values are the distinct entries of a in ascending order,
+    counts their int64 multiplicities and terms[i] = term(values[i]).
+    The scalar formula runs once per distinct |kappa| on Python floats, so
+    every term equals the scalar formula's bit for bit (numpy's vectorized
+    exp and pow differ from the C library's in the last ulp on a few percent
+    of inputs); shift-structured Grams hold few distinct values."""
     a = np.abs(gram)
     np.fill_diagonal(a, 0.0)
-    values = np.unique(a)
+    values, counts = np.unique(a, return_counts=True)
     terms = np.fromiter(map(term, values.tolist()), float, len(values))
-    return a, terms[np.searchsorted(values, a)]
+    return a, values, counts, terms
 
 
-def _fsum(terms):
-    """Exactly rounded sum of an array (a memoryview yields Python floats
-    without building a list)."""
-    return math.fsum(memoryview(terms.ravel()))
+def _weighted_fsum(terms, counts):
+    """Exactly rounded sum_i terms[i] * counts[i]: fsum over the binary
+    expansion of the counts.  Each terms[i] * 2^b is exact, so this is the
+    same float as fsum over the multiset with terms[i] repeated counts[i]
+    times, from at most as many summands."""
+    powers = np.arange(int(counts.max(initial=0)).bit_length())
+    bits = (counts[:, None] >> powers) & 1 == 1
+    return math.fsum(np.ldexp(terms[:, None], powers)[bits].tolist())
 
 
 def _rest_terms(gram, m):
@@ -128,12 +144,13 @@ def _rest_terms(gram, m):
 
 
 def rest_sum(gram, m):
-    """R = sum_{w != w'} |kappa| (log m / m^2)^{1/(1+|kappa|)} with
-    error-free (fsum) accumulation."""
+    """R = sum_{w != w'} |kappa| (log m / m^2)^{1/(1+|kappa|)}, exactly
+    rounded: the count-weighted sum over the distinct |kappa|."""
     gram = _check_gram(gram)
     if m < 2:
         raise ValueError("m must be >= 2")
-    return _fsum(_rest_terms(gram, m)[1])
+    _, _, counts, terms = _rest_terms(gram, m)
+    return _weighted_fsum(terms, counts)
 
 
 def rest_split(gram, m, rho, delta):
@@ -144,8 +161,9 @@ def rest_split(gram, m, rho, delta):
         raise ValueError(f"delta={delta} outside (0, 1/3)")
     if not delta <= rho < 1:
         raise ValueError(f"rho={rho} outside [delta, 1)")
-    a, t = _rest_terms(gram, m)
-    return _fsum(t[a >= rho]), _fsum(t[(a >= delta) & (a < rho)]), _fsum(t[a < delta])
+    _, v, c, t = _rest_terms(gram, m)
+    return tuple(_weighted_fsum(t[mask], c[mask])
+                 for mask in (v >= rho, (v >= delta) & (v < rho), v < delta))
 
 
 @dataclass
@@ -161,17 +179,21 @@ def comparison_bound(gram, threshold, flavor="abs"):
     """Li-Shao bound on |P{max <= T}(independent) - P{max <= T}(gram)|:
     (1/4 for abs, 1/8 for normal) * sum_{w != w'} |kappa| exp(-T^2/(1+|kappa|)).
     The largest term's pair is the first in row-major order, (0, 0) when
-    every term is 0.
+    every term is 0.  A non-finite threshold raises ValueError.
     """
     gram = _check_gram(gram)
     if flavor not in ("abs", "normal"):
         raise ValueError(f"flavor must be 'abs' or 'normal', got {flavor!r}")
+    threshold = float(threshold)
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold T={threshold} is not finite")
     factor = 0.25 if flavor == "abs" else 0.125
-    t2 = float(threshold) ** 2
-    t = _offdiag_terms(gram, lambda a: a * math.exp(-t2 / (1.0 + a)))[1]
-    i, j = np.unravel_index(np.argmax(t), t.shape)
-    return ComparisonBound(value=factor * _fsum(t), threshold=float(threshold),
-                           flavor=flavor, max_term=factor * float(t[i, j]),
+    t2 = threshold ** 2
+    a, v, c, t = _offdiag_terms(gram, lambda a: a * math.exp(-t2 / (1.0 + a)))
+    top = t.max()
+    i, j = np.unravel_index(np.argmax(np.isin(a, v[t == top])), a.shape)
+    return ComparisonBound(value=factor * _weighted_fsum(t, c), threshold=threshold,
+                           flavor=flavor, max_term=factor * float(top),
                            argmax_pair=(int(i), int(j)))
 
 

@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (CoefficientVector, DimensionMismatch, ExplicitFrame, Frame,
                    FrameError, IterationError)
@@ -146,11 +147,14 @@ def _upsample_filter(f, step):
 
 def _shifted_atoms(bases, rows, shifts):
     """Circular shifts of unit base atoms: np.roll(bases[rows], shifts),
-    gathered in one indexing step.  Scalar rows/shifts give one (n,) atom,
-    index arrays give one atom per row."""
-    rows, shifts = np.asarray(rows), np.asarray(shifts)
+    gathered as contiguous windows of the stack doubled along the shift
+    axis (window s of a doubled row is the row rolled by -s).  Scalar
+    rows/shifts give one (n,) atom, index arrays give one atom per row."""
     n = bases.shape[1]
-    return bases[rows[..., None], (np.arange(n) - shifts[..., None]) % n]
+    windows = sliding_window_view(np.concatenate([bases, bases], axis=1), n, axis=1)
+    atoms = windows[rows, -np.asarray(shifts) % n]
+    # scalar indices select a read-only window view; give the caller its own
+    return atoms.copy() if atoms.ndim == 1 else atoms
 
 
 def _check_dyadic(n):

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from framethresh import io as ftio
 from framethresh.cli import main
@@ -330,5 +331,34 @@ def test_simulate_manifest_records_versions_and_output_digests(tmp_path):
     assert code == 0
     manifest = json.loads((tmp_path / "g.json.manifest.json").read_text())
     assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+    assert manifest["versions"]["scipy"] == scipy.__version__
     assert manifest["output_sha256"] == {
         str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, qq)}
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["diagnose", "--frame-spec", '{"type":"ti"}', "--n-list", "16", "32", "64",
+      "--T", "nan"], "--T"),
+    (["diagnose", "--frame-spec", '{"type":"ti"}', "--n-list", "16", "32", "64",
+      "--T", "2", "--T", "inf"], "--T"),
+    (["diagnose", "--frame-spec", '{"type":"ti"}', "--n-list", "64", "32", "16"],
+     "--n-list"),
+    (["simulate", "--experiment", "gumbel", "--frame-spec", '{"type":"wavelet","n":64}',
+      "--trials", "5", "--seed", "1"], "--trials"),
+    (["simulate", "--experiment", "risk1d", "--T", "-1", "--trials", "10", "--seed", "1"],
+     "--T"),
+    (["simulate", "--experiment", "risk1d", "--T", "nan", "--trials", "10", "--seed", "1"],
+     "--T"),
+    (["simulate", "--experiment", "sidak", "--frame-spec", '{"type":"wavelet","n":64}',
+      "--T", "nan", "--trials", "20", "--seed", "1"], "--T"),
+    (["simulate", "--experiment", "comparison", "--T", "nan", "--matrices", "2",
+      "--draws", "1000", "--seed", "1"], "--T")],
+    ids=["diagnose-T-nan", "diagnose-T-inf", "diagnose-decreasing-n", "gumbel-5-trials",
+         "risk1d-T-negative", "risk1d-T-nan", "sidak-T-nan", "comparison-T-nan"])
+def test_invalid_values_are_validation_errors(tmp_path, capsys, args, flag):
+    out = tmp_path / "out.json"
+    code = main([*args, "--out", str(out)])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err)["error"]
+    assert payload["kind"] == "validation" and payload["flag"] == flag
+    assert not out.exists()

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from framethresh.diagnostics import (ComparisonBound, comparison_bound,
-                                     frame_gram, rest_split, rest_sum,
-                                     stability_check)
+from framethresh.diagnostics import (ComparisonBound, _weighted_fsum,
+                                     comparison_bound, frame_gram, rest_split,
+                                     rest_sum, stability_check)
 from framethresh.transforms import (CycleSpinFrame, SineFrame, TIWaveletFrame,
                                     WaveletBasis)
 
@@ -76,10 +78,21 @@ def test_offdiag_sums_match_elementwise_reference(rng):
     a = rng.uniform(-1, 1, (40, 40))
     random = np.clip((a + a.T) / 2, -0.999, 0.999)
     np.fill_diagonal(random, 1.0)
+    # non-symmetric: the first maximal pair, (1, 0), lies below the diagonal
+    lower = np.array([[1.0, 0.1, 0.2], [0.7, 1.0, 0.3], [0.2, -0.7, 1.0]])
+    # at T=1, |kappa| = 0.1004 and the next smaller float give equal terms:
+    # the first maximal pair, (0, 1), holds the larger of the two
+    tie = np.eye(3)
+    tie[0, 1], tie[1, 2] = 0.1004, np.nextafter(0.1004, 0.0)
     # numpy's vectorized exp and pow (on AVX-512 hosts) move some TI cdf97r
     # n=32 sums by one ulp against the C library's scalar functions
+    # TI haar n=64: 384 x 384 with few distinct values whose counts have
+    # many set bits
     grams = [frame_gram(TIWaveletFrame(16, "haar")), frame_gram(SineFrame(32, 2)),
-             frame_gram(TIWaveletFrame(32, "cdf97r")), random, np.eye(5)]
+             frame_gram(TIWaveletFrame(32, "cdf97r")), frame_gram(TIWaveletFrame(64, "haar")),
+             random, lower, tie, np.eye(5)]
+    assert comparison_bound(lower, 1.0).argmax_pair == (1, 0)
+    assert comparison_bound(tie, 1.0).argmax_pair == (0, 1)
     for gram in grams:
         m = gram.shape[0]
         for threshold in (1.0, 3.0):
@@ -90,6 +103,13 @@ def test_offdiag_sums_match_elementwise_reference(rng):
                 assert rest_split(gram, m, 0.5, 0.2) == parts
                 cb = comparison_bound(gram, threshold, flavor)
                 assert (cb.value, cb.max_term, cb.argmax_pair) == (value, max_term, argmax)
+
+
+@given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.integers(0, 2 ** 20)), max_size=4))
+def test_weighted_fsum_equals_fsum_of_repeated_terms(pairs):
+    terms = np.array([t for t, _ in pairs], dtype=float)
+    counts = np.array([c for _, c in pairs], dtype=np.int64)
+    assert _weighted_fsum(terms, counts) == math.fsum(np.repeat(terms, counts).tolist())
 
 
 def test_rest_sum_monotone_in_coherence(rng):
@@ -229,3 +249,17 @@ def test_stability_counts_even_and_diagonal_variant():
 def test_stability_needs_three_frames():
     with pytest.raises(ValueError):
         stability_check([WaveletBasis(64, "haar")], rho=0.5)
+
+
+@pytest.mark.parametrize("ns", [(64, 32, 16), (16, 32, 32), (32, 16, 64)])
+def test_stability_needs_strictly_increasing_n(ns):
+    with pytest.raises(ValueError, match="strictly increase"):
+        stability_check([TIWaveletFrame(n, "haar") for n in ns], rho=0.5)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_comparison_bound_rejects_non_finite_threshold(threshold):
+    gram = np.full((3, 3), 0.5)
+    np.fill_diagonal(gram, 1.0)
+    with pytest.raises(ValueError, match="not finite"):
+        comparison_bound(gram, threshold)

@@ -7,7 +7,7 @@ from framethresh.core import ExplicitFrame, FrameError
 from framethresh.shrink import shrink_value
 from framethresh.transforms import (CDF97, D4, HAAR, CycleSpinFrame, SineFrame,
                                     TIWaveletFrame, WaveletBasis, _dwt_raw,
-                                    _idwt_raw, cs_distinct_count,
+                                    _idwt_raw, _shifted_atoms, cs_distinct_count,
                                     cycle_spin_denoise_loop, frame_from_spec,
                                     get_filters)
 
@@ -68,6 +68,27 @@ def test_atom_counts_and_labels():
     assert wb.carry_dim == 4
     js = wb.label_arrays()[0]
     assert js.min() == 2 and js.max() == 4
+
+
+def test_shifted_atoms_equal_rolled_bases(rng):
+    n = 16
+    bases = rng.standard_normal((3, n))
+    shifts = np.arange(-2 * n, 2 * n + 1)
+    for row in range(3):
+        for shift in shifts:
+            atom = _shifted_atoms(bases, row, shift)
+            assert np.array_equal(atom, np.roll(bases[row], shift))
+        # one row, an array of shifts
+        assert np.array_equal(_shifted_atoms(bases, row, shifts),
+                              np.stack([np.roll(bases[row], s) for s in shifts]))
+    rows = np.repeat(np.arange(3), len(shifts))
+    block = _shifted_atoms(bases, rows, np.tile(shifts, 3))
+    assert np.array_equal(block, np.stack(
+        [np.roll(bases[r], s) for r, s in zip(rows, np.tile(shifts, 3))]))
+    # a single atom is the caller's own array, not a view into the stack
+    atom = _shifted_atoms(bases, np.int64(1), np.int64(-5))
+    atom[:] = 0.0
+    assert np.array_equal(_shifted_atoms(bases, 1, -5), np.roll(bases[1], -5))
 
 
 def test_wavelet_atoms_unit_norm_all_scales():
