@@ -84,6 +84,12 @@ def _load_frame(spec, load=frame_from_spec, flag="--frame-spec"):
         _fail(EXIT_VALIDATION, "validation", str(exc), flag)
 
 
+def _check_sigma(sigma):
+    if not (math.isfinite(sigma) and sigma > 0):
+        _fail(EXIT_VALIDATION, "validation",
+              f"sigma={sigma} must be finite and > 0", "--sigma")
+
+
 def _read_signal(path, flag):
     try:
         return io.read_signal(path)
@@ -96,8 +102,7 @@ def _read_signal(path, flag):
 # --- thresholds ---------------------------------------------------------------
 
 def cmd_thresholds(args):
-    if args.sigma <= 0:
-        _fail(EXIT_VALIDATION, "validation", "sigma must be > 0", "--sigma")
+    _check_sigma(args.sigma)
     if args.n < 2:
         _fail(EXIT_VALIDATION, "validation", "n must be >= 2", "--n")
     for a in args.alpha:
@@ -149,8 +154,7 @@ def cmd_denoise(args):
     if not np.all(np.isfinite(data)):
         _fail(EXIT_VALIDATION, "validation",
               "input signal contains NaN or infinite values", "--input")
-    if args.sigma <= 0:
-        _fail(EXIT_VALIDATION, "validation", "sigma must be > 0", "--sigma")
+    _check_sigma(args.sigma)
     clean = None
     if args.clean:
         clean = _read_signal(args.clean, "--clean")
@@ -192,8 +196,10 @@ def cmd_denoise(args):
 def cmd_simulate(args):
     if args.trials < 1:
         _fail(EXIT_VALIDATION, "validation", "trials must be >= 1", "--trials")
-    if args.sigma <= 0:
-        _fail(EXIT_VALIDATION, "validation", "sigma must be > 0", "--sigma")
+    _check_sigma(args.sigma)
+    if not 0 <= args.seed < 2 ** 64:
+        _fail(EXIT_VALIDATION, "validation",
+              f"seed {args.seed} must be in [0, 2^64)", "--seed")
     for T in args.T:
         if not (math.isfinite(T) and T >= 0):
             _fail(EXIT_VALIDATION, "validation",

@@ -2,11 +2,13 @@
 
 Every Monte Carlo trial draws from its own Philox stream keyed by
 (seed, trial index), so results are bit-identical however trials are
-scheduled.  The harness runs trials in blocks by stacking these per-trial
-draws, one row per trial; no stream is shared between rows, so the block
-layout changes no draw.  Normal variates go through the inverse-CDF transform applied to
-open-interval uniforms (scipy's ndtri rational approximation, absolute error
-well below 1e-9), keeping the streams platform-independent.
+scheduled.  The harness draws a block of trials in one call: one Philox bit
+generator is re-keyed to (seed, t) for each row t, which puts it in exactly
+the state of a fresh generator for that key, so row t is trial t's own draw
+and the block layout changes no draw.  Normal variates go through the
+inverse-CDF transform applied to open-interval uniforms (scipy's ndtri
+rational approximation, absolute error well below 1e-9), keeping the streams
+platform-independent.
 """
 
 from __future__ import annotations
@@ -25,13 +27,31 @@ def trial_generator(seed, trial):
 
 def open_uniform(gen, size):
     """Uniforms in the open interval (0, 1): (k + 0.5)/2^53."""
-    return (gen.integers(0, 2 ** 53, size=size).astype(float) + 0.5) / _U53
+    return _to_open_uniform(gen.integers(0, 2 ** 53, size=size))
+
+
+def _to_open_uniform(k):
+    return (k.astype(float) + 0.5) / _U53
 
 
 def normal(seed, trial, size, sigma=1.0):
-    """sigma * N(0,1) variates for one trial, via inverse CDF."""
-    gen = trial_generator(seed, trial)
-    return sigma * ndtri(open_uniform(gen, size))
+    """sigma * N(0,1) variates via inverse CDF: a (size,) draw for one trial
+    index, or a (len(trial), size) block for a sequence of trial indices,
+    row i being trial[i]'s own draw."""
+    if np.ndim(trial) == 0:
+        return sigma * ndtri(open_uniform(trial_generator(seed, trial), size))
+    trials = list(trial)
+    gen = trial_generator(seed, 0)
+    bits = gen.bit_generator
+    # a fresh generator's state (counter 0, empty buffer); only the key's
+    # trial word changes from row to row
+    state = bits.state
+    k = np.empty((len(trials), size), dtype=np.int64)
+    for row, t in enumerate(trials):
+        state["state"]["key"][1] = t
+        bits.state = state
+        k[row] = gen.integers(0, 2 ** 53, size=size)
+    return sigma * ndtri(_to_open_uniform(k))
 
 
 def stream_normal(gen, size, sigma=1.0):

@@ -2,8 +2,9 @@
 
 Every experiment draws trial t of a run from an independent Philox stream
 keyed by (seed, t), so reports are bit-identical for identical (seed, config)
-regardless of trial scheduling.  Trials run in blocks: the rows of a block
-are the trials' own draws, stacked, and each block goes through one batched
+regardless of trial scheduling.  Trials run in blocks: a block's noise is
+one rng.normal call, which re-keys one Philox generator per row so that each
+row is its trial's own draw, and each block goes through one batched
 analyze, shrink and reduce (and one dual_synthesize for the risk).  A block
 holds at most _BLOCK_ENTRIES coefficients, so memory stays bounded at every
 n, and the layout depends only on the frame's atom count and the trial
@@ -57,7 +58,7 @@ def _noise_blocks(frame, cfg):
     per_block = max(1, _BLOCK_ENTRIES // frame.atom_count)
     for start in range(0, cfg.trials, per_block):
         trials = range(start, min(start + per_block, cfg.trials))
-        yield np.stack([_rng.normal(cfg.seed, t, frame.n, cfg.sigma) for t in trials])
+        yield _rng.normal(cfg.seed, trials, frame.n, cfg.sigma)
 
 
 @dataclass

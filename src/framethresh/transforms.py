@@ -19,8 +19,10 @@ orthonormal filters, a genuine correction for CDF 9/7), so noise coefficients
 have variance sigma^2 in every coordinate.
 
 Every frame's analyze and dual_synthesize act along the last axis, so a
-(B, n) block of signals is one call: the filter banks roll along axis -1, and
-the TI and sine analyses are one FFT of the block.
+(B, n) block of signals is one call: the filter banks read each tap as a
+strided view of the wrap-padded block, cycle spinning stacks its M shifts
+into one (B*M, n) basis call, and the TI and sine analyses are one FFT of
+the block.
 """
 
 from __future__ import annotations
@@ -107,34 +109,58 @@ def get_filters(name):
 
 
 # --- periodic filtering primitives -----------------------------------------
-# All act along the last axis; leading axes are a batch of signals.
+# All act along the last axis; leading axes are a batch of signals.  Each
+# wrap-pads its input once and reads every filter tap as a strided view of
+# the padded array (polyphase form).  Taps are added in increasing order onto
+# a +0.0 start, skipping zero taps, so every output entry sums the same
+# nonzero terms in the same order as the circular-shift formulas.
+
+def _wrap_pad(x, before, after):
+    """x extended periodically along the last axis: entry i of the result
+    is x[(i - before) mod n], for i in [0, before + n + after)."""
+    n = x.shape[-1]
+    if before > n or after > n:
+        return x[..., np.arange(-before, n + after) % n]
+    return np.concatenate([x[..., n - before:], x, x[..., :after]], axis=-1)
+
 
 def _periodic_correlate_down(x, f):
     """y[k] = sum_m f[m] x[(2k+m) mod n]."""
-    y = np.zeros(x.shape[:-1] + (x.shape[-1] // 2,))
+    n = x.shape[-1]
+    xp = _wrap_pad(x, 0, max(len(f) - 2, 0))
+    y = np.zeros(x.shape[:-1] + (n // 2,))
     for m, fm in enumerate(f):
         if fm != 0.0:
-            y += fm * np.roll(x, -m, axis=-1)[..., ::2]
+            y += fm * xp[..., m:m + n - 1:2]
     return y
 
 
 def _periodic_up_conv(a, f, n):
-    """x[i] = sum_k a[k] f[(i-2k) mod n]."""
-    up = np.zeros(a.shape[:-1] + (n,))
-    up[..., ::2] = a
-    y = np.zeros_like(up)
-    for m, fm in enumerate(f):
-        if fm != 0.0:
-            y += fm * np.roll(up, m, axis=-1)
+    """x[i] = sum_k a[k] f[(i-2k) mod n].
+
+    Output phase p (i = 2q + p) takes only the taps m = p (mod 2), tap m
+    reading a[(q - (m-p)/2) mod n/2]."""
+    h = n // 2
+    before = (len(f) - 1) // 2
+    ap = _wrap_pad(a, before, 0)
+    y = np.zeros(a.shape[:-1] + (n,))
+    for p in (0, 1):
+        yp = y[..., p::2]
+        for m in range(p, len(f), 2):
+            if f[m] != 0.0:
+                s = before - (m - p) // 2
+                yp += f[m] * ap[..., s:s + h]
     return y
 
 
 def _periodic_correlate(x, f):
     """Undecimated: y[i] = sum_m f[m] x[(i+m) mod n]."""
+    n = x.shape[-1]
+    xp = _wrap_pad(x, 0, len(f) - 1)
     y = np.zeros_like(x)
     for m, fm in enumerate(f):
         if fm != 0.0:
-            y += fm * np.roll(x, -m, axis=-1)
+            y += fm * xp[..., m:m + n]
     return y
 
 
@@ -272,6 +298,10 @@ class WaveletBasis(Frame):
 
     def dual_synthesize(self, coeffs):
         self._check_coeffs(coeffs)
+        if coeffs.carry is not None and coeffs.carry.shape[-1] != self.carry_dim:
+            raise DimensionMismatch(
+                f"carry has {coeffs.carry.shape[-1]} entries, frame {self.name} "
+                f"carries {self.carry_dim}")
         details = self._values_to_details(coeffs.values * self._scale)
         approx = coeffs.carry if coeffs.carry is not None \
             else np.zeros(coeffs.values.shape[:-1] + (self.carry_dim,))
@@ -347,28 +377,38 @@ class CycleSpinFrame(Frame):
                         np.repeat(np.arange(M), basis.atom_count))
 
     def analyze(self, signal):
+        """The M shifted signals go through one basis analysis as a
+        (B*M, n) block; row m of a signal's stack is the signal rolled by -m
+        (a window of the signal doubled along its last axis)."""
         signal = self._check_signal(signal)
-        vals = []
-        carries = []
-        for m in range(self.M):
-            cv = self.basis.analyze(np.roll(signal, -m, axis=-1))
-            vals.append(cv.values)
-            carries.append(cv.carry)
-        return CoefficientVector(np.concatenate(vals, axis=-1), ("j", "k", "m"),
-                                 self._labels, carry=np.concatenate(carries, axis=-1))
+        lead = signal.shape[:-1]
+        doubled = np.concatenate([signal, signal], axis=-1)
+        shifted = sliding_window_view(doubled, self.n, axis=-1)[..., :self.M, :]
+        cv = self.basis.analyze(shifted.reshape(-1, self.n))
+        return CoefficientVector(cv.values.reshape(lead + (self.atom_count,)),
+                                 ("j", "k", "m"), self._labels,
+                                 carry=cv.carry.reshape(lead + (self.M * self.carry_dim,)))
 
     def dual_synthesize(self, coeffs):
+        """One basis synthesis of the (B*M, atoms) block of per-shift
+        coefficients, then the average of the reconstructions rolled back
+        by their shifts."""
         self._check_coeffs(coeffs)
-        bc = self.basis.atom_count
-        cd = self.basis.carry_dim
-        out = np.zeros(coeffs.values.shape[:-1] + (self.n,))
+        lead = coeffs.values.shape[:-1]
+        carry = coeffs.carry
+        if carry is not None:
+            if carry.shape[-1] != self.M * self.basis.carry_dim:
+                raise DimensionMismatch(
+                    f"carry has {carry.shape[-1]} entries, frame {self.name} "
+                    f"carries {self.M * self.basis.carry_dim}")
+            carry = carry.reshape(-1, self.basis.carry_dim)
+        rec = self.basis.dual_synthesize(CoefficientVector(
+            coeffs.values.reshape(-1, self.basis.atom_count), ("j", "k"),
+            self.basis.label_arrays(), carry=carry))
+        rec = rec.reshape(lead + (self.M, self.n))
+        out = np.zeros(lead + (self.n,))
         for m in range(self.M):
-            block = coeffs.values[..., m * bc:(m + 1) * bc]
-            carry = None if coeffs.carry is None \
-                else coeffs.carry[..., m * cd:(m + 1) * cd]
-            cv = CoefficientVector(block, ("j", "k"), self.basis.label_arrays(),
-                                   carry=carry)
-            out += np.roll(self.basis.dual_synthesize(cv), m, axis=-1)
+            out += np.roll(rec[..., m, :], m, axis=-1)
         return out / self.M
 
     def atom(self, position):

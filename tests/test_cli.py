@@ -352,9 +352,21 @@ def test_simulate_manifest_records_versions_and_output_digests(tmp_path):
     (["simulate", "--experiment", "sidak", "--frame-spec", '{"type":"wavelet","n":64}',
       "--T", "nan", "--trials", "20", "--seed", "1"], "--T"),
     (["simulate", "--experiment", "comparison", "--T", "nan", "--matrices", "2",
-      "--draws", "1000", "--seed", "1"], "--T")],
+      "--draws", "1000", "--seed", "1"], "--T"),
+    (["thresholds", "--n", "64", "--sigma", "nan"], "--sigma"),
+    (["thresholds", "--n", "64", "--sigma", "inf"], "--sigma"),
+    (["simulate", "--experiment", "gumbel", "--frame-spec", '{"type":"wavelet","n":64}',
+      "--trials", "20", "--seed", "1", "--sigma", "nan"], "--sigma"),
+    (["simulate", "--experiment", "coverage", "--frame-spec", '{"type":"wavelet","n":64}',
+      "--trials", "20", "--seed", "1", "--sigma", "inf"], "--sigma"),
+    (["simulate", "--experiment", "gumbel", "--frame-spec", '{"type":"wavelet","n":64}',
+      "--trials", "20", "--seed", "-1"], "--seed"),
+    (["simulate", "--experiment", "gumbel", "--frame-spec", '{"type":"wavelet","n":64}',
+      "--trials", "20", "--seed", str(2 ** 64)], "--seed")],
     ids=["diagnose-T-nan", "diagnose-T-inf", "diagnose-decreasing-n", "gumbel-5-trials",
-         "risk1d-T-negative", "risk1d-T-nan", "sidak-T-nan", "comparison-T-nan"])
+         "risk1d-T-negative", "risk1d-T-nan", "sidak-T-nan", "comparison-T-nan",
+         "thresholds-sigma-nan", "thresholds-sigma-inf", "simulate-sigma-nan",
+         "coverage-sigma-inf", "simulate-seed-negative", "simulate-seed-2^64"])
 def test_invalid_values_are_validation_errors(tmp_path, capsys, args, flag):
     out = tmp_path / "out.json"
     code = main([*args, "--out", str(out)])
@@ -362,3 +374,25 @@ def test_invalid_values_are_validation_errors(tmp_path, capsys, args, flag):
     payload = json.loads(capsys.readouterr().err)["error"]
     assert payload["kind"] == "validation" and payload["flag"] == flag
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "0"])
+def test_denoise_non_finite_sigma_is_validation_error(tmp_path, capsys, sigma):
+    sig = tmp_path / "x.csv"
+    ftio.write_signal(sig, np.zeros(16))
+    out = tmp_path / "o.csv"
+    code = main(["denoise", "--input", str(sig), "--frame-spec", '{"type":"wavelet","n":16}',
+                 "--sigma", sigma, "--output", str(out)])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err)["error"]
+    assert payload["kind"] == "validation" and payload["flag"] == "--sigma"
+    assert not out.exists()
+
+
+def test_simulate_accepts_largest_seed(tmp_path):
+    out = tmp_path / "r.json"
+    code = main(["simulate", "--experiment", "gumbel", "--frame-spec",
+                 '{"type":"wavelet","n":16}', "--trials", "10",
+                 "--seed", str(2 ** 64 - 1), "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["seed"] == 2 ** 64 - 1

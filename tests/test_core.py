@@ -15,6 +15,7 @@ ALL_SMALL_FRAMES = [
     WaveletBasis(64, "d4"),
     WaveletBasis(64, "cdf97"),
     CycleSpinFrame(64, 4, "haar"),
+    CycleSpinFrame(64, 4, "d4", coarsest_level=2),
     TIWaveletFrame(64, "haar"),
     SineFrame(64, 2),
 ]
@@ -277,6 +278,7 @@ BATCH_FRAMES = [
     WaveletBasis(64, "haar"),
     WaveletBasis(64, "cdf97"),
     CycleSpinFrame(64, 4, "haar"),
+    CycleSpinFrame(64, 4, "d4", coarsest_level=2),
     TIWaveletFrame(64, "haar"),
     TIWaveletFrame(64, "cdf97r"),
     SineFrame(64, 1),

@@ -240,6 +240,16 @@ def test_empirical_distribution_cdf_convention():
     assert dist.cdf(3.0) == 1.0
 
 
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("sigma", [1.0, 0.5, 0.0])
+@pytest.mark.parametrize("n", [1, 3, 1024])
+def test_block_normal_equals_stacked_trial_draws(seed, sigma, n):
+    block = rng_normal(seed, range(3, 9), n, sigma)
+    stacked = np.stack([rng_normal(seed, t, n, sigma) for t in range(3, 9)])
+    assert block.shape == (6, n)
+    assert block.tobytes() == stacked.tobytes()
+
+
 def _reference_maxima(frame, cfg):
     """The per-trial loop the block harness replaces."""
     return np.sort([np.max(np.abs(frame.analyze(

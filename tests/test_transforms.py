@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from framethresh.core import ExplicitFrame, FrameError
+from framethresh.core import CoefficientVector, DimensionMismatch, ExplicitFrame, FrameError
 from framethresh.shrink import shrink_value
-from framethresh.transforms import (CDF97, D4, HAAR, CycleSpinFrame, SineFrame,
+from framethresh.transforms import (CDF97, D4, FILTERS, HAAR, CycleSpinFrame, SineFrame,
                                     TIWaveletFrame, WaveletBasis, _dwt_raw,
-                                    _idwt_raw, _shifted_atoms, cs_distinct_count,
+                                    _idwt_raw, _periodic_correlate,
+                                    _periodic_correlate_down, _periodic_up_conv,
+                                    _shifted_atoms, _upsample_filter, cs_distinct_count,
                                     cycle_spin_denoise_loop, frame_from_spec,
                                     get_filters)
 
@@ -23,6 +25,59 @@ def test_one_level_perfect_reconstruction_even_lengths(filt, min_len, rng):
         details, approx = _dwt_raw(x, filt, 1)
         rec = _idwt_raw(details, approx, filt)
         assert np.max(np.abs(rec - x)) < 1e-10
+
+
+# --- periodic filtering primitives against the circular-shift formulas ---------
+# The oracles add f[m] * (x circularly shifted by m) in increasing m onto a
+# +0.0 start; the up-convolution shifts the zero-stuffed coefficients.
+
+def _roll_correlate_down(x, f):
+    y = np.zeros(x.shape[:-1] + (x.shape[-1] // 2,))
+    for m, fm in enumerate(f):
+        if fm != 0.0:
+            y += fm * np.roll(x, -m, axis=-1)[..., ::2]
+    return y
+
+
+def _roll_up_conv(a, f, n):
+    up = np.zeros(a.shape[:-1] + (n,))
+    up[..., ::2] = a
+    y = np.zeros_like(up)
+    for m, fm in enumerate(f):
+        if fm != 0.0:
+            y += fm * np.roll(up, m, axis=-1)
+    return y
+
+
+def _roll_correlate(x, f):
+    y = np.zeros_like(x)
+    for m, fm in enumerate(f):
+        if fm != 0.0:
+            y += fm * np.roll(x, -m, axis=-1)
+    return y
+
+
+def _signed_zero_inputs(shape, rng):
+    x = rng.standard_normal(shape)
+    x[..., ::3] = 0.0
+    x[..., 1::4] = -0.0
+    return [x, np.zeros(shape), -np.zeros(shape)]
+
+
+@pytest.mark.parametrize("name", sorted(FILTERS))
+@pytest.mark.parametrize("n", [2, 4, 6, 16, 1024])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["1d", "block"])
+def test_filter_primitives_equal_roll_formulas_bytewise(name, n, lead, rng):
+    for f in FILTERS[name].arrays():
+        for x in _signed_zero_inputs(lead + (n,), rng):
+            assert (_periodic_correlate_down(x, f).tobytes()
+                    == _roll_correlate_down(x, f).tobytes())
+            a = x[..., : n // 2]
+            assert _periodic_up_conv(a, f, n).tobytes() == _roll_up_conv(a, f, n).tobytes()
+            # dilated taps as in the a-trous scheme, longer than n at small n
+            for step in (1, 2, 4):
+                g = _upsample_filter(f, step)
+                assert _periodic_correlate(x, g).tobytes() == _roll_correlate(x, g).tobytes()
 
 
 # --- decimated transform --------------------------------------------------------
@@ -116,6 +171,34 @@ def test_cs_energy_identity_on_wavelet_subspace(filters, M, rng):
     u -= (scaling @ u) * scaling  # wavelet-subspace component
     energy = float(np.sum(frame.analyze(u).values ** 2))
     assert energy == pytest.approx(M * float(u @ u), rel=1e-12)
+
+
+@pytest.mark.parametrize("M", [1, 2, 4, 8])
+def test_cs_equals_per_shift_basis_calls_bytewise(M, rng):
+    frame = CycleSpinFrame(64, M, "d4", coarsest_level=2)
+    basis = frame.basis
+    for x in (rng.standard_normal(64), rng.standard_normal((3, 64))):
+        cv = frame.analyze(x)
+        shifted = [basis.analyze(np.roll(x, -m, axis=-1)) for m in range(M)]
+        assert cv.values.tobytes() == np.concatenate(
+            [s.values for s in shifted], axis=-1).tobytes()
+        assert cv.carry.tobytes() == np.concatenate(
+            [s.carry for s in shifted], axis=-1).tobytes()
+        out = np.zeros(x.shape)
+        for m, s in enumerate(shifted):
+            out += np.roll(basis.dual_synthesize(s), m, axis=-1)
+        assert frame.dual_synthesize(cv).tobytes() == (out / M).tobytes()
+
+
+@pytest.mark.parametrize("frame", [WaveletBasis(64, "haar", coarsest_level=2),
+                                   CycleSpinFrame(64, 4, "haar", coarsest_level=2)],
+                         ids=lambda frame: frame.name)
+def test_carry_of_wrong_length_is_rejected(frame):
+    cv = frame.analyze(np.ones((2, 64)))
+    for carry in (cv.carry[:, :-1], np.ones((2, cv.carry.shape[-1] + 1))):
+        with pytest.raises(DimensionMismatch):
+            frame.dual_synthesize(CoefficientVector(cv.values, cv.label_names, cv.labels,
+                                                    carry))
 
 
 def test_cs_rejects_biorthogonal_and_bad_M():
