@@ -168,9 +168,11 @@ class Frame:
             raise DimensionMismatch(
                 f"coefficient values have shape {values.shape}, frame "
                 f"{self.name} has {self.atom_count} atoms")
-        if coeffs.carry is not None and coeffs.carry.shape[:-1] != values.shape[:-1]:
+        carry = coeffs.carry
+        if carry is not None and carry.shape != values.shape[:-1] + (self.carry_dim,):
             raise DimensionMismatch(
-                f"carry has shape {coeffs.carry.shape}, values {values.shape}")
+                f"carry has shape {carry.shape}, values {values.shape}; frame "
+                f"{self.name} carries {self.carry_dim}")
         return coeffs
 
 

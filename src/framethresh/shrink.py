@@ -33,9 +33,13 @@ def shrink_value(y, threshold, rule="soft"):
     if threshold < 0:
         raise ValueError(f"threshold {threshold} must be >= 0")
     y = np.asarray(y, dtype=float)
-    a = np.abs(y)
     if rule == "soft":
-        return np.sign(y) * np.maximum(a - threshold, 0.0)
+        # in place on one fresh array; [()] gives a 0-d input its scalar
+        a = np.abs(y, out=np.empty_like(y))
+        a -= threshold
+        np.maximum(a, 0.0, out=a)
+        return np.copysign(a, y, out=a)[()]
+    a = np.abs(y)
     if rule == "hard":
         return np.where(a >= threshold, y, 0.0)
     if rule == "garrote":

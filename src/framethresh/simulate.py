@@ -43,6 +43,10 @@ class McConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # the seed is the first Philox key word, a uint64
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or not 0 <= self.seed < 2 ** 64):
+            raise ValueError(f"seed {self.seed!r} must be an integer in [0, 2^64)")
         if not self.sigma >= 0:
             raise ValueError("sigma must be >= 0")
 

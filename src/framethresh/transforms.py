@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (CoefficientVector, DimensionMismatch, ExplicitFrame, Frame,
-                   FrameError, IterationError)
+from .core import CoefficientVector, ExplicitFrame, Frame, FrameError, IterationError
 
 SQRT2 = np.sqrt(2.0)
 
@@ -298,10 +297,6 @@ class WaveletBasis(Frame):
 
     def dual_synthesize(self, coeffs):
         self._check_coeffs(coeffs)
-        if coeffs.carry is not None and coeffs.carry.shape[-1] != self.carry_dim:
-            raise DimensionMismatch(
-                f"carry has {coeffs.carry.shape[-1]} entries, frame {self.name} "
-                f"carries {self.carry_dim}")
         details = self._values_to_details(coeffs.values * self._scale)
         approx = coeffs.carry if coeffs.carry is not None \
             else np.zeros(coeffs.values.shape[:-1] + (self.carry_dim,))
@@ -367,7 +362,7 @@ class CycleSpinFrame(Frame):
         self.M = M
         self.n = basis.n
         self.atom_count = M * basis.atom_count
-        self.carry_dim = basis.carry_dim
+        self.carry_dim = M * basis.carry_dim  # one basis carry per shift
         self.span_dim = None  # determined numerically when needed
         if basis.coarsest_level == 0:
             self.bounds = (float(M), float(M))
@@ -387,7 +382,7 @@ class CycleSpinFrame(Frame):
         cv = self.basis.analyze(shifted.reshape(-1, self.n))
         return CoefficientVector(cv.values.reshape(lead + (self.atom_count,)),
                                  ("j", "k", "m"), self._labels,
-                                 carry=cv.carry.reshape(lead + (self.M * self.carry_dim,)))
+                                 carry=cv.carry.reshape(lead + (self.carry_dim,)))
 
     def dual_synthesize(self, coeffs):
         """One basis synthesis of the (B*M, atoms) block of per-shift
@@ -397,10 +392,6 @@ class CycleSpinFrame(Frame):
         lead = coeffs.values.shape[:-1]
         carry = coeffs.carry
         if carry is not None:
-            if carry.shape[-1] != self.M * self.basis.carry_dim:
-                raise DimensionMismatch(
-                    f"carry has {carry.shape[-1]} entries, frame {self.name} "
-                    f"carries {self.M * self.basis.carry_dim}")
             carry = carry.reshape(-1, self.basis.carry_dim)
         rec = self.basis.dual_synthesize(CoefficientVector(
             coeffs.values.reshape(-1, self.basis.atom_count), ("j", "k"),
@@ -459,8 +450,11 @@ class TIWaveletFrame(Frame):
 
     The multiset frame operator sum_j 2^j C_j is circulant: its spectrum is
     the FFT symbol computed once at construction, which gives the exact
-    frame bounds and, with the cached per-scale synthesis kernels, the
-    pseudoinverse as one division in the Fourier domain.
+    frame bounds and the pseudoinverse.  Dual synthesis works on the half
+    spectrum of its real inputs: one rfft of the coefficient block, a
+    multiply by per-scale kernels 2^j fft(base_j) / symbol (0 off the span)
+    cached at construction, a sum over scales plus the scaling part, and
+    one inverse FFT.
     """
 
     def __init__(self, n, filters=HAAR, coarsest_level=0):
@@ -475,6 +469,7 @@ class TIWaveletFrame(Frame):
         self.coarsest_level = int(coarsest_level)
         self.levels = J - coarsest_level
         self.atom_count = self.levels * self.n
+        self.carry_dim = self.n  # the undecimated coarsest scaling sequence
         self.name = f"ti[{filters.name},n={n},c={coarsest_level}]"
         js = np.repeat(np.arange(self.coarsest_level, J), self.n)
         ss = np.tile(np.arange(self.n), self.levels)
@@ -489,10 +484,9 @@ class TIWaveletFrame(Frame):
         self._analysis_mult = np.stack(
             [np.conj(np.fft.rfft(base[j])) / self._norms[j] for j in scales])
         self._scaling_mult = np.conj(np.fft.rfft(base_scaling))
-        # multiset weights 2^j; dual synthesis kernels 2^j fft(base_j)
+        # multiset weights 2^j
         weights = 2.0 ** np.arange(self.coarsest_level, J)[:, None]
         ah = np.fft.fft(self._bases)
-        self._synthesis_mult = weights * ah
         # FFT symbol of the multiset frame operator sum_j 2^j C_j, summed
         # finest first
         sym = (weights * np.abs(ah) ** 2)[::-1].sum(axis=0)
@@ -500,7 +494,15 @@ class TIWaveletFrame(Frame):
         self._good = sym > self.n * 1e-12 * sym.max()
         self.span_dim = int(np.count_nonzero(self._good))
         self.bounds = (float(sym[self._good].min()), float(sym.max()))
-        self._scaling_synthesis = self._scaling_kernel()
+        # dual synthesis acts on real data, so it needs only the half
+        # spectrum (the symbol and the good mask are real and even): per
+        # scale 2^j fft(base_j) / symbol on the good bins, 0 elsewhere, and
+        # the scaling kernel with its 2^c / n shift average folded in
+        h = self.n // 2 + 1
+        good = self._good[:h]
+        self._synthesis_kernel = np.zeros((self.levels, h), dtype=complex)
+        self._synthesis_kernel[:, good] = (weights * ah[:, :h])[:, good] / sym[:h][good]
+        self._scaling_synthesis = self._scaling_kernel()[:h] * (2 ** self.coarsest_level / self.n)
 
     def atom_multiplicity(self, position):
         return 2.0 ** self._labels[0][position]
@@ -543,17 +545,18 @@ class TIWaveletFrame(Frame):
 
     def dual_synthesize(self, coeffs):
         """Multiset pseudoinverse on the detail span plus the shift-averaged
-        scaling reconstruction (exact complement for orthonormal filters)."""
+        scaling reconstruction (exact complement for orthonormal filters):
+        (1/n) sum_s carry[s] T_s phi_synth, the average over all shifted
+        bases of their scaling-space reconstructions.  Both parts are summed
+        on the half spectrum and leave through one inverse FFT."""
         self._check_coeffs(coeffs)
         values = coeffs.values
-        spec = np.fft.fft(values.reshape(values.shape[:-1] + (self.levels, self.n)))
-        y = (self._synthesis_mult * spec).sum(axis=-2)  # coarsest first
-        y[..., self._good] /= self._fft_symbol[self._good]
-        y[..., ~self._good] = 0.0
-        out = np.fft.ifft(y).real
+        spec = np.fft.rfft(values.reshape(values.shape[:-1] + (self.levels, self.n)))
+        spec *= self._synthesis_kernel
+        y = spec.sum(axis=-2)  # coarsest first
         if coeffs.carry is not None:
-            out += self._scaling_reconstruct(coeffs.carry)
-        return out
+            y += np.fft.rfft(coeffs.carry) * self._scaling_synthesis
+        return np.fft.irfft(y, self.n)
 
     def _scaling_kernel(self):
         """FFT of the synthesis scaling atom at shift 0: delta run through
@@ -567,13 +570,6 @@ class TIWaveletFrame(Frame):
             # adjoint placement: conv with the (undilated-origin) filter
             synth = _fft_convolve(synth, lo)
         return _periodized_fft(synth, self.n)
-
-    def _scaling_reconstruct(self, carry):
-        """(1/n) sum_s carry[s] T_s phi_synth: average over all shifted bases
-        of their scaling-space reconstructions."""
-        mult = 2 ** self.coarsest_level
-        spec = np.fft.fft(carry) * self._scaling_synthesis
-        return np.fft.ifft(spec).real * (mult / self.n)
 
     def atom(self, position):
         j, s = (col[position] for col in self._labels)

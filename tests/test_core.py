@@ -319,6 +319,12 @@ def test_batched_operators_equal_stacked_rows(frame, rng):
     _assert_rows_equal(frame.dual_synthesize(coeffs), np.stack(per_row), frame)
 
 
+@pytest.mark.parametrize("frame", [frame for frame in BATCH_FRAMES if frame.carry_dim],
+                         ids=lambda frame: frame.name)
+def test_carry_dim_is_the_analysis_carry_length(frame):
+    assert frame.carry_dim == frame.analyze(np.zeros(frame.n)).carry.shape[-1]
+
+
 @pytest.mark.parametrize("frame", BATCH_FRAMES, ids=lambda frame: frame.name)
 def test_batched_operators_reject_bad_shapes(frame):
     for shape in [(3, frame.n + 1), (2, 3, frame.n)]:

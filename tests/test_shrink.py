@@ -21,6 +21,38 @@ def test_soft_rule_cases():
     assert shrink_value(0.5, 1.0, "soft") == 0.0
 
 
+def _soft_reference(y, T):
+    return np.sign(y) * np.maximum(np.abs(y) - T, 0.0)
+
+
+def _hard_garrote_reference(y, T):
+    a = np.abs(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.where(y != 0.0, 1.0 - (T / np.where(y != 0.0, a, 1.0)) ** 2, 0.0)
+    return np.where(a >= T, y, 0.0), y * np.maximum(factor, 0.0)
+
+
+@pytest.mark.parametrize("T", [0.0, 0.7, 2.5])
+def test_soft_rule_equals_sign_times_positive_part_bytewise(T, rng):
+    # the in-place soft rule gives the bytes of sign(y) (|y| - T)_+ on every
+    # input except -0.0, whose sign it keeps
+    specials = np.array([T, -T, np.inf, -np.inf, 1e-300, -1e-300, 0.0])
+    specials = specials[~np.signbit(specials) | (specials != 0.0)]  # -T = -0.0 at T = 0
+    for y in (rng.standard_normal((4, 33)) * 3, np.concatenate(
+            [specials, rng.standard_normal(9)]), specials):
+        assert shrink_value(y, T, "soft").tobytes() == _soft_reference(y, T).tobytes()
+        with np.errstate(over="ignore"):  # garrote's (T/y)^2 at y = 1e-300
+            hard, garrote = _hard_garrote_reference(y, T)
+            assert shrink_value(y, T, "hard").tobytes() == hard.tobytes()
+            assert shrink_value(y, T, "garrote").tobytes() == garrote.tobytes()
+    neg_zero = shrink_value(np.array([-0.0]), T, "soft")
+    assert neg_zero[0] == 0.0 and np.signbit(neg_zero[0])
+    for y in (-3.0, np.asarray(-3.0)):
+        out = shrink_value(y, T, "soft")
+        assert np.ndim(out) == 0 and not isinstance(out, np.ndarray)
+        assert out == _soft_reference(-3.0, T)
+
+
 def test_boundary_conventions():
     assert shrink_value(2.0, 2.0, "soft") == 0.0   # soft(T, T) = 0
     assert shrink_value(2.0, 2.0, "hard") == 2.0   # hard keeps |y| = T

@@ -310,3 +310,15 @@ def test_risk_experiments_need_two_trials():
         oracle_risk_experiment(WaveletBasis(16, "haar"), np.zeros(16), 0.1, cfg)
     with pytest.raises(ValueError, match="2 trials"):
         risk_1d_check([0.0], [3.0], cfg)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+def test_mc_config_rejects_seed_outside_uint64(seed):
+    with pytest.raises(ValueError, match=f"seed {seed!r}"):
+        McConfig(trials=2, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_mc_config_accepts_uint64_seed_end_points(seed):
+    dist = sample_max_abs(WaveletBasis(16, "haar", 2), McConfig(trials=2, seed=seed))
+    assert dist.count == 2 and np.all(np.isfinite(dist.samples))

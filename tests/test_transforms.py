@@ -191,11 +191,12 @@ def test_cs_equals_per_shift_basis_calls_bytewise(M, rng):
 
 
 @pytest.mark.parametrize("frame", [WaveletBasis(64, "haar", coarsest_level=2),
-                                   CycleSpinFrame(64, 4, "haar", coarsest_level=2)],
+                                   CycleSpinFrame(64, 4, "haar", coarsest_level=2),
+                                   TIWaveletFrame(64, "haar", coarsest_level=2)],
                          ids=lambda frame: frame.name)
 def test_carry_of_wrong_length_is_rejected(frame):
     cv = frame.analyze(np.ones((2, 64)))
-    for carry in (cv.carry[:, :-1], np.ones((2, cv.carry.shape[-1] + 1))):
+    for carry in (cv.carry[:, :-1], np.ones((2, cv.carry.shape[-1] + 1)), np.ones((2, 5))):
         with pytest.raises(DimensionMismatch):
             frame.dual_synthesize(CoefficientVector(cv.values, cv.label_names, cv.labels,
                                                     carry))
@@ -297,6 +298,42 @@ def test_ti_distinct_count():
     ti = TIWaveletFrame(64, "haar")
     assert ti.atom_count == 64 * 6  # n log2 n
     assert ti.distinct_count == ti.atom_count
+
+
+def _ti_full_fft_synthesis(frame, values, carry):
+    """Full-spectrum TI dual synthesis: fft of the coefficient block, the
+    per-scale kernels 2^j fft(base_j) summed coarsest first, a masked
+    division by the symbol, one ifft, and a second fft/ifft pair for the
+    carry."""
+    weights = 2.0 ** np.arange(frame.coarsest_level, frame.J)[:, None]
+    synthesis_mult = weights * np.fft.fft(frame._bases)
+    spec = np.fft.fft(values.reshape(values.shape[:-1] + (frame.levels, frame.n)))
+    y = (synthesis_mult * spec).sum(axis=-2)
+    y[..., frame._good] /= frame._fft_symbol[frame._good]
+    y[..., ~frame._good] = 0.0
+    out = np.fft.ifft(y).real
+    if carry is not None:
+        spec = np.fft.fft(carry) * frame._scaling_kernel()
+        out += np.fft.ifft(spec).real * (2 ** frame.coarsest_level / frame.n)
+    return out
+
+
+@pytest.mark.parametrize("name,n,c", [
+    (name, n, c) for name in FILTERS for n in (2, 4, 16, 256, 4096)
+    for c in range(3) if 2 ** c < n])
+def test_ti_half_spectrum_synthesis_matches_full_fft(name, n, c, rng):
+    frame = TIWaveletFrame(n, name, coarsest_level=c)
+    for lead in ((), (3,)):
+        values = rng.standard_normal(lead + (frame.atom_count,))
+        for carry in (None, rng.standard_normal(lead + (n,))):
+            out = frame.dual_synthesize(CoefficientVector(values, carry=carry))
+            oracle = _ti_full_fft_synthesis(frame, values, carry)
+            assert np.max(np.abs(out - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+            if lead:
+                rows = [frame.dual_synthesize(CoefficientVector(
+                    values[b], carry=None if carry is None else carry[b]))
+                    for b in range(3)]
+                assert out.tobytes() == np.stack(rows).tobytes()
 
 
 def test_ti_multiplicities():
