@@ -7,7 +7,9 @@ simulate and diagnose outputs byte-for-byte (seeded, counter-based
 randomness).
 
 Exit codes: 0 success, 2 invalid parameters, 3 parse error, 4 I/O error.
-Failures emit a machine-readable JSON object on stderr.
+Failures emit a machine-readable JSON object on stderr.  A run whose
+estimate, coefficients or report would hold a NaN or infinite value fails
+with exit 2 and writes nothing.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ def _fail(code, kind, message, flag=None):
 
 
 def _write_manifest(args, outputs, started, command):
+    """Write the manifest of a run; outputs holds its (flag, path) pairs, and
+    the manifest sits next to the first."""
+    flag, primary = outputs[0]
+    outputs = [path for _, path in outputs]
     manifest = {
         "command": command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
@@ -60,11 +66,39 @@ def _write_manifest(args, outputs, started, command):
         "outputs": outputs,
         "output_sha256": {path: _sha256(path) for path in outputs},
     }
-    path = (outputs[0] if outputs else "run") + ".manifest.json"
-    with open(path, "w") as fh:
-        json.dump(io.to_jsonable(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return _write(flag, io.write_report, primary + ".manifest.json", manifest)
+
+
+def _write(flag, write, path, *content):
+    """write(path, *content), with a file-system error mapped to exit 4
+    naming the flag that gave the path; returns (flag, path)."""
+    try:
+        write(path, *content)
+    except OSError as exc:
+        _fail(EXIT_IO, "io", str(exc), flag)
+    return flag, path
+
+
+def _first_non_finite(obj, where):
+    """The key path of the first float or array holding a NaN or infinity in
+    a report of dicts and lists, or None."""
+    if isinstance(obj, (float, np.ndarray)):
+        return None if np.all(np.isfinite(obj)) else where
+    items = (obj.items() if isinstance(obj, dict) else
+             enumerate(obj) if isinstance(obj, (list, tuple)) else ())
+    for key, value in items:
+        found = _first_non_finite(value, f"{where}.{key}")
+        if found is not None:
+            return found
+    return None
+
+
+def _require_finite(report, flag):
+    """Fail with exit 2 naming flag when the report holds a non-finite value."""
+    where = _first_non_finite(report, "result")
+    if where is not None:
+        _fail(EXIT_VALIDATION, "validation",
+              f"the result is not finite ({where}): the computation overflowed", flag)
 
 
 def _sha256(path):
@@ -93,7 +127,7 @@ def _check_sigma(sigma):
 def _read_signal(path, flag):
     try:
         return io.read_signal(path)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         _fail(EXIT_IO, "io", str(exc), flag)
     except io.FileFormatError as exc:
         _fail(EXIT_PARSE, "parse", str(exc), flag)
@@ -133,12 +167,10 @@ def cmd_thresholds(args):
             rows.append({"rule": "ti", "alpha": a, "c": c_row,
                          "threshold": evt.ti_threshold(args.sigma, a, args.n, c_row)})
     table = {"sigma": args.sigma, "n": args.n, "rows": rows}
-    text = json.dumps(io.to_jsonable(table), indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write("--out", io.write_report, args.out, table)
     else:
-        print(text)
+        print(json.dumps(io.to_jsonable(table), indent=2, sort_keys=True))
     return []
 
 
@@ -161,15 +193,17 @@ def cmd_denoise(args):
         if len(clean) != frame.n:
             _fail(EXIT_VALIDATION, "validation",
                   "clean signal length mismatch", "--clean")
+        if not np.all(np.isfinite(clean)):
+            _fail(EXIT_VALIDATION, "validation",
+                  "clean signal contains NaN or infinite values", "--clean")
     spec = ThresholdSpec(rule=args.threshold_rule, sigma=args.sigma,
                          alpha=args.alpha, z=args.z, M=getattr(frame, "M", None),
                          c=args.c, value=args.fixed_value)
     try:
-        result = denoise(frame, data, spec, rule=args.rule)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = denoise(frame, data, spec, rule=args.rule)
     except (ThresholdError, ValueError) as exc:
         _fail(EXIT_VALIDATION, "validation", str(exc), "--threshold-rule")
-    io.write_signal(args.output, result.estimate)
-    outputs = [args.output]
     report = {
         "frame": frame.name,
         "rule": args.rule,
@@ -180,14 +214,17 @@ def cmd_denoise(args):
         "atom_count": frame.atom_count,
     }
     if clean is not None:
-        report["mse"] = float(np.mean((result.estimate - clean) ** 2))
-        report["input_mse"] = float(np.mean((data - clean) ** 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            report["mse"] = float(np.mean((result.estimate - clean) ** 2))
+            report["input_mse"] = float(np.mean((data - clean) ** 2))
+    _require_finite({**report, "estimate": result.estimate,
+                     "coefficients": result.thresholded_coeffs.values}, "--input")
+    outputs = [_write("--output", io.write_signal, args.output, result.estimate)]
     if args.report:
-        io.write_report(args.report, report)
-        outputs.append(args.report)
+        outputs.append(_write("--report", io.write_report, args.report, report))
     if args.coeffs:
-        io.write_coefficients(args.coeffs, result.thresholded_coeffs)
-        outputs.append(args.coeffs)
+        outputs.append(_write("--coeffs", io.write_coefficients, args.coeffs,
+                              result.thresholded_coeffs))
     return outputs
 
 
@@ -206,10 +243,25 @@ def cmd_simulate(args):
                   f"threshold T={T} must be finite and >= 0", "--T")
     cfg = simulate.McConfig(trials=args.trials, seed=args.seed,
                             sigma=args.sigma, parallel=args.parallel)
-    exp = args.experiment
-    report = {"experiment": exp, "trials": args.trials, "seed": args.seed,
+    report = {"experiment": args.experiment, "trials": args.trials, "seed": args.seed,
               "sigma": args.sigma}
-    outputs = [args.out]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            qq = _run_experiment(args, cfg, report)
+    except OverflowError as exc:
+        _fail(EXIT_VALIDATION, "validation", f"the computation overflowed: {exc}", "--sigma")
+    _require_finite({**report, "qq": qq}, "--sigma")
+    outputs = [_write("--out", io.write_report, args.out, report)]
+    if qq is not None:
+        outputs.append(_write("--qq", io.write_qq, args.qq, qq))
+    return outputs
+
+
+def _run_experiment(args, cfg, report):
+    """Run the experiment into the report; returns the Q-Q table when
+    --qq asks for one."""
+    exp = args.experiment
+    qq = None
     if exp == "gumbel":
         if args.trials < 10:
             _fail(EXIT_VALIDATION, "validation",
@@ -222,8 +274,7 @@ def cmd_simulate(args):
                       ks_distance=simulate.ks_distance(resc),
                       sample_min=dist.samples[0], sample_max=dist.samples[-1])
         if args.qq:
-            io.write_qq(args.qq, simulate.qq_data(resc))
-            outputs.append(args.qq)
+            qq = simulate.qq_data(resc)
     elif exp == "coverage":
         frame = _load_frame(args.frame_spec)
         _need_alpha(args)
@@ -284,8 +335,7 @@ def cmd_simulate(args):
     else:
         _fail(EXIT_VALIDATION, "validation",
               f"unknown experiment {exp!r}", "--experiment")
-    io.write_report(args.out, report)
-    return outputs
+    return qq
 
 
 def _need_alpha(args):
@@ -331,8 +381,7 @@ def cmd_diagnose(args):
         report["comparison_bounds"] = [
             io.to_jsonable(comparison_bound(gram, T, flavor=args.flavor))
             for T in args.T]
-    io.write_report(args.out, report)
-    return [args.out]
+    return [_write("--out", io.write_report, args.out, report)]
 
 
 # --- replay ---------------------------------------------------------------------

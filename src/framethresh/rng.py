@@ -8,13 +8,13 @@ the state of a fresh generator for that key, so row t is trial t's own draw
 and the block layout changes no draw.  Normal variates go through the
 inverse-CDF transform applied to open-interval uniforms (scipy's ndtri
 rational approximation, absolute error well below 1e-9), keeping the streams
-platform-independent.
+platform-independent.  scipy.special is imported on the first draw, not with
+this module, so that runs which draw nothing never load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _U53 = float(2 ** 53)
 
@@ -38,22 +38,30 @@ def normal(seed, trial, size, sigma=1.0):
     """sigma * N(0,1) variates via inverse CDF: a (size,) draw for one trial
     index, or a (len(trial), size) block for a sequence of trial indices,
     row i being trial[i]'s own draw."""
+    from scipy.special import ndtri
     if np.ndim(trial) == 0:
         return sigma * ndtri(open_uniform(trial_generator(seed, trial), size))
     trials = list(trial)
-    gen = trial_generator(seed, 0)
-    bits = gen.bit_generator
+    bits = trial_generator(seed, 0).bit_generator
     # a fresh generator's state (counter 0, empty buffer); only the key's
     # trial word changes from row to row
     state = bits.state
-    k = np.empty((len(trials), size), dtype=np.int64)
+    k = np.empty((len(trials), size), dtype=np.uint64)
     for row, t in enumerate(trials):
         state["state"]["key"][1] = t
         bits.state = state
-        k[row] = gen.integers(0, 2 ** 53, size=size)
-    return sigma * ndtri(_to_open_uniform(k))
+        # Generator.integers(0, 2^53) is exactly next_uint64 >> 11: its
+        # Lemire rule never rejects when the range is a power of two
+        np.right_shift(bits.random_raw(size), 11, out=k[row])
+    u = k.view(np.float64)  # converted in place: k < 2^53 is exact as a double
+    np.add(k, 0.5, out=u)
+    u /= _U53
+    ndtri(u, out=u)
+    u *= sigma
+    return u
 
 
 def stream_normal(gen, size, sigma=1.0):
     """Normals drawn from an existing generator (block-sequential use)."""
+    from scipy.special import ndtri
     return sigma * ndtri(open_uniform(gen, size))

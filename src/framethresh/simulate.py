@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import rng as _rng
 from .core import CoefficientVector, frame_bounds
@@ -155,6 +154,7 @@ class CoverageReport:
 
 def exact_independent_coverage(threshold, m, sigma=1.0):
     """(2 Phi(T/sigma) - 1)^m: max of m iid |N(0, sigma^2)| below T."""
+    from scipy.special import ndtr
     return float((2.0 * ndtr(threshold / sigma) - 1.0) ** m)
 
 

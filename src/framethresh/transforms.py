@@ -605,16 +605,19 @@ class SineFrame(Frame):
     (w = n) are excluded and reported in `excluded`.  The atoms span the
     subspace {u : u(0) = 0}; r = 1 gives an orthonormal basis of it.
 
-    Analysis and its adjoint are zero-padded FFTs of length 2rn.  Dual
-    synthesis solves the frame-operator equation by conjugate gradients on
-    these two maps (the accelerated frame algorithm), which converges in a
-    few iterations: the frame is tight for r <= 2, and b_n/a_n stays below
-    1.18 for r <= 8 (measured at n = 64 and 1024), where it takes 6-7.  No
-    n x n matrix is built.  For r <= 2 the bounds are exact,
-    a_n = b_n = (rn - 1)/(n - 1): the r = 1 atoms are an orthonormal basis of
-    the span, and for r = 2 the odd-bin atoms have squared norm (n - 1)/2
-    and sum to (n/2) P_span.  For r >= 3 frame bounds come from the dense
-    eigensolve of core.frame_bounds.
+    Analysis and its adjoint are zero-padded FFTs of length 2rn, one per
+    (B, n) or (B, m) block; the grid point w = m/r sits at FFT bin m, so
+    both address the contiguous bins 1..rn-1.  For r <= 2 the frame is tight
+    with exact bounds a_n = b_n = (rn - 1)/(n - 1): the r = 1 atoms are an
+    orthonormal basis of the span, and for r = 2 the odd-bin atoms have
+    squared norm (n - 1)/2 and sum to (n/2) P_span.  Its dual synthesis is
+    then the adjoint divided by a_n, one FFT per block (the frame algorithm
+    converges in one step).  For r >= 3 the frame is not tight: dual
+    synthesis solves the frame-operator equation row by row by conjugate
+    gradients on the two FFT maps (the accelerated frame algorithm), which
+    takes 6-7 iterations since b_n/a_n stays below 1.18 for r <= 8
+    (measured at n = 64 and 1024), and the frame bounds come from the dense
+    eigensolve of core.frame_bounds.  No n x n matrix is built.
     """
 
     def __init__(self, n, oversample=1):
@@ -639,10 +642,8 @@ class SineFrame(Frame):
             self.bounds = ((r * self.n - 1) / (self.n - 1),) * 2
         self.name = f"sine[n={n},r={oversample}]"
         self._labels = (np.arange(self.atom_count),)
-        # analysis via zero-padded FFT when the grid is uniform: the raw
-        # coefficient at w = m/r is -Im(FFT_{2rn}(x))[m]
+        # the raw coefficient at w = m/r is -Im(FFT_{2rn}(x))[m], m = 1..rn-1
         self._fft_len = 2 * self.oversample * self.n
-        self._fft_bins = np.round(self.frequencies * self.oversample).astype(int)
 
     def frequency_of(self, position):
         return float(self.frequencies[position])
@@ -659,28 +660,36 @@ class SineFrame(Frame):
         return u
 
     def _analysis(self, x):
-        """Unit-atom coefficients <phi_w, x> of a signal."""
+        """Unit-atom coefficients <phi_w, x> of a signal block."""
         spec = np.fft.rfft(x, self._fft_len)
-        return -spec.imag[..., self._fft_bins] / self._raw_norms
+        return -spec.imag[..., 1:self.atom_count + 1] / self._raw_norms
 
     def _adjoint(self, values):
-        """Phi^T c = sum_w c_w phi_w, by one FFT of the coefficients placed
-        at their bins."""
-        d = np.zeros(self._fft_len)
-        d[self._fft_bins] = values / self._raw_norms
-        return -np.fft.rfft(d).imag[:self.n]
+        """Phi^T c = sum_w c_w phi_w for a coefficient block, by one FFT of the
+        coefficients placed at bins 1..rn-1 (the zero padding supplies the
+        rest)."""
+        d = np.empty(values.shape[:-1] + (self.atom_count + 1,))
+        d[..., 0] = 0.0
+        np.divide(values, self._raw_norms, out=d[..., 1:])
+        return -np.fft.rfft(d, self._fft_len).imag[..., :self.n]
 
     def analyze(self, signal):
         signal = self._check_signal(signal)
         return CoefficientVector(self._analysis(signal), ("omega",), self._labels)
 
     def dual_synthesize(self, coeffs):
-        """Minimum-norm solution of Phi^T Phi x = Phi^T c, by conjugate
-        gradients started at 0: the iterates stay in the atom span, so the
-        limit is the pseudoinverse Phi^+ c.  A (B, m) block is solved row by
-        row, since each row stops at its own iteration count."""
+        """The pseudoinverse Phi^+ c.  A tight frame (r <= 2) gives it in one
+        step, Phi^T c / a_n, for the whole block.  Otherwise conjugate
+        gradients solve Phi^T Phi x = Phi^T c from 0, row by row since each
+        row stops at its own iteration count: the iterates stay in the atom
+        span, so the limit is the minimum-norm solution."""
         self._check_coeffs(coeffs)
         values = coeffs.values
+        if self.bounds is not None and self.bounds[0] == self.bounds[1]:
+            out = self._adjoint(values)
+            out /= self.bounds[0]
+            out[..., 0] = 0.0  # the span's zero coordinate, +0.0 rather than -0.0
+            return out
         out = np.empty(values.shape[:-1] + (self.n,))
         for row in np.ndindex(values.shape[:-1]):
             out[row] = self._solve(values[row])

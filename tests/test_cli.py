@@ -396,3 +396,95 @@ def test_simulate_accepts_largest_seed(tmp_path):
                  "--seed", str(2 ** 64 - 1), "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["seed"] == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("spec, n", [('{"type":"wavelet","n":16}', 16),
+                                     ('{"type":"ti","n":16}', 16),
+                                     ('{"type":"sine","n":64,"oversample":2}', 64)],
+                         ids=["wavelet", "ti", "sine-r2"])
+def test_denoise_overflowing_input_writes_nothing(tmp_path, capsys, spec, n):
+    # finite input whose coefficients overflow: the estimate would be NaN
+    sig = tmp_path / "x.csv"
+    ftio.write_signal(sig, np.full(n, 1e308))
+    out = tmp_path / "o.csv"
+    code = main(["denoise", "--input", str(sig), "--frame-spec", spec,
+                 "--output", str(out), "--report", str(tmp_path / "r.json"),
+                 "--coeffs", str(tmp_path / "c.csv")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err)["error"]
+    assert payload["kind"] == "validation" and payload["flag"] == "--input"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+
+@pytest.mark.parametrize("clean, flag", [(np.where(np.arange(16) == 3, np.nan, 0.0), "--clean"),
+                                         (np.full(16, -1e300), "--input")],
+                         ids=["nan-clean", "overflowing-mse"])
+def test_denoise_non_finite_mse_writes_nothing(tmp_path, capsys, clean, flag):
+    sig, clean_path = tmp_path / "x.csv", tmp_path / "clean.csv"
+    ftio.write_signal(sig, np.full(16, 1e300))
+    ftio.write_signal(clean_path, clean)
+    code = main(["denoise", "--input", str(sig), "--frame-spec", '{"type":"wavelet","n":16}',
+                 "--clean", str(clean_path), "--output", str(tmp_path / "o.csv"),
+                 "--report", str(tmp_path / "r.json")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err)["error"]
+    assert payload["kind"] == "validation" and payload["flag"] == flag
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.csv", "x.csv"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--experiment", "gumbel", "--frame-spec", '{"type":"sine","n":64,"oversample":2}',
+     "--trials", "20", "--qq", "QQ"],
+    ["--experiment", "risk", "--frame-spec", '{"type":"wavelet","n":16}',
+     "--alpha", "0.1", "--trials", "4"]], ids=["gumbel-sine", "risk"])
+def test_simulate_overflowing_sigma_writes_nothing(tmp_path, capsys, args):
+    args = [str(tmp_path / "q.csv") if a == "QQ" else a for a in args]
+    code = main(["simulate", *args, "--seed", "1", "--sigma", "1e308",
+                 "--out", str(tmp_path / "g.json")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err)["error"]
+    assert payload["kind"] == "validation" and payload["flag"] == "--sigma"
+    assert list(tmp_path.iterdir()) == []
+
+
+_DENOISE = ["denoise", "--input", "SIGNAL", "--frame-spec", '{"type":"wavelet","n":16}']
+_GUMBEL = ["simulate", "--experiment", "gumbel", "--frame-spec", '{"type":"wavelet","n":16}',
+           "--trials", "10", "--seed", "1"]
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["thresholds", "--n", "16", "--out", "MISSING"], "--out"),
+    ([*_DENOISE, "--output", "MISSING"], "--output"),
+    ([*_DENOISE, "--output", "OK", "--report", "MISSING"], "--report"),
+    ([*_DENOISE, "--output", "OK", "--coeffs", "MISSING"], "--coeffs"),
+    ([*_GUMBEL, "--out", "MISSING"], "--out"),
+    ([*_GUMBEL, "--out", "OK", "--qq", "MISSING"], "--qq"),
+    (["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "8", "16", "32",
+      "--out", "MISSING"], "--out"),
+    ([*_DENOISE, "--output", "LONG"], "--output"),
+    (["denoise", "--input", "DIR", "--frame-spec", '{"type":"wavelet","n":16}',
+      "--output", "OK"], "--input"),
+    (["simulate", "--experiment", "risk", "--frame-spec", '{"type":"wavelet","n":16}',
+      "--alpha", "0.1", "--trials", "4", "--seed", "1", "--clean", "DIR", "--out", "OK"],
+     "--clean")],
+    ids=["thresholds-out", "denoise-output", "denoise-report", "denoise-coeffs",
+         "simulate-out", "simulate-qq", "diagnose-out", "manifest", "denoise-input-dir",
+         "simulate-clean-dir"])
+def test_file_system_errors_are_io_errors(tmp_path, capsys, args, flag):
+    sig = tmp_path / "x.csv"
+    ftio.write_signal(sig, np.arange(16.0))
+    paths = {"SIGNAL": sig, "MISSING": tmp_path / "no-such-dir" / "f", "OK": tmp_path / "ok",
+             "DIR": tmp_path,
+             # a name the file system takes, whose manifest name is too long
+             "LONG": tmp_path / ("a" * 245 + ".csv")}
+    assert main([str(paths.get(a, a)) for a in args]) == 4
+    payload = json.loads(capsys.readouterr().err)["error"]
+    assert payload["kind"] == "io" and payload["flag"] == flag
+
+
+def test_cli_import_loads_no_scipy_special_or_linalg():
+    code = ("import sys, framethresh.cli; "
+            "print(sorted(m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"

@@ -103,6 +103,50 @@ def test_sine_dual_synthesis_iteration_cap_carries_count(monkeypatch, rng):
     assert exc.value.iterations == 1
 
 
+def _cg_pseudoinverse(frame, values):
+    """Conjugate gradients on Phi^T Phi x = Phi^T c from 0, one coefficient
+    vector at a time: the solver the tight sine frames used before their
+    one-step synthesis, kept as its oracle."""
+    r = frame._adjoint(values)
+    x = np.zeros(frame.n)
+    p = r.copy()
+    rr = r @ r
+    tol = transforms._CG_RTOL ** 2 * rr
+    while not rr <= tol:
+        q = frame._adjoint(frame._analysis(p))
+        step = rr / (p @ q)
+        x += step * p
+        r -= step * q
+        rr, rr_old = r @ r, rr
+        p = r + (rr / rr_old) * p
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 64, 1024, 4096])
+@pytest.mark.parametrize("r", [1, 2])
+def test_tight_sine_synthesis_is_scaled_adjoint(n, r, rng):
+    # coefficients that are not the analysis of any signal, one row and a block
+    fr = SineFrame(n, r)
+    block = rng.standard_normal((4, fr.atom_count))
+    got = fr.dual_synthesize(CoefficientVector(block))
+    for row, values in zip(got, block):
+        oracle = _cg_pseudoinverse(fr, values)
+        assert np.max(np.abs(row - oracle)) <= 2e-15 * np.max(np.abs(oracle))
+        single = fr.dual_synthesize(CoefficientVector(values))
+        assert single.tobytes() == row.tobytes()
+    assert not np.signbit(got[:, 0]).any()  # +0.0 on the span's zero coordinate
+
+
+@pytest.mark.parametrize("n", [2, 5, 64, 1024])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_sine_analysis_equals_bin_gather(n, r, rng):
+    fr = SineFrame(n, r)
+    x = rng.standard_normal((3, n))
+    bins = np.round(fr.frequencies * r).astype(int)
+    gather = -np.fft.rfft(x, 2 * r * n).imag[..., bins] / fr._raw_norms
+    assert fr.analyze(x).values.tobytes() == gather.tobytes()
+
+
 def test_dual_synthesize_singular_frame_rejected():
     with pytest.raises(FrameError):
         ExplicitFrame(np.array([[1.0, 0.0], [2.0, 0.0]]))  # rank 1, no span

@@ -244,9 +244,20 @@ def test_empirical_distribution_cdf_convention():
 @pytest.mark.parametrize("sigma", [1.0, 0.5, 0.0])
 @pytest.mark.parametrize("n", [1, 3, 1024])
 def test_block_normal_equals_stacked_trial_draws(seed, sigma, n):
+    # the per-trial path draws through Generator.integers, the block path
+    # through raw 64-bit words: an independent byte-level oracle
     block = rng_normal(seed, range(3, 9), n, sigma)
     stacked = np.stack([rng_normal(seed, t, n, sigma) for t in range(3, 9)])
     assert block.shape == (6, n)
+    assert block.tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+@pytest.mark.parametrize("sigma", [1.0, 0.5, 0.0])
+def test_block_normal_extreme_trial_indices(seed, sigma):
+    trials = [2 ** 63, 0, 2 ** 64 - 1, 1]
+    block = rng_normal(seed, trials, 257, sigma)
+    stacked = np.stack([rng_normal(seed, t, 257, sigma) for t in trials])
     assert block.tobytes() == stacked.tobytes()
 
 
