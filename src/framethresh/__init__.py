@@ -4,8 +4,7 @@ threshold rules and a seeded Monte Carlo verification harness."""
 __version__ = "0.1.0"
 
 from .core import (CoefficientVector, DimensionMismatch, ExplicitFrame, Frame,
-                   FrameError, GramSummary, analyze, dual_synthesize,
-                   frame_bounds, gram_coherence_counts)
+                   FrameError, GramSummary, frame_bounds, gram_coherence_counts)
 from .evt import (GumbelNorms, ThresholdSpec, cyclespin_threshold, evt_threshold,
                   gumbel_cdf, gumbel_quantile, norms_chi, norms_normal,
                   threshold_from_zn, ti_constant_c, ti_threshold,

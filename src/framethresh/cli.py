@@ -133,6 +133,17 @@ def _read_signal(path, flag):
         _fail(EXIT_PARSE, "parse", str(exc), flag)
 
 
+def _read_clean(path, n):
+    """The --clean signal: n finite samples."""
+    clean = _read_signal(path, "--clean")
+    if len(clean) != n:
+        _fail(EXIT_VALIDATION, "validation", "clean signal length mismatch", "--clean")
+    if not np.all(np.isfinite(clean)):
+        _fail(EXIT_VALIDATION, "validation",
+              "clean signal contains NaN or infinite values", "--clean")
+    return clean
+
+
 # --- thresholds ---------------------------------------------------------------
 
 def cmd_thresholds(args):
@@ -187,15 +198,7 @@ def cmd_denoise(args):
         _fail(EXIT_VALIDATION, "validation",
               "input signal contains NaN or infinite values", "--input")
     _check_sigma(args.sigma)
-    clean = None
-    if args.clean:
-        clean = _read_signal(args.clean, "--clean")
-        if len(clean) != frame.n:
-            _fail(EXIT_VALIDATION, "validation",
-                  "clean signal length mismatch", "--clean")
-        if not np.all(np.isfinite(clean)):
-            _fail(EXIT_VALIDATION, "validation",
-                  "clean signal contains NaN or infinite values", "--clean")
+    clean = _read_clean(args.clean, frame.n) if args.clean else None
     spec = ThresholdSpec(rule=args.threshold_rule, sigma=args.sigma,
                          alpha=args.alpha, z=args.z, M=getattr(frame, "M", None),
                          c=args.c, value=args.fixed_value)
@@ -247,10 +250,13 @@ def cmd_simulate(args):
               "sigma": args.sigma}
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            qq = _run_experiment(args, cfg, report)
+            qq, clean = _run_experiment(args, cfg, report)
     except OverflowError as exc:
         _fail(EXIT_VALIDATION, "validation", f"the computation overflowed: {exc}", "--sigma")
-    _require_finite({**report, "qq": qq}, "--sigma")
+    # the computation runs at the larger of the two scales, sigma and the
+    # --clean signal's peak, so the larger one is named for an overflow
+    large_clean = clean is not None and np.max(np.abs(clean)) > args.sigma
+    _require_finite({**report, "qq": qq}, "--clean" if large_clean else "--sigma")
     outputs = [_write("--out", io.write_report, args.out, report)]
     if qq is not None:
         outputs.append(_write("--qq", io.write_qq, args.qq, qq))
@@ -259,9 +265,9 @@ def cmd_simulate(args):
 
 def _run_experiment(args, cfg, report):
     """Run the experiment into the report; returns the Q-Q table when
-    --qq asks for one."""
+    --qq asks for one, and the --clean signal when one was read."""
     exp = args.experiment
-    qq = None
+    qq = clean = None
     if exp == "gumbel":
         if args.trials < 10:
             _fail(EXIT_VALIDATION, "validation",
@@ -303,15 +309,15 @@ def _run_experiment(args, cfg, report):
     elif exp == "smoothness":
         frame = _load_frame(args.frame_spec)
         _need_alpha(args)
-        clean = (_read_signal(args.clean, "--clean") if args.clean
-                 else signals.piecewise_constant(frame.n))
+        clean = _read_clean(args.clean, frame.n) if args.clean else None
         try:
             norm_spec = NormSpec.from_json(args.norm_spec)
         except (NormSpecError, json.JSONDecodeError, KeyError) as exc:
             _fail(EXIT_PARSE, "parse", f"bad norm spec: {exc}", "--norm-spec")
         try:
-            rep = simulate.smoothness_experiment(frame, clean, args.alpha,
-                                                 norm_spec, cfg, rule=args.rule)
+            rep = simulate.smoothness_experiment(
+                frame, signals.piecewise_constant(frame.n) if clean is None else clean,
+                args.alpha, norm_spec, cfg, rule=args.rule)
         except ValueError as exc:
             _fail(EXIT_VALIDATION, "validation", str(exc), "--rule")
         report.update(frame=frame.name, **io.to_jsonable(rep))
@@ -319,9 +325,9 @@ def _run_experiment(args, cfg, report):
         frame = _load_frame(args.frame_spec)
         _need_alpha(args)
         _need_two_trials(args)
-        clean = (_read_signal(args.clean, "--clean") if args.clean
-                 else np.zeros(frame.n))
-        rep = simulate.oracle_risk_experiment(frame, clean, args.alpha, cfg)
+        clean = _read_clean(args.clean, frame.n) if args.clean else None
+        rep = simulate.oracle_risk_experiment(
+            frame, np.zeros(frame.n) if clean is None else clean, args.alpha, cfg)
         report.update(frame=frame.name, **io.to_jsonable(rep))
     elif exp == "risk1d":
         _need_two_trials(args)
@@ -335,7 +341,7 @@ def _run_experiment(args, cfg, report):
     else:
         _fail(EXIT_VALIDATION, "validation",
               f"unknown experiment {exp!r}", "--experiment")
-    return qq
+    return qq, clean
 
 
 def _need_alpha(args):

@@ -147,10 +147,6 @@ class Frame:
         """Effective |Omega| used by extreme-value threshold rules."""
         return self.distinct_count
 
-    @property
-    def redundancy(self):
-        return self.atom_count / self.n
-
     # --- generic operator plumbing ----------------------------------------
 
     def _check_signal(self, signal):
@@ -186,16 +182,6 @@ def _atom_blocks(frame, positions):
     for start in range(0, len(positions), _BLOCK):
         block = positions[start:start + _BLOCK]
         yield block, frame.atom(block)
-
-
-def analyze(frame, signal):
-    """Coefficients <phi_omega, signal> of a signal in the given frame."""
-    return frame.analyze(signal)
-
-
-def dual_synthesize(frame, coeffs):
-    """Pseudoinverse reconstruction from frame coefficients."""
-    return frame.dual_synthesize(coeffs)
 
 
 _DENSE_EIG_LIMIT = 4096
@@ -246,6 +232,10 @@ def gram_coherence_counts(frame, deltas, deduplicate=True, include_diagonal=Fals
     With deduplicate=True (default) the census runs over distinct atoms only;
     duplicated atoms otherwise trivially contribute |<phi,phi>| = 1 pairs.
     Atoms are materialized lazily in blocks of 256, at most two at a time.
+    A count at a level that |kappa| hits exactly depends on the gemm's
+    rounding: for TI haar n=256, 8192 off-diagonal entries equal 0.5 in exact
+    arithmetic and 5888 of them compute >= 0.5, so another blocking or
+    another route to the same entries can move the count at rho = 0.5.
     """
     deltas = [float(d) for d in deltas]
     for d in deltas:

@@ -10,7 +10,11 @@ The three sums run on the histogram of the absolute Gram matrix with its
 diagonal zeroed: the distinct |kappa| with their pair counts.  Each term
 comes from the scalar formula once per distinct |kappa|, and each sum is the
 exactly rounded count-weighted sum over them, so it does not depend on the
-order of the pairs.
+order of the pairs.  The histogram comes from one pass over row blocks of
+_BLOCK_ENTRIES entries, which also checks the Gram matrix: besides the Gram
+matrix the caller holds, a sum takes O(_BLOCK_ENTRIES + distinct |kappa|)
+memory at every m (about 4.5 MB for the 2048 x 2048 TI haar n=256 Gram,
+whose 32 MB a whole-array |G| would copy twice).
 """
 
 from __future__ import annotations
@@ -97,35 +101,73 @@ def stability_check(frame_family, rho, deduplicate=True):
                            frame_bounds_bounded=bounded, verdict=verdict)
 
 
-def _check_gram(gram):
-    gram = np.asarray(gram, dtype=float)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise ValueError("gram must be a square matrix")
-    # max and min propagate NaN, and need no m x m temporary
-    hi, lo = float(gram.max()), float(gram.min())
-    if not (math.isfinite(hi) and math.isfinite(lo)):
-        raise ValueError("gram entries must be finite")
-    if np.max(np.abs(np.diag(gram) - 1.0)) > 1e-9:
-        raise ValueError("gram diagonal must be 1 within 1e-9")
-    if max(hi, -lo) > 1 + 1e-9:
-        raise ValueError("gram entries must lie in [-1, 1]")
-    return gram
+#: Gram entries per row block of the pass over a Gram matrix (2^18 doubles,
+#: 2 MB): 128 rows of the TI haar n=256 Gram (m = 2048)
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _abs_row_blocks(gram):
+    """(start, block) over consecutive row blocks of |gram| with the diagonal
+    set to 0; every block is written into one reused buffer."""
+    m = len(gram)
+    rows = max(1, _BLOCK_ENTRIES // m)
+    buf = np.empty((min(rows, m), m))
+    for start in range(0, m, rows):
+        block = np.abs(gram[start:start + rows], out=buf[:min(rows, m - start)])
+        # entry (start + k, start + k) sits at flat index start + k (m + 1)
+        block.reshape(-1)[start::m + 1] = 0.0
+        yield start, block
+
+
+def _merge_histograms(parts):
+    """One (values, counts) histogram from several, with exact int64 counts."""
+    values, inverse = np.unique(np.concatenate([v for v, _ in parts]),
+                                return_inverse=True)
+    counts = np.zeros(len(values), np.int64)
+    np.add.at(counts, inverse, np.concatenate([c for _, c in parts]))
+    return values, counts
 
 
 def _offdiag_terms(gram, term):
-    """(a, values, counts, terms) of a Gram matrix: a is |kappa| with the
-    diagonal set to 0 (every term vanishes there, so each sum runs over the
-    whole array), values are the distinct entries of a in ascending order,
-    counts their int64 multiplicities and terms[i] = term(values[i]).
+    """(gram, values, counts, terms) of a Gram matrix: gram as a float array,
+    values the distinct entries of |kappa| with the diagonal set to 0 in
+    ascending order (every term vanishes there, so each sum runs over the
+    whole array), counts their int64 multiplicities and terms[i] =
+    term(values[i]).
+
+    One pass over row blocks of _BLOCK_ENTRIES entries makes each block's
+    histogram and merges them by value, so memory stays O(_BLOCK_ENTRIES +
+    distinct values) at every m: block histograms are merged into the
+    running one once they hold more entries than it and the block budget.
+    The same pass checks the Gram matrix; errors come in the order square,
+    finite, diagonal, [-1, 1], and no term is computed for a rejected one.
     The scalar formula runs once per distinct |kappa| on Python floats, so
     every term equals the scalar formula's bit for bit (numpy's vectorized
     exp and pow differ from the C library's in the last ulp on a few percent
     of inputs); shift-structured Grams hold few distinct values."""
-    a = np.abs(gram)
-    np.fill_diagonal(a, 0.0)
-    values, counts = np.unique(a, return_counts=True)
+    gram = np.asarray(gram, dtype=float)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise ValueError("gram must be a square matrix")
+    if not gram.size:
+        raise ValueError("gram must not be empty")
+    merged = (np.empty(0), np.empty(0, np.int64))
+    pending, held = [], 0
+    for _, block in _abs_row_blocks(gram):
+        pending.append(np.unique(block, return_counts=True))
+        held += len(pending[-1][0])
+        if held > max(_BLOCK_ENTRIES, len(merged[0])):
+            merged, pending, held = _merge_histograms([merged, *pending]), [], 0
+    values, counts = _merge_histograms([merged, *pending])
+    # np.unique sorts NaN last, and |kappa| holds no -inf
+    diag = np.diagonal(gram)
+    if not (math.isfinite(values[-1]) and np.isfinite(diag).all()):
+        raise ValueError("gram entries must be finite")
+    if np.max(np.abs(diag - 1.0)) > 1e-9:
+        raise ValueError("gram diagonal must be 1 within 1e-9")
+    if max(values[-1], np.max(np.abs(diag))) > 1 + 1e-9:
+        raise ValueError("gram entries must lie in [-1, 1]")
     terms = np.fromiter(map(term, values.tolist()), float, len(values))
-    return a, values, counts, terms
+    return gram, values, counts, terms
 
 
 def _weighted_fsum(terms, counts):
@@ -146,7 +188,6 @@ def _rest_terms(gram, m):
 def rest_sum(gram, m):
     """R = sum_{w != w'} |kappa| (log m / m^2)^{1/(1+|kappa|)}, exactly
     rounded: the count-weighted sum over the distinct |kappa|."""
-    gram = _check_gram(gram)
     if m < 2:
         raise ValueError("m must be >= 2")
     _, _, counts, terms = _rest_terms(gram, m)
@@ -156,7 +197,6 @@ def rest_sum(gram, m):
 def rest_split(gram, m, rho, delta):
     """Partial sums (R1, R2, R3) over |kappa| >= rho, delta <= |kappa| < rho,
     |kappa| < delta; the proof's decomposition, so R1+R2+R3 = rest_sum."""
-    gram = _check_gram(gram)
     if not 0 < delta < 1.0 / 3.0:
         raise ValueError(f"delta={delta} outside (0, 1/3)")
     if not delta <= rho < 1:
@@ -181,7 +221,6 @@ def comparison_bound(gram, threshold, flavor="abs"):
     The largest term's pair is the first in row-major order, (0, 0) when
     every term is 0.  A non-finite threshold raises ValueError.
     """
-    gram = _check_gram(gram)
     if flavor not in ("abs", "normal"):
         raise ValueError(f"flavor must be 'abs' or 'normal', got {flavor!r}")
     threshold = float(threshold)
@@ -189,12 +228,21 @@ def comparison_bound(gram, threshold, flavor="abs"):
         raise ValueError(f"threshold T={threshold} is not finite")
     factor = 0.25 if flavor == "abs" else 0.125
     t2 = threshold ** 2
-    a, v, c, t = _offdiag_terms(gram, lambda a: a * math.exp(-t2 / (1.0 + a)))
+    gram, v, c, t = _offdiag_terms(gram, lambda a: a * math.exp(-t2 / (1.0 + a)))
     top = t.max()
-    i, j = np.unravel_index(np.argmax(np.isin(a, v[t == top])), a.shape)
     return ComparisonBound(value=factor * _weighted_fsum(t, c), threshold=threshold,
                            flavor=flavor, max_term=factor * float(top),
-                           argmax_pair=(int(i), int(j)))
+                           argmax_pair=_first_pair(gram, v[t == top]) if top else (0, 0))
+
+
+def _first_pair(gram, maxima):
+    """The first (i, j) in row-major order with i != j and |gram[i, j]| in
+    maxima, scanning row blocks until one holds it."""
+    for start, block in _abs_row_blocks(gram):
+        hit = np.isin(block, maxima)
+        if hit.any():
+            i, j = np.unravel_index(np.argmax(hit), block.shape)
+            return start + int(i), int(j)
 
 
 def frame_gram(frame, deduplicate=True):

@@ -28,6 +28,7 @@ the block.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -423,18 +424,6 @@ class CycleSpinFrame(Frame):
         return np.sort(np.unique(key, return_index=True)[1])
 
 
-def cycle_spin_denoise_loop(basis, data, threshold, shrink_fn, M):
-    """Averaging form of cycle spinning: mean over shifts of unshifted basis
-    estimates.  Equals the frame pipeline on CycleSpinFrame (tight-frame
-    identity); kept as the independent second route for that check."""
-    out = np.zeros(basis.n)
-    for m in range(M):
-        cv = basis.analyze(np.roll(np.asarray(data, dtype=float), -m))
-        shrunk = cv.replace_values(shrink_fn(cv.values, threshold))
-        out += np.roll(basis.dual_synthesize(shrunk), m)
-    return out / M
-
-
 # --- translation invariant frame ---------------------------------------------
 
 class TIWaveletFrame(Frame):
@@ -648,12 +637,6 @@ class SineFrame(Frame):
     def frequency_of(self, position):
         return float(self.frequencies[position])
 
-    def position_of(self, frequency):
-        idx = np.nonzero(np.isclose(self.frequencies, frequency))[0]
-        if len(idx) == 0:
-            raise FrameError(f"frequency {frequency} not on the sine grid")
-        return int(idx[0])
-
     def project_span(self, u):
         u = self._check_signal(u).copy()
         u[..., 0] = 0.0
@@ -696,14 +679,16 @@ class SineFrame(Frame):
         return out
 
     def _solve(self, values):
-        """Conjugate gradients for one coefficient vector."""
+        """Conjugate gradients for one coefficient vector.  An overflowed
+        input stops the iteration at its first non-finite residual and gives
+        an all-NaN row: there is no finite solution to converge to."""
         r = self._adjoint(values)
         x = np.zeros(self.n)
         p = r.copy()
         rr = r @ r
         tol = _CG_RTOL ** 2 * rr
         it = 0
-        while not rr <= tol:  # a NaN residual runs into the cap
+        while math.isfinite(rr) and not rr <= tol:
             if it == _CG_MAX_ITER:
                 raise IterationError(
                     f"sine dual synthesis did not reach residual {_CG_RTOL}", it)
@@ -714,6 +699,8 @@ class SineFrame(Frame):
             r -= step * q
             rr, rr_old = r @ r, rr
             p = r + (rr / rr_old) * p
+        if not math.isfinite(rr):
+            x.fill(np.nan)
         return x
 
     def atom(self, position):

@@ -416,6 +416,37 @@ def test_denoise_overflowing_input_writes_nothing(tmp_path, capsys, spec, n):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
+def test_denoise_overflowing_input_sine_r3_names_input(tmp_path, capsys):
+    # r >= 3 synthesizes by conjugate gradients, which stop at the first
+    # non-finite residual instead of running into the iteration cap
+    sig = tmp_path / "x.csv"
+    ftio.write_signal(sig, np.full(64, 1e308))
+    code = main(["denoise", "--input", str(sig),
+                 "--frame-spec", '{"type":"sine","n":64,"oversample":3}',
+                 "--output", str(tmp_path / "o.csv")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err)["error"]
+    assert payload["kind"] == "validation" and payload["flag"] == "--input"
+    assert "not finite" in payload["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+
+@pytest.mark.parametrize("experiment", ["risk", "smoothness"])
+@pytest.mark.parametrize("clean", [np.full(16, 1e308), np.where(np.arange(16) == 3, np.nan, 0.0),
+                                   np.zeros(15)], ids=["overflowing", "nan", "short"])
+def test_simulate_bad_clean_names_clean(tmp_path, capsys, experiment, clean):
+    clean_path = tmp_path / "clean.csv"
+    ftio.write_signal(clean_path, clean)
+    code = main(["simulate", "--experiment", experiment,
+                 "--frame-spec", '{"type":"wavelet","n":16}', "--alpha", "0.1",
+                 "--trials", "4", "--seed", "1", "--clean", str(clean_path),
+                 "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err)["error"]
+    assert payload["kind"] == "validation" and payload["flag"] == "--clean"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.csv"]
+
+
 @pytest.mark.parametrize("clean, flag", [(np.where(np.arange(16) == 3, np.nan, 0.0), "--clean"),
                                          (np.full(16, -1e300), "--input")],
                          ids=["nan-clean", "overflowing-mse"])

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from framethresh import diagnostics
 from framethresh.diagnostics import (ComparisonBound, _weighted_fsum,
                                      comparison_bound, frame_gram, rest_split,
                                      rest_sum, stability_check)
@@ -103,6 +105,153 @@ def test_offdiag_sums_match_elementwise_reference(rng):
                 assert rest_split(gram, m, 0.5, 0.2) == parts
                 cb = comparison_bound(gram, threshold, flavor)
                 assert (cb.value, cb.max_term, cb.argmax_pair) == (value, max_term, argmax)
+
+
+def _whole_matrix_check(gram):
+    """The Gram checks as whole-array reductions, in their reporting order."""
+    gram = np.asarray(gram, dtype=float)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise ValueError("gram must be a square matrix")
+    hi, lo = float(gram.max()), float(gram.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise ValueError("gram entries must be finite")
+    if np.max(np.abs(np.diag(gram) - 1.0)) > 1e-9:
+        raise ValueError("gram diagonal must be 1 within 1e-9")
+    if max(hi, -lo) > 1 + 1e-9:
+        raise ValueError("gram entries must lie in [-1, 1]")
+
+
+def _whole_matrix_sums(gram, thresholds, rho=0.5, delta=0.2):
+    """rest_sum, rest_split and comparison_bound's (value, max_term,
+    argmax_pair) at each threshold from one m x m array: np.unique over |G|
+    with the diagonal zeroed, and np.isin over the whole array for the
+    argmax."""
+    m = gram.shape[0]
+    a = np.abs(gram)
+    np.fill_diagonal(a, 0.0)
+    v, c = np.unique(a, return_counts=True)
+
+    def terms(term):
+        return np.fromiter(map(term, v.tolist()), float, len(v))
+
+    base = math.log(m) / m ** 2
+    rest = terms(lambda x: x * base ** (1.0 / (1.0 + x)))
+    split = tuple(_weighted_fsum(rest[mask], c[mask])
+                  for mask in (v >= rho, (v >= delta) & (v < rho), v < delta))
+    bounds = []
+    for threshold in thresholds:
+        t = terms(lambda x: x * math.exp(-threshold ** 2 / (1.0 + x)))
+        top = t.max()
+        i, j = np.unravel_index(np.argmax(np.isin(a, v[t == top])), a.shape)
+        bounds.append((0.25 * _weighted_fsum(t, c), 0.25 * float(top), (int(i), int(j))))
+    return _weighted_fsum(rest, c), split, bounds
+
+
+def _random_correlation(rng, m, asymmetric=False):
+    a = rng.standard_normal((m, m + 3))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    gram = a @ a.T
+    np.fill_diagonal(gram, 1.0)
+    if asymmetric:
+        gram[m - 1, 0] = -0.97
+    return gram
+
+
+def _block_grams():
+    yield from (frame_gram(TIWaveletFrame(n, f)) for f in ("haar", "cdf97r")
+                for n in (16, 64, 256))
+    yield from (frame_gram(CycleSpinFrame(n, 4, "haar")) for n in (64, 1024))
+    rng = np.random.default_rng(11)
+    for m in (2, 3, 127, 129, 300):
+        yield _random_correlation(rng, m)
+        yield _random_correlation(rng, m, asymmetric=True)
+    yield np.eye(5)
+
+
+def _assert_sums_equal_whole_matrix(gram, thresholds=(0.0, 2.0, 3.0)):
+    m = gram.shape[0]
+    r, split, bounds = _whole_matrix_sums(gram, thresholds)
+    # bytes, not ==: a sum may not move by any amount, nor turn -0.0
+    assert rest_sum(gram, m).hex() == r.hex()
+    assert [x.hex() for x in rest_split(gram, m, 0.5, 0.2)] == [x.hex() for x in split]
+    for threshold, (value, max_term, argmax) in zip(thresholds, bounds):
+        cb = comparison_bound(gram, threshold)
+        assert (cb.value.hex(), cb.max_term.hex(), cb.argmax_pair) == (
+            value.hex(), max_term.hex(), argmax)
+
+
+def test_row_block_sums_equal_whole_matrix_route():
+    # TI and cyclespin Grams of up to 3068 atoms (up to 24 row blocks),
+    # random correlation matrices within one block, the identity
+    for gram in _block_grams():
+        _assert_sums_equal_whole_matrix(gram)
+
+
+@pytest.mark.parametrize("m, rows", [(129, 10), (300, 7), (127, 1), (64, 64)])
+def test_row_block_sums_at_small_blocks(monkeypatch, rng, m, rows):
+    # m rows in blocks of `rows`: a last block shorter than the others, one
+    # row per block, and one block holding every row; random entries are
+    # all distinct, so block histograms are merged before the pass ends
+    monkeypatch.setattr(diagnostics, "_BLOCK_ENTRIES", rows * m)
+    _assert_sums_equal_whole_matrix(_random_correlation(rng, m))
+    _assert_sums_equal_whole_matrix(_random_correlation(rng, m, asymmetric=True))
+
+
+@pytest.mark.parametrize("budget", [None, 7 * 600])
+def test_argmax_pair_first_found_in_later_block(monkeypatch, rng, budget):
+    # 600 rows make two blocks of 436 and 164 rows by default (86 blocks of
+    # 7 at the small budget); the largest |kappa| sits only at (500, 550)
+    # and (550, 500), so the scan reaches it in a later block.  Entries on a
+    # 1/64 grid keep the histogram small.
+    if budget is not None:
+        monkeypatch.setattr(diagnostics, "_BLOCK_ENTRIES", budget)
+    gram = np.round(_random_correlation(rng, 600) * 32) / 64
+    np.fill_diagonal(gram, 1.0)
+    gram[500, 550] = gram[550, 500] = -0.99
+    assert comparison_bound(gram, 2.0).argmax_pair == (500, 550)
+    _assert_sums_equal_whole_matrix(gram)
+
+
+def _bad_grams():
+    gram = _random_correlation(np.random.default_rng(3), 600)  # two row blocks
+    for (i, j), value in (((590, 3), np.nan), ((0, 0), np.nan), ((599, 599), np.inf),
+                          ((420, 421), -np.inf), ((500, 500), 0.9), ((590, 3), 1.2),
+                          ((2, 3), -1.0 - 2e-9)):
+        bad = gram.copy()
+        bad[i, j] = value
+        yield bad
+    for first, second in ((((5, 5), 0.9), ((590, 3), np.nan)),   # finite before diagonal
+                          (((590, 590), 0.9), ((1, 2), 1.5))):  # diagonal before range
+        bad = gram.copy()
+        for (i, j), value in (first, second):
+            bad[i, j] = value
+        yield bad
+    yield np.ones((3, 4))
+
+
+@pytest.mark.parametrize("bad", list(_bad_grams()))
+def test_rejected_grams_raise_the_whole_matrix_message(bad):
+    with pytest.raises(ValueError) as expected:
+        _whole_matrix_check(bad)
+    for call in (lambda: rest_sum(bad, 600), lambda: rest_split(bad, 600, 0.5, 0.2),
+                 lambda: comparison_bound(bad, 2.0)):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == str(expected.value)
+
+
+def test_rest_sum_memory_is_bounded_by_the_block_budget():
+    # the n=256 TI haar Gram is 2048 x 2048 (32 MiB); the pass holds one
+    # 2 MiB block, its sorted copy and the histograms
+    gram = frame_gram(TIWaveletFrame(256, "haar"))
+    m = gram.shape[0]
+    tracemalloc.start()
+    try:
+        rest_sum(gram, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < gram.nbytes / 4
 
 
 @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.integers(0, 2 ** 20)), max_size=4))
