@@ -175,7 +175,7 @@ def ti_constant_c(filters, grid_size=2 ** 14, scale=6):
     differentiable (Haar, D4) or when the curvature estimate fails to
     stabilize or is nonpositive.
     """
-    from .transforms import WaveletBasis, get_filters
+    from .transforms import get_filters
 
     if isinstance(filters, str):
         filters = get_filters(filters)
@@ -187,7 +187,7 @@ def ti_constant_c(filters, grid_size=2 ** 14, scale=6):
         raise ThresholdError("grid_size must be at least 2^12")
     estimates = []
     for g in (grid_size // 4, grid_size // 2, grid_size):
-        estimates.append(_curvature_estimate(filters, g, scale, WaveletBasis))
+        estimates.append(_curvature_estimate(filters, g, scale))
     c_prev, _, c_fin = estimates
     if abs(c_fin - c_prev) > 1e-2 * c_fin:
         raise ThresholdError(
@@ -206,8 +206,10 @@ class CurvatureEstimate:
         return self.c
 
 
-def _curvature_estimate(filters, grid_size, scale, basis_cls):
-    wb = basis_cls(grid_size, filters)
+def _curvature_estimate(filters, grid_size, scale):
+    from .transforms import WaveletBasis
+
+    wb = WaveletBasis(grid_size, filters)
     v = wb.atom(2 ** scale - 1)  # flat position of detail atom (j=scale, k=0)
     dt = 2.0 ** scale / grid_size
     rho1 = float(np.dot(v, np.roll(v, 1)))

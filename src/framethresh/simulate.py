@@ -26,8 +26,8 @@ import numpy as np
 from . import rng as _rng
 from .core import CoefficientVector, frame_bounds
 from .diagnostics import comparison_bound
-from .evt import (GumbelNorms, evt_threshold, gumbel_cdf, norms_chi,
-                  ti_threshold_at_z, universal_threshold)
+from .evt import (evt_threshold, gumbel_cdf, norms_chi, ti_threshold_at_z,
+                  universal_threshold)
 from .norms import evaluate as norm_evaluate
 from .shrink import SHRINKING_RULES, shrink_value
 

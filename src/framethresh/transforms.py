@@ -2,8 +2,9 @@
 
 Periodic wavelet bases via multiresolution filter banks (Haar, Daubechies-4,
 CDF 9/7), cycle-spinning frames stacking M circular shifts of a wavelet basis,
-the fully translation-invariant wavelet frame computed by the a-trous scheme,
-and oversampled sine frames.
+the fully translation-invariant wavelet frame of all n shifts of a wavelet
+basis, and oversampled sine frames.  Every wavelet-family atom is a circular
+shift of a unit base atom per scale, materialized once by the basis.
 
 Conventions.  One analysis level computes
     a[k] = sum_m dec_lo[m] x[(2k+m) mod n],   d[k] = sum_m dec_hi[m] x[(2k+m) mod n]
@@ -117,7 +118,9 @@ def get_filters(name):
 
 def _wrap_pad(x, before, after):
     """x extended periodically along the last axis: entry i of the result
-    is x[(i - before) mod n], for i in [0, before + n + after)."""
+    is x[(i - before) mod n], for i in [0, before + n + after).  A pad
+    longer than x (a 9- or 10-tap CDF 9/7 filter at n = 2) wraps more than
+    once, through an index taken mod n."""
     n = x.shape[-1]
     if before > n or after > n:
         return x[..., np.arange(-before, n + after) % n]
@@ -153,24 +156,6 @@ def _periodic_up_conv(a, f, n):
     return y
 
 
-def _periodic_correlate(x, f):
-    """Undecimated: y[i] = sum_m f[m] x[(i+m) mod n]."""
-    n = x.shape[-1]
-    xp = _wrap_pad(x, 0, len(f) - 1)
-    y = np.zeros_like(x)
-    for m, fm in enumerate(f):
-        if fm != 0.0:
-            y += fm * xp[..., m:m + n]
-    return y
-
-
-def _upsample_filter(f, step):
-    """Insert step-1 zeros between taps (a-trous dilation)."""
-    out = np.zeros((len(f) - 1) * step + 1)
-    out[::step] = f
-    return out
-
-
 def _shifted_atoms(bases, rows, shifts):
     """Circular shifts of unit base atoms: np.roll(bases[rows], shifts),
     gathered as contiguous windows of the stack doubled along the shift
@@ -202,25 +187,17 @@ def _dwt_raw(x, filt, levels):
     return details, a
 
 
-def _idwt_raw(details, approx, filt):
-    _, _, rec_lo, rec_hi = filt.arrays()
-    a = np.asarray(approx, dtype=float)
-    for d in reversed(details):
-        n = 2 * a.shape[-1]
-        a = _periodic_up_conv(a, rec_lo, n) + _periodic_up_conv(d, rec_hi, n)
-    return a
+def _idwt_raw(details, approx, lo, hi):
+    """One synthesis loop, coarsest level first, with the filter pair (lo, hi).
 
-def _dwt_adjoint_raw(details, approx, filt):
-    """Adjoint of the analysis map; synthesis with the analysis filters.
-
-    Coincides with _idwt_raw for orthonormal filter pairs and is what
+    The synthesis filters invert _dwt_raw; the analysis filters give the
+    adjoint of the analysis map (the same map for orthonormal pairs), which
     materializes analysis atoms in the biorthogonal case.
     """
-    dec_lo, dec_hi, _, _ = filt.arrays()
     a = np.asarray(approx, dtype=float)
     for d in reversed(details):
         n = 2 * a.shape[-1]
-        a = _periodic_up_conv(a, dec_lo, n) + _periodic_up_conv(d, dec_hi, n)
+        a = _periodic_up_conv(a, lo, n) + _periodic_up_conv(d, hi, n)
     return a
 
 
@@ -259,7 +236,7 @@ class WaveletBasis(Frame):
             self._scale_slices[j] = slice(off, off + 2 ** j)
             off += 2 ** j
         # every scale-j atom is a shift of the k = 0 atom by multiples of n/2^j
-        raw = np.stack([self._raw_atom(j) for j in range(self.coarsest_level, J)])
+        raw = self._unit_responses()[:-1]
         self._norms = np.array([np.linalg.norm(row) for row in raw])
         if np.any(self._norms == 0):
             raise FrameError("degenerate wavelet filter: zero atom")
@@ -279,15 +256,20 @@ class WaveletBasis(Frame):
         return [values[..., self._scale_slices[j]]
                 for j in range(self.J - 1, self.coarsest_level - 1, -1)]
 
-    def _raw_atom(self, j):
-        """Unnormalized analysis atom at scale j, location k = 0."""
-        details = [np.zeros(2 ** jj) for jj in range(self.J - 1, self.coarsest_level - 1, -1)]
-        details[self.J - 1 - j][0] = 1.0
-        approx = np.zeros(2 ** self.coarsest_level)
-        return _dwt_adjoint_raw(details, approx, self.filters)
-
-    def scale_norm(self, j):
-        return float(self._norms[j - self.coarsest_level])
+    def _unit_responses(self, synthesis=False):
+        """Raw (unnormalized) atoms at location 0, one row per unit
+        coefficient run through the synthesis loop: the detail atom of each
+        scale, coarsest first, then the coarsest scaling atom.  The analysis
+        filters give the analysis atoms, the synthesis filters the synthesis
+        atoms."""
+        rows = self.levels + 1
+        details = [np.zeros((rows, 2 ** j)) for j in range(self.J - 1, self.coarsest_level - 1, -1)]
+        for row, d in enumerate(details[::-1]):
+            d[row, 0] = 1.0
+        approx = np.zeros((rows, self.carry_dim))
+        approx[-1, 0] = 1.0
+        pair = self.filters.arrays()[2:] if synthesis else self.filters.arrays()[:2]
+        return _idwt_raw(details, approx, *pair)
 
     def analyze(self, signal):
         signal = self._check_signal(signal)
@@ -301,7 +283,7 @@ class WaveletBasis(Frame):
         details = self._values_to_details(coeffs.values * self._scale)
         approx = coeffs.carry if coeffs.carry is not None \
             else np.zeros(coeffs.values.shape[:-1] + (self.carry_dim,))
-        return _idwt_raw(details, approx, self.filters)
+        return _idwt_raw(details, approx, *self.filters.arrays()[2:])
 
     def atom(self, position):
         j = self._labels[0][position]
@@ -310,11 +292,8 @@ class WaveletBasis(Frame):
 
     def scaling_atom(self, k=0):
         """Unit-norm analysis scaling atom at the coarsest level."""
-        details = [np.zeros(2 ** jj) for jj in range(self.J - 1, self.coarsest_level - 1, -1)]
-        approx = np.zeros(2 ** self.coarsest_level)
-        approx[k] = 1.0
-        v = _dwt_adjoint_raw(details, approx, self.filters)
-        return v / np.linalg.norm(v)
+        v = self._unit_responses()[-1]
+        return np.roll(v / np.linalg.norm(v), k * (self.n >> self.coarsest_level))
 
     def label_arrays(self):
         return self._labels
@@ -429,13 +408,15 @@ class CycleSpinFrame(Frame):
 class TIWaveletFrame(Frame):
     """Fully translation-invariant wavelet frame (M = n shifts).
 
-    Coefficients are computed by the a-trous scheme: n shifts at every scale,
-    scale-major (coarsest first), shift-minor; entry (j, s) is the coefficient
-    of the unit-norm scale-j analysis atom shifted by s samples.  These are
-    the distinct atoms of the multiset Omega_n x {0..n-1}; the multiset
-    multiplicity 2^j of each scale-j atom enters the frame operator and the
-    dual synthesis, so frame bounds report the tight multiset value b_n = n
-    for orthonormal filters.
+    The union of all n circular shifts of the periodic wavelet basis built
+    with the same arguments, held as `basis`.  Coefficients are n shifts at
+    every scale, scale-major (coarsest first), shift-minor; entry (j, s) is
+    the coefficient of the basis's unit-norm scale-j analysis atom shifted
+    by s samples, computed as one FFT cross-correlation of the signal with
+    every base atom.  These are the distinct atoms of the multiset
+    Omega_n x {0..n-1}; the multiset multiplicity 2^j of each scale-j atom
+    enters the frame operator and the dual synthesis, so frame bounds report
+    the tight multiset value b_n = n for orthonormal filters.
 
     The multiset frame operator sum_j 2^j C_j is circulant: its spectrum is
     the FFT symbol computed once at construction, which gives the exact
@@ -447,35 +428,28 @@ class TIWaveletFrame(Frame):
     """
 
     def __init__(self, n, filters=HAAR, coarsest_level=0):
-        J = _check_dyadic(n)
-        if isinstance(filters, str):
-            filters = get_filters(filters)
-        if not 0 <= coarsest_level < J:
-            raise FrameError(f"coarsest_level {coarsest_level} outside [0, {J})")
-        self.n = int(n)
-        self.J = J
-        self.filters = filters
-        self.coarsest_level = int(coarsest_level)
-        self.levels = J - coarsest_level
+        basis = WaveletBasis(n, filters, coarsest_level)
+        self.basis = basis
+        self.n = basis.n
+        self.J = basis.J
+        self.filters = basis.filters
+        self.coarsest_level = basis.coarsest_level
+        self.levels = basis.levels
         self.atom_count = self.levels * self.n
         self.carry_dim = self.n  # the undecimated coarsest scaling sequence
-        self.name = f"ti[{filters.name},n={n},c={coarsest_level}]"
-        js = np.repeat(np.arange(self.coarsest_level, J), self.n)
+        self.name = f"ti[{self.filters.name},n={n},c={coarsest_level}]"
+        js = np.repeat(np.arange(self.coarsest_level, self.J), self.n)
         ss = np.tile(np.arange(self.n), self.levels)
         self._labels = (js, ss)
-        base, base_scaling = self._materialize_bases()
-        self._norms = {j: float(np.linalg.norm(a)) for j, a in base.items()}
-        scales = range(self.coarsest_level, J)
-        # unit base atom per scale; atom (j, s) is its circular shift by s
-        self._bases = np.stack([base[j] / self._norms[j] for j in scales])
-        # analysis = circular cross-correlation with each base atom, done in
-        # the Fourier domain: one rfft of the signal, one irfft per scale
-        self._analysis_mult = np.stack(
-            [np.conj(np.fft.rfft(base[j])) / self._norms[j] for j in scales])
-        self._scaling_mult = np.conj(np.fft.rfft(base_scaling))
+        # analysis = circular cross-correlation with each unit base atom and
+        # with the raw scaling atom, done in the Fourier domain: one rfft of
+        # the signal, one irfft per scale
+        raw = basis._unit_responses()
+        self._analysis_mult = np.conj(np.fft.rfft(raw[:-1])) / basis._norms[:, None]
+        self._scaling_mult = np.conj(np.fft.rfft(raw[-1]))
         # multiset weights 2^j
-        weights = 2.0 ** np.arange(self.coarsest_level, J)[:, None]
-        ah = np.fft.fft(self._bases)
+        weights = 2.0 ** np.arange(self.coarsest_level, self.J)[:, None]
+        ah = np.fft.fft(basis._bases)
         # FFT symbol of the multiset frame operator sum_j 2^j C_j, summed
         # finest first
         sym = (weights * np.abs(ah) ** 2)[::-1].sum(axis=0)
@@ -486,12 +460,14 @@ class TIWaveletFrame(Frame):
         # dual synthesis acts on real data, so it needs only the half
         # spectrum (the symbol and the good mask are real and even): per
         # scale 2^j fft(base_j) / symbol on the good bins, 0 elsewhere, and
-        # the scaling kernel with its 2^c / n shift average folded in
+        # the synthesis scaling atom's spectrum with its 2^c / n shift
+        # average folded in
         h = self.n // 2 + 1
         good = self._good[:h]
         self._synthesis_kernel = np.zeros((self.levels, h), dtype=complex)
         self._synthesis_kernel[:, good] = (weights * ah[:, :h])[:, good] / sym[:h][good]
-        self._scaling_synthesis = self._scaling_kernel()[:h] * (2 ** self.coarsest_level / self.n)
+        self._scaling_synthesis = (np.fft.rfft(basis._unit_responses(synthesis=True)[-1])
+                                   * (2 ** self.coarsest_level / self.n))
 
     def atom_multiplicity(self, position):
         return 2.0 ** self._labels[0][position]
@@ -499,30 +475,6 @@ class TIWaveletFrame(Frame):
     @property
     def distinct_count(self):
         return self.atom_count
-
-    def _atrous_raw(self, x):
-        """Undecimated detail sequences per scale j (dict) plus the
-        undecimated coarsest scaling sequence."""
-        dec_lo, dec_hi, _, _ = self.filters.arrays()
-        a = np.asarray(x, dtype=float)
-        details = {}
-        for lev in range(1, self.levels + 1):
-            step = 2 ** (lev - 1)
-            hi = _upsample_filter(dec_hi, step)
-            lo = _upsample_filter(dec_lo, step)
-            details[self.J - lev] = _periodic_correlate(a, hi)
-            a = _periodic_correlate(a, lo)
-        return details, a
-
-    def _materialize_bases(self):
-        """Time-reversed analysis kernels per scale, from analyzing delta."""
-        delta = np.zeros(self.n)
-        delta[0] = 1.0
-        details, approx = self._atrous_raw(delta)
-        base = {j: details[j][(-np.arange(self.n)) % self.n]
-                for j in details}
-        base_scaling = approx[(-np.arange(self.n)) % self.n]
-        return base, base_scaling
 
     def analyze(self, signal):
         signal = self._check_signal(signal)
@@ -547,37 +499,9 @@ class TIWaveletFrame(Frame):
             y += np.fft.rfft(coeffs.carry) * self._scaling_synthesis
         return np.fft.irfft(y, self.n)
 
-    def _scaling_kernel(self):
-        """FFT of the synthesis scaling atom at shift 0: delta run through
-        the dilated synthesis lowpass filters, coarsest level first."""
-        _, _, rec_lo, _ = self.filters.arrays()
-        synth = np.zeros(self.n)
-        synth[0] = 1.0
-        for lev in range(self.levels, 0, -1):
-            step = 2 ** (lev - 1)
-            lo = _upsample_filter(rec_lo, step)
-            # adjoint placement: conv with the (undilated-origin) filter
-            synth = _fft_convolve(synth, lo)
-        return _periodized_fft(synth, self.n)
-
     def atom(self, position):
         j, s = (col[position] for col in self._labels)
-        return _shifted_atoms(self._bases, j - self.coarsest_level, s)
-
-    def scale_norm(self, j):
-        return self._norms[j]
-
-
-def _periodized_fft(f, n):
-    """FFT of the filter periodized to length n."""
-    fp = np.zeros(n)
-    np.add.at(fp, np.arange(len(f)) % n, f)
-    return np.fft.fft(fp)
-
-
-def _fft_convolve(x, f):
-    """Circular convolution with the filter periodized to length n."""
-    return np.fft.ifft(np.fft.fft(x) * _periodized_fft(f, len(x))).real
+        return _shifted_atoms(self.basis._bases, j - self.coarsest_level, s)
 
 
 # --- sine frames --------------------------------------------------------------

@@ -6,11 +6,10 @@ import pytest
 from framethresh.core import CoefficientVector, DimensionMismatch, ExplicitFrame, FrameError
 from framethresh.shrink import shrink_value
 from framethresh.transforms import (CDF97, D4, FILTERS, HAAR, CycleSpinFrame, SineFrame,
-                                    TIWaveletFrame, WaveletBasis, _dwt_raw,
-                                    _idwt_raw, _periodic_correlate,
+                                    TIWaveletFrame, WaveletBasis, _dwt_raw, _idwt_raw,
                                     _periodic_correlate_down, _periodic_up_conv,
-                                    _shifted_atoms, _upsample_filter, cs_distinct_count,
-                                    frame_from_spec, get_filters)
+                                    _shifted_atoms, cs_distinct_count, frame_from_spec,
+                                    get_filters)
 
 SQ2 = np.sqrt(2.0)
 
@@ -22,7 +21,7 @@ def test_one_level_perfect_reconstruction_even_lengths(filt, min_len, rng):
     for n in range(min_len, min_len + 12, 2):
         x = rng.standard_normal(n)
         details, approx = _dwt_raw(x, filt, 1)
-        rec = _idwt_raw(details, approx, filt)
+        rec = _idwt_raw(details, approx, *filt.arrays()[2:])
         assert np.max(np.abs(rec - x)) < 1e-10
 
 
@@ -48,14 +47,6 @@ def _roll_up_conv(a, f, n):
     return y
 
 
-def _roll_correlate(x, f):
-    y = np.zeros_like(x)
-    for m, fm in enumerate(f):
-        if fm != 0.0:
-            y += fm * np.roll(x, -m, axis=-1)
-    return y
-
-
 def _signed_zero_inputs(shape, rng):
     x = rng.standard_normal(shape)
     x[..., ::3] = 0.0
@@ -73,10 +64,6 @@ def test_filter_primitives_equal_roll_formulas_bytewise(name, n, lead, rng):
                     == _roll_correlate_down(x, f).tobytes())
             a = x[..., : n // 2]
             assert _periodic_up_conv(a, f, n).tobytes() == _roll_up_conv(a, f, n).tobytes()
-            # dilated taps as in the a-trous scheme, longer than n at small n
-            for step in (1, 2, 4):
-                g = _upsample_filter(f, step)
-                assert _periodic_correlate(x, g).tobytes() == _roll_correlate(x, g).tobytes()
 
 
 # --- decimated transform --------------------------------------------------------
@@ -273,6 +260,84 @@ def test_cs_distinct_count_rejects_M_above_n():
 
 
 # --- translation invariant --------------------------------------------------------
+# The a-trous scheme, kept here as an oracle independent of the decimated
+# basis the frame is built on: level l correlates (analysis) or convolves
+# (synthesis) with a filter whose taps sit 2^(l-1) samples apart, each tap
+# added as a circular shift in increasing order onto a +0.0 start.
+
+def _atrous_step(x, f, step, sign):
+    y = np.zeros_like(x)
+    for m, fm in enumerate(f):
+        if fm != 0.0:
+            y += fm * np.roll(x, sign * m * step)
+    return y
+
+
+def _atrous_atoms(n, filt, c):
+    """Raw TI atoms at shift 0: the detail atoms coarsest first and the
+    analysis scaling atom (a delta correlated with the dilated analysis
+    filters, each sequence time-reversed), and the synthesis scaling atom
+    (a delta convolved with the dilated synthesis lowpass filters)."""
+    dec_lo, dec_hi, rec_lo, _ = filt.arrays()
+    levels = n.bit_length() - 1 - c
+    reverse = -np.arange(n) % n
+    delta = np.zeros(n)
+    delta[0] = 1.0
+    a, details = delta, []
+    for lev in range(levels):
+        details.insert(0, _atrous_step(a, dec_hi, 2 ** lev, -1)[reverse])
+        a = _atrous_step(a, dec_lo, 2 ** lev, -1)
+    synth = delta
+    for lev in range(levels - 1, -1, -1):
+        synth = _atrous_step(synth, rec_lo, 2 ** lev, 1)
+    return np.stack(details), a[reverse], synth
+
+
+@pytest.mark.parametrize("name", sorted(FILTERS))
+def test_ti_base_atoms_equal_atrous_oracle(name):
+    """The frame built on its basis has the a-trous atoms; at coarsest level
+    0 Haar reproduces their bytes: each row normalized by its own norm, the
+    bounds read off the FFT symbol summed finest first."""
+    for J in range(1, 13):
+        n = 2 ** J
+        for c in range(min(3, J)):
+            frame = TIWaveletFrame(n, name, coarsest_level=c)
+            details, scaling, _ = _atrous_atoms(n, FILTERS[name], c)
+            unit = np.stack([row / float(np.linalg.norm(row)) for row in details])
+            assert np.max(np.abs(frame.basis._bases - unit)) <= 1e-15
+            # the carry of a delta at 0 is the analysis scaling atom reversed
+            delta = np.zeros(n)
+            delta[0] = 1.0
+            carry = frame.analyze(delta).carry[-np.arange(n) % n]
+            assert np.max(np.abs(carry - scaling)) <= 1e-15
+            if name == "haar" and c == 0:
+                assert frame.basis._bases.tobytes() == unit.tobytes()
+                weights = 2.0 ** np.arange(J)[:, None]
+                sym = (weights * np.abs(np.fft.fft(unit)) ** 2)[::-1].sum(axis=0)
+                good = sym > n * 1e-12 * sym.max()
+                assert frame.bounds == (float(sym[good].min()), float(sym.max()))
+
+
+@pytest.mark.parametrize("name", sorted(FILTERS))
+@pytest.mark.parametrize("c", [0, 1, 2])
+def test_ti_agrees_with_decimated_basis(name, c, rng):
+    """TI coefficient (j, k n/2^j) is basis coefficient (j, k), and the TI
+    carry at shift k n/2^c the basis carry k, for biorthogonal filters too
+    (cycle spinning rejects those)."""
+    for n in (8, 64, 1024):
+        ti = TIWaveletFrame(n, name, coarsest_level=c)
+        basis = WaveletBasis(n, name, coarsest_level=c)
+        x = rng.standard_normal((3, n))
+        cti, cb = ti.analyze(x), basis.analyze(x)
+        bj, bk = basis.label_arrays()
+        pos = (bj - c) * n + bk * (n >> bj)
+        assert np.array_equal(cti.labels[0][pos], bj)
+        assert np.array_equal(cti.labels[1][pos], bk * (n >> bj))
+        scale = np.max(np.abs(cb.values))
+        assert np.max(np.abs(cti.values[:, pos] - cb.values)) <= 1e-13 * scale
+        carry = cti.carry[:, np.arange(2 ** c) * (n >> c)]
+        assert np.max(np.abs(carry - cb.carry)) <= 1e-13 * np.max(np.abs(cb.carry))
+
 
 def test_ti_agrees_with_cs_full_shift(rng):
     n = 32
@@ -315,16 +380,17 @@ def _ti_full_fft_synthesis(frame, values, carry):
     """Full-spectrum TI dual synthesis: fft of the coefficient block, the
     per-scale kernels 2^j fft(base_j) summed coarsest first, a masked
     division by the symbol, one ifft, and a second fft/ifft pair for the
-    carry."""
+    carry with the a-trous synthesis scaling atom."""
     weights = 2.0 ** np.arange(frame.coarsest_level, frame.J)[:, None]
-    synthesis_mult = weights * np.fft.fft(frame._bases)
+    synthesis_mult = weights * np.fft.fft(frame.basis._bases)
     spec = np.fft.fft(values.reshape(values.shape[:-1] + (frame.levels, frame.n)))
     y = (synthesis_mult * spec).sum(axis=-2)
     y[..., frame._good] /= frame._fft_symbol[frame._good]
     y[..., ~frame._good] = 0.0
     out = np.fft.ifft(y).real
     if carry is not None:
-        spec = np.fft.fft(carry) * frame._scaling_kernel()
+        spec = np.fft.fft(carry) * np.fft.fft(
+            _atrous_atoms(frame.n, frame.filters, frame.coarsest_level)[2])
         out += np.fft.ifft(spec).real * (2 ** frame.coarsest_level / frame.n)
     return out
 
