@@ -370,7 +370,7 @@ def cmd_diagnose(args):
         frames.append(_load_frame({**template, "n": n}))
     try:
         stab = stability_check(frames, args.rho, deduplicate=not args.keep_duplicates)
-    except ValueError as exc:
+    except (ValueError, FrameError) as exc:
         _fail(EXIT_VALIDATION, "validation", str(exc), "--n-list")
     report = {"stability": io.to_jsonable(stab)}
     if args.T:

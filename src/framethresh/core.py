@@ -112,6 +112,13 @@ class Frame:
         array."""
         raise NotImplementedError
 
+    def shift_structure(self, positions):
+        """(bases, rows, shifts) when every atom is a circular shift of a
+        unit base atom: atom(p) == np.roll(bases[rows], shifts) elementwise
+        over positions, with shifts in [0, n).  None for frames without that
+        structure."""
+        return None
+
     # --- span / multiplicity defaults -------------------------------------
 
     #: dimension of the atom span, or None to determine it numerically
@@ -231,40 +238,227 @@ def gram_coherence_counts(frame, deltas, deduplicate=True, include_diagonal=Fals
     Counts ordered pairs (w, w'), w != w', so totals are even by symmetry.
     With deduplicate=True (default) the census runs over distinct atoms only;
     duplicated atoms otherwise trivially contribute |<phi,phi>| = 1 pairs.
-    Atoms are materialized lazily in blocks of 256, at most two at a time.
-    A count at a level that |kappa| hits exactly depends on the gemm's
-    rounding: for TI haar n=256, 8192 off-diagonal entries equal 0.5 in exact
-    arithmetic and 5888 of them compute >= 0.5, so another blocking or
-    another route to the same entries can move the count at rho = 0.5.
+    The frame bounds are computed first, so a frame without them raises
+    FrameError before any atom is materialized.
+
+    Two routes give the same counts.  The dense route (explicit and sine
+    frames) computes the Gram matrix as gemm tiles of _BLOCK x _BLOCK atoms,
+    the tiles on and above the diagonal in row-major order, with at most
+    two atom blocks materialized at a time.  The structure route (frames
+    with a `shift_structure`: wavelet bases, cycle spinning, TI) uses that
+    <roll(B_r, a), roll(B_r', b)> = v_rr'(b - a) is a lag value of two base
+    atoms: per pair of rows it takes the lag values from one FFT
+    cross-correlation and the exact int64 pair count at every lag from the
+    correlation of the per-row shift multiplicities, in O(rows * n) memory
+    with no m x m array.
+
+    A count at a level that |kappa| hits exactly depends on rounding: for
+    TI haar n=256, 8192 off-diagonal entries equal 0.5 in exact arithmetic,
+    the gemm rounds 5888 of them to >= 0.5, and pairs at the same lag fall
+    on both sides.  So the structure route decides from the lag value only
+    the lags whose |v| lies farther than 8 n eps from a level (a band that
+    covers the gemm's and the FFT's rounding together); every pair at a lag
+    inside the band is a tie, decided from its entry of the very gemm tile
+    the dense route computes, through the same tile helper.  Only tiles
+    holding a tie are computed.  Self-pairs near |v| = 1 follow the same rule
+    for include_diagonal.  max_offdiag comes from the lag values on that
+    route and may differ from the gemm's by up to the band.
     """
-    deltas = [float(d) for d in deltas]
-    for d in deltas:
+    levels = [float(d) for d in deltas]
+    for d in levels:
         if not 0 < d <= 1:
             raise ValueError(f"coherence level delta={d} outside (0, 1]")
-    positions = frame.distinct_positions() if deduplicate else np.arange(frame.atom_count)
-    counts = {d: 0 for d in deltas}
-    diag_counts = {d: 0 for d in deltas}
-    max_off = 0.0
-    for start in range(0, len(positions), _BLOCK):
-        mi = frame.atom(positions[start:start + _BLOCK])
-        g = mi @ mi.T
-        off = np.abs(g - np.diag(np.diag(g)))
-        max_off = max(max_off, float(off.max()))
-        for d in deltas:
-            counts[d] += int(np.count_nonzero(off >= d))
-            diag_counts[d] += int(np.count_nonzero(np.abs(np.diag(g)) >= d))
-        for _, mj in _atom_blocks(frame, positions[start + _BLOCK:]):
-            ga = np.abs(mi @ mj.T)
-            max_off = max(max_off, float(ga.max()))
-            for d in deltas:
-                counts[d] += 2 * int(np.count_nonzero(ga >= d))
     bounds = frame_bounds(frame)
-    final = {}
-    for d in deltas:
-        final[d] = counts[d] + (diag_counts[d] if include_diagonal else 0)
-    return GramSummary(frame_bounds=bounds, coherence_counts=final,
+    positions = frame.distinct_positions() if deduplicate else np.arange(frame.atom_count)
+    keyed = _shift_keys(frame, positions)
+    if keyed is None:
+        counts, diag_counts, max_off = _dense_census(frame, positions, levels)
+    else:
+        counts, diag_counts, max_off = _shift_census(frame, positions, levels, *keyed)
+    if include_diagonal:
+        counts = counts + diag_counts
+    return GramSummary(frame_bounds=bounds,
+                       coherence_counts={d: int(c) for d, c in zip(levels, counts)},
                        max_offdiag=max_off, distinct_count=len(positions),
                        include_diagonal=include_diagonal)
+
+
+def _gram_tiles(frame, positions, tiles):
+    """Yield (i, j, tile) for census tiles (i, j), i <= j, given in
+    row-major order: tile is |A_i A_j^T| for the atom blocks
+    A_i = frame.atom(positions[i*_BLOCK:(i+1)*_BLOCK]), one gemm (A_i A_i^T
+    on the diagonal).  Each row block is materialized once per call, and at
+    most two blocks are held at a time."""
+    row = None
+    for i, j in tiles:
+        if i != row:
+            mi = None  # released before the next block is materialized
+            row, mi = i, frame.atom(positions[i * _BLOCK:(i + 1) * _BLOCK])
+        mj = mi if j == i else frame.atom(positions[j * _BLOCK:(j + 1) * _BLOCK])
+        yield i, j, np.abs(mi @ mj.T)
+        mj = None
+
+
+def _dense_census(frame, positions, levels):
+    """(off-diagonal counts, diagonal counts, max off-diagonal |kappa|) per
+    level from every tile; a tile above the diagonal stands for its mirror
+    too and counts twice."""
+    blocks = -(-len(positions) // _BLOCK)
+    tiles = ((i, j) for i in range(blocks) for j in range(i, blocks))
+    counts = np.zeros(len(levels), np.int64)
+    diag_counts = np.zeros(len(levels), np.int64)
+    max_off = 0.0
+    for i, j, tile in _gram_tiles(frame, positions, tiles):
+        if i == j:
+            diag = tile.diagonal().copy()
+            np.fill_diagonal(tile, 0.0)
+            diag_counts += [np.count_nonzero(diag >= d) for d in levels]
+        max_off = max(max_off, float(tile.max()))
+        counts += [(1 if i == j else 2) * np.count_nonzero(tile >= d) for d in levels]
+    return counts, diag_counts, max_off
+
+
+def _shift_keys(frame, positions):
+    """(bases, keys) of the frame's shift structure at positions, with
+    keys = row * n + shift, or None for a frame without one."""
+    structure = frame.shift_structure(positions)
+    if structure is None:
+        return None
+    bases, rows, shifts = structure
+    return bases, rows * bases.shape[1] + shifts
+
+
+def _shift_census(frame, positions, levels, bases, keys):
+    """The census of the atoms at keys = row * n + shift, each the base
+    atom of its row rolled by its shift: the lag tables decide every pair
+    outside the tie band, the gemm tiles the ties."""
+    counts, diag_counts, max_off, ties = _lag_census(frame.name, bases, keys, levels)
+    if len(ties):
+        off, diag = _tie_counts(frame, positions, np.array(levels), keys,
+                                bases.shape[1], ties)
+        counts += off
+        diag_counts += diag
+    return counts, diag_counts, max_off
+
+
+def _lag_tables(name, bases, keys):
+    """Yield (r, values, pairs, size) for each row r of the atoms at keys =
+    row * n + shift, each the base atom of its row rolled by its shift.
+
+    values[k, d] = |<B_r, roll(B_{r+k}, d)>| is the |kappa| of every pair
+    (a, b) at rows (r, r + k) with shift(b) - shift(a) = d (mod n), from
+    irfft(rfft(B_r) conj(rfft(B_{r+k}))).  pairs[k, d] is the exact int64
+    number of such ordered pairs of atoms a != b, from the same correlation
+    of the rows' shift multiplicities, checked to be integers; it is
+    doubled for k > 0, so that it counts the mirrored pairs at rows
+    (r + k, r) too.  size is the number of atoms at row r (the self-pairs
+    taken out of pairs[0, 0])."""
+    nrows, n = bases.shape
+    mult = np.bincount(keys, minlength=nrows * n).reshape(nrows, n)
+    base_spec = np.fft.rfft(bases)
+    mult_spec = np.fft.rfft(mult)
+    for r in range(nrows):
+        values = np.abs(np.fft.irfft(base_spec[r] * np.conj(base_spec[r:]), n))
+        pairs = np.fft.irfft(np.conj(mult_spec[r]) * mult_spec[r:], n)
+        exact = np.rint(pairs)
+        if np.abs(pairs - exact).max() > 0.25:
+            raise FrameError(f"lag pair counts of {name} are not exact")
+        pairs = exact.astype(np.int64)
+        size = int(mult[r].sum())
+        pairs[0, 0] -= size
+        pairs[1:] *= 2
+        yield r, values, pairs, size
+
+
+def _lag_census(name, bases, keys, levels):
+    """(counts, diagonal counts, max off-diagonal |kappa|, ties) from the
+    lag tables of the atoms at keys = row * n + shift.
+
+    Lags whose value lies within 8 n eps of a level are ties, symmetrized
+    in d on a row with itself so that a pair and its mirror tie together;
+    every other lag counts all its pairs at once.  ties holds one (level
+    index, r, r', d, is_diagonal) row per tied lag and per row whose
+    self-pairs tie."""
+    n = bases.shape[1]
+    band = 8 * n * np.finfo(float).eps
+    mirror = -np.arange(n) % n
+    counts = np.zeros(len(levels), np.int64)
+    diag_counts = np.zeros(len(levels), np.int64)
+    max_off = 0.0
+    ties = [np.empty((0, 5), np.int64)]
+    for r, values, pairs, size in _lag_tables(name, bases, keys):
+        present = pairs > 0
+        if present.any():
+            max_off = max(max_off, float(values[present].max()))
+        for li, level in enumerate(levels):
+            tie = np.abs(values - level) <= band
+            tie[0] |= tie[0, mirror]
+            counts[li] += pairs[(values >= level) & ~tie].sum()
+            k, d = np.nonzero(tie & present)
+            ties.append(np.stack([np.full_like(k, li), np.full_like(k, r), r + k, d,
+                                  np.zeros_like(k)], 1))
+            if size:
+                if tie[0, 0]:
+                    ties.append(np.array([[li, r, r, 0, 1]]))
+                elif values[0, 0] >= level:
+                    diag_counts[li] += size
+    return counts, diag_counts, max_off, np.concatenate(ties)
+
+
+def _tie_counts(frame, positions, levels, keys, n, ties):
+    """Off-diagonal and diagonal counts of the tied pairs per level, each
+    pair read from its gemm tile.
+
+    One block row of atoms at a time, every tied pair (a, b) with a in the
+    block is enumerated: each tie (level, r, r', d) and the mirror
+    (level, r', r, -d) of a cross-row one send an atom a at row r to the
+    atoms b at key r' n + (shift(a) + d) mod n.  A pair in tile
+    (a // _BLOCK, b // _BLOCK) above the diagonal counts twice, as in the
+    dense route; within a diagonal tile each ordered pair counts once;
+    below it, never (its mirror counts)."""
+    cross = ties[ties[:, 1] != ties[:, 2]]
+    mirrored = np.stack([cross[:, 0], cross[:, 2], cross[:, 1], -cross[:, 3] % n,
+                         cross[:, 4]], 1)
+    ties = np.concatenate([ties, mirrored])
+    ties = ties[np.argsort(ties[:, 1], kind="stable")]
+    first = np.searchsorted(ties[:, 1], np.arange(keys.max() // n + 2))
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    off = np.zeros(len(levels), np.int64)
+    diag = np.zeros(len(levels), np.int64)
+    for i in range(-(-len(positions) // _BLOCK)):
+        a = np.arange(i * _BLOCK, min((i + 1) * _BLOCK, len(positions)))
+        r = keys[a] // n
+        k, t = _expand(first[r], first[r + 1] - first[r])
+        a = a[k]
+        target = ties[t, 2] * n + (keys[a] + ties[t, 3]) % n
+        lo = np.searchsorted(sorted_keys, target, "left")
+        k, b = _expand(lo, np.searchsorted(sorted_keys, target, "right") - lo)
+        a, t, b = a[k], t[k], order[b]
+        is_diag = ties[t, 4] == 1
+        keep = (b // _BLOCK >= i) & ((a == b) == is_diag)
+        a, t, b, is_diag = a[keep], t[keep], b[keep], is_diag[keep]
+        j = b // _BLOCK
+        weight = np.where(j > i, 2, 1)
+        # the column blocks holding a tied pair (np.unique would import numpy.ma)
+        tiles = ((i, int(x)) for x in np.flatnonzero(np.bincount(j)))
+        for _, jj, tile in _gram_tiles(frame, positions, tiles):
+            sel = j == jj
+            li = ties[t[sel], 0]
+            hit = tile[a[sel] - i * _BLOCK, b[sel] - jj * _BLOCK] >= levels[li]
+            for total, mask in ((off, ~is_diag[sel]), (diag, is_diag[sel])):
+                total += np.bincount(li[hit & mask], weight[sel][hit & mask],
+                                     len(levels)).astype(np.int64)
+            del tile  # not held while the next tile's atoms are materialized
+    return off, diag
+
+
+def _expand(starts, lengths):
+    """(range, index) over the ranges starts[g] .. starts[g] + lengths[g]:
+    each range's number g repeated lengths[g] times, with its indices."""
+    group = np.repeat(np.arange(len(starts)), lengths)
+    first = np.cumsum(lengths) - lengths
+    return group, np.arange(len(group)) - first[group] + starts[group]
 
 
 class ExplicitFrame(Frame):

@@ -285,10 +285,14 @@ class WaveletBasis(Frame):
             else np.zeros(coeffs.values.shape[:-1] + (self.carry_dim,))
         return _idwt_raw(details, approx, *self.filters.arrays()[2:])
 
+    def shift_structure(self, positions):
+        # psi_{j,k} is psi_{j,0} shifted by k n/2^j
+        j = self._labels[0][positions]
+        return (self._bases, j - self.coarsest_level,
+                self._labels[1][positions] * (self.n >> j))
+
     def atom(self, position):
-        j = self._labels[0][position]
-        return _shifted_atoms(self._bases, j - self.coarsest_level,
-                              self._labels[1][position] * (self.n >> j))
+        return _shifted_atoms(*self.shift_structure(position))
 
     def scaling_atom(self, k=0):
         """Unit-norm analysis scaling atom at the coarsest level."""
@@ -382,24 +386,25 @@ class CycleSpinFrame(Frame):
             out += np.roll(rec[..., m, :], m, axis=-1)
         return out / self.M
 
-    def atom(self, position):
+    def shift_structure(self, positions):
         # T_m psi_{j,k} is psi_{j,0} shifted by m + k*n/2^j
-        j, k, m = (col[position] for col in self._labels)
-        return _shifted_atoms(self.basis._bases, j - self.basis.coarsest_level,
-                              m + k * (self.n >> j))
+        j, k, m = (col[positions] for col in self._labels)
+        return (self.basis._bases, j - self.basis.coarsest_level,
+                (m + k * (self.n >> j)) % self.n)
+
+    def atom(self, position):
+        return _shifted_atoms(*self.shift_structure(position))
 
     @property
     def distinct_count(self):
         return cs_distinct_count(self.n, self.M)
 
     def distinct_positions(self):
-        """One representative per distinct shifted atom.
-
-        T_m psi_{j,k} equals the circular shift of psi_{j,0} by m + k*n/2^j,
-        so distinctness is decided by (j, shift mod n); the first position
+        """One representative per distinct shifted atom: distinctness is
+        decided by (row, shift) of the shift structure; the first position
         of each key is kept."""
-        bj, bk, bm = self._labels
-        key = bj * self.n + (bm + bk * (self.n >> bj)) % self.n
+        _, rows, shifts = self.shift_structure(np.arange(self.atom_count))
+        key = rows * self.n + shifts
         return np.sort(np.unique(key, return_index=True)[1])
 
 
@@ -499,9 +504,12 @@ class TIWaveletFrame(Frame):
             y += np.fft.rfft(coeffs.carry) * self._scaling_synthesis
         return np.fft.irfft(y, self.n)
 
+    def shift_structure(self, positions):
+        j, s = (col[positions] for col in self._labels)
+        return self.basis._bases, j - self.coarsest_level, s
+
     def atom(self, position):
-        j, s = (col[position] for col in self._labels)
-        return _shifted_atoms(self.basis._bases, j - self.coarsest_level, s)
+        return _shifted_atoms(*self.shift_structure(position))
 
 
 # --- sine frames --------------------------------------------------------------

@@ -519,3 +519,18 @@ def test_cli_import_loads_no_scipy_special_or_linalg():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_diagnose_without_frame_bounds_fails_before_the_census(tmp_path, capsys):
+    """A cyclespin family above coarsest level 0 has no frame bounds at
+    n = 8192; the census checks bounds first, so the run exits 2 naming
+    --n-list at once instead of counting pairs first."""
+    out = tmp_path / "d.json"
+    code = main(["diagnose", "--frame-spec",
+                 '{"type":"cyclespin","n":16,"M":4,"filters":"haar","coarsest_level":1}',
+                 "--n-list", "64", "128", "8192", "--rho", "0.5", "--out", str(out)])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err)["error"]
+    assert payload["kind"] == "validation" and payload["flag"] == "--n-list"
+    assert "8192" in payload["message"]
+    assert not out.exists()

@@ -377,3 +377,173 @@ def test_batched_operators_reject_bad_shapes(frame):
     for shape in [(3, frame.atom_count + 1), (2, 3, frame.atom_count)]:
         with pytest.raises(DimensionMismatch):
             frame.dual_synthesize(CoefficientVector(np.zeros(shape)))
+
+
+# --- the census's structure route against the dense tile loop -----------------
+# Wavelet bases, cycle spinning and TI count through their shift structure
+# (lag tables, ties read from gemm tiles); core._dense_census is the tile loop
+# that explicit and sine frames run, and the oracle here.
+
+CENSUS_LEVELS = [0.1, 0.5, 2 ** -0.5, 1.0]
+
+
+def _dense_route(frame, levels, deduplicate=True):
+    positions = frame.distinct_positions() if deduplicate else np.arange(frame.atom_count)
+    return core._dense_census(frame, positions, levels)
+
+
+def _assert_census_equals_dense(frame, levels=CENSUS_LEVELS):
+    for dedup in (True, False):
+        off, diag, max_off = _dense_route(frame, levels, dedup)
+        for include in (False, True):
+            summary = gram_coherence_counts(frame, levels, deduplicate=dedup,
+                                            include_diagonal=include)
+            expected = off + diag if include else off
+            assert summary.coherence_counts == dict(zip(levels, expected.tolist())), \
+                (frame.name, dedup, include)
+        assert abs(summary.max_offdiag - max_off) <= 8 * frame.n * np.finfo(float).eps
+
+
+def _census_frames(kind, filters):
+    for n in (2, 4, 8, 16, 32, 64, 128, 256):
+        for c in (0, 1):
+            if 2 ** c >= n:
+                continue
+            if kind == "wavelet":
+                yield WaveletBasis(n, filters, c)
+            elif kind == "ti":
+                yield TIWaveletFrame(n, filters, c)
+            else:
+                yield CycleSpinFrame(n, min(4, n), filters, c)
+
+
+@pytest.mark.parametrize("kind, filters", [
+    (kind, f) for kind in ("wavelet", "cyclespin", "ti")
+    for f in ("haar", "d4", "cdf97", "cdf97r") if kind != "cyclespin" or f in ("haar", "d4")])
+def test_structure_census_equals_dense_tiles(kind, filters):
+    for frame in _census_frames(kind, filters):
+        assert frame.shift_structure(np.arange(frame.atom_count)) is not None
+        _assert_census_equals_dense(frame)
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_structure_census_equals_dense_tiles_at_small_blocks(monkeypatch, block):
+    """Ties straddle tiles and the last tile is short; at 7-atom tiles the
+    TI haar n=256 count at 0.5 moves (114944 against 115200 at 256), and
+    the structure route moves with it."""
+    monkeypatch.setattr(core, "_BLOCK", block)
+    n = 32 if block == 7 else 128
+    for frame in (TIWaveletFrame(n, "haar"), TIWaveletFrame(n // 2, "cdf97r", 1),
+                  CycleSpinFrame(2 * n, 4, "haar"), CycleSpinFrame(n, 8, "d4"),
+                  CycleSpinFrame(n, 4, "haar", 1), WaveletBasis(n, "haar")):
+        _assert_census_equals_dense(frame)
+    if block == 7:  # the dense route's count, measured once (it takes 1.5 s)
+        ti = TIWaveletFrame(256, "haar")
+        assert gram_coherence_counts(ti, [0.5]).coherence_counts == {0.5: 114944}
+
+
+def test_census_reproduces_the_pinned_workload_counts():
+    """The six census counts the benchmark reference pins at rho = 0.5,
+    from both routes."""
+    pinned = [(TIWaveletFrame(64, "haar"), 7872), (TIWaveletFrame(128, "haar"), 30336),
+              (TIWaveletFrame(256, "haar"), 115200),
+              (CycleSpinFrame(256, 4, "haar"), 2772), (CycleSpinFrame(512, 4, "haar"), 5556),
+              (CycleSpinFrame(1024, 4, "haar"), 11124)]
+    for frame, count in pinned:
+        assert gram_coherence_counts(frame, [0.5]).coherence_counts == {0.5: count}
+        assert _dense_route(frame, [0.5])[0].tolist() == [count]
+    # a repeated level is counted once, not once per repetition
+    assert gram_coherence_counts(pinned[0][0], [0.5, 0.5]).coherence_counts == {0.5: 7872}
+
+
+def _spy(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_structure_census_without_ties_materializes_no_atom(monkeypatch):
+    calls = _spy(monkeypatch, CycleSpinFrame, "atom")
+    summary = gram_coherence_counts(CycleSpinFrame(256, 4, "d4"), [0.1, 0.5])
+    assert calls == []
+    assert summary.coherence_counts == dict(zip([0.1, 0.5], _dense_route(
+        CycleSpinFrame(256, 4, "d4"), [0.1, 0.5])[0].tolist()))
+
+
+@pytest.mark.parametrize("frame, level", [
+    (TIWaveletFrame(128, "haar"), 0.5), (CycleSpinFrame(512, 4, "haar"), 0.5),
+    (WaveletBasis(64, "haar"), 1.0)], ids=["ti", "cyclespin", "wavelet-diagonal"])
+def test_structure_census_touches_only_tie_tiles(monkeypatch, frame, level):
+    """The tiles the structure route computes are exactly the dense tiles
+    holding an entry within the tie band of the level (with the diagonal
+    for include_diagonal), and each costs one atom block past its row's."""
+    band = 8 * frame.n * np.finfo(float).eps
+    expected = set()
+    positions = frame.distinct_positions()
+    blocks = -(-len(positions) // core._BLOCK)
+    for i, j, tile in core._gram_tiles(
+            frame, positions, [(i, j) for i in range(blocks) for j in range(i, blocks)]):
+        if np.any(np.abs(tile - level) <= band):
+            expected.add((i, j))
+    tiles = []
+    original = core._gram_tiles
+
+    def tile_spy(frame, positions, wanted):
+        for i, j, tile in original(frame, positions, wanted):
+            tiles.append((i, j))
+            yield i, j, tile
+    monkeypatch.setattr(core, "_gram_tiles", tile_spy)
+    atoms = _spy(monkeypatch, type(frame), "atom")
+    gram_coherence_counts(frame, [level], include_diagonal=True)
+    assert expected and set(tiles) == expected and len(tiles) == len(expected)
+    rows = {i for i, _ in tiles}
+    assert len(atoms) == len(rows) + sum(i != j for i, j in tiles)
+
+
+def test_census_fails_fast_without_frame_bounds(monkeypatch):
+    """Bounds come first: a frame whose bounds raise materializes no atom."""
+    frame = CycleSpinFrame(8192, 4, "haar", coarsest_level=1)
+    calls = _spy(monkeypatch, CycleSpinFrame, "atom")
+    with pytest.raises(FrameError, match="dense eigensolve limit"):
+        gram_coherence_counts(frame, [0.5])
+    assert calls == []
+
+
+def test_structure_census_memory_within_dense_route(monkeypatch):
+    """tracemalloc peak of the census on cyclespin haar n=4096 against the
+    same steps on the dense route: bounds, positions and the tile loop.
+    The dense loop holds two atom blocks and a tile from its second tile on,
+    so its first three tiles reach its peak (the whole loop takes 1176)."""
+    import itertools
+    import tracemalloc
+
+    original = core._gram_tiles
+    first_tiles = lambda frame, positions, tiles: original(
+        frame, positions, itertools.islice(tiles, 3))
+
+    def dense(frame):
+        frame_bounds(frame)
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_gram_tiles", first_tiles)
+            _dense_route(frame, [0.5])
+
+    def structure(frame):
+        return gram_coherence_counts(frame, [0.5]).coherence_counts[0.5]
+
+    results, peaks = {}, {}
+    for route in (structure, dense):
+        route(CycleSpinFrame(256, 4, "haar"))  # lazy imports settle unmeasured
+        frame = CycleSpinFrame(4096, 4, "haar")
+        tracemalloc.start()
+        try:
+            results[route.__name__] = route(frame)
+            peaks[route.__name__] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert results["structure"] == 44532
+    assert peaks["structure"] <= peaks["dense"], peaks

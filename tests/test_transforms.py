@@ -515,3 +515,68 @@ def test_frame_from_spec_unknown_type():
 def test_get_filters_unknown():
     with pytest.raises(FrameError):
         get_filters("sym8")
+
+
+# --- shift structure -------------------------------------------------------------
+
+def _structured_frames():
+    for filters in ("haar", "d4", "cdf97", "cdf97r"):
+        for n, c in ((2, 0), (8, 0), (8, 2), (64, 1), (256, 0)):
+            yield WaveletBasis(n, filters, c)
+            yield TIWaveletFrame(n, filters, c)
+            if filters in ("haar", "d4"):
+                yield CycleSpinFrame(n, min(n, 4), filters, c)
+
+
+def test_shift_structure_rebuilds_atoms_bytewise():
+    for frame in _structured_frames():
+        positions = np.arange(frame.atom_count)
+        bases, rows, shifts = frame.shift_structure(positions)
+        assert shifts.min() >= 0 and shifts.max() < frame.n
+        rolled = np.stack([np.roll(bases[r], s) for r, s in zip(rows, shifts)])
+        assert rolled.tobytes() == frame.atom(positions).tobytes(), frame.name
+        p = frame.atom_count - 1
+        assert np.roll(bases[rows[p]], shifts[p]).tobytes() == frame.atom(p).tobytes()
+    assert SineFrame(16, 2).shift_structure(np.arange(3)) is None
+    assert ExplicitFrame(np.eye(3)).shift_structure(np.arange(3)) is None
+
+
+def _enumerated_lag_pairs(rows, shifts, n, r, r2):
+    """Ordered pairs (a, b), a != b, at rows (r, r2) per lag shift(b) -
+    shift(a) mod n, by np.bincount over every pair; doubled for r2 > r."""
+    sa, sb = shifts[rows == r], shifts[rows == r2]
+    counts = np.zeros(n, np.int64)
+    for start in range(0, len(sa), 512):
+        lags = (sb[None, :] - sa[start:start + 512, None]) % n
+        counts += np.bincount(lags.ravel(), minlength=n)
+    if r == r2:
+        counts[0] -= len(sa)
+    return counts * (2 if r2 > r else 1)
+
+
+@pytest.mark.parametrize("n, Ms", [(2, (1, 2)), (8, (1, 2, 4, 8)), (64, (1, 2, 4, 8)),
+                                   (512, (1, 2, 4, 8)), (4096, (1, 2))])
+def test_lag_pair_counts_equal_pair_enumeration(n, Ms):
+    from framethresh.core import _lag_tables
+    for M in Ms:
+        frame = CycleSpinFrame(n, M, "haar")
+        distinct = frame.distinct_positions()
+        # no duplicates at M <= 2: both position sets are the same
+        for positions in ((distinct,) if M <= 2 else (distinct, np.arange(frame.atom_count))):
+            bases, rows, shifts = frame.shift_structure(positions)
+            tables = list(_lag_tables(frame.name, bases, rows * n + shifts))
+            assert len(tables) == len(bases)
+            for r, values, pairs, size in tables:
+                assert size == np.count_nonzero(rows == r)
+                assert values.shape == pairs.shape == (len(bases) - r, n)
+                for k in range(len(bases) - r):
+                    assert np.array_equal(
+                        pairs[k], _enumerated_lag_pairs(rows, shifts, n, r, r + k)), (M, r, k)
+            # the lag values are the |Gram| entries: atom 0 (row 0) against
+            # atom b at row r and lag d is values[r, d] of row 0's table
+            atoms = frame.atom(positions)
+            values = tables[0][1]
+            assert rows[0] == 0
+            for b in range(0, len(positions), max(1, len(positions) // 7)):
+                d = (shifts[b] - shifts[0]) % n
+                assert abs(values[rows[b], d] - abs(atoms[0] @ atoms[b])) < 1e-13
