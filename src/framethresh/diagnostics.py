@@ -14,7 +14,10 @@ order of the pairs.  The histogram comes from one pass over row blocks of
 _BLOCK_ENTRIES entries, which also checks the Gram matrix: besides the Gram
 matrix the caller holds, a sum takes O(_BLOCK_ENTRIES + distinct |kappa|)
 memory at every m (about 4.5 MB for the 2048 x 2048 TI haar n=256 Gram,
-whose 32 MB a whole-array |G| would copy twice).
+whose 32 MB a whole-array |G| would copy twice).  frame_gram returns a
+read-only GramMatrix that keeps its histogram from the first sum on it, so
+every sum of a diagnose run after the first skips the pass; any other array
+pays the pass on every call.
 """
 
 from __future__ import annotations
@@ -128,24 +131,17 @@ def _merge_histograms(parts):
     return values, counts
 
 
-def _offdiag_terms(gram, term):
-    """(gram, values, counts, terms) of a Gram matrix: gram as a float array,
-    values the distinct entries of |kappa| with the diagonal set to 0 in
-    ascending order (every term vanishes there, so each sum runs over the
-    whole array), counts their int64 multiplicities and terms[i] =
-    term(values[i]).
+def _offdiag_histogram(gram):
+    """(values, counts) of a float Gram matrix, both read-only: the distinct
+    entries of |kappa| with the diagonal set to 0 in ascending order, and
+    their int64 multiplicities.
 
     One pass over row blocks of _BLOCK_ENTRIES entries makes each block's
     histogram and merges them by value, so memory stays O(_BLOCK_ENTRIES +
     distinct values) at every m: block histograms are merged into the
     running one once they hold more entries than it and the block budget.
     The same pass checks the Gram matrix; errors come in the order square,
-    finite, diagonal, [-1, 1], and no term is computed for a rejected one.
-    The scalar formula runs once per distinct |kappa| on Python floats, so
-    every term equals the scalar formula's bit for bit (numpy's vectorized
-    exp and pow differ from the C library's in the last ulp on a few percent
-    of inputs); shift-structured Grams hold few distinct values."""
-    gram = np.asarray(gram, dtype=float)
+    finite, diagonal, [-1, 1]."""
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValueError("gram must be a square matrix")
     if not gram.size:
@@ -166,8 +162,33 @@ def _offdiag_terms(gram, term):
         raise ValueError("gram diagonal must be 1 within 1e-9")
     if max(values[-1], np.max(np.abs(diag))) > 1 + 1e-9:
         raise ValueError("gram entries must lie in [-1, 1]")
+    values.flags.writeable = counts.flags.writeable = False
+    return values, counts
+
+
+def _offdiag_terms(gram, term):
+    """(gram, values, counts, terms) of a Gram matrix: gram as a float array,
+    (values, counts) its _offdiag_histogram (every term vanishes at the
+    zeroed diagonal, so each sum runs over the whole array) and terms[i] =
+    term(values[i]).
+
+    A GramMatrix from frame_gram makes its histogram on the first call and
+    keeps it; every other input makes it on every call.  A rejected Gram
+    matrix raises before anything is kept, and no term is computed for it.
+    The scalar formula runs once per distinct |kappa| on Python floats, so
+    every term equals the scalar formula's bit for bit (numpy's vectorized
+    exp and pow differ from the C library's in the last ulp on a few percent
+    of inputs); shift-structured Grams hold few distinct values."""
+    # np.asarray drops the subclass, so the type is read on gram itself
+    array = np.asarray(gram, dtype=float)
+    if isinstance(gram, GramMatrix) and gram._keeps_histogram:
+        if gram._histogram is None:
+            gram._histogram = _offdiag_histogram(array)
+        values, counts = gram._histogram
+    else:
+        values, counts = _offdiag_histogram(array)
     terms = np.fromiter(map(term, values.tolist()), float, len(values))
-    return gram, values, counts, terms
+    return array, values, counts, terms
 
 
 def _weighted_fsum(terms, counts):
@@ -245,8 +266,32 @@ def _first_pair(gram, maxima):
             return start + int(i), int(j)
 
 
+class GramMatrix(np.ndarray):
+    """A read-only Gram matrix, as frame_gram returns it.
+
+    The instance frame_gram returns keeps the (values, counts) histogram of
+    its off-diagonal |kappa| from the first sum on it, so rest_sum,
+    rest_split and comparison_bound on one Gram matrix share one pass over
+    it.  Views, copies and ufunc results are GramMatrix instances that keep
+    nothing, and np.asarray gives a plain ndarray: the sums run the pass on
+    every call for them, as for any array."""
+
+    def __array_finalize__(self, obj):
+        self._keeps_histogram = False
+        self._histogram = None
+
+
 def frame_gram(frame, deduplicate=True):
-    """Dense Gram matrix of (distinct) atoms; for diagnostics at modest n."""
+    """Dense Gram matrix of (distinct) atoms; for diagnostics at modest n.
+
+    Returns a read-only GramMatrix over a read-only base array, so writing
+    into it and setting its flags.writeable both raise; .copy() gives a
+    writable one.  From the first comparison sum on it, it holds its |kappa|
+    histogram, 16 B per distinct |kappa|, for as long as it lives."""
     positions = frame.distinct_positions() if deduplicate else np.arange(frame.atom_count)
     atoms = frame.atom(positions)
-    return atoms @ atoms.T
+    gram = atoms @ atoms.T
+    gram.flags.writeable = False
+    gram = gram.view(GramMatrix)
+    gram._keeps_histogram = True
+    return gram

@@ -62,6 +62,16 @@ def normal(seed, trial, size, sigma=1.0):
 
 
 def stream_normal(gen, size, sigma=1.0):
-    """Normals drawn from an existing generator (block-sequential use)."""
+    """Normals drawn from an existing generator (block-sequential use): the
+    same draw as sigma * ndtri(open_uniform(gen, size)), made from the raw
+    words and converted in place."""
     from scipy.special import ndtri
-    return sigma * ndtri(open_uniform(gen, size))
+    # Generator.integers(0, 2^53) is exactly next_uint64 >> 11 (see normal)
+    k = gen.bit_generator.random_raw(size)
+    k >>= np.uint64(11)
+    u = k.view(np.float64)  # converted in place: k < 2^53 is exact as a double
+    np.add(k, 0.5, out=u)
+    u /= _U53
+    ndtri(u, out=u)
+    u *= sigma
+    return u

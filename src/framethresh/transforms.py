@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -156,14 +157,22 @@ def _periodic_up_conv(a, f, n):
     return y
 
 
-def _shifted_atoms(bases, rows, shifts):
-    """Circular shifts of unit base atoms: np.roll(bases[rows], shifts),
-    gathered as contiguous windows of the stack doubled along the shift
-    axis (window s of a doubled row is the row rolled by -s).  Scalar
-    rows/shifts give one (n,) atom, index arrays give one atom per row."""
+def _shift_windows(bases):
+    """Read-only (rows, n, n) view of the stack doubled along the shift
+    axis: window s of row r is bases[r] rolled by -s."""
     n = bases.shape[1]
-    windows = sliding_window_view(np.concatenate([bases, bases], axis=1), n, axis=1)
-    atoms = windows[rows, -np.asarray(shifts) % n]
+    return sliding_window_view(np.concatenate([bases, bases], axis=1), n, axis=1)
+
+
+def _shifted_atoms(bases, rows, shifts, windows=None):
+    """Circular shifts of unit base atoms: np.roll(bases[rows], shifts),
+    gathered as contiguous windows of _shift_windows(bases); a caller that
+    keeps those windows passes them, so the doubled stack is not rebuilt on
+    every call.  Scalar rows/shifts give one (n,) atom, index arrays give
+    one atom per row."""
+    if windows is None:
+        windows = _shift_windows(bases)
+    atoms = windows[rows, -np.asarray(shifts) % bases.shape[1]]
     # scalar indices select a read-only window view; give the caller its own
     return atoms.copy() if atoms.ndim == 1 else atoms
 
@@ -291,8 +300,16 @@ class WaveletBasis(Frame):
         return (self._bases, j - self.coarsest_level,
                 self._labels[1][positions] * (self.n >> j))
 
+    @cached_property
+    def _windows(self):
+        """_shift_windows of the bases, built on the first atom() of this
+        basis or of a cycle-spinning or TI frame built on it, and kept for
+        every later one; frames that never materialize atoms never hold the
+        doubled stack."""
+        return _shift_windows(self._bases)
+
     def atom(self, position):
-        return _shifted_atoms(*self.shift_structure(position))
+        return _shifted_atoms(*self.shift_structure(position), windows=self._windows)
 
     def scaling_atom(self, k=0):
         """Unit-norm analysis scaling atom at the coarsest level."""
@@ -393,7 +410,7 @@ class CycleSpinFrame(Frame):
                 (m + k * (self.n >> j)) % self.n)
 
     def atom(self, position):
-        return _shifted_atoms(*self.shift_structure(position))
+        return _shifted_atoms(*self.shift_structure(position), windows=self.basis._windows)
 
     @property
     def distinct_count(self):
@@ -509,7 +526,7 @@ class TIWaveletFrame(Frame):
         return self.basis._bases, j - self.coarsest_level, s
 
     def atom(self, position):
-        return _shifted_atoms(*self.shift_structure(position))
+        return _shifted_atoms(*self.shift_structure(position), windows=self.basis._windows)
 
 
 # --- sine frames --------------------------------------------------------------

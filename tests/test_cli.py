@@ -144,6 +144,29 @@ def test_diagnose_ti_bounds(tmp_path):
     assert "unstable" in rep["stability"]["verdict"]
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_diagnose_sums_equal_sums_on_a_plain_gram(tmp_path, n):
+    # diagnose runs every sum on one frame_gram result, which keeps its
+    # |kappa| histogram; a plain array copy pays the pass on every call
+    from framethresh.diagnostics import comparison_bound, frame_gram, rest_split, rest_sum
+    from framethresh.transforms import TIWaveletFrame
+    out = tmp_path / "diag.json"
+    code = main(["diagnose", "--frame-spec", '{"type":"ti","filters":"haar"}',
+                 "--n-list", str(n // 4), str(n // 2), str(n), "--rho", "0.5", "--delta", "0.2",
+                 "--T", "2", "--T", "3", "--out", str(out)])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    gram = np.array(frame_gram(TIWaveletFrame(n, "haar")))
+    m = gram.shape[0]
+    assert rep["rest_sum"].hex() == rest_sum(gram, m).hex()
+    assert [rep["rest_split"][k].hex() for k in ("R1", "R2", "R3")] == [
+        x.hex() for x in rest_split(gram, m, 0.5, 0.2)]
+    expected = [comparison_bound(gram, t) for t in (2.0, 3.0)]
+    assert [(b["value"].hex(), b["max_term"].hex(), tuple(b["argmax_pair"]))
+            for b in rep["comparison_bounds"]] == [
+        (b.value.hex(), b.max_term.hex(), b.argmax_pair) for b in expected]
+
+
 def test_replay_reproduces_bytes(tmp_path):
     out = tmp_path / "sim.json"
     main(["simulate", "--experiment", "risk1d", "--trials", "500",

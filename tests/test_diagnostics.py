@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framethresh import diagnostics
-from framethresh.diagnostics import (ComparisonBound, _weighted_fsum,
+from framethresh.diagnostics import (ComparisonBound, GramMatrix, _weighted_fsum,
                                      comparison_bound, frame_gram, rest_split,
                                      rest_sum, stability_check)
 from framethresh.transforms import (CycleSpinFrame, SineFrame, TIWaveletFrame,
@@ -26,7 +26,7 @@ def test_rest_sum_2x2_hand_value():
 
 
 def test_rest_sum_haar_basis_exactly_zero():
-    gram = frame_gram(WaveletBasis(256, "haar"))
+    gram = frame_gram(WaveletBasis(256, "haar")).copy()
     gram[np.abs(gram) < 1e-12] = 0.0  # orthonormal: clean fp dust
     assert rest_sum(gram, gram.shape[0]) == 0.0
 
@@ -210,6 +210,121 @@ def test_argmax_pair_first_found_in_later_block(monkeypatch, rng, budget):
     gram[500, 550] = gram[550, 500] = -0.99
     assert comparison_bound(gram, 2.0).argmax_pair == (500, 550)
     _assert_sums_equal_whole_matrix(gram)
+
+
+def _sums_hex(gram, thresholds, bound_first=False):
+    """rest_sum, rest_split and comparison_bound's (value, max_term,
+    argmax_pair) at each threshold, floats as hex, called in either order."""
+    m = gram.shape[0]
+
+    def rest():
+        return rest_sum(gram, m).hex(), [x.hex() for x in rest_split(gram, m, 0.5, 0.2)]
+
+    def bounds():
+        return [(cb.value.hex(), cb.max_term.hex(), cb.argmax_pair)
+                for cb in (comparison_bound(gram, t) for t in thresholds)]
+
+    if bound_first:
+        b = bounds()
+        return (*rest(), b)
+    return (*rest(), bounds())
+
+
+def _oracle_hex(gram, thresholds):
+    r, split, bounds = _whole_matrix_sums(np.array(gram), thresholds)
+    return (r.hex(), [x.hex() for x in split],
+            [(v.hex(), t.hex(), pair) for v, t, pair in bounds])
+
+
+@pytest.mark.parametrize("bound_first", [False, True], ids=["rest-first", "bound-first"])
+def test_kept_histogram_sums_equal_whole_matrix_in_either_order(bound_first):
+    thresholds = (0.0, 2.0, 3.0)
+    # the frame_gram results keep their histogram from the first call on
+    for gram in _block_grams():
+        assert _sums_hex(gram, thresholds, bound_first) == _oracle_hex(gram, thresholds)
+        if isinstance(gram, GramMatrix):
+            assert gram._histogram is not None
+
+
+def _count_passes(monkeypatch):
+    """Counts of _abs_row_blocks calls and of _first_pair calls (each of
+    which scans row blocks too): their difference is the histogram passes."""
+    calls = {"blocks": 0, "first_pair": 0}
+    blocks, first_pair = diagnostics._abs_row_blocks, diagnostics._first_pair
+
+    def spy_blocks(gram):
+        calls["blocks"] += 1
+        return blocks(gram)
+
+    def spy_first_pair(gram, maxima):
+        calls["first_pair"] += 1
+        return first_pair(gram, maxima)
+
+    monkeypatch.setattr(diagnostics, "_abs_row_blocks", spy_blocks)
+    monkeypatch.setattr(diagnostics, "_first_pair", spy_first_pair)
+    return lambda: calls["blocks"] - calls["first_pair"]
+
+
+def test_one_histogram_pass_per_frame_gram(monkeypatch):
+    gram = frame_gram(TIWaveletFrame(64, "haar"))
+    passes = _count_passes(monkeypatch)
+    sums = _sums_hex(gram, (2.0, 3.0))
+    assert passes() == 1
+    assert _sums_hex(gram, (2.0, 3.0)) == sums
+    assert passes() == 1
+    # views, copies and plain arrays pay the pass on every call (4 calls)
+    for other in (np.asarray(gram), gram.copy(), gram[:, :], np.abs(gram) * np.sign(gram)):
+        before = passes()
+        assert _sums_hex(other, (2.0, 3.0)) == sums
+        assert passes() - before == 4
+
+
+def test_frame_gram_is_read_only():
+    gram = frame_gram(TIWaveletFrame(16, "haar"))
+    with pytest.raises(ValueError, match="read-only"):
+        gram[0, 1] = 0.5
+    with pytest.raises(ValueError):
+        gram.flags.writeable = True
+    with pytest.raises(ValueError):
+        gram[1:].flags.writeable = True
+    copy = gram.copy()
+    copy[0, 1] = 0.5
+    assert gram[0, 1] != 0.5
+
+
+def test_changed_copy_and_slice_give_their_own_sums():
+    thresholds = (2.0, 3.0)
+    gram = frame_gram(TIWaveletFrame(64, "haar"))
+    own = _sums_hex(gram, thresholds)
+    changed = gram.copy()
+    changed[0, 5] = changed[5, 0] = -0.9
+    assert _sums_hex(changed, thresholds) == _oracle_hex(changed, thresholds) != own
+    corner = gram[:100, :100]  # a leading principal block is a Gram matrix
+    assert _sums_hex(corner, thresholds) == _oracle_hex(corner, thresholds) != own
+    assert _sums_hex(gram, thresholds) == own
+
+
+class _Atoms:
+    """A frame given by its atom rows, for frame_gram."""
+
+    def __init__(self, atoms):
+        self.atoms = atoms
+        self.atom_count = len(atoms)
+
+    def distinct_positions(self):
+        return np.arange(self.atom_count)
+
+    def atom(self, positions):
+        return self.atoms[positions]
+
+
+def test_rejected_frame_gram_keeps_nothing():
+    gram = frame_gram(_Atoms(2.0 * np.eye(3)))
+    for _ in range(2):
+        for call in (lambda: rest_sum(gram, 3), lambda: comparison_bound(gram, 2.0)):
+            with pytest.raises(ValueError, match="diagonal must be 1"):
+                call()
+        assert gram._histogram is None
 
 
 def _bad_grams():

@@ -8,6 +8,7 @@ from framethresh import evt, simulate
 from framethresh.core import CoefficientVector, ExplicitFrame
 from framethresh.norms import NormSpec, evaluate
 from framethresh.rng import normal as rng_normal
+from framethresh.rng import open_uniform, stream_normal, trial_generator
 from framethresh.shrink import shrink_value
 from framethresh.signals import piecewise_constant
 from framethresh.simulate import (EmpiricalDistribution, McConfig,
@@ -259,6 +260,34 @@ def test_block_normal_extreme_trial_indices(seed, sigma):
     block = rng_normal(seed, trials, 257, sigma)
     stacked = np.stack([rng_normal(seed, t, 257, sigma) for t in trials])
     assert block.tobytes() == stacked.tobytes()
+
+
+def _mid_stream_generators(seed, lead):
+    """Two generators of one (seed, trial) stream, both advanced by lead."""
+    gens = (trial_generator(seed, 4), trial_generator(seed, 4))
+    for gen in gens:
+        lead(gen)
+    return gens
+
+
+@pytest.mark.parametrize("lead", [
+    lambda gen: None,
+    lambda gen: gen.integers(0, 1000, size=3, dtype=np.uint32),  # a buffered half word
+    lambda gen: gen.random(5),
+    lambda gen: stream_normal(gen, 11)],
+    ids=["fresh", "uint32", "random", "stream_normal"])
+@pytest.mark.parametrize("size", [1, 7, 1023, (3, 5), (64, 8)])
+@pytest.mark.parametrize("sigma", [1.0, 0.5, 0.0])
+def test_stream_normal_equals_inverse_cdf_of_open_uniforms(lead, size, sigma):
+    # stream_normal reads raw 64-bit words; the oracle draws through
+    # Generator.integers, so both must leave the stream in the same place
+    from scipy.special import ndtri
+    gen, oracle = _mid_stream_generators(2 ** 64 - 3, lead)
+    for _ in range(2):
+        z = stream_normal(gen, size, sigma)
+        expected = sigma * ndtri(open_uniform(oracle, size))
+        assert z.shape == np.shape(expected)
+        assert z.tobytes() == expected.tobytes()
 
 
 def _reference_maxima(frame, cfg):

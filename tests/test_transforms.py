@@ -541,6 +541,23 @@ def test_shift_structure_rebuilds_atoms_bytewise():
     assert ExplicitFrame(np.eye(3)).shift_structure(np.arange(3)) is None
 
 
+def test_atom_block_allocates_only_its_output():
+    # the basis keeps the doubled base stack its atoms are windows of, so a
+    # block of atoms allocates its output and index arrays only
+    import tracemalloc
+    frame = CycleSpinFrame(4096, 4, "haar")
+    positions = frame.distinct_positions()[:256]
+    frame.atom(positions[:2])  # lazy set-up settles unmeasured
+    tracemalloc.start()
+    try:
+        atoms = frame.atom(positions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert atoms.shape == (256, 4096)
+    assert peak <= 1.01 * atoms.nbytes, (peak, atoms.nbytes)
+
+
 def _enumerated_lag_pairs(rows, shifts, n, r, r2):
     """Ordered pairs (a, b), a != b, at rows (r, r2) per lag shift(b) -
     shift(a) mod n, by np.bincount over every pair; doubled for r2 > r."""
