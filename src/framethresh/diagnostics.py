@@ -284,14 +284,16 @@ class GramMatrix(np.ndarray):
 def frame_gram(frame, deduplicate=True):
     """Dense Gram matrix of (distinct) atoms; for diagnostics at modest n.
 
-    Returns a read-only GramMatrix over a read-only base array, so writing
-    into it and setting its flags.writeable both raise; .copy() gives a
-    writable one.  From the first comparison sum on it, it holds its |kappa|
-    histogram, 16 B per distinct |kappa|, for as long as it lives."""
+    Returns a read-only GramMatrix whose base is an array over a read-only
+    buffer, so writing into it and setting flags.writeable on it, on its
+    base or on any view of it all raise; .copy() gives a writable one.  The
+    buffer's exporter (gram.base.base.obj) is the product's own array, which
+    is not to be written: the kept histogram would no longer match the
+    entries.  From the first comparison sum on it, the GramMatrix holds its
+    |kappa| histogram, 16 B per distinct |kappa|, for as long as it lives."""
     positions = frame.distinct_positions() if deduplicate else np.arange(frame.atom_count)
     atoms = frame.atom(positions)
-    gram = atoms @ atoms.T
-    gram.flags.writeable = False
-    gram = gram.view(GramMatrix)
+    # no copy: the read-only memoryview shares the product's memory
+    gram = np.asarray(memoryview(atoms @ atoms.T).toreadonly()).view(GramMatrix)
     gram._keeps_histogram = True
     return gram

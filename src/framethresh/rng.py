@@ -53,24 +53,26 @@ def normal(seed, trial, size, sigma=1.0):
         # Generator.integers(0, 2^53) is exactly next_uint64 >> 11: its
         # Lemire rule never rejects when the range is a power of two
         np.right_shift(bits.random_raw(size), 11, out=k[row])
-    u = k.view(np.float64)  # converted in place: k < 2^53 is exact as a double
-    np.add(k, 0.5, out=u)
-    u /= _U53
-    ndtri(u, out=u)
-    u *= sigma
-    return u
+    return _normal_from_words(k, sigma)
 
 
 def stream_normal(gen, size, sigma=1.0):
     """Normals drawn from an existing generator (block-sequential use): the
     same draw as sigma * ndtri(open_uniform(gen, size)), made from the raw
-    words and converted in place."""
-    from scipy.special import ndtri
+    words."""
     # Generator.integers(0, 2^53) is exactly next_uint64 >> 11 (see normal)
     k = gen.bit_generator.random_raw(size)
     k >>= np.uint64(11)
-    u = k.view(np.float64)  # converted in place: k < 2^53 is exact as a double
-    np.add(k, 0.5, out=u)
+    return _normal_from_words(k, sigma)
+
+
+def _normal_from_words(k, sigma):
+    """sigma * ndtri((k + 0.5) / 2^53) for uint64 words k < 2^53, written
+    into k's buffer (numpy copies k first, since the add's output overlaps
+    it with another dtype)."""
+    from scipy.special import ndtri
+    u = k.view(np.float64)
+    np.add(k, 0.5, out=u)  # k < 2^53 is exact as a double
     u /= _U53
     ndtri(u, out=u)
     u *= sigma

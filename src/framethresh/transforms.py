@@ -164,15 +164,11 @@ def _shift_windows(bases):
     return sliding_window_view(np.concatenate([bases, bases], axis=1), n, axis=1)
 
 
-def _shifted_atoms(bases, rows, shifts, windows=None):
+def _shifted_atoms(windows, rows, shifts):
     """Circular shifts of unit base atoms: np.roll(bases[rows], shifts),
-    gathered as contiguous windows of _shift_windows(bases); a caller that
-    keeps those windows passes them, so the doubled stack is not rebuilt on
-    every call.  Scalar rows/shifts give one (n,) atom, index arrays give
-    one atom per row."""
-    if windows is None:
-        windows = _shift_windows(bases)
-    atoms = windows[rows, -np.asarray(shifts) % bases.shape[1]]
+    gathered from windows = _shift_windows(bases).  Scalar rows/shifts give
+    one (n,) atom, index arrays give one atom per row."""
+    atoms = windows[rows, -np.asarray(shifts) % windows.shape[-1]]
     # scalar indices select a read-only window view; give the caller its own
     return atoms.copy() if atoms.ndim == 1 else atoms
 
@@ -309,7 +305,8 @@ class WaveletBasis(Frame):
         return _shift_windows(self._bases)
 
     def atom(self, position):
-        return _shifted_atoms(*self.shift_structure(position), windows=self._windows)
+        _, rows, shifts = self.shift_structure(position)
+        return _shifted_atoms(self._windows, rows, shifts)
 
     def scaling_atom(self, k=0):
         """Unit-norm analysis scaling atom at the coarsest level."""
@@ -410,7 +407,8 @@ class CycleSpinFrame(Frame):
                 (m + k * (self.n >> j)) % self.n)
 
     def atom(self, position):
-        return _shifted_atoms(*self.shift_structure(position), windows=self.basis._windows)
+        _, rows, shifts = self.shift_structure(position)
+        return _shifted_atoms(self.basis._windows, rows, shifts)
 
     @property
     def distinct_count(self):
@@ -526,7 +524,8 @@ class TIWaveletFrame(Frame):
         return self.basis._bases, j - self.coarsest_level, s
 
     def atom(self, position):
-        return _shifted_atoms(*self.shift_structure(position), windows=self.basis._windows)
+        _, rows, shifts = self.shift_structure(position)
+        return _shifted_atoms(self.basis._windows, rows, shifts)
 
 
 # --- sine frames --------------------------------------------------------------
