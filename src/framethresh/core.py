@@ -67,10 +67,6 @@ class CoefficientVector:
     def count(self):
         return self.values.shape[-1]
 
-    def index_of(self, position):
-        """FrameIndex (tuple of label components) at a flat position."""
-        return tuple(int(col[position]) for col in self.labels)
-
     def replace_values(self, values):
         values = np.asarray(values, dtype=float)
         if values.shape != self.values.shape:
@@ -468,16 +464,22 @@ class ExplicitFrame(Frame):
     property).  The constructor eigensolves the frame operator A^T A once,
     which gives the frame bounds, and keeps the pseudoinverse
     (A^T A)^{-1} A^T from its Cholesky factorization, so dual synthesis is
-    one matrix product.  A (B, .) block is one matrix product too; for a
-    non-identity matrix its rows can differ from the 1-D products in the
-    last ulp, since BLAS sums a block in another order.
+    one matrix product.  A (B, .) block is one matrix product too; its rows
+    can differ from the 1-D products in the last ulp, since BLAS sums a
+    block in another order.
+
+    A signed permutation (a square matrix whose unit rows each hold one
+    entry of magnitude 1.0, in distinct columns; the identity, say) has
+    A^T A = I exactly, so its bounds are (1.0, 1.0) and its pseudoinverse
+    is exactly A^T.  Such a frame skips the eigensolve and analyzes and
+    synthesizes by gathering coordinates times their signs, equal byte for
+    byte to the matrix products on finite input (adding 0.0 turns a -0.0
+    into the +0.0 the products give).  The one difference: a non-finite
+    entry stays in its own coordinate, where the product spreads NaN
+    through 0 * inf across the whole row.
     """
 
     def __init__(self, matrix, name="explicit"):
-        # imported here: scipy.linalg takes longer to load than the rest of
-        # the package, and only explicit frames need it
-        from scipy.linalg import cho_factor, cho_solve
-
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise FrameError("explicit frame needs a 2-d atom matrix")
@@ -488,6 +490,14 @@ class ExplicitFrame(Frame):
         self.atom_count, self.n = self._atoms.shape
         self.name = name
         self.span_dim = self.n
+        self._permutation = _signed_permutation(self._atoms)
+        if self._permutation is not None:
+            self.bounds = (1.0, 1.0)
+            return
+        # imported here: scipy.linalg takes longer to load than the rest of
+        # the package, and only this route needs it
+        from scipy.linalg import cho_factor, cho_solve
+
         s = self._atoms.T @ self._atoms
         eigvals = np.linalg.eigvalsh(s)
         cutoff = max(self.n, self.atom_count) * np.finfo(float).eps * eigvals[-1]
@@ -499,11 +509,42 @@ class ExplicitFrame(Frame):
 
     def analyze(self, signal):
         signal = self._check_signal(signal)
+        if self._permutation is not None:
+            columns, signs, _, _ = self._permutation
+            return CoefficientVector(_signed_gather(signal, columns, signs))
         return CoefficientVector(signal @ self._atoms.T)
 
     def dual_synthesize(self, coeffs):
         self._check_coeffs(coeffs)
+        if self._permutation is not None:
+            _, _, rows, row_signs = self._permutation
+            return _signed_gather(coeffs.values, rows, row_signs)
         return coeffs.values @ self._pinv.T
 
     def atom(self, position):
         return self._atoms[position].copy()
+
+
+def _signed_permutation(atoms):
+    """(columns, signs, rows, row_signs) when the unit-row matrix is a signed
+    permutation, atoms[i, columns[i]] == signs[i] == +-1.0 with zeros
+    elsewhere; rows and row_signs gather the transpose, atoms[rows[j], j] ==
+    row_signs[j].  None for any other matrix."""
+    m, n = atoms.shape
+    nonzero = atoms != 0
+    if m != n or not np.all(np.count_nonzero(nonzero, axis=1) == 1):
+        return None
+    columns = np.argmax(nonzero, axis=1)
+    signs = atoms[np.arange(n), columns]
+    if not np.all(np.abs(signs) == 1.0) or not np.all(np.bincount(columns, minlength=n) == 1):
+        return None
+    rows = np.argsort(columns)
+    return columns, signs, rows, signs[rows]
+
+
+def _signed_gather(x, index, signs):
+    """x[..., index] * signs + 0.0, with one allocation."""
+    out = np.take(x, index, axis=-1)
+    out *= signs
+    out += 0.0
+    return out

@@ -219,23 +219,6 @@ def _curvature_estimate(filters, grid_size, scale):
     return math.sqrt(curv)
 
 
-def wavelet_autocorrelation(filters, grid_size=2 ** 14, scale=6, max_lag=None):
-    """Sampled autocorrelation kappa(l*dt) of the unit-norm analysis mother
-    wavelet, for diagnostics: kappa(0) = 1, kappa even."""
-    from .transforms import WaveletBasis, get_filters
-
-    if isinstance(filters, str):
-        filters = get_filters(filters)
-    wb = WaveletBasis(grid_size, filters)
-    v = wb.atom(2 ** scale - 1)
-    dt = 2.0 ** scale / grid_size
-    if max_lag is None:
-        max_lag = min(grid_size // 2, int(16 / dt))
-    lags = np.arange(-max_lag, max_lag + 1)
-    kappa = np.array([float(np.dot(v, np.roll(v, int(l)))) for l in lags])
-    return lags * dt, kappa
-
-
 # --- threshold rule selection -------------------------------------------------
 
 @dataclass(frozen=True)

@@ -46,33 +46,42 @@ def normal(seed, trial, size, sigma=1.0):
     # a fresh generator's state (counter 0, empty buffer); only the key's
     # trial word changes from row to row
     state = bits.state
-    k = np.empty((len(trials), size), dtype=np.uint64)
+    u = np.empty((len(trials), size))
     for row, t in enumerate(trials):
         state["state"]["key"][1] = t
         bits.state = state
-        # Generator.integers(0, 2^53) is exactly next_uint64 >> 11: its
-        # Lemire rule never rejects when the range is a power of two
-        np.right_shift(bits.random_raw(size), 11, out=k[row])
-    return _normal_from_words(k, sigma)
+        _half_words(bits.random_raw(size), u[row])
+    return _normal_in_place(u, sigma)
+
+
+#: raw words per random_raw call in stream_normal, so that the transient
+#: word buffer stays small beside the output
+_STREAM_CHUNK = 2 ** 14
 
 
 def stream_normal(gen, size, sigma=1.0):
     """Normals drawn from an existing generator (block-sequential use): the
     same draw as sigma * ndtri(open_uniform(gen, size)), made from the raw
-    words."""
-    # Generator.integers(0, 2^53) is exactly next_uint64 >> 11 (see normal)
-    k = gen.bit_generator.random_raw(size)
-    k >>= np.uint64(11)
-    return _normal_from_words(k, sigma)
+    words in chunks (consecutive random_raw calls continue one stream)."""
+    u = np.empty(size)
+    flat = u.reshape(-1)
+    for start in range(0, flat.size, _STREAM_CHUNK):
+        chunk = flat[start:start + _STREAM_CHUNK]
+        _half_words(gen.bit_generator.random_raw(chunk.size), chunk)
+    return _normal_in_place(u, sigma)
 
 
-def _normal_from_words(k, sigma):
-    """sigma * ndtri((k + 0.5) / 2^53) for uint64 words k < 2^53, written
-    into k's buffer (numpy copies k first, since the add's output overlaps
-    it with another dtype)."""
+def _half_words(words, out):
+    """out = (words >> 11) + 0.5 for raw uint64 words: Generator.integers(0,
+    2^53) is exactly next_uint64 >> 11, since its Lemire rule never rejects
+    when the range is a power of two, and k < 2^53 is exact as a double."""
+    words >>= np.uint64(11)
+    np.add(words, 0.5, out=out)
+
+
+def _normal_in_place(u, sigma):
+    """sigma * ndtri(u / 2^53), written into u."""
     from scipy.special import ndtri
-    u = k.view(np.float64)
-    np.add(k, 0.5, out=u)  # k < 2^53 is exact as a double
     u /= _U53
     ndtri(u, out=u)
     u *= sigma

@@ -582,9 +582,6 @@ class SineFrame(Frame):
         # the raw coefficient at w = m/r is -Im(FFT_{2rn}(x))[m], m = 1..rn-1
         self._fft_len = 2 * self.oversample * self.n
 
-    def frequency_of(self, position):
-        return float(self.frequencies[position])
-
     def project_span(self, u):
         u = self._check_signal(u).copy()
         u[..., 0] = 0.0

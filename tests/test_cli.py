@@ -14,9 +14,17 @@ from framethresh.signals import sine_superposition
 
 
 def run_cli(args):
+    """The `python -m framethresh.cli` entry point in a subprocess."""
     proc = subprocess.run([sys.executable, "-m", "framethresh.cli", *args],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_main(capsys, args):
+    """main(args) in this process: (exit code, stdout, stderr)."""
+    code = main(args)
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def test_thresholds_table(tmp_path):
@@ -46,6 +54,7 @@ def test_thresholds_scale_linearly_in_sigma(tmp_path):
 
 
 def test_thresholds_validation_names_flag(tmp_path):
+    # through `python -m`: the process exit status is main's return code
     proc_code, _, err = run_cli(["thresholds", "--n", "1024", "--alpha", "1.5"])
     assert proc_code == 2
     payload = json.loads(err)
@@ -75,20 +84,20 @@ def test_denoise_example_fixture(tmp_path):
     assert (tmp_path / "est.csv.manifest.json").exists()
 
 
-def test_denoise_missing_input_is_io_error(tmp_path):
-    code, _, err = run_cli(["denoise", "--input", str(tmp_path / "nope.csv"),
-                            "--frame-spec", '{"type":"sine","n":64}',
-                            "--output", str(tmp_path / "o.csv")])
+def test_denoise_missing_input_is_io_error(tmp_path, capsys):
+    code, _, err = run_main(capsys, ["denoise", "--input", str(tmp_path / "nope.csv"),
+                                     "--frame-spec", '{"type":"sine","n":64}',
+                                     "--output", str(tmp_path / "o.csv")])
     assert code == 4
     assert json.loads(err)["error"]["kind"] == "io"
 
 
-def test_denoise_bad_frame_spec_is_parse_error(tmp_path):
+def test_denoise_bad_frame_spec_is_parse_error(tmp_path, capsys):
     sig = tmp_path / "x.csv"
     ftio.write_signal(sig, np.zeros(16))
-    code, _, err = run_cli(["denoise", "--input", str(sig),
-                            "--frame-spec", "{not json",
-                            "--output", str(tmp_path / "o.csv")])
+    code, _, err = run_main(capsys, ["denoise", "--input", str(sig),
+                                     "--frame-spec", "{not json",
+                                     "--output", str(tmp_path / "o.csv")])
     assert code == 3
     assert json.loads(err)["error"]["kind"] == "parse"
 
@@ -106,10 +115,11 @@ def test_simulate_deterministic_reports(tmp_path):
 
 
 def test_simulate_requires_seed(tmp_path):
-    code, _, err = run_cli(["simulate", "--experiment", "gumbel",
-                            "--frame-spec", '{"type":"wavelet","n":64}',
-                            "--out", str(tmp_path / "r.json")])
-    assert code != 0  # argparse enforces --seed
+    with pytest.raises(SystemExit) as exc:  # argparse enforces --seed
+        main(["simulate", "--experiment", "gumbel",
+              "--frame-spec", '{"type":"wavelet","n":64}',
+              "--out", str(tmp_path / "r.json")])
+    assert exc.value.code != 0
 
 
 def test_simulate_coverage_and_qq(tmp_path):
@@ -221,62 +231,62 @@ def test_norm_spec_weights_path(tmp_path):
     assert val == pytest.approx(np.sqrt(14.0))
 
 
-def test_denoise_nan_input_is_validation_error(tmp_path):
+def test_denoise_nan_input_is_validation_error(tmp_path, capsys):
     sig = tmp_path / "x.csv"
     x = np.zeros(16)
     x[3] = np.nan
     ftio.write_signal(sig, x)
     out = tmp_path / "o.csv"
-    code, _, err = run_cli(["denoise", "--input", str(sig),
-                            "--frame-spec", '{"type":"wavelet","n":16}',
-                            "--output", str(out)])
+    code, _, err = run_main(capsys, ["denoise", "--input", str(sig),
+                                     "--frame-spec", '{"type":"wavelet","n":16}',
+                                     "--output", str(out)])
     assert code == 2
     payload = json.loads(err)["error"]
     assert payload["kind"] == "validation" and payload["flag"] == "--input"
     assert not out.exists()
 
 
-def test_denoise_truncated_binary_input_is_parse_error(tmp_path):
+def test_denoise_truncated_binary_input_is_parse_error(tmp_path, capsys):
     sig = tmp_path / "x.f64"
     sig.write_bytes(np.zeros(16).tobytes()[:-3])
-    code, _, err = run_cli(["denoise", "--input", str(sig),
-                            "--frame-spec", '{"type":"wavelet","n":16}',
-                            "--output", str(tmp_path / "o.csv")])
+    code, _, err = run_main(capsys, ["denoise", "--input", str(sig),
+                                     "--frame-spec", '{"type":"wavelet","n":16}',
+                                     "--output", str(tmp_path / "o.csv")])
     assert code == 3
     payload = json.loads(err)["error"]
     assert payload["kind"] == "parse" and payload["flag"] == "--input"
 
 
 @pytest.mark.parametrize("spec", ['{"type":"wavelet"}', '{"type":"cyclespin","n":16}'])
-def test_denoise_incomplete_frame_spec_is_validation_error(tmp_path, spec):
+def test_denoise_incomplete_frame_spec_is_validation_error(tmp_path, spec, capsys):
     sig = tmp_path / "x.csv"
     ftio.write_signal(sig, np.zeros(16))
-    code, _, err = run_cli(["denoise", "--input", str(sig), "--frame-spec", spec,
-                            "--output", str(tmp_path / "o.csv")])
+    code, _, err = run_main(capsys, ["denoise", "--input", str(sig), "--frame-spec", spec,
+                                     "--output", str(tmp_path / "o.csv")])
     assert code == 2
     payload = json.loads(err)["error"]
     assert payload["kind"] == "validation" and payload["flag"] == "--frame-spec"
 
 
-def test_denoise_missing_clean_is_io_error(tmp_path):
+def test_denoise_missing_clean_is_io_error(tmp_path, capsys):
     sig = tmp_path / "x.csv"
     ftio.write_signal(sig, np.zeros(16))
     out = tmp_path / "o.csv"
-    code, _, err = run_cli(["denoise", "--input", str(sig),
-                            "--frame-spec", '{"type":"wavelet","n":16}',
-                            "--output", str(out), "--clean", str(tmp_path / "nope.csv")])
+    code, _, err = run_main(capsys, ["denoise", "--input", str(sig),
+                                     "--frame-spec", '{"type":"wavelet","n":16}',
+                                     "--output", str(out), "--clean", str(tmp_path / "nope.csv")])
     assert code == 4
     payload = json.loads(err)["error"]
     assert payload["kind"] == "io" and payload["flag"] == "--clean"
     assert not out.exists()
 
 
-def test_simulate_risk_missing_clean_is_io_error(tmp_path):
-    code, _, err = run_cli(["simulate", "--experiment", "risk", "--seed", "1",
-                            "--trials", "2", "--alpha", "0.1",
-                            "--frame-spec", '{"type":"wavelet","n":16}',
-                            "--clean", str(tmp_path / "nope.csv"),
-                            "--out", str(tmp_path / "r.json")])
+def test_simulate_risk_missing_clean_is_io_error(tmp_path, capsys):
+    code, _, err = run_main(capsys, ["simulate", "--experiment", "risk", "--seed", "1",
+                                     "--trials", "2", "--alpha", "0.1",
+                                     "--frame-spec", '{"type":"wavelet","n":16}',
+                                     "--clean", str(tmp_path / "nope.csv"),
+                                     "--out", str(tmp_path / "r.json")])
     assert code == 4
     payload = json.loads(err)["error"]
     assert payload["kind"] == "io" and payload["flag"] == "--clean"
@@ -284,12 +294,12 @@ def test_simulate_risk_missing_clean_is_io_error(tmp_path):
 
 @pytest.mark.parametrize("spec, key", [('{"type":"wavelet","n":"16"}', "'n'"),
                                        ('{"type":"sine","n":16.5}', "'n'")])
-def test_denoise_non_integer_spec_field_is_validation_error(tmp_path, spec, key):
+def test_denoise_non_integer_spec_field_is_validation_error(tmp_path, spec, key, capsys):
     sig = tmp_path / "x.csv"
     ftio.write_signal(sig, np.zeros(16))
     out = tmp_path / "o.csv"
-    code, _, err = run_cli(["denoise", "--input", str(sig), "--frame-spec", spec,
-                            "--output", str(out)])
+    code, _, err = run_main(capsys, ["denoise", "--input", str(sig), "--frame-spec", spec,
+                                     "--output", str(out)])
     assert code == 2
     payload = json.loads(err)["error"]
     assert payload["kind"] == "validation" and payload["flag"] == "--frame-spec"
@@ -300,23 +310,23 @@ def test_denoise_non_integer_spec_field_is_validation_error(tmp_path, spec, key)
 @pytest.mark.parametrize("content, code, kind", [
     (None, 4, "io"), ("[1, 2]", 2, "validation"), ("{not json", 3, "parse")],
     ids=["missing", "list", "bad-json"])
-def test_diagnose_frame_spec_file_errors(tmp_path, content, code, kind):
+def test_diagnose_frame_spec_file_errors(tmp_path, content, code, kind, capsys):
     spec = tmp_path / "spec.json"
     if content is not None:
         spec.write_text(content)
-    rc, _, err = run_cli(["diagnose", "--frame-spec", str(spec),
-                          "--n-list", "16", "32", "64", "--out", str(tmp_path / "d.json")])
+    rc, _, err = run_main(capsys, ["diagnose", "--frame-spec", str(spec),
+                                   "--n-list", "16", "32", "64", "--out", str(tmp_path / "d.json")])
     assert rc == code
     payload = json.loads(err)["error"]
     assert payload["kind"] == kind and payload["flag"] == "--frame-spec"
 
 
-def test_simulate_coverage_wavelet_above_dense_limit(tmp_path):
+def test_simulate_coverage_wavelet_above_dense_limit(tmp_path, capsys):
     out = tmp_path / "c.json"
-    code, _, err = run_cli(["simulate", "--experiment", "coverage",
-                            "--frame-spec", '{"type":"wavelet","n":8192}',
-                            "--alpha", "0.1", "--trials", "2", "--seed", "1",
-                            "--out", str(out)])
+    code, _, err = run_main(capsys, ["simulate", "--experiment", "coverage",
+                                     "--frame-spec", '{"type":"wavelet","n":8192}',
+                                     "--alpha", "0.1", "--trials", "2", "--seed", "1",
+                                     "--out", str(out)])
     assert code == 0, err
     assert json.loads(out.read_text())["exact"] is not None
 
@@ -324,10 +334,10 @@ def test_simulate_coverage_wavelet_above_dense_limit(tmp_path):
 @pytest.mark.parametrize("content", ['[1]', '{"command": "nope"}', '{"command": []}',
                                      '{"command": ["simulate", 3]}'],
                          ids=["list", "string-command", "empty-command", "non-string"])
-def test_replay_malformed_manifest_is_parse_error(tmp_path, content):
+def test_replay_malformed_manifest_is_parse_error(tmp_path, content, capsys):
     manifest = tmp_path / "m.json"
     manifest.write_text(content)
-    code, _, err = run_cli(["replay", str(manifest)])
+    code, _, err = run_main(capsys, ["replay", str(manifest)])
     assert code == 3
     payload = json.loads(err)["error"]
     assert payload["kind"] == "parse" and payload["flag"] == "manifest"
@@ -336,10 +346,10 @@ def test_replay_malformed_manifest_is_parse_error(tmp_path, content):
 @pytest.mark.parametrize("args", [
     ["--experiment", "risk", "--frame-spec", '{"type":"wavelet","n":64}', "--alpha", "0.1"],
     ["--experiment", "risk1d", "--mu", "0", "--T", "3"]], ids=["risk", "risk1d"])
-def test_simulate_risk_single_trial_is_validation_error(tmp_path, args):
+def test_simulate_risk_single_trial_is_validation_error(tmp_path, args, capsys):
     out = tmp_path / "r.json"
-    code, _, err = run_cli(["simulate", *args, "--trials", "1", "--seed", "1",
-                            "--out", str(out)])
+    code, _, err = run_main(capsys, ["simulate", *args, "--trials", "1", "--seed", "1",
+                                     "--out", str(out)])
     assert code == 2
     payload = json.loads(err)["error"]
     assert payload["kind"] == "validation" and payload["flag"] == "--trials"

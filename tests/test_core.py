@@ -84,6 +84,81 @@ def test_explicit_pseudoinverse_matches_dense_oracle(rng):
     assert np.max(np.abs(fr.dual_synthesize(cv) - oracle)) < 1e-10
 
 
+def _dense_operators(mat):
+    """The unit-row atom matrix and its Cholesky pseudoinverse, as the
+    matrix-product route of ExplicitFrame builds them."""
+    from scipy.linalg import cho_factor, cho_solve
+    atoms = mat / np.linalg.norm(mat, axis=1)[:, None]
+    return atoms, cho_solve(cho_factor(atoms.T @ atoms), atoms.T)
+
+
+def _signed_permutations():
+    for n in (1, 2, 7, 1024):
+        yield f"identity-{n}", np.eye(n)
+        gen = np.random.default_rng(n)
+        mat = np.zeros((n, n))
+        mat[np.arange(n), gen.permutation(n)] = gen.choice([-1.0, 1.0], n)
+        yield f"signed-{n}", mat
+    # rows are renormalized first, so any nonzero magnitudes qualify
+    yield "scaled-3", np.array([[0.0, 0.5, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+
+
+def _signed_zero_inputs(n):
+    block = np.random.default_rng(n + 1).standard_normal((5, n))
+    block[0] = 0.0
+    block[1] = -0.0
+    block[2, ::2] = -0.0
+    block[3, 1::2] = 0.0
+    return [block] + list(block)
+
+
+def _assert_dense_products(frame, atoms, pinv):
+    for x in _signed_zero_inputs(frame.n):
+        got, want = frame.analyze(x).values, x @ atoms.T
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for c in _signed_zero_inputs(frame.atom_count):
+        got, want = frame.dual_synthesize(CoefficientVector(c)), c @ pinv.T
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mat", [pytest.param(m, id=name) for name, m in _signed_permutations()])
+def test_signed_permutation_equals_dense_products_bytewise(mat):
+    frame = ExplicitFrame(mat)
+    assert frame._permutation is not None
+    atoms, pinv = _dense_operators(mat)
+    _assert_dense_products(frame, atoms, pinv)
+    eigvals = np.linalg.eigvalsh(atoms.T @ atoms)
+    assert frame.bounds == (eigvals[0], eigvals[-1]) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("mat", [
+    np.vstack([np.eye(4), np.eye(4)[[2]]]),   # duplicated row
+    np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    np.vstack([np.eye(3), np.ones((1, 3))]),  # m != n
+], ids=["duplicated-row", "half-entry", "tall"])
+def test_non_permutation_keeps_matrix_products(mat):
+    frame = ExplicitFrame(mat)
+    assert frame._permutation is None
+    _assert_dense_products(frame, *_dense_operators(mat))
+
+
+def test_signed_permutation_rejects_repeated_column():
+    assert core._signed_permutation(np.array([[1.0, 0.0], [-1.0, 0.0]])) is None
+    with pytest.raises(FrameError, match="singular"):
+        ExplicitFrame(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+
+
+def test_signed_permutation_keeps_non_finite_in_its_coordinate():
+    # the declared difference from the matrix product, which spreads NaN
+    # through 0 * inf across the whole row
+    mat = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    x = np.array([np.inf, 2.0, np.nan])
+    got = ExplicitFrame(mat).analyze(x).values
+    assert got[0] == -2.0 and got[1] == np.inf and np.isnan(got[2])
+    with np.errstate(invalid="ignore"):
+        assert np.all(np.isnan(x @ mat.T))
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_sine_pseudoinverse_matches_dense_oracle(r, rng):
     # conjugate gradients against the SVD pseudoinverse of the atom matrix,
@@ -304,7 +379,7 @@ def test_coefficient_vector_index_map(haar16):
     cv = haar16.analyze(np.zeros(16))
     seen = set()
     for pos in range(cv.count):
-        idx = cv.index_of(pos)
+        idx = tuple(int(col[pos]) for col in cv.labels)
         assert idx not in seen
         seen.add(idx)
     assert len(seen) == cv.count  # total and injective

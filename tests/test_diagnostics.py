@@ -168,9 +168,19 @@ def _block_grams():
     yield np.eye(5)
 
 
-def _assert_sums_equal_whole_matrix(gram, thresholds=(0.0, 2.0, 3.0)):
+_THRESHOLDS = (0.0, 2.0, 3.0)
+
+
+@pytest.fixture(scope="module")
+def block_oracles():
+    """_whole_matrix_sums of each _block_grams() entry at _THRESHOLDS,
+    computed once for the tests that compare fresh Grams against them."""
+    return [_whole_matrix_sums(np.array(gram), _THRESHOLDS) for gram in _block_grams()]
+
+
+def _assert_sums_equal_whole_matrix(gram, thresholds=_THRESHOLDS, oracle=None):
     m = gram.shape[0]
-    r, split, bounds = _whole_matrix_sums(gram, thresholds)
+    r, split, bounds = oracle or _whole_matrix_sums(gram, thresholds)
     # bytes, not ==: a sum may not move by any amount, nor turn -0.0
     assert rest_sum(gram, m).hex() == r.hex()
     assert [x.hex() for x in rest_split(gram, m, 0.5, 0.2)] == [x.hex() for x in split]
@@ -180,11 +190,11 @@ def _assert_sums_equal_whole_matrix(gram, thresholds=(0.0, 2.0, 3.0)):
             value.hex(), max_term.hex(), argmax)
 
 
-def test_row_block_sums_equal_whole_matrix_route():
+def test_row_block_sums_equal_whole_matrix_route(block_oracles):
     # TI and cyclespin Grams of up to 3068 atoms (up to 24 row blocks),
     # random correlation matrices within one block, the identity
-    for gram in _block_grams():
-        _assert_sums_equal_whole_matrix(gram)
+    for gram, oracle in zip(_block_grams(), block_oracles, strict=True):
+        _assert_sums_equal_whole_matrix(gram, oracle=oracle)
 
 
 @pytest.mark.parametrize("m, rows", [(129, 10), (300, 7), (127, 1), (64, 64)])
@@ -230,18 +240,17 @@ def _sums_hex(gram, thresholds, bound_first=False):
     return (*rest(), bounds())
 
 
-def _oracle_hex(gram, thresholds):
-    r, split, bounds = _whole_matrix_sums(np.array(gram), thresholds)
+def _oracle_hex(gram, thresholds, oracle=None):
+    r, split, bounds = oracle or _whole_matrix_sums(np.array(gram), thresholds)
     return (r.hex(), [x.hex() for x in split],
             [(v.hex(), t.hex(), pair) for v, t, pair in bounds])
 
 
 @pytest.mark.parametrize("bound_first", [False, True], ids=["rest-first", "bound-first"])
-def test_kept_histogram_sums_equal_whole_matrix_in_either_order(bound_first):
-    thresholds = (0.0, 2.0, 3.0)
+def test_kept_histogram_sums_equal_whole_matrix_in_either_order(bound_first, block_oracles):
     # the frame_gram results keep their histogram from the first call on
-    for gram in _block_grams():
-        assert _sums_hex(gram, thresholds, bound_first) == _oracle_hex(gram, thresholds)
+    for gram, oracle in zip(_block_grams(), block_oracles, strict=True):
+        assert _sums_hex(gram, _THRESHOLDS, bound_first) == _oracle_hex(gram, _THRESHOLDS, oracle)
         if isinstance(gram, GramMatrix):
             assert gram._histogram is not None
 

@@ -234,7 +234,13 @@ def test_ti_constant_grid_floor():
 
 
 def test_autocorrelation_peak_and_symmetry():
-    lags, kappa = evt.wavelet_autocorrelation(CDF97, grid_size=2 ** 12, max_lag=64)
+    # sampled autocorrelation kappa(l dt) of the unit-norm analysis mother
+    # wavelet: its detail atom at scale 6 on a 2^12 grid, lags up to 64
+    grid_size, scale = 2 ** 12, 6
+    v = WaveletBasis(grid_size, CDF97).atom(2 ** scale - 1)
+    steps = np.arange(-64, 65)
+    lags = steps * 2.0 ** scale / grid_size
+    kappa = np.array([float(np.dot(v, np.roll(v, int(l)))) for l in steps])
     mid = len(lags) // 2
     assert lags[mid] == 0.0
     assert kappa[mid] == pytest.approx(1.0, abs=1e-6)   # unit-norm wavelet

@@ -276,7 +276,7 @@ def _mid_stream_generators(seed, lead):
     lambda gen: gen.random(5),
     lambda gen: stream_normal(gen, 11)],
     ids=["fresh", "uint32", "random", "stream_normal"])
-@pytest.mark.parametrize("size", [1, 7, 1023, (3, 5), (64, 8)])
+@pytest.mark.parametrize("size", [1, 7, 1023, (3, 5), (64, 8), 2 ** 14 + 3])
 @pytest.mark.parametrize("sigma", [1.0, 0.5, 0.0])
 def test_stream_normal_equals_inverse_cdf_of_open_uniforms(lead, size, sigma):
     # stream_normal reads raw 64-bit words; the oracle draws through
@@ -288,6 +288,25 @@ def test_stream_normal_equals_inverse_cdf_of_open_uniforms(lead, size, sigma):
         expected = sigma * ndtri(open_uniform(oracle, size))
         assert z.shape == np.shape(expected)
         assert z.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: stream_normal(trial_generator(5, 1), (2 ** 15, 8)),
+    lambda: rng_normal(5, range(8), 2 ** 15)],
+    ids=["stream_normal", "normal"])
+def test_normal_draw_peaks_near_its_output(draw):
+    # the words go straight into the float output (a chunk or a row at a
+    # time), so no second output-sized buffer is allocated
+    import tracemalloc
+    draw()  # scipy.special loads unmeasured
+    tracemalloc.start()
+    try:
+        z = draw()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z.nbytes == 2 ** 21
+    assert peak <= 1.2 * z.nbytes, (peak, z.nbytes)
 
 
 def _reference_maxima(frame, cfg):

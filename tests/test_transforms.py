@@ -461,7 +461,7 @@ def test_sine_on_grid_signal_two_dominant_coefficients():
     sf = SineFrame(n, 1)
     vals = np.abs(sf.analyze(u).values)
     top = np.argsort(vals)[-2:]
-    freqs = sorted(sf.frequency_of(p) for p in top)
+    freqs = sorted(float(sf.frequencies[p]) for p in top)
     assert freqs == [150.0, 380.0]
     assert vals[top].min() > 20 * np.partition(vals, -3)[-3]
 
@@ -472,7 +472,7 @@ def test_sine_off_grid_frequency_appears_at_half_integer():
     u = np.sin(np.pi * 150.5 * k / n)
     sf = SineFrame(n, 2)
     vals = np.abs(sf.analyze(u).values)
-    assert sf.frequency_of(int(np.argmax(vals))) == 150.5
+    assert float(sf.frequencies[int(np.argmax(vals))]) == 150.5
 
 
 def test_sine_analyze_matches_brute_force(rng):
