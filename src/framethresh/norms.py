@@ -96,8 +96,10 @@ def evaluate(spec, coeffs):
     total = 0.0
     for key, idx in groups:
         j = key[0]
-        block_p = _scalar_pow(np.sum(np.abs(x.take(idx, axis=-1)) ** spec.p, axis=-1),
-                              1.0 / spec.p)
+        a = np.abs(x[..., idx] if isinstance(idx, slice) else x.take(idx, axis=-1))
+        if spec.p != 1.0:
+            a **= spec.p
+        block_p = _scalar_pow(np.sum(a, axis=-1), 1.0 / spec.p)
         total += 2.0 ** (j * s * spec.q) * _scalar_pow(block_p, spec.q)
     return _per_row(_scalar_pow(total, 1.0 / spec.q))
 
@@ -105,7 +107,10 @@ def evaluate(spec, coeffs):
 def _scalar_pow(values, exponent):
     """values ** exponent by numpy's scalar power, one value at a time.
     numpy's vectorized pow can differ from it in the last ulp, so this keeps
-    each row of a block equal to the evaluation of that row alone."""
+    each row of a block equal to the evaluation of that row alone.  The
+    exponent 1.0 returns the values as they are (v ** 1.0 is v)."""
+    if exponent == 1.0:
+        return values
     values = np.asarray(values)
     return np.array([v ** exponent for v in values.flat]).reshape(values.shape)
 
@@ -138,11 +143,22 @@ def _scale_groups(spec, coeffs):
     order = {}
     for i, key in enumerate(keys):
         order.setdefault(key, []).append(i)
-    groups = [(key, np.array(idx)) for key, idx in sorted(order.items())]
+    groups = [(key, _run_or_index(idx)) for key, idx in sorted(order.items())]
     if len(_GROUP_CACHE) > 64:
         _GROUP_CACHE.clear()
     _GROUP_CACHE[cache_key] = groups
     return groups
+
+
+def _run_or_index(idx):
+    """The ascending positions idx as a slice when they are one contiguous
+    run (each scale of a wavelet basis), so that indexing gives a view, not
+    a copy; else as an index array for take (the M runs of a cycle-spinning
+    scale).  take copies a block C-ordered, so each row sums as that row
+    alone; fancy indexing would give an F-ordered copy, summed otherwise."""
+    if idx[-1] - idx[0] == len(idx) - 1:
+        return slice(idx[0], idx[-1] + 1)
+    return np.array(idx)
 
 
 def is_monotone(spec, template=None, pairs=1000, seed=20240):

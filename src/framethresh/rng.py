@@ -6,10 +6,14 @@ scheduled.  The harness draws a block of trials in one call: one Philox bit
 generator is re-keyed to (seed, t) for each row t, which puts it in exactly
 the state of a fresh generator for that key, so row t is trial t's own draw
 and the block layout changes no draw.  Normal variates go through the
-inverse-CDF transform applied to open-interval uniforms (scipy's ndtri
-rational approximation, absolute error well below 1e-9), keeping the streams
-platform-independent.  scipy.special is imported on the first draw, not with
-this module, so that runs which draw nothing never load it.
+inverse-CDF transform applied to open-interval uniforms (k + 0.5)/2^53,
+k = next_uint64 >> 11 (scipy's ndtri rational approximation, absolute error
+well below 1e-9), keeping the streams platform-independent.  Blocks and
+streams are made in their output array: Generator.random fills it with
+k * 2^-53, adding 2^-54 rounds exactly as k + 0.5 does before the exact
+division, and ndtri and the sigma scaling run in place, so a draw allocates
+nothing beside its output.  scipy.special is imported on the first draw,
+not with this module, so that runs which draw nothing never load it.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 _U53 = float(2 ** 53)
+_HALF_STEP = 2.0 ** -54
 
 
 def trial_generator(seed, trial):
@@ -42,7 +47,8 @@ def normal(seed, trial, size, sigma=1.0):
     if np.ndim(trial) == 0:
         return sigma * ndtri(open_uniform(trial_generator(seed, trial), size))
     trials = list(trial)
-    bits = trial_generator(seed, 0).bit_generator
+    gen = trial_generator(seed, 0)
+    bits = gen.bit_generator
     # a fresh generator's state (counter 0, empty buffer); only the key's
     # trial word changes from row to row
     state = bits.state
@@ -50,39 +56,28 @@ def normal(seed, trial, size, sigma=1.0):
     for row, t in enumerate(trials):
         state["state"]["key"][1] = t
         bits.state = state
-        _half_words(bits.random_raw(size), u[row])
+        gen.random(out=u[row])
     return _normal_in_place(u, sigma)
-
-
-#: raw words per random_raw call in stream_normal, so that the transient
-#: word buffer stays small beside the output
-_STREAM_CHUNK = 2 ** 14
 
 
 def stream_normal(gen, size, sigma=1.0):
     """Normals drawn from an existing generator (block-sequential use): the
-    same draw as sigma * ndtri(open_uniform(gen, size)), made from the raw
-    words in chunks (consecutive random_raw calls continue one stream)."""
+    same draw as sigma * ndtri(open_uniform(gen, size)), made in the output
+    array (consecutive calls continue one stream)."""
     u = np.empty(size)
-    flat = u.reshape(-1)
-    for start in range(0, flat.size, _STREAM_CHUNK):
-        chunk = flat[start:start + _STREAM_CHUNK]
-        _half_words(gen.bit_generator.random_raw(chunk.size), chunk)
+    gen.random(out=u)
     return _normal_in_place(u, sigma)
 
 
-def _half_words(words, out):
-    """out = (words >> 11) + 0.5 for raw uint64 words: Generator.integers(0,
-    2^53) is exactly next_uint64 >> 11, since its Lemire rule never rejects
-    when the range is a power of two, and k < 2^53 is exact as a double."""
-    words >>= np.uint64(11)
-    np.add(words, 0.5, out=out)
-
-
 def _normal_in_place(u, sigma):
-    """sigma * ndtri(u / 2^53), written into u."""
+    """sigma * ndtri(u + 2^-54), written into u = k * 2^-53.  Generator.random
+    is (next_uint64 >> 11) * 2^-53, the k of Generator.integers(0, 2^53)
+    (whose Lemire rule never rejects when the range is a power of two), and
+    k * 2^-53 + 2^-54 == (k + 0.5) / 2^53 bit for bit: both round 2k + 1 to
+    53 bits, scaled by a power of two.  sigma == 1 multiplies by nothing."""
     from scipy.special import ndtri
-    u /= _U53
+    u += _HALF_STEP
     ndtri(u, out=u)
-    u *= sigma
+    if sigma != 1:
+        u *= sigma
     return u

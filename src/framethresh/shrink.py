@@ -30,7 +30,7 @@ def shrink_value(y, threshold, rule="soft"):
     hard:    y 1{|y| >= T}                (hard(T, T) = T: boundary kept)
     garrote: y max(1 - T^2/y^2, 0), 0 at y = 0
     """
-    if threshold < 0:
+    if not threshold >= 0:  # also refuses NaN
         raise ValueError(f"threshold {threshold} must be >= 0")
     y = np.asarray(y, dtype=float)
     if rule == "soft":
@@ -71,7 +71,7 @@ def denoise(frame, data, spec, rule="soft"):
         threshold = spec.resolve(frame)
     else:
         threshold = float(spec)
-        if threshold < 0:
+        if not threshold >= 0:  # also refuses NaN
             raise ValueError("threshold must be >= 0")
     coeffs = frame.analyze(data)
     shrunk = coeffs.replace_values(shrink_value(coeffs.values, threshold, rule))

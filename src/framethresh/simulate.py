@@ -276,7 +276,8 @@ def smoothness_experiment(frame, clean_signal, alpha, norm_spec, cfg, rule="soft
     threshold = evt_threshold(cfg.sigma, alpha, frame.evt_count)
     hits = []
     for eps in _noise_blocks(frame, cfg):
-        cv = frame.analyze(clean + eps)
+        eps += clean  # the fresh noise block becomes the data block
+        cv = frame.analyze(eps)
         shrunk = cv.replace_values(shrink_value(cv.values, threshold, rule))
         hits.append(norm_evaluate(norm_spec, shrunk) <= j_clean * (1 + 1e-12))
     freq = float(np.mean(np.concatenate(hits)))
@@ -334,13 +335,14 @@ def oracle_risk_experiment(frame, clean_signal, alpha, cfg):
     threshold = evt_threshold(cfg.sigma, alpha, m)
     assumption_ok = threshold <= universal_threshold(cfg.sigma, m) + 1e-12
     bound, first, second, a_n = oracle_bound(frame, clean, alpha, cfg.sigma)
-    target = frame.dual_synthesize(_zero_carry(frame.analyze(clean)))
+    x_clean = frame.analyze(clean)
+    target = frame.dual_synthesize(_zero_carry(x_clean, x_clean.values))
     risks = []
     for eps in _noise_blocks(frame, cfg):
-        cv = frame.analyze(clean + eps)
-        shrunk = _zero_carry(cv.replace_values(
-            shrink_value(cv.values, threshold, "soft")))
-        est = frame.dual_synthesize(shrunk)
+        eps += clean  # the fresh noise block becomes the data block
+        cv = frame.analyze(eps)
+        est = frame.dual_synthesize(
+            _zero_carry(cv, shrink_value(cv.values, threshold, "soft")))
         risks.append(np.sum((est - target) ** 2, axis=-1))
     risks = np.concatenate(risks)
     emp = float(np.mean(risks))
@@ -351,11 +353,11 @@ def oracle_risk_experiment(frame, clean_signal, alpha, cfg):
                       assumption_ok=assumption_ok, trials=cfg.trials)
 
 
-def _zero_carry(cv):
-    if cv.carry is None:
-        return cv
-    return CoefficientVector(cv.values.copy(), cv.label_names, cv.labels,
-                             carry=np.zeros_like(cv.carry))
+def _zero_carry(cv, values):
+    """values with cv's labels and a zero carry (none if cv has none); the
+    values are taken as they are, not copied."""
+    carry = None if cv.carry is None else np.zeros_like(cv.carry)
+    return CoefficientVector(values, cv.label_names, cv.labels, carry=carry)
 
 
 @dataclass
@@ -387,7 +389,8 @@ def risk_1d_check(mu_list, threshold_list, cfg):
             done = 0
             while done < cfg.trials:
                 block = min(cfg.trials - done, 1 << 16)
-                y = mu + _rng.stream_normal(gen, block)
+                y = _rng.stream_normal(gen, block)
+                y += mu
                 vals[done:done + block] = (mu - shrink_value(y, T, "soft")) ** 2
                 done += block
             emp = float(np.mean(vals))

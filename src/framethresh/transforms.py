@@ -21,9 +21,11 @@ have variance sigma^2 in every coordinate.
 
 Every frame's analyze and dual_synthesize act along the last axis, so a
 (B, n) block of signals is one call: the filter banks read each tap as a
-strided view of the wrap-padded block, cycle spinning stacks its M shifts
-into one (B*M, n) basis call, and the TI and sine analyses are one FFT of
-the block.
+strided view of the wrap-padded block (one pad per analysis level for both
+filters, and one product per distinct (offset, |tap|), which Haar's two
+filters share), cycle spinning stacks its M shifts into one (B*M, n) basis
+call and adds them back by slices, and the TI and sine analyses are one FFT
+of the block.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -121,22 +123,55 @@ def _wrap_pad(x, before, after):
     """x extended periodically along the last axis: entry i of the result
     is x[(i - before) mod n], for i in [0, before + n + after).  A pad
     longer than x (a 9- or 10-tap CDF 9/7 filter at n = 2) wraps more than
-    once, through an index taken mod n."""
+    once, through an index taken mod n.  With no pad, x itself."""
     n = x.shape[-1]
+    if before == after == 0:
+        return x
     if before > n or after > n:
         return x[..., np.arange(-before, n + after) % n]
     return np.concatenate([x[..., n - before:], x, x[..., :after]], axis=-1)
 
 
+@lru_cache(maxsize=64)
+def _product_plan(filters):
+    """The taps of several filters read at the same offsets, grouped by
+    product: one (m, |f[m]|, ((filter index, negative), ...)) per distinct
+    (offset, magnitude), in increasing m, skipping zero taps."""
+    plan = []
+    for m in range(max(len(f) for f in filters)):
+        uses = {}
+        for i, f in enumerate(filters):
+            if m < len(f) and f[m] != 0.0:
+                uses.setdefault(abs(f[m]), []).append((i, f[m] < 0.0))
+        plan.extend((m, c, tuple(u)) for c, u in uses.items())
+    return tuple(plan)
+
+
+def _correlate_down(x, filters):
+    """y_i[k] = sum_m f_i[m] x[(2k+m) mod n] for each filter f_i (a tuple of
+    floats), from one wrap pad of x.  Each distinct product |f[m]| x[2k+m]
+    is computed once and added, or subtracted for a negative tap: f x is
+    -(|f| x) and y - p is y + (-p) exactly, so every output has the bits of
+    its own tap-by-tap sum."""
+    n = x.shape[-1]
+    xp = _wrap_pad(x, 0, max(max(len(f) for f in filters) - 2, 0))
+    ys = [None] * len(filters)
+    p = np.empty(x.shape[:-1] + (n // 2,))
+    for m, c, uses in _product_plan(filters):
+        np.multiply(c, xp[..., m:m + n - 1:2], out=p)
+        for i, negative in uses:
+            if ys[i] is None:  # the first term onto +0.0
+                ys[i] = np.subtract(0.0, p) if negative else np.add(p, 0.0)
+            elif negative:
+                ys[i] -= p
+            else:
+                ys[i] += p
+    return [np.zeros_like(p) if y is None else y for y in ys]
+
+
 def _periodic_correlate_down(x, f):
     """y[k] = sum_m f[m] x[(2k+m) mod n]."""
-    n = x.shape[-1]
-    xp = _wrap_pad(x, 0, max(len(f) - 2, 0))
-    y = np.zeros(x.shape[:-1] + (n // 2,))
-    for m, fm in enumerate(f):
-        if fm != 0.0:
-            y += fm * xp[..., m:m + n - 1:2]
-    return y
+    return _correlate_down(x, (tuple(float(fm) for fm in f),))[0]
 
 
 def _periodic_up_conv(a, f, n):
@@ -182,13 +217,14 @@ def _check_dyadic(n):
 # --- decimated multiresolution transform ------------------------------------
 
 def _dwt_raw(x, filt, levels):
-    """Detail coefficients per level (finest first) and final approximation."""
-    dec_lo, dec_hi, _, _ = filt.arrays()
+    """Detail coefficients per level (finest first) and final approximation;
+    each level pads its input once for both analysis filters."""
+    bank = (filt.analysis_lowpass, filt.analysis_highpass)
     details = []
     a = np.asarray(x, dtype=float)
     for _ in range(levels):
-        details.append(_periodic_correlate_down(a, dec_hi))
-        a = _periodic_correlate_down(a, dec_lo)
+        a, d = _correlate_down(a, bank)
+        details.append(d)
     return details, a
 
 
@@ -385,7 +421,7 @@ class CycleSpinFrame(Frame):
     def dual_synthesize(self, coeffs):
         """One basis synthesis of the (B*M, atoms) block of per-shift
         coefficients, then the average of the reconstructions rolled back
-        by their shifts."""
+        by their shifts, each added in place."""
         self._check_coeffs(coeffs)
         lead = coeffs.values.shape[:-1]
         carry = coeffs.carry
@@ -396,8 +432,11 @@ class CycleSpinFrame(Frame):
             self.basis.label_arrays(), carry=carry))
         rec = rec.reshape(lead + (self.M, self.n))
         out = np.zeros(lead + (self.n,))
+        n = self.n
         for m in range(self.M):
-            out += np.roll(rec[..., m, :], m, axis=-1)
+            # out += np.roll(rec[..., m, :], m, axis=-1), as two slice adds
+            out[..., m:] += rec[..., m, :n - m]
+            out[..., :m] += rec[..., m, n - m:]
         return out / self.M
 
     def shift_structure(self, positions):

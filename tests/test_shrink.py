@@ -72,6 +72,21 @@ def test_unknown_rule_and_negative_threshold():
         shrink_value(1.0, -0.5, "soft")
 
 
+@pytest.mark.parametrize("rule", ["soft", "hard", "garrote"])
+def test_nan_threshold_is_rejected(rule):
+    # NaN < 0 is false, so a bare `threshold < 0` check let NaN through
+    with pytest.raises(ValueError, match="must be >= 0"):
+        shrink_value(np.arange(4.0), float("nan"), rule)
+
+
+def test_denoise_rejects_nan_threshold():
+    frame = WaveletBasis(8, "haar")
+    with pytest.raises(ValueError, match="must be >= 0"):
+        denoise(frame, np.arange(8.0), float("nan"))
+    with pytest.raises(ValueError, match="nonnegative"):
+        denoise(frame, np.arange(8.0), ThresholdSpec("fixed", sigma=1.0, value=float("nan")))
+
+
 @given(finite, thresholds)
 def test_soft_shrinkage_property(y, T):
     # |S(y +/- T, T)| <= |y|: the property behind the smoothness claim

@@ -246,7 +246,8 @@ def test_empirical_distribution_cdf_convention():
 @pytest.mark.parametrize("n", [1, 3, 1024])
 def test_block_normal_equals_stacked_trial_draws(seed, sigma, n):
     # the per-trial path draws through Generator.integers, the block path
-    # through raw 64-bit words: an independent byte-level oracle
+    # through Generator.random and a half-step shift: an independent
+    # byte-level oracle (sigma 1 skips the multiply, 0 gives signed zeros)
     block = rng_normal(seed, range(3, 9), n, sigma)
     stacked = np.stack([rng_normal(seed, t, n, sigma) for t in range(3, 9)])
     assert block.shape == (6, n)
@@ -260,6 +261,23 @@ def test_block_normal_extreme_trial_indices(seed, sigma):
     block = rng_normal(seed, trials, 257, sigma)
     stacked = np.stack([rng_normal(seed, t, 257, sigma) for t in trials])
     assert block.tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 1, None])
+def test_half_step_shift_equals_open_uniform_map(k):
+    # the block and stream draws make (k + 0.5) / 2^53 as k * 2^-53 + 2^-54:
+    # from k = 2^52 on, 2k + 1 needs 54 bits and both forms round it alike
+    ks = (np.array([k], dtype=np.uint64) if k is not None else
+          np.random.default_rng(53).integers(0, 2 ** 53, 10 ** 6, dtype=np.uint64))
+    fast = ks.astype(float) * 2.0 ** -53 + 2.0 ** -54
+    assert fast.tobytes() == ((ks.astype(float) + 0.5) / 2.0 ** 53).tobytes()
+
+
+def test_generator_random_is_the_integer_word_over_2_53():
+    gen, oracle = trial_generator(7, 3), trial_generator(7, 3)
+    u = gen.random(1000)
+    k = oracle.integers(0, 2 ** 53, 1000)
+    assert u.tobytes() == (k.astype(float) * 2.0 ** -53).tobytes()
 
 
 def _mid_stream_generators(seed, lead):
@@ -279,8 +297,9 @@ def _mid_stream_generators(seed, lead):
 @pytest.mark.parametrize("size", [1, 7, 1023, (3, 5), (64, 8), 2 ** 14 + 3])
 @pytest.mark.parametrize("sigma", [1.0, 0.5, 0.0])
 def test_stream_normal_equals_inverse_cdf_of_open_uniforms(lead, size, sigma):
-    # stream_normal reads raw 64-bit words; the oracle draws through
-    # Generator.integers, so both must leave the stream in the same place
+    # stream_normal fills its output with Generator.random; the oracle draws
+    # through Generator.integers, so both must leave the stream in the same
+    # place
     from scipy.special import ndtri
     gen, oracle = _mid_stream_generators(2 ** 64 - 3, lead)
     for _ in range(2):
@@ -295,8 +314,8 @@ def test_stream_normal_equals_inverse_cdf_of_open_uniforms(lead, size, sigma):
     lambda: rng_normal(5, range(8), 2 ** 15)],
     ids=["stream_normal", "normal"])
 def test_normal_draw_peaks_near_its_output(draw):
-    # the words go straight into the float output (a chunk or a row at a
-    # time), so no second output-sized buffer is allocated
+    # the uniforms are drawn into the float output and transformed there,
+    # so no second output-sized buffer is allocated
     import tracemalloc
     draw()  # scipy.special loads unmeasured
     tracemalloc.start()

@@ -68,6 +68,27 @@ def test_filter_primitives_equal_roll_formulas_bytewise(name, n, lead, rng):
 
 # --- decimated transform --------------------------------------------------------
 
+@pytest.mark.parametrize("name", sorted(FILTERS))
+@pytest.mark.parametrize("n", [2, 4, 16, 1024])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["1d", "block"])
+def test_analyze_equals_roll_cascade_bytewise(name, n, lead, rng):
+    # one wrap pad and one product per (offset, |tap|) per level give the
+    # bits of the per-filter circular-shift cascade; at n = 2 the cdf97
+    # filters wrap their shared pad more than once
+    lo, hi = FILTERS[name].arrays()[:2]
+    for c in range(min(3, int(np.log2(n)))):
+        basis = WaveletBasis(n, name, c)
+        for x in _signed_zero_inputs(lead + (n,), rng):
+            a, details = x, []
+            for _ in range(basis.levels):
+                details.append(_roll_correlate_down(a, hi))
+                a = _roll_correlate_down(a, lo)
+            cv = basis.analyze(x)
+            values = np.concatenate(details[::-1], axis=-1) / basis._scale
+            assert cv.values.tobytes() == values.tobytes()
+            assert cv.carry.tobytes() == a.tobytes()
+
+
 def test_haar_n2_constant_signal():
     wb = WaveletBasis(2, "haar")
     cv = wb.analyze(np.array([1.0, 1.0]))
@@ -162,19 +183,28 @@ def test_cs_energy_identity_on_wavelet_subspace(filters, M, rng):
 
 @pytest.mark.parametrize("M", [1, 2, 4, 8])
 def test_cs_equals_per_shift_basis_calls_bytewise(M, rng):
-    frame = CycleSpinFrame(64, M, "d4", coarsest_level=2)
-    basis = frame.basis
-    for x in (rng.standard_normal(64), rng.standard_normal((3, 64))):
-        cv = frame.analyze(x)
-        shifted = [basis.analyze(np.roll(x, -m, axis=-1)) for m in range(M)]
-        assert cv.values.tobytes() == np.concatenate(
-            [s.values for s in shifted], axis=-1).tobytes()
-        assert cv.carry.tobytes() == np.concatenate(
-            [s.carry for s in shifted], axis=-1).tobytes()
-        out = np.zeros(x.shape)
-        for m, s in enumerate(shifted):
-            out += np.roll(basis.dual_synthesize(s), m, axis=-1)
-        assert frame.dual_synthesize(cv).tobytes() == (out / M).tobytes()
+    for filters, coarsest_level in (("d4", 2), ("haar", 0)):
+        frame = CycleSpinFrame(64, M, filters, coarsest_level=coarsest_level)
+        basis = frame.basis
+        a, c = basis.atom_count, basis.carry_dim
+        for x in (rng.standard_normal(64), rng.standard_normal((3, 64))):
+            cv = frame.analyze(x)
+            shifted = [basis.analyze(np.roll(x, -m, axis=-1)) for m in range(M)]
+            assert cv.values.tobytes() == np.concatenate(
+                [s.values for s in shifted], axis=-1).tobytes()
+            assert cv.carry.tobytes() == np.concatenate(
+                [s.carry for s in shifted], axis=-1).tobytes()
+            # soft thresholding leaves -0.0 where a negative coefficient dies
+            shrunk = cv.replace_values(shrink_value(cv.values, 0.5))
+            assert np.any((shrunk.values == 0.0) & np.signbit(shrunk.values))
+            for coeffs in (cv, shrunk):
+                out = np.zeros(x.shape)
+                for m in range(M):
+                    part = CoefficientVector(coeffs.values[..., m * a:(m + 1) * a], ("j", "k"),
+                                             basis.label_arrays(),
+                                             coeffs.carry[..., m * c:(m + 1) * c])
+                    out += np.roll(basis.dual_synthesize(part), m, axis=-1)
+                assert frame.dual_synthesize(coeffs).tobytes() == (out / M).tobytes()
 
 
 @pytest.mark.parametrize("frame", [WaveletBasis(64, "haar", coarsest_level=2),
