@@ -316,8 +316,8 @@ class WaveletBasis(Frame):
         signal = self._check_signal(signal)
         details, approx = _dwt_raw(signal, self.filters, self.levels)
         values = self._details_to_values(details)
-        return CoefficientVector(values / self._scale, ("j", "k"), self._labels,
-                                 carry=approx)
+        values /= self._scale  # in the concatenation's fresh array
+        return CoefficientVector(values, ("j", "k"), self._labels, carry=approx)
 
     def dual_synthesize(self, coeffs):
         self._check_coeffs(coeffs)
