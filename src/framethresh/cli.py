@@ -20,6 +20,7 @@ import importlib.metadata
 import json
 import math
 import platform
+import re
 import sys
 import time
 
@@ -244,8 +245,7 @@ def cmd_simulate(args):
         if not (math.isfinite(T) and T >= 0):
             _fail(EXIT_VALIDATION, "validation",
                   f"threshold T={T} must be finite and >= 0", "--T")
-    cfg = simulate.McConfig(trials=args.trials, seed=args.seed,
-                            sigma=args.sigma, parallel=args.parallel)
+    cfg = simulate.McConfig(trials=args.trials, seed=args.seed, sigma=args.sigma)
     report = {"experiment": args.experiment, "trials": args.trials, "seed": args.seed,
               "sigma": args.sigma}
     try:
@@ -411,9 +411,24 @@ def cmd_replay(args):
 
 # --- wiring ---------------------------------------------------------------------
 
+#: the first flag an argparse error message names ("argument --n: ...",
+#: "unrecognized arguments: --x ...", "... are required: --seed, ...")
+_USAGE_FLAG = re.compile(r"(?:argument |arguments: |required: )(--?[\w-]+)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (a missing or unknown flag, a
+    value of the wrong type) take the exit-code contract's exit 2 with a JSON
+    error instead of argparse's usage text; subparsers inherit the class."""
+
+    def error(self, message):
+        flag = _USAGE_FLAG.search(message)
+        _fail(EXIT_VALIDATION, "validation", f"{self.prog}: {message}",
+              flag and flag.group(1))
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="framethresh",
-                                description="Frame thresholding toolkit")
+    p = _Parser(prog="framethresh", description="Frame thresholding toolkit")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     t = sub.add_parser("thresholds", help="print the threshold-rule table")
@@ -451,8 +466,6 @@ def build_parser():
     s.add_argument("--trials", type=int, default=10 ** 4)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--sigma", type=float, default=1.0)
-    s.add_argument("--parallel", action="store_true",
-                   help="accepted for old manifests and ignored")
     s.add_argument("--out", required=True)
     s.add_argument("--qq", default=None)
     s.add_argument("--T", type=float, action="append", default=None)

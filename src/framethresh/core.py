@@ -81,7 +81,6 @@ class GramSummary:
     coherence_counts: dict
     max_offdiag: float
     distinct_count: int
-    include_diagonal: bool = False
 
 
 class Frame:
@@ -228,7 +227,7 @@ def _dense_frame_operator(frame):
     return op
 
 
-def gram_coherence_counts(frame, deltas, deduplicate=True, include_diagonal=False):
+def gram_coherence_counts(frame, deltas, deduplicate=True):
     """Count off-diagonal Gram entries |<phi_w, phi_w'>| >= delta.
 
     Counts ordered pairs (w, w'), w != w', so totals are even by symmetry.
@@ -256,9 +255,8 @@ def gram_coherence_counts(frame, deltas, deduplicate=True, include_diagonal=Fals
     covers the gemm's and the FFT's rounding together); every pair at a lag
     inside the band is a tie, decided from its entry of the very gemm tile
     the dense route computes, through the same tile helper.  Only tiles
-    holding a tie are computed.  Self-pairs near |v| = 1 follow the same rule
-    for include_diagonal.  max_offdiag comes from the lag values on that
-    route and may differ from the gemm's by up to the band.
+    holding a tie are computed.  max_offdiag comes from the lag values on
+    that route and may differ from the gemm's by up to the band.
     """
     levels = [float(d) for d in deltas]
     for d in levels:
@@ -268,15 +266,12 @@ def gram_coherence_counts(frame, deltas, deduplicate=True, include_diagonal=Fals
     positions = frame.distinct_positions() if deduplicate else np.arange(frame.atom_count)
     keyed = _shift_keys(frame, positions)
     if keyed is None:
-        counts, diag_counts, max_off = _dense_census(frame, positions, levels)
+        counts, max_off = _dense_census(frame, positions, levels)
     else:
-        counts, diag_counts, max_off = _shift_census(frame, positions, levels, *keyed)
-    if include_diagonal:
-        counts = counts + diag_counts
+        counts, max_off = _shift_census(frame, positions, levels, *keyed)
     return GramSummary(frame_bounds=bounds,
                        coherence_counts={d: int(c) for d, c in zip(levels, counts)},
-                       max_offdiag=max_off, distinct_count=len(positions),
-                       include_diagonal=include_diagonal)
+                       max_offdiag=max_off, distinct_count=len(positions))
 
 
 def _gram_tiles(frame, positions, tiles):
@@ -296,22 +291,19 @@ def _gram_tiles(frame, positions, tiles):
 
 
 def _dense_census(frame, positions, levels):
-    """(off-diagonal counts, diagonal counts, max off-diagonal |kappa|) per
-    level from every tile; a tile above the diagonal stands for its mirror
-    too and counts twice."""
+    """(off-diagonal counts per level, max off-diagonal |kappa|) from every
+    tile; a tile above the diagonal stands for its mirror too and counts
+    twice."""
     blocks = -(-len(positions) // _BLOCK)
     tiles = ((i, j) for i in range(blocks) for j in range(i, blocks))
     counts = np.zeros(len(levels), np.int64)
-    diag_counts = np.zeros(len(levels), np.int64)
     max_off = 0.0
     for i, j, tile in _gram_tiles(frame, positions, tiles):
         if i == j:
-            diag = tile.diagonal().copy()
             np.fill_diagonal(tile, 0.0)
-            diag_counts += [np.count_nonzero(diag >= d) for d in levels]
         max_off = max(max_off, float(tile.max()))
         counts += [(1 if i == j else 2) * np.count_nonzero(tile >= d) for d in levels]
-    return counts, diag_counts, max_off
+    return counts, max_off
 
 
 def _shift_keys(frame, positions):
@@ -328,17 +320,15 @@ def _shift_census(frame, positions, levels, bases, keys):
     """The census of the atoms at keys = row * n + shift, each the base
     atom of its row rolled by its shift: the lag tables decide every pair
     outside the tie band, the gemm tiles the ties."""
-    counts, diag_counts, max_off, ties = _lag_census(frame.name, bases, keys, levels)
+    counts, max_off, ties = _lag_census(frame.name, bases, keys, levels)
     if len(ties):
-        off, diag = _tie_counts(frame, positions, np.array(levels), keys,
-                                bases.shape[1], ties)
-        counts += off
-        diag_counts += diag
-    return counts, diag_counts, max_off
+        counts += _tie_counts(frame, positions, np.array(levels), keys,
+                              bases.shape[1], ties)
+    return counts, max_off
 
 
 def _lag_tables(name, bases, keys):
-    """Yield (r, values, pairs, size) for each row r of the atoms at keys =
+    """Yield (r, values, pairs) for each row r of the atoms at keys =
     row * n + shift, each the base atom of its row rolled by its shift.
 
     values[k, d] = |<B_r, roll(B_{r+k}, d)>| is the |kappa| of every pair
@@ -347,8 +337,7 @@ def _lag_tables(name, bases, keys):
     number of such ordered pairs of atoms a != b, from the same correlation
     of the rows' shift multiplicities, checked to be integers; it is
     doubled for k > 0, so that it counts the mirrored pairs at rows
-    (r + k, r) too.  size is the number of atoms at row r (the self-pairs
-    taken out of pairs[0, 0])."""
+    (r + k, r) too."""
     nrows, n = bases.shape
     mult = np.bincount(keys, minlength=nrows * n).reshape(nrows, n)
     base_spec = np.fft.rfft(bases)
@@ -360,29 +349,26 @@ def _lag_tables(name, bases, keys):
         if np.abs(pairs - exact).max() > 0.25:
             raise FrameError(f"lag pair counts of {name} are not exact")
         pairs = exact.astype(np.int64)
-        size = int(mult[r].sum())
-        pairs[0, 0] -= size
+        pairs[0, 0] -= mult[r].sum()  # the self-pairs
         pairs[1:] *= 2
-        yield r, values, pairs, size
+        yield r, values, pairs
 
 
 def _lag_census(name, bases, keys, levels):
-    """(counts, diagonal counts, max off-diagonal |kappa|, ties) from the
-    lag tables of the atoms at keys = row * n + shift.
+    """(counts, max off-diagonal |kappa|, ties) from the lag tables of the
+    atoms at keys = row * n + shift.
 
     Lags whose value lies within 8 n eps of a level are ties, symmetrized
     in d on a row with itself so that a pair and its mirror tie together;
     every other lag counts all its pairs at once.  ties holds one (level
-    index, r, r', d, is_diagonal) row per tied lag and per row whose
-    self-pairs tie."""
+    index, r, r', d) row per tied lag that holds a pair."""
     n = bases.shape[1]
     band = 8 * n * np.finfo(float).eps
     mirror = -np.arange(n) % n
     counts = np.zeros(len(levels), np.int64)
-    diag_counts = np.zeros(len(levels), np.int64)
     max_off = 0.0
-    ties = [np.empty((0, 5), np.int64)]
-    for r, values, pairs, size in _lag_tables(name, bases, keys):
+    ties = [np.empty((0, 4), np.int64)]
+    for r, values, pairs in _lag_tables(name, bases, keys):
         present = pairs > 0
         if present.any():
             max_off = max(max_off, float(values[present].max()))
@@ -391,19 +377,13 @@ def _lag_census(name, bases, keys, levels):
             tie[0] |= tie[0, mirror]
             counts[li] += pairs[(values >= level) & ~tie].sum()
             k, d = np.nonzero(tie & present)
-            ties.append(np.stack([np.full_like(k, li), np.full_like(k, r), r + k, d,
-                                  np.zeros_like(k)], 1))
-            if size:
-                if tie[0, 0]:
-                    ties.append(np.array([[li, r, r, 0, 1]]))
-                elif values[0, 0] >= level:
-                    diag_counts[li] += size
-    return counts, diag_counts, max_off, np.concatenate(ties)
+            ties.append(np.stack([np.full_like(k, li), np.full_like(k, r), r + k, d], 1))
+    return counts, max_off, np.concatenate(ties)
 
 
 def _tie_counts(frame, positions, levels, keys, n, ties):
-    """Off-diagonal and diagonal counts of the tied pairs per level, each
-    pair read from its gemm tile.
+    """Counts of the tied pairs per level, each pair read from its gemm
+    tile.
 
     One block row of atoms at a time, every tied pair (a, b) with a in the
     block is enumerated: each tie (level, r, r', d) and the mirror
@@ -411,17 +391,16 @@ def _tie_counts(frame, positions, levels, keys, n, ties):
     atoms b at key r' n + (shift(a) + d) mod n.  A pair in tile
     (a // _BLOCK, b // _BLOCK) above the diagonal counts twice, as in the
     dense route; within a diagonal tile each ordered pair counts once;
-    below it, never (its mirror counts)."""
+    below it, never (its mirror counts).  An atom is never paired with
+    itself, though a duplicate of it (deduplicate=False) shares its key."""
     cross = ties[ties[:, 1] != ties[:, 2]]
-    mirrored = np.stack([cross[:, 0], cross[:, 2], cross[:, 1], -cross[:, 3] % n,
-                         cross[:, 4]], 1)
+    mirrored = np.stack([cross[:, 0], cross[:, 2], cross[:, 1], -cross[:, 3] % n], 1)
     ties = np.concatenate([ties, mirrored])
     ties = ties[np.argsort(ties[:, 1], kind="stable")]
     first = np.searchsorted(ties[:, 1], np.arange(keys.max() // n + 2))
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    off = np.zeros(len(levels), np.int64)
-    diag = np.zeros(len(levels), np.int64)
+    counts = np.zeros(len(levels), np.int64)
     for i in range(-(-len(positions) // _BLOCK)):
         a = np.arange(i * _BLOCK, min((i + 1) * _BLOCK, len(positions)))
         r = keys[a] // n
@@ -431,9 +410,8 @@ def _tie_counts(frame, positions, levels, keys, n, ties):
         lo = np.searchsorted(sorted_keys, target, "left")
         k, b = _expand(lo, np.searchsorted(sorted_keys, target, "right") - lo)
         a, t, b = a[k], t[k], order[b]
-        is_diag = ties[t, 4] == 1
-        keep = (b // _BLOCK >= i) & ((a == b) == is_diag)
-        a, t, b, is_diag = a[keep], t[keep], b[keep], is_diag[keep]
+        keep = (b // _BLOCK >= i) & (a != b)
+        a, t, b = a[keep], t[keep], b[keep]
         j = b // _BLOCK
         weight = np.where(j > i, 2, 1)
         # the column blocks holding a tied pair (np.unique would import numpy.ma)
@@ -442,11 +420,9 @@ def _tie_counts(frame, positions, levels, keys, n, ties):
             sel = j == jj
             li = ties[t[sel], 0]
             hit = tile[a[sel] - i * _BLOCK, b[sel] - jj * _BLOCK] >= levels[li]
-            for total, mask in ((off, ~is_diag[sel]), (diag, is_diag[sel])):
-                total += np.bincount(li[hit & mask], weight[sel][hit & mask],
-                                     len(levels)).astype(np.int64)
+            counts += np.bincount(li[hit], weight[sel][hit], len(levels)).astype(np.int64)
             del tile  # not held while the next tile's atoms are materialized
-    return off, diag
+    return counts
 
 
 def _expand(starts, lengths):

@@ -8,9 +8,7 @@ row is its trial's own draw, and each block goes through one batched
 analyze, shrink and reduce (and one dual_synthesize for the risk).  A block
 holds at most _BLOCK_ENTRIES coefficients, so memory stays bounded at every
 n, and the layout depends only on the frame's atom count and the trial
-count.  A thread pool was measured slower than the serial loop, so
-McConfig.parallel is accepted and ignored (old manifests that set it still
-replay).
+count.
 
 One-sided distributional checks use 3 Monte Carlo standard errors of slack;
 two-sided exact-oracle checks use 3 s.e. around the exact value.
@@ -37,7 +35,6 @@ class McConfig:
     trials: int
     seed: int
     sigma: float = 1.0
-    parallel: bool = False  # accepted for old configs and ignored
 
     def __post_init__(self):
         if self.trials < 1:
@@ -167,21 +164,19 @@ def _is_orthonormal(frame):
     return abs(a - 1) < 1e-9 and abs(b - 1) < 1e-9
 
 
-def coverage_experiment(frame, alpha, cfg, threshold=None, exact_oracle=None):
+def coverage_experiment(frame, alpha, cfg, threshold=None):
     """Empirical P{ ||Phi eps||_inf <= T } against the 1-alpha target.
 
     threshold defaults to the EVT threshold at the frame's count; for
-    orthonormal frames (auto-detected, or forced via exact_oracle=True with
-    m = atom_count) the exact finite-m value (2 Phi(T)-1)^m is included.
+    orthonormal frames (decided by _is_orthonormal) the exact finite-m value
+    (2 Phi(T)-1)^m with m = atom_count is included.
     """
     if threshold is None:
         threshold = evt_threshold(cfg.sigma, alpha, frame.evt_count)
     maxima = sample_max_abs(frame, cfg)
     emp = float(np.mean(maxima.samples <= threshold))
     exact = None
-    if exact_oracle is None:
-        exact_oracle = _is_orthonormal(frame)
-    if exact_oracle:
+    if _is_orthonormal(frame):
         exact = exact_independent_coverage(threshold, frame.atom_count, cfg.sigma)
     return CoverageReport(alpha=alpha, threshold=float(threshold), empirical=emp,
                           se=mc_se(emp, cfg.trials), exact=exact,
@@ -220,6 +215,7 @@ def sidak_experiment(dependent_frame, reference_m, thresholds, cfg):
 class TiBoundRow:
     z: float
     threshold: float
+    stable_threshold: float  # the chi threshold of a stable frame of equal count
     empirical: float
     gumbel: float
     se: float
@@ -229,18 +225,22 @@ class TiBoundRow:
 def ti_bound_experiment(ti_frame, c, z_list, cfg):
     """Empirical P{ ||W_{n,n} eps||_inf <= T(z) } with
     T(z) = sigma [sqrt(2 log n) + (z + log(c/pi))/sqrt(2 log n)], compared
-    one-sidedly against exp(-e^{-z})."""
+    one-sidedly against exp(-e^{-z}).  Each row also holds the threshold
+    at z that the chi norms of the frame's count would give, which a stable
+    frame of that many atoms needs (at coarsest level 0, n log2 n atoms)."""
     if not ti_frame.filters.differentiable:
         raise ValueError("ti bound needs a continuously differentiable wavelet")
     maxima = sample_max_abs(ti_frame, cfg)
+    stable = norms_chi(ti_frame.evt_count)
     rows = []
     for z in z_list:
         T = ti_threshold_at_z(cfg.sigma, z, ti_frame.n, float(c))
         emp = float(np.mean(maxima.samples <= T))
         target = float(gumbel_cdf(z))
         se = mc_se(emp, cfg.trials)
-        rows.append(TiBoundRow(z=float(z), threshold=T, empirical=emp,
-                               gumbel=target, se=se,
+        rows.append(TiBoundRow(z=float(z), threshold=T,
+                               stable_threshold=stable.threshold_at(z, cfg.sigma),
+                               empirical=emp, gumbel=target, se=se,
                                holds=emp >= target - 3.0 * se))
     return rows
 
@@ -438,11 +438,12 @@ def _row_max_abs(x):
 
 
 def comparison_bound_experiment(cfg, n_matrices=20, dim=8, thresholds=(1.0, 2.0, 3.0),
-                                draws=10 ** 6, flavor="abs"):
+                                draws=10 ** 6):
     """Monte Carlo validation of the normal comparison bound for maxima of
     absolute values: per matrix and threshold,
     |P_hat{||eta||_inf <= T} - P_hat{||xi||_inf <= T}| <= bound + 3 joint s.e.
-    eta iid, xi ~ N(0, C).  One Philox stream per matrix."""
+    eta iid, xi ~ N(0, C), against the 1/4 (absolute-value) flavor of the
+    bound.  One Philox stream per matrix."""
     rows = []
     for idx in range(n_matrices):
         gen = _rng.trial_generator(cfg.seed, idx)
@@ -465,7 +466,7 @@ def comparison_bound_experiment(cfg, n_matrices=20, dim=8, thresholds=(1.0, 2.0,
             p_dep = dep_counts[k] / draws
             p_ind = ind_counts[k] / draws
             se = math.sqrt(mc_se(p_dep, draws) ** 2 + mc_se(p_ind, draws) ** 2)
-            bnd = comparison_bound(corr, T, flavor=flavor).value
+            bnd = comparison_bound(corr, T).value
             rows.append(ComparisonRow(matrix_index=idx, threshold=float(T),
                                       empirical_dependent=p_dep,
                                       empirical_independent=p_ind,

@@ -114,12 +114,65 @@ def test_simulate_deterministic_reports(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_simulate_requires_seed(tmp_path):
-    with pytest.raises(SystemExit) as exc:  # argparse enforces --seed
-        main(["simulate", "--experiment", "gumbel",
-              "--frame-spec", '{"type":"wavelet","n":64}',
-              "--out", str(tmp_path / "r.json")])
-    assert exc.value.code != 0
+def test_simulate_requires_seed(tmp_path, capsys):
+    code, out, err = run_main(capsys, ["simulate", "--experiment", "gumbel",
+                                       "--frame-spec", '{"type":"wavelet","n":64}',
+                                       "--out", str(tmp_path / "r.json")])
+    assert code == 2 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "validation" and payload["flag"] == "--seed"
+    assert "required" in payload["message"]
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["thresholds", "--n", "abc"], "--n"),
+    (["thresholds", "--n", "64", "--bogus", "1"], "--bogus"),
+    (["simulate", "--experiment", "nope", "--seed", "1", "--out", "r.json"], "--experiment"),
+    ([], None),
+    (["bogus"], None)],
+    ids=["bad-int", "unknown-flag", "bad-choice", "no-subcommand", "unknown-subcommand"])
+def test_usage_errors_are_validation_errors(capsys, args, flag):
+    code, out, err = run_main(capsys, args)
+    assert code == 2 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "validation" and payload["flag"] == flag
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert "--experiment" in capsys.readouterr().out
+
+
+def test_replay_of_a_removed_flag_is_validation_error(tmp_path, capsys):
+    manifest = tmp_path / "old.json.manifest.json"
+    manifest.write_text(json.dumps({"command": [
+        "simulate", "--experiment", "gumbel", "--frame-spec", '{"type":"wavelet","n":64}',
+        "--trials", "20", "--seed", "1", "--parallel", "--out", str(tmp_path / "old.json")]}))
+    code, _, err = run_main(capsys, ["replay", str(manifest)])
+    assert code == 2
+    payload = json.loads(err)["error"]
+    assert payload["flag"] == "--parallel" and "unrecognized" in payload["message"]
+    assert not (tmp_path / "old.json").exists()
+
+
+def test_simulate_ti_reports_the_stable_frame_threshold(tmp_path):
+    from framethresh import evt
+    from framethresh.transforms import TIWaveletFrame
+    out = tmp_path / "ti.json"
+    code = main(["simulate", "--experiment", "ti",
+                 "--frame-spec", '{"type":"ti","n":64,"filters":"cdf97r"}',
+                 "--trials", "20", "--seed", "5", "--sigma", "0.5", "--z", "-1",
+                 "--z", "2", "--out", str(out)])
+    assert code == 0
+    rows = json.loads(out.read_text())["rows"]
+    m = TIWaveletFrame(64, "cdf97r").evt_count
+    assert m == 64 * 6  # n log2 n at coarsest level 0
+    assert [row["z"] for row in rows] == [-1.0, 2.0]
+    for row in rows:
+        assert row["stable_threshold"] == evt.norms_chi(m).threshold_at(row["z"], 0.5)
 
 
 def test_simulate_coverage_and_qq(tmp_path):

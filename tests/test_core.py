@@ -469,13 +469,10 @@ def _dense_route(frame, levels, deduplicate=True):
 
 def _assert_census_equals_dense(frame, levels=CENSUS_LEVELS):
     for dedup in (True, False):
-        off, diag, max_off = _dense_route(frame, levels, dedup)
-        for include in (False, True):
-            summary = gram_coherence_counts(frame, levels, deduplicate=dedup,
-                                            include_diagonal=include)
-            expected = off + diag if include else off
-            assert summary.coherence_counts == dict(zip(levels, expected.tolist())), \
-                (frame.name, dedup, include)
+        counts, max_off = _dense_route(frame, levels, dedup)
+        summary = gram_coherence_counts(frame, levels, deduplicate=dedup)
+        assert summary.coherence_counts == dict(zip(levels, counts.tolist())), \
+            (frame.name, dedup)
         assert abs(summary.max_offdiag - max_off) <= 8 * frame.n * np.finfo(float).eps
 
 
@@ -550,19 +547,22 @@ def test_structure_census_without_ties_materializes_no_atom(monkeypatch):
         CycleSpinFrame(256, 4, "d4"), [0.1, 0.5])[0].tolist()))
 
 
-@pytest.mark.parametrize("frame, level", [
-    (TIWaveletFrame(128, "haar"), 0.5), (CycleSpinFrame(512, 4, "haar"), 0.5),
-    (WaveletBasis(64, "haar"), 1.0)], ids=["ti", "cyclespin", "wavelet-diagonal"])
-def test_structure_census_touches_only_tie_tiles(monkeypatch, frame, level):
+@pytest.mark.parametrize("frame, level, tied", [
+    (TIWaveletFrame(128, "haar"), 0.5, True), (CycleSpinFrame(512, 4, "haar"), 0.5, True),
+    (WaveletBasis(64, "haar"), 1.0, False)], ids=["ti", "cyclespin", "wavelet-diagonal"])
+def test_structure_census_touches_only_tie_tiles(monkeypatch, frame, level, tied):
     """The tiles the structure route computes are exactly the dense tiles
-    holding an entry within the tie band of the level (with the diagonal
-    for include_diagonal), and each costs one atom block past its row's."""
+    holding an off-diagonal entry within the tie band of the level, and
+    each costs one atom block past its row's.  A basis at level 1.0 ties
+    only on its diagonal (each atom with itself), so it computes none."""
     band = 8 * frame.n * np.finfo(float).eps
     expected = set()
     positions = frame.distinct_positions()
     blocks = -(-len(positions) // core._BLOCK)
     for i, j, tile in core._gram_tiles(
             frame, positions, [(i, j) for i in range(blocks) for j in range(i, blocks)]):
+        if i == j:
+            np.fill_diagonal(tile, np.inf)
         if np.any(np.abs(tile - level) <= band):
             expected.add((i, j))
     tiles = []
@@ -574,8 +574,9 @@ def test_structure_census_touches_only_tie_tiles(monkeypatch, frame, level):
             yield i, j, tile
     monkeypatch.setattr(core, "_gram_tiles", tile_spy)
     atoms = _spy(monkeypatch, type(frame), "atom")
-    gram_coherence_counts(frame, [level], include_diagonal=True)
-    assert expected and set(tiles) == expected and len(tiles) == len(expected)
+    gram_coherence_counts(frame, [level])
+    assert bool(expected) == tied
+    assert set(tiles) == expected and len(tiles) == len(expected)
     rows = {i for i, _ in tiles}
     assert len(atoms) == len(rows) + sum(i != j for i, j in tiles)
 

@@ -1,0 +1,34 @@
+"""The README's shell recipes parse with the CLI's own argument parser, so a
+recipe that keeps a removed or renamed flag fails the suite."""
+
+import re
+import shlex
+from pathlib import Path
+
+from framethresh.cli import build_parser
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands():
+    """Every `framethresh ...` line of the README's code blocks, with its
+    backslash continuations joined and each shell variable set to 64 (a
+    value every flag that takes a variable here accepts)."""
+    commands = []
+    for block in re.findall(r"^```\w*\n(.*?)^```", README.read_text(), re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = re.sub(r"\$(\w+|\{\w+\})", "64", line.strip())
+            if line.startswith("framethresh "):
+                commands.append(line)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    # the CLI section and the experiment recipes
+    assert len(commands) >= 12, commands
+    subcommands = set()
+    for command in commands:
+        args = build_parser().parse_args(shlex.split(command, comments=True)[1:])
+        subcommands.add(args.subcommand)
+    assert subcommands == {"thresholds", "denoise", "simulate", "diagnose", "replay"}

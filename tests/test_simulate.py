@@ -25,9 +25,7 @@ from framethresh.transforms import (CDF97R, CycleSpinFrame, TIWaveletFrame,
 def test_determinism_serial_vs_parallel():
     frame = WaveletBasis(64, "haar")
     a = sample_max_abs(frame, McConfig(trials=200, seed=42))
-    b = sample_max_abs(frame, McConfig(trials=200, seed=42, parallel=True))
     c = sample_max_abs(frame, McConfig(trials=200, seed=42))
-    assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(a.samples, c.samples)
     d = sample_max_abs(frame, McConfig(trials=200, seed=43))
     assert not np.array_equal(a.samples, d.samples)
@@ -245,13 +243,22 @@ def test_empirical_distribution_cdf_convention():
 @pytest.mark.parametrize("sigma", [1.0, 0.5, 0.0])
 @pytest.mark.parametrize("n", [1, 3, 1024])
 def test_block_normal_equals_stacked_trial_draws(seed, sigma, n):
-    # the per-trial path draws through Generator.integers, the block path
-    # through Generator.random and a half-step shift: an independent
-    # byte-level oracle (sigma 1 skips the multiply, 0 gives signed zeros)
+    # the oracle draws each trial's own fresh generator through
+    # Generator.integers, the block path re-keys one generator and uses
+    # Generator.random and a half-step shift: an independent byte-level
+    # oracle (sigma 1 skips the multiply, 0 gives signed zeros)
     block = rng_normal(seed, range(3, 9), n, sigma)
-    stacked = np.stack([rng_normal(seed, t, n, sigma) for t in range(3, 9)])
+    stacked = np.stack([_oracle_normal(seed, t, n, sigma) for t in range(3, 9)])
     assert block.shape == (6, n)
     assert block.tobytes() == stacked.tobytes()
+    single = rng_normal(seed, 5, n, sigma)
+    assert single.shape == (n,)
+    assert single.tobytes() == stacked[2].tobytes()
+
+
+def _oracle_normal(seed, trial, size, sigma):
+    from scipy.special import ndtri
+    return sigma * ndtri(open_uniform(trial_generator(seed, trial), size))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
@@ -259,8 +266,26 @@ def test_block_normal_equals_stacked_trial_draws(seed, sigma, n):
 def test_block_normal_extreme_trial_indices(seed, sigma):
     trials = [2 ** 63, 0, 2 ** 64 - 1, 1]
     block = rng_normal(seed, trials, 257, sigma)
-    stacked = np.stack([rng_normal(seed, t, 257, sigma) for t in trials])
+    stacked = np.stack([_oracle_normal(seed, t, 257, sigma) for t in trials])
     assert block.tobytes() == stacked.tobytes()
+
+
+def test_top_word_maps_below_one():
+    # (2^53 - 1 + 0.5) / 2^53 rounds to 1.0, where ndtri is +inf; the top
+    # word takes the largest double below 1 and every other word its bits
+    from scipy.special import ndtri
+    from framethresh.rng import _normal_in_place, _to_open_uniform
+    top = 1.0 - 2.0 ** -53
+    ks = np.array([2 ** 53 - 1, 0, 2 ** 53 - 2, 2 ** 52], dtype=np.uint64)
+    u = _to_open_uniform(ks)
+    assert u[0] == top < 1.0
+    assert u[1:].tobytes() == ((ks[1:].astype(float) + 0.5) / 2.0 ** 53).tobytes()
+    z = _normal_in_place(ks.astype(float) * 2.0 ** -53, 1.0)
+    assert z[0] == ndtri(top) and 8.2 < z[0] < 8.21
+    assert z[1:].tobytes() == ndtri(u[1:]).tobytes()
+    assert np.array_equal(_normal_in_place(ks.astype(float)[:1] * 2.0 ** -53, 0.5),
+                          [0.5 * ndtri(top)])
+    assert _normal_in_place(np.empty(0), 1.0).shape == (0,)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 1, None])
