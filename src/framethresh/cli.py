@@ -37,18 +37,18 @@ from .transforms import TIWaveletFrame, frame_from_spec, get_filters, load_frame
 EXIT_VALIDATION = 2
 EXIT_PARSE = 3
 EXIT_IO = 4
+_KINDS = {EXIT_VALIDATION: "validation", EXIT_PARSE: "parse", EXIT_IO: "io"}
 
 
 class CliError(Exception):
-    def __init__(self, code, kind, message, flag=None):
+    """A failed run: its exit code, the message and the flag at fault; the
+    error's kind follows from the code."""
+
+    def __init__(self, code, message, flag=None):
         super().__init__(message)
         self.code = code
-        self.kind = kind
+        self.kind = _KINDS[code]
         self.flag = flag
-
-
-def _fail(code, kind, message, flag=None):
-    raise CliError(code, kind, message, flag)
 
 
 def _write_manifest(args, outputs, started, command):
@@ -76,7 +76,7 @@ def _write(flag, write, path, *content):
     try:
         write(path, *content)
     except OSError as exc:
-        _fail(EXIT_IO, "io", str(exc), flag)
+        raise CliError(EXIT_IO, str(exc), flag)
     return flag, path
 
 
@@ -98,8 +98,8 @@ def _require_finite(report, flag):
     """Fail with exit 2 naming flag when the report holds a non-finite value."""
     where = _first_non_finite(report, "result")
     if where is not None:
-        _fail(EXIT_VALIDATION, "validation",
-              f"the result is not finite ({where}): the computation overflowed", flag)
+        raise CliError(EXIT_VALIDATION,
+                       f"the result is not finite ({where}): the computation overflowed", flag)
 
 
 def _sha256(path):
@@ -107,62 +107,40 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_frame(spec, load=frame_from_spec, flag="--frame-spec"):
-    """load(spec) with its failures mapped to the exit-code contract."""
+def _read(flag, load, value):
+    """load(value), with its failures mapped to the exit-code contract and
+    the flag that gave the value: an unreadable file exits 4, malformed text
+    3 and an invalid frame 2."""
     try:
-        return load(spec)
+        return load(value)
     except OSError as exc:
-        _fail(EXIT_IO, "io", str(exc), flag)
-    except json.JSONDecodeError as exc:
-        _fail(EXIT_PARSE, "parse", f"frame spec is not valid JSON: {exc}", flag)
+        raise CliError(EXIT_IO, str(exc), flag)
+    except (json.JSONDecodeError, UnicodeDecodeError, io.FileFormatError,
+            NormSpecError) as exc:
+        raise CliError(EXIT_PARSE, str(exc), flag)
     except FrameError as exc:
-        _fail(EXIT_VALIDATION, "validation", str(exc), flag)
-
-
-def _check_sigma(sigma):
-    if not (math.isfinite(sigma) and sigma > 0):
-        _fail(EXIT_VALIDATION, "validation",
-              f"sigma={sigma} must be finite and > 0", "--sigma")
-
-
-def _read_signal(path, flag):
-    try:
-        return io.read_signal(path)
-    except OSError as exc:
-        _fail(EXIT_IO, "io", str(exc), flag)
-    except io.FileFormatError as exc:
-        _fail(EXIT_PARSE, "parse", str(exc), flag)
+        raise CliError(EXIT_VALIDATION, str(exc), flag)
 
 
 def _read_clean(path, n):
     """The --clean signal: n finite samples."""
-    clean = _read_signal(path, "--clean")
+    clean = _read("--clean", io.read_signal, path)
     if len(clean) != n:
-        _fail(EXIT_VALIDATION, "validation", "clean signal length mismatch", "--clean")
+        raise CliError(EXIT_VALIDATION, "clean signal length mismatch", "--clean")
     if not np.all(np.isfinite(clean)):
-        _fail(EXIT_VALIDATION, "validation",
-              "clean signal contains NaN or infinite values", "--clean")
+        raise CliError(EXIT_VALIDATION, "clean signal contains NaN or infinite values",
+                       "--clean")
     return clean
 
 
 # --- thresholds ---------------------------------------------------------------
 
 def cmd_thresholds(args):
-    _check_sigma(args.sigma)
-    if args.n < 2:
-        _fail(EXIT_VALIDATION, "validation", "n must be >= 2", "--n")
-    for a in args.alpha:
-        if not 0 < a < 1:
-            _fail(EXIT_VALIDATION, "validation",
-                  f"alpha={a} outside (0, 1)", "--alpha")
     rows = [{"rule": "universal", "alpha": None,
              "threshold": evt.universal_threshold(args.sigma, args.n)}]
     c_row = None
     if args.wavelet is not None:
-        try:
-            filters = get_filters(args.wavelet)
-        except FrameError as exc:
-            _fail(EXIT_VALIDATION, "validation", str(exc), "--wavelet")
+        filters = _read("--wavelet", get_filters, args.wavelet)
         if filters.differentiable:
             c_row = evt.ti_constant_c(filters).c
     for a in args.alpha:
@@ -174,10 +152,13 @@ def cmd_thresholds(args):
                              "threshold": evt.cyclespin_threshold(
                                  args.sigma, a, args.n, args.M)})
             except ThresholdError as exc:
-                _fail(EXIT_VALIDATION, "validation", str(exc), "--M")
+                raise CliError(EXIT_VALIDATION, str(exc), "--M")
         if c_row is not None:
-            rows.append({"rule": "ti", "alpha": a, "c": c_row,
-                         "threshold": evt.ti_threshold(args.sigma, a, args.n, c_row)})
+            try:
+                rows.append({"rule": "ti", "alpha": a, "c": c_row,
+                             "threshold": evt.ti_threshold(args.sigma, a, args.n, c_row)})
+            except ThresholdError as exc:
+                raise CliError(EXIT_VALIDATION, str(exc), "--n")
     table = {"sigma": args.sigma, "n": args.n, "rows": rows}
     if args.out:
         _write("--out", io.write_report, args.out, table)
@@ -189,16 +170,15 @@ def cmd_thresholds(args):
 # --- denoise --------------------------------------------------------------------
 
 def cmd_denoise(args):
-    frame = _load_frame(args.frame_spec)
-    data = _read_signal(args.input, "--input")
+    frame = _read("--frame-spec", frame_from_spec, args.frame_spec)
+    data = _read("--input", io.read_signal, args.input)
     if len(data) != frame.n:
-        _fail(EXIT_VALIDATION, "validation",
-              f"signal length {len(data)} does not match frame n={frame.n}",
-              "--input")
+        raise CliError(EXIT_VALIDATION,
+                       f"signal length {len(data)} does not match frame n={frame.n}",
+                       "--input")
     if not np.all(np.isfinite(data)):
-        _fail(EXIT_VALIDATION, "validation",
-              "input signal contains NaN or infinite values", "--input")
-    _check_sigma(args.sigma)
+        raise CliError(EXIT_VALIDATION, "input signal contains NaN or infinite values",
+                       "--input")
     clean = _read_clean(args.clean, frame.n) if args.clean else None
     spec = ThresholdSpec(rule=args.threshold_rule, sigma=args.sigma,
                          alpha=args.alpha, z=args.z, M=getattr(frame, "M", None),
@@ -207,7 +187,7 @@ def cmd_denoise(args):
         with np.errstate(over="ignore", invalid="ignore"):
             result = denoise(frame, data, spec, rule=args.rule)
     except (ThresholdError, ValueError) as exc:
-        _fail(EXIT_VALIDATION, "validation", str(exc), "--threshold-rule")
+        raise CliError(EXIT_VALIDATION, str(exc), "--threshold-rule")
     report = {
         "frame": frame.name,
         "rule": args.rule,
@@ -235,16 +215,6 @@ def cmd_denoise(args):
 # --- simulate -------------------------------------------------------------------
 
 def cmd_simulate(args):
-    if args.trials < 1:
-        _fail(EXIT_VALIDATION, "validation", "trials must be >= 1", "--trials")
-    _check_sigma(args.sigma)
-    if not 0 <= args.seed < 2 ** 64:
-        _fail(EXIT_VALIDATION, "validation",
-              f"seed {args.seed} must be in [0, 2^64)", "--seed")
-    for T in args.T:
-        if not (math.isfinite(T) and T >= 0):
-            _fail(EXIT_VALIDATION, "validation",
-                  f"threshold T={T} must be finite and >= 0", "--T")
     cfg = simulate.McConfig(trials=args.trials, seed=args.seed, sigma=args.sigma)
     report = {"experiment": args.experiment, "trials": args.trials, "seed": args.seed,
               "sigma": args.sigma}
@@ -252,7 +222,7 @@ def cmd_simulate(args):
         with np.errstate(over="ignore", invalid="ignore"):
             qq, clean = _run_experiment(args, cfg, report)
     except OverflowError as exc:
-        _fail(EXIT_VALIDATION, "validation", f"the computation overflowed: {exc}", "--sigma")
+        raise CliError(EXIT_VALIDATION, f"the computation overflowed: {exc}", "--sigma")
     # the computation runs at the larger of the two scales, sigma and the
     # --clean signal's peak, so the larger one is named for an overflow
     large_clean = clean is not None and np.max(np.abs(clean)) > args.sigma
@@ -267,111 +237,83 @@ def _run_experiment(args, cfg, report):
     """Run the experiment into the report; returns the Q-Q table when
     --qq asks for one, and the --clean signal when one was read."""
     exp = args.experiment
+    if exp == "gumbel" and args.trials < 10:
+        raise CliError(EXIT_VALIDATION, "the KS distance and Q-Q table need --trials >= 10",
+                       "--trials")
+    if exp in ("coverage", "smoothness", "risk") and args.alpha is None:
+        raise CliError(EXIT_VALIDATION, "this experiment needs --alpha", "--alpha")
+    if exp in ("risk", "risk1d") and args.trials < 2:
+        raise CliError(EXIT_VALIDATION, "this experiment's standard error needs --trials >= 2",
+                       "--trials")
     qq = clean = None
+    if exp not in ("risk1d", "comparison"):
+        frame = _read("--frame-spec", frame_from_spec, args.frame_spec)
+        report["frame"] = frame.name
+        if args.clean and exp in ("smoothness", "risk"):
+            clean = _read_clean(args.clean, frame.n)
     if exp == "gumbel":
-        if args.trials < 10:
-            _fail(EXIT_VALIDATION, "validation",
-                  "the KS distance and Q-Q table need --trials >= 10", "--trials")
-        frame = _load_frame(args.frame_spec)
         dist = simulate.sample_max_abs(frame, cfg)
         norms = evt.norms_chi(frame.evt_count)
         resc = simulate.rescale_to_gumbel(dist, norms, cfg.sigma)
-        report.update(frame=frame.name, m=frame.evt_count,
-                      ks_distance=simulate.ks_distance(resc),
+        report.update(m=frame.evt_count, ks_distance=simulate.ks_distance(resc),
                       sample_min=dist.samples[0], sample_max=dist.samples[-1])
         if args.qq:
             qq = simulate.qq_data(resc)
     elif exp == "coverage":
-        frame = _load_frame(args.frame_spec)
-        _need_alpha(args)
         threshold = None
         if getattr(frame, "M", None) is not None and args.use_cyclespin_rule:
             threshold = evt.cyclespin_threshold(cfg.sigma, args.alpha, frame.n, frame.M)
         rep = simulate.coverage_experiment(frame, args.alpha, cfg, threshold=threshold)
-        report.update(frame=frame.name, **io.to_jsonable(rep))
+        report.update(io.to_jsonable(rep))
     elif exp == "sidak":
-        frame = _load_frame(args.frame_spec)
         m_ref = args.reference_m or frame.distinct_count
         rows = simulate.sidak_experiment(frame, m_ref, args.T, cfg)
-        report.update(frame=frame.name, reference_m=m_ref,
-                      rows=io.to_jsonable(rows))
+        report.update(reference_m=m_ref, rows=io.to_jsonable(rows))
     elif exp == "ti":
-        frame = _load_frame(args.frame_spec)
         if not isinstance(frame, TIWaveletFrame):
-            _fail(EXIT_VALIDATION, "validation",
-                  "ti experiment needs a ti frame spec", "--frame-spec")
+            raise CliError(EXIT_VALIDATION, "ti experiment needs a ti frame spec",
+                           "--frame-spec")
         try:
             c = evt.ti_constant_c(frame.filters).c
         except ThresholdError as exc:
-            _fail(EXIT_VALIDATION, "validation", str(exc), "--frame-spec")
+            raise CliError(EXIT_VALIDATION, str(exc), "--frame-spec")
         rows = simulate.ti_bound_experiment(frame, c, args.z, cfg)
-        report.update(frame=frame.name, c=c, rows=io.to_jsonable(rows))
+        report.update(c=c, rows=io.to_jsonable(rows))
     elif exp == "smoothness":
-        frame = _load_frame(args.frame_spec)
-        _need_alpha(args)
-        clean = _read_clean(args.clean, frame.n) if args.clean else None
-        try:
-            norm_spec = NormSpec.from_json(args.norm_spec)
-        except (NormSpecError, json.JSONDecodeError, KeyError) as exc:
-            _fail(EXIT_PARSE, "parse", f"bad norm spec: {exc}", "--norm-spec")
+        norm_spec = _read("--norm-spec", NormSpec.from_json, args.norm_spec)
         try:
             rep = simulate.smoothness_experiment(
                 frame, signals.piecewise_constant(frame.n) if clean is None else clean,
                 args.alpha, norm_spec, cfg, rule=args.rule)
+        except NormSpecError as exc:  # the spec does not fit the frame's coefficients
+            raise CliError(EXIT_VALIDATION, str(exc), "--norm-spec")
         except ValueError as exc:
-            _fail(EXIT_VALIDATION, "validation", str(exc), "--rule")
-        report.update(frame=frame.name, **io.to_jsonable(rep))
+            raise CliError(EXIT_VALIDATION, str(exc), "--rule")
+        report.update(io.to_jsonable(rep))
     elif exp == "risk":
-        frame = _load_frame(args.frame_spec)
-        _need_alpha(args)
-        _need_two_trials(args)
-        clean = _read_clean(args.clean, frame.n) if args.clean else None
         rep = simulate.oracle_risk_experiment(
             frame, np.zeros(frame.n) if clean is None else clean, args.alpha, cfg)
-        report.update(frame=frame.name, **io.to_jsonable(rep))
+        report.update(io.to_jsonable(rep))
     elif exp == "risk1d":
-        _need_two_trials(args)
         rows = simulate.risk_1d_check(args.mu, args.T, cfg)
         report.update(rows=io.to_jsonable(rows))
-    elif exp == "comparison":
+    else:
         rows = simulate.comparison_bound_experiment(
             cfg, n_matrices=args.matrices, dim=args.dim,
             thresholds=tuple(args.T), draws=args.draws)
         report.update(rows=io.to_jsonable(rows))
-    else:
-        _fail(EXIT_VALIDATION, "validation",
-              f"unknown experiment {exp!r}", "--experiment")
     return qq, clean
-
-
-def _need_alpha(args):
-    if args.alpha is None or not 0 < args.alpha < 1:
-        _fail(EXIT_VALIDATION, "validation",
-              "this experiment needs --alpha in (0, 1)", "--alpha")
-
-
-def _need_two_trials(args):
-    if args.trials < 2:
-        _fail(EXIT_VALIDATION, "validation",
-              "this experiment's standard error needs --trials >= 2", "--trials")
 
 
 # --- diagnose -------------------------------------------------------------------
 
 def cmd_diagnose(args):
-    for T in args.T:
-        if not math.isfinite(T):
-            _fail(EXIT_VALIDATION, "validation", f"threshold T={T} is not finite", "--T")
-    template = _load_frame(args.frame_spec, load=load_frame_spec)
-    if not 0 < args.rho < 1:
-        _fail(EXIT_VALIDATION, "validation", "rho must be in (0, 1)", "--rho")
-    frames = []
-    for n in args.n_list:
-        frames.append(_load_frame({**template, "n": n}))
+    template = _read("--frame-spec", load_frame_spec, args.frame_spec)
+    frames = [_read("--n-list", frame_from_spec, {**template, "n": n}) for n in args.n_list]
     try:
         stab = stability_check(frames, args.rho, deduplicate=not args.keep_duplicates)
     except (ValueError, FrameError) as exc:
-        _fail(EXIT_VALIDATION, "validation", str(exc), "--n-list")
+        raise CliError(EXIT_VALIDATION, str(exc), "--n-list")
     report = {"stability": io.to_jsonable(stab)}
     if args.T:
         largest = frames[-1]
@@ -382,7 +324,7 @@ def cmd_diagnose(args):
             try:
                 r1, r2, r3 = rest_split(gram, m, args.rho, args.delta)
             except ValueError as exc:
-                _fail(EXIT_VALIDATION, "validation", str(exc), "--delta")
+                raise CliError(EXIT_VALIDATION, str(exc), "--delta")
             report["rest_split"] = {"R1": r1, "R2": r2, "R3": r3}
         report["comparison_bounds"] = [
             io.to_jsonable(comparison_bound(gram, T, flavor=args.flavor))
@@ -393,19 +335,12 @@ def cmd_diagnose(args):
 # --- replay ---------------------------------------------------------------------
 
 def cmd_replay(args):
-    try:
-        with open(args.manifest) as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        _fail(EXIT_IO, "io", str(exc), "manifest")
-    except json.JSONDecodeError as exc:
-        _fail(EXIT_PARSE, "parse", f"bad manifest: {exc}", "manifest")
+    manifest = _read("manifest", io.read_report, args.manifest)
     command = manifest.get("command") if isinstance(manifest, dict) else None
     if (not isinstance(command, list) or not command
             or not all(isinstance(arg, str) for arg in command)):
-        _fail(EXIT_PARSE, "parse",
-              "manifest must be a JSON object whose command is a non-empty "
-              "list of strings", "manifest")
+        raise CliError(EXIT_PARSE, "manifest must be a JSON object whose command is a "
+                       "non-empty list of strings", "manifest")
     return _dispatch(command)
 
 
@@ -423,8 +358,28 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         flag = _USAGE_FLAG.search(message)
-        _fail(EXIT_VALIDATION, "validation", f"{self.prog}: {message}",
-              flag and flag.group(1))
+        raise CliError(EXIT_VALIDATION, f"{self.prog}: {message}", flag and flag.group(1))
+
+
+def _ranged(convert, ok, rule):
+    """An argparse type that converts the text and requires ok(value).  A
+    failure reads `argument --flag: ...`, which the parser turns into exit 2
+    naming the flag."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {rule}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid float value: ..."
+    return parse
+
+
+_POSITIVE = _ranged(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+_NONNEGATIVE = _ranged(float, lambda x: 0 <= x < math.inf, "a finite number >= 0")
+_FINITE = _ranged(float, math.isfinite, "a finite number")
+_PROBABILITY = _ranged(float, lambda x: 0 < x < 1, "in (0, 1)")
+_COUNT = _ranged(int, lambda k: k >= 1, "an integer >= 1")
+_SEED = _ranged(int, lambda k: 0 <= k < 2 ** 64, "an integer in [0, 2^64)")
 
 
 def build_parser():
@@ -432,10 +387,11 @@ def build_parser():
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     t = sub.add_parser("thresholds", help="print the threshold-rule table")
-    t.add_argument("--sigma", type=float, default=1.0)
-    t.add_argument("--n", type=int, required=True)
+    t.add_argument("--sigma", type=_POSITIVE, default=1.0)
+    t.add_argument("--n", type=_ranged(int, lambda n: n >= 2, "an integer >= 2"),
+                   required=True)
     t.add_argument("--M", type=int, default=None)
-    t.add_argument("--alpha", type=float, action="append", default=None)
+    t.add_argument("--alpha", type=_PROBABILITY, action="append", default=None)
     t.add_argument("--wavelet", type=str, default=None)
     t.add_argument("--out", type=str, default=None)
     t.set_defaults(func=cmd_thresholds)
@@ -446,11 +402,11 @@ def build_parser():
     d.add_argument("--rule", default="soft", choices=("soft", "hard", "garrote"))
     d.add_argument("--threshold-rule", default="universal",
                    choices=("universal", "evt", "from_zn", "cyclespin", "ti", "fixed"))
-    d.add_argument("--alpha", type=float, default=None)
-    d.add_argument("--z", type=float, default=None)
-    d.add_argument("--c", type=float, default=None)
+    d.add_argument("--alpha", type=_PROBABILITY, default=None)
+    d.add_argument("--z", type=_FINITE, default=None)
+    d.add_argument("--c", type=_POSITIVE, default=None)
     d.add_argument("--fixed-value", type=float, default=None)
-    d.add_argument("--sigma", type=float, default=1.0)
+    d.add_argument("--sigma", type=_POSITIVE, default=1.0)
     d.add_argument("--output", required=True)
     d.add_argument("--report", default=None)
     d.add_argument("--coeffs", default=None)
@@ -462,31 +418,31 @@ def build_parser():
                    choices=("gumbel", "coverage", "sidak", "ti", "smoothness",
                             "risk", "risk1d", "comparison"))
     s.add_argument("--frame-spec", default=None)
-    s.add_argument("--alpha", type=float, default=None)
-    s.add_argument("--trials", type=int, default=10 ** 4)
-    s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--sigma", type=float, default=1.0)
+    s.add_argument("--alpha", type=_PROBABILITY, default=None)
+    s.add_argument("--trials", type=_COUNT, default=10 ** 4)
+    s.add_argument("--seed", type=_SEED, required=True)
+    s.add_argument("--sigma", type=_POSITIVE, default=1.0)
     s.add_argument("--out", required=True)
     s.add_argument("--qq", default=None)
-    s.add_argument("--T", type=float, action="append", default=None)
-    s.add_argument("--z", type=float, action="append", default=None)
-    s.add_argument("--mu", type=float, action="append", default=None)
-    s.add_argument("--reference-m", type=int, default=None)
+    s.add_argument("--T", type=_NONNEGATIVE, action="append", default=None)
+    s.add_argument("--z", type=_FINITE, action="append", default=None)
+    s.add_argument("--mu", type=_FINITE, action="append", default=None)
+    s.add_argument("--reference-m", type=_COUNT, default=None)
     s.add_argument("--clean", default=None)
     s.add_argument("--norm-spec", default='{"kind":"pqr_wavelet","p":1,"q":1,"r":0}')
     s.add_argument("--rule", default="soft")
     s.add_argument("--use-cyclespin-rule", action="store_true")
-    s.add_argument("--matrices", type=int, default=20)
-    s.add_argument("--dim", type=int, default=8)
-    s.add_argument("--draws", type=int, default=10 ** 6)
+    s.add_argument("--matrices", type=_COUNT, default=20)
+    s.add_argument("--dim", type=_COUNT, default=8)
+    s.add_argument("--draws", type=_COUNT, default=10 ** 6)
     s.set_defaults(func=cmd_simulate)
 
     g = sub.add_parser("diagnose", help="stability census and comparison bounds")
     g.add_argument("--frame-spec", required=True)
     g.add_argument("--n-list", type=int, nargs="+", required=True)
-    g.add_argument("--rho", type=float, default=0.5)
+    g.add_argument("--rho", type=_PROBABILITY, default=0.5)
     g.add_argument("--delta", type=float, default=None)
-    g.add_argument("--T", type=float, action="append", default=None)
+    g.add_argument("--T", type=_FINITE, action="append", default=None)
     g.add_argument("--flavor", default="abs", choices=("abs", "normal"))
     g.add_argument("--keep-duplicates", action="store_true")
     g.add_argument("--out", required=True)
@@ -528,17 +484,14 @@ def _dispatch(argv):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        _dispatch(argv)
+        try:
+            _dispatch(argv)
+        except FrameError as exc:  # a library check on a frame that no flag gave
+            raise CliError(EXIT_VALIDATION, str(exc))
     except CliError as exc:
-        error = {"error": {"kind": exc.kind, "code": exc.code,
-                           "message": str(exc), "flag": exc.flag}}
-        print(json.dumps(error, sort_keys=True), file=sys.stderr)
+        error = {"kind": exc.kind, "code": exc.code, "message": str(exc), "flag": exc.flag}
+        print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
         return exc.code
-    except FrameError as exc:
-        print(json.dumps({"error": {"kind": "validation", "code": EXIT_VALIDATION,
-                                    "message": str(exc), "flag": None}},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_VALIDATION
     return 0
 
 

@@ -100,6 +100,11 @@ def to_jsonable(obj):
     return obj
 
 
+def read_report(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def write_report(path, report):
     with open(path, "w") as fh:
         json.dump(to_jsonable(report), fh, indent=2, sort_keys=True)

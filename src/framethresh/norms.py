@@ -9,11 +9,13 @@ exact hypothesis behind the smoothness claim for soft thresholding.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import CoefficientVector
+from .io import read_signal
 
 KINDS = ("weighted_l2", "pqr_wavelet", "pqr_oriented")
 
@@ -57,15 +59,23 @@ class NormSpec:
     @staticmethod
     def from_json(text):
         """Parse {"kind": ..., "p": ..., "q": ..., "r": ..., "weights": [...]}
-        or a "weights_path" pointing at a one-value-per-line file."""
+        or a "weights_path" pointing at a signal file (io.read_signal).
+        Raises NormSpecError for a malformed spec, and OSError or
+        io.FileFormatError for a weights file that cannot be read."""
         obj = json.loads(text) if isinstance(text, str) else text
-        weights = None
-        if "weights" in obj:
-            weights = tuple(obj["weights"])
-        elif "weights_path" in obj:
-            weights = tuple(np.loadtxt(obj["weights_path"], dtype=float, ndmin=1))
-        return NormSpec(kind=obj["kind"], p=obj.get("p", 2.0), q=obj.get("q", 2.0),
-                        r=obj.get("r", 0.0), weights=weights)
+        if not isinstance(obj, dict):
+            raise NormSpecError("norm spec must be a JSON object")
+        weights = obj.get("weights")
+        if weights is None and "weights_path" in obj:
+            weights = read_signal(str(obj["weights_path"])).tolist()
+        p, q, r = obj.get("p", 2.0), obj.get("q", 2.0), obj.get("r", 0.0)
+        if not isinstance(weights, (list, type(None))) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                for v in [p, q, r, *(weights or ())]):
+            raise NormSpecError("norm spec p, q, r and weights must be finite numbers, "
+                                "weights a list of them")
+        return NormSpec(kind=obj.get("kind"), p=p, q=q, r=r,
+                        weights=None if weights is None else tuple(weights))
 
 
 def evaluate(spec, coeffs):

@@ -695,16 +695,21 @@ class SineFrame(Frame):
 
 # --- frame construction from JSON specs ---------------------------------------
 
-_REQUIRED_SPEC_KEYS = {"wavelet": ("n",), "cyclespin": ("n", "M"), "ti": ("n",),
-                       "sine": ("n",), "explicit": ("matrix_path",)}
+#: the keys each frame type needs besides n (an explicit frame takes no n)
+_SPEC_KEYS = {"wavelet": (), "cyclespin": ("M",), "ti": (), "sine": (),
+              "explicit": ("matrix_path",)}
 _INTEGER_SPEC_KEYS = ("n", "M", "oversample", "coarsest_level")
+_STRING_SPEC_KEYS = ("type", "filters", "matrix_path", "name")
 
 
 def load_frame_spec(spec):
-    """A frame spec as a dict, from a JSON string, a dict, or a file path.
+    """A frame spec as a dict, from a JSON string, a dict, or a file path,
+    with every field checked that does not depend on n.
 
     Raises OSError for an unreadable file, json.JSONDecodeError for bad
-    JSON and FrameError for a spec that is not a JSON object.
+    JSON and FrameError for a spec that is not a JSON object, names an
+    unknown type or filter family, lacks a key its type needs or holds a
+    field of the wrong JSON type.
     """
     if isinstance(spec, str):
         if spec.strip().startswith("{"):
@@ -714,6 +719,22 @@ def load_frame_spec(spec):
                 spec = json.load(fh)
     if not isinstance(spec, dict):
         raise FrameError("frame spec must be a JSON object")
+    for key in _STRING_SPEC_KEYS:
+        if key in spec and not isinstance(spec[key], str):
+            raise FrameError(f"frame spec {key!r} must be a string, got {spec[key]!r}")
+    kind = spec.get("type")
+    for key in _SPEC_KEYS.get(kind, ()):
+        if spec.get(key) is None:
+            raise FrameError(f"{kind} frame spec needs {key!r}")
+    for key in _INTEGER_SPEC_KEYS:
+        value = spec.get(key)
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, (int, np.integer))):
+            raise FrameError(f"frame spec {key!r} must be an integer, got {value!r}")
+    if kind not in _SPEC_KEYS:
+        raise FrameError(f"unknown frame type {kind!r}")
+    if kind in ("wavelet", "cyclespin", "ti"):
+        get_filters(spec.get("filters", "haar"))
     return spec
 
 
@@ -722,20 +743,15 @@ def frame_from_spec(spec):
 
     {"type": "wavelet"|"cyclespin"|"ti"|"sine"|"explicit", "n": ...,
      "filters": "haar"|"d4"|"cdf97", "M": ..., "oversample": ...,
-     "matrix_path": ..., "coarsest_level": ...}
+     "matrix_path": ..., "coarsest_level": ..., "name": ...}
 
-    n, M, oversample and coarsest_level must be JSON integers.
+    n, M, oversample and coarsest_level must be JSON integers; type,
+    filters, matrix_path and name JSON strings.
     """
     spec = load_frame_spec(spec)
-    kind = spec.get("type")
-    for key in _REQUIRED_SPEC_KEYS.get(kind, ()):
-        if spec.get(key) is None:
-            raise FrameError(f"{kind} frame spec needs {key!r}")
-    for key in _INTEGER_SPEC_KEYS:
-        value = spec.get(key)
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, (int, np.integer))):
-            raise FrameError(f"frame spec {key!r} must be an integer, got {value!r}")
+    kind = spec["type"]
+    if kind != "explicit" and spec.get("n") is None:
+        raise FrameError(f"{kind} frame spec needs 'n'")
     if kind == "wavelet":
         return WaveletBasis(spec["n"], spec.get("filters", "haar"),
                             spec.get("coarsest_level", 0))
@@ -747,7 +763,5 @@ def frame_from_spec(spec):
                               spec.get("coarsest_level", 0))
     if kind == "sine":
         return SineFrame(spec["n"], spec.get("oversample", 1))
-    if kind == "explicit":
-        matrix = np.loadtxt(spec["matrix_path"], delimiter=",", ndmin=2)
-        return ExplicitFrame(matrix, name=spec.get("name", "explicit"))
-    raise FrameError(f"unknown frame type {kind!r}")
+    matrix = np.loadtxt(spec["matrix_path"], delimiter=",", ndmin=2)
+    return ExplicitFrame(matrix, name=spec.get("name", "explicit"))

@@ -361,8 +361,10 @@ def test_denoise_non_integer_spec_field_is_validation_error(tmp_path, spec, key,
 
 
 @pytest.mark.parametrize("content, code, kind", [
-    (None, 4, "io"), ("[1, 2]", 2, "validation"), ("{not json", 3, "parse")],
-    ids=["missing", "list", "bad-json"])
+    (None, 4, "io"), ("[1, 2]", 2, "validation"), ("{not json", 3, "parse"),
+    ('{"type": "ti", "filters": "bogus"}', 2, "validation"),
+    ('{"type": "cyclespin"}', 2, "validation")],
+    ids=["missing", "list", "bad-json", "unknown-filters", "no-shift-count"])
 def test_diagnose_frame_spec_file_errors(tmp_path, content, code, kind, capsys):
     spec = tmp_path / "spec.json"
     if content is not None:
@@ -620,3 +622,80 @@ def test_diagnose_without_frame_bounds_fails_before_the_census(tmp_path, capsys)
     assert payload["kind"] == "validation" and payload["flag"] == "--n-list"
     assert "8192" in payload["message"]
     assert not out.exists()
+
+
+_SIDAK = ["simulate", "--experiment", "sidak", "--frame-spec", '{"type":"wavelet","n":16}',
+          "--trials", "10", "--seed", "1"]
+_SMOOTH = ["simulate", "--experiment", "smoothness", "--frame-spec", '{"type":"wavelet","n":16}',
+           "--alpha", "0.1", "--trials", "4", "--seed", "1"]
+_SPEC_DENOISE = ["denoise", "--input", "@SIG", "--output", "@OUT", "--frame-spec"]
+
+
+@pytest.mark.parametrize("args, code, flag", [
+    (["simulate", "--experiment", "comparison", "--dim", "0", "--seed", "1"], 2, "--dim"),
+    (["simulate", "--experiment", "comparison", "--draws", "0", "--seed", "1"], 2, "--draws"),
+    (["thresholds", "--n", "2", "--wavelet", "cdf97r"], 2, "--n"),
+    (["thresholds", "--n", "3", "--wavelet", "cdf97r"], 2, "--n"),
+    ([*_SIDAK, "--reference-m", "-3"], 2, "--reference-m"),
+    (["simulate", "--experiment", "risk1d", "--mu", "nan", "--trials", "10", "--seed", "1"],
+     2, "--mu"),
+    (["simulate", "--experiment", "ti", "--frame-spec", '{"type":"ti","n":16,"filters":"cdf97r"}',
+      "--z", "nan", "--trials", "10", "--seed", "1"], 2, "--z"),
+    (["simulate", "--experiment", "gumbel", "--frame-spec", '{"type":"wavelet","n":16}',
+      "--alpha", "1.5", "--trials", "10", "--seed", "1"], 2, "--alpha"),
+    ([*_SMOOTH, "--norm-spec", "[1]"], 3, "--norm-spec"),
+    ([*_SMOOTH, "--norm-spec", '{"kind":"pqr_wavelet","p":"a"}'], 3, "--norm-spec"),
+    ([*_SMOOTH, "--norm-spec", '{"kind":"pqr_wavelet","p":NaN}'], 3, "--norm-spec"),
+    ([*_SMOOTH, "--norm-spec", '{"kind":"weighted_l2","weights":5}'], 3, "--norm-spec"),
+    ([*_SMOOTH, "--norm-spec", '{"kind":"weighted_l2","weights_path":"@MISSING"}'],
+     4, "--norm-spec"),
+    ([*_SMOOTH, "--norm-spec", '{"kind":"weighted_l2","weights_path":5}'], 4, "--norm-spec"),
+    ([*_SMOOTH, "--norm-spec", '{"kind":"weighted_l2","weights_path":"@BIN"}'],
+     3, "--norm-spec"),
+    ([*_SMOOTH, "--norm-spec", '{"kind":"weighted_l2","weights":[1,2]}'], 2, "--norm-spec"),
+    (["simulate", "--experiment", "smoothness", "--frame-spec", '{"type":"sine","n":16}',
+      "--alpha", "0.1", "--trials", "4", "--seed", "1"], 2, "--norm-spec"),
+    ([*_SPEC_DENOISE, '{"type":"wavelet","n":16,"filters":5}'], 2, "--frame-spec"),
+    ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":5}'], 2, "--frame-spec"),
+    ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":"@MATRIX","name":5}'],
+     2, "--frame-spec"),
+    ([*_SPEC_DENOISE, "@BIN"], 3, "--frame-spec"),
+    (["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "3", "8", "16"],
+     2, "--n-list"),
+    (["diagnose", "--frame-spec", '{"type":"cyclespin","M":4}', "--n-list", "2", "8", "16"],
+     2, "--n-list"),
+    (["replay", "@BIN"], 3, "manifest"),
+    (["denoise", "--input", "@MISSING", "--output", "@OUT", "--frame-spec",
+      '{"type":"wavelet","n":16}', "--sigma", "0"], 2, "--sigma"),
+    ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--alpha", "1.5"], 2, "--alpha"),
+    ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--c", "0"], 2, "--c"),
+    ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--z", "inf"], 2, "--z")],
+    ids=["comparison-dim-0", "comparison-draws-0", "ti-row-n-2", "ti-row-n-3",
+         "sidak-reference-m-negative", "risk1d-mu-nan", "ti-z-nan", "gumbel-alpha-1.5",
+         "norm-spec-list", "norm-spec-p-string", "norm-spec-p-nan", "norm-spec-weights-number",
+         "norm-spec-weights-path-missing", "norm-spec-weights-path-number",
+         "norm-spec-weights-path-binary", "norm-spec-weights-length", "norm-spec-sine-labels",
+         "frame-spec-filters-number", "frame-spec-matrix-path-number",
+         "frame-spec-name-number", "frame-spec-binary-file", "diagnose-wavelet-n-3",
+         "diagnose-cyclespin-n-2", "replay-binary-manifest", "sigma-before-file-error",
+         "denoise-alpha-unused", "denoise-c-unused", "denoise-z-unused"])
+def test_malformed_input_takes_the_exit_code_contract(tmp_path, capsys, args, code, flag):
+    """Each invocation exits with its code, kind and flag, writes nothing,
+    and prints one JSON object on stderr (no traceback)."""
+    sig, matrix, binary = tmp_path / "x.csv", tmp_path / "m.csv", tmp_path / "bin.txt"
+    ftio.write_signal(sig, np.arange(16.0))
+    np.savetxt(matrix, np.eye(16), delimiter=",")
+    binary.write_bytes(b"\xff\xfe\x00not text")
+    inputs = sorted(tmp_path.iterdir())
+    paths = {"@SIG": sig, "@MATRIX": matrix, "@BIN": binary, "@OUT": tmp_path / "out.csv",
+             "@MISSING": tmp_path / "missing.csv"}
+    for token, path in paths.items():
+        args = [a.replace(token, str(path)) for a in args]
+    if args[0] in ("thresholds", "simulate", "diagnose"):
+        args = [*args, "--out", str(tmp_path / "out.json")]
+    rc, out, err = run_main(capsys, args)
+    assert "Traceback" not in err and err.count("\n") == 1
+    payload = json.loads(err)["error"]
+    assert (rc, payload["code"], payload["flag"]) == (code, code, flag), payload
+    assert payload["kind"] == {2: "validation", 3: "parse", 4: "io"}[code]
+    assert out == "" and sorted(tmp_path.iterdir()) == inputs

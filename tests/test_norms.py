@@ -136,6 +136,21 @@ def test_norm_spec_from_json():
     spec = NormSpec.from_json('{"kind":"pqr_wavelet","p":1,"q":1,"r":0}')
     assert spec.kind == "pqr_wavelet" and spec.p == 1 and spec.q == 1
 
+
+@pytest.mark.parametrize("text", [
+    '[1]', '{"p": 1}', '{"kind": "besov"}', '{"kind": "pqr_wavelet", "p": "a"}',
+    '{"kind": "pqr_wavelet", "q": Infinity}', '{"kind": "pqr_wavelet", "r": true}',
+    '{"kind": "weighted_l2", "weights": 5}', '{"kind": "weighted_l2", "weights": [1, "a"]}',
+    '{"kind": "weighted_l2", "weights": [1, NaN]}'])
+def test_malformed_norm_spec_is_norm_spec_error(text):
+    with pytest.raises(NormSpecError):
+        NormSpec.from_json(text)
+
+
+def test_unreadable_weights_path_is_os_error(tmp_path):
+    with pytest.raises(OSError):
+        NormSpec.from_json({"kind": "weighted_l2", "weights_path": str(tmp_path / "none.csv")})
+
 def test_wavelet_coefficients_feed_pqr_directly(rng):
     wb = WaveletBasis(64, "haar")
     cv = wb.analyze(rng.standard_normal(64))

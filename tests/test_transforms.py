@@ -9,7 +9,7 @@ from framethresh.transforms import (CDF97, D4, FILTERS, HAAR, CycleSpinFrame, Si
                                     TIWaveletFrame, WaveletBasis, _dwt_raw, _idwt_raw,
                                     _periodic_correlate_down, _periodic_up_conv,
                                     _shift_windows, _shifted_atoms, cs_distinct_count,
-                                    frame_from_spec, get_filters)
+                                    frame_from_spec, get_filters, load_frame_spec)
 
 SQ2 = np.sqrt(2.0)
 
@@ -541,6 +541,17 @@ def test_frame_from_spec_explicit(tmp_path, rng):
 def test_frame_from_spec_unknown_type():
     with pytest.raises(FrameError):
         frame_from_spec({"type": "curvelet", "n": 32})
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": ["ti"]}, {"type": "ti", "filters": 5}, {"type": "ti", "filters": "bogus"},
+    {"type": "cyclespin"}, {"type": "explicit", "matrix_path": 5},
+    {"type": "explicit", "matrix_path": "m.csv", "name": 5}])
+def test_load_frame_spec_checks_every_field_but_n(spec):
+    # a spec without n (the diagnose template) is checked field by field
+    assert load_frame_spec({"type": "ti"}) == {"type": "ti"}
+    with pytest.raises(FrameError, match="type|filter|matrix_path|name|'M'"):
+        load_frame_spec(spec)
 
 
 def test_get_filters_unknown():
