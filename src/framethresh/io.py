@@ -1,5 +1,6 @@
-"""File formats: signals as CSV or raw little-endian float64, coefficient
-vectors as CSV with index columns, reports as JSON, Q-Q tables as CSV."""
+"""File formats: signals as CSV or raw little-endian float64, matrices and
+coefficient vectors as CSV (the latter with index columns), reports as JSON,
+Q-Q tables as CSV."""
 
 from __future__ import annotations
 
@@ -35,6 +36,15 @@ def read_signal(path):
     if values.ndim != 1:
         raise FileFormatError(f"signal file {path} must hold one value per line")
     return values
+
+
+def read_matrix(path):
+    """A CSV matrix, one row per line and comma-separated columns, as a 2-D
+    float array."""
+    try:
+        return np.loadtxt(path, dtype=float, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise FileFormatError(f"could not parse matrix file {path}: {exc}") from exc
 
 
 def write_signal(path, signal):

@@ -130,10 +130,16 @@ def _per_row(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+#: (oriented, id(j column), id(l column)) -> (j column, l column, groups);
+#: the entry holds its columns, so their ids are not reused while it lives
 _GROUP_CACHE = {}
 
 
 def _scale_groups(spec, coeffs):
+    """The (key, positions) groups of the scale (and orientation) labels, in
+    ascending key order.  Cached per label column object: frames hand the
+    same (unchanging) columns to every coefficient vector they make, so a
+    hit costs one lookup; a new column, equal or not, is grouped afresh."""
     names = coeffs.label_names
     if "j" not in names:
         raise NormSpecError(
@@ -143,11 +149,10 @@ def _scale_groups(spec, coeffs):
     if oriented and "l" not in names:
         raise NormSpecError("pqr_oriented needs (j, l, k)-labelled coefficients")
     lcol = coeffs.labels[names.index("l")] if oriented else None
-    cache_key = (oriented, jcol.tobytes(),
-                 lcol.tobytes() if oriented else None)
+    cache_key = (oriented, id(jcol), id(lcol))
     hit = _GROUP_CACHE.get(cache_key)
     if hit is not None:
-        return hit
+        return hit[2]
     keys = (list(zip(jcol.tolist(), lcol.tolist())) if oriented
             else [(j,) for j in jcol.tolist()])
     order = {}
@@ -156,7 +161,7 @@ def _scale_groups(spec, coeffs):
     groups = [(key, _run_or_index(idx)) for key, idx in sorted(order.items())]
     if len(_GROUP_CACHE) > 64:
         _GROUP_CACHE.clear()
-    _GROUP_CACHE[cache_key] = groups
+    _GROUP_CACHE[cache_key] = (jcol, lcol, groups)
     return groups
 
 

@@ -20,12 +20,17 @@ orthonormal filters, a genuine correction for CDF 9/7), so noise coefficients
 have variance sigma^2 in every coordinate.
 
 Every frame's analyze and dual_synthesize act along the last axis, so a
-(B, n) block of signals is one call: the filter banks read each tap as a
-strided view of the wrap-padded block (one pad per analysis level for both
-filters, and one product per distinct (offset, |tap|), which Haar's two
-filters share), cycle spinning stacks its M shifts into one (B*M, n) basis
-call and adds them back by slices, and the TI and sine analyses are one FFT
-of the block.
+(B, n) block of signals is one call.  The filter banks read each tap as a
+strided view of the wrap-padded block and follow a plan cached per filter
+pair, looked up once per transform.  An analysis level pads its input once
+for both filters and computes one product per distinct (offset, |tap|),
+which Haar's two filters share.  A synthesis level pads each source (the
+approximation and the detail) once, computes one product per distinct
+(source, offset, |tap|), computes once a phase sum that both output phases
+share (Haar's low-pass), and adds each phase's low- and high-pass sums
+straight into the strided halves of one output.  Cycle spinning copies its
+M shifts into one (B*M, n) basis call and adds them back by slices, and the
+TI and sine analyses are one FFT of the block.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import CoefficientVector, ExplicitFrame, Frame, FrameError, IterationError
+from .io import read_matrix
 
 SQRT2 = np.sqrt(2.0)
 
@@ -114,7 +120,7 @@ def get_filters(name):
 
 # --- periodic filtering primitives -----------------------------------------
 # All act along the last axis; leading axes are a batch of signals.  Each
-# wrap-pads its input once and reads every filter tap as a strided view of
+# wrap-pads each input once and reads every filter tap as a strided view of
 # the padded array (polyphase form).  Taps are added in increasing order onto
 # a +0.0 start, skipping zero taps, so every output entry sums the same
 # nonzero terms in the same order as the circular-shift formulas.
@@ -132,64 +138,111 @@ def _wrap_pad(x, before, after):
     return np.concatenate([x[..., n - before:], x, x[..., :after]], axis=-1)
 
 
+def _accumulate(sums, p, uses):
+    """Add the product p to each sum it enters: onto +0.0 as the first term,
+    subtracted for a negative tap.  f x is -(|f| x) and y - p is y + (-p)
+    exactly, so every sum has the bits of its own tap-by-tap sum."""
+    for k, negative in uses:
+        if sums[k] is None:
+            sums[k] = np.subtract(0.0, p) if negative else np.add(p, 0.0)
+        elif negative:
+            sums[k] -= p
+        else:
+            sums[k] += p
+
+
 @lru_cache(maxsize=64)
 def _product_plan(filters):
-    """The taps of several filters read at the same offsets, grouped by
-    product: one (m, |f[m]|, ((filter index, negative), ...)) per distinct
-    (offset, magnitude), in increasing m, skipping zero taps."""
-    plan = []
+    """Analysis plan of several filters read at the same offsets: the wrap
+    pad after x, the filter count, and the taps grouped by product, one
+    (m, |f[m]|, ((filter index, negative), ...)) per distinct (offset,
+    magnitude), in increasing m, skipping zero taps."""
+    steps = []
     for m in range(max(len(f) for f in filters)):
         uses = {}
         for i, f in enumerate(filters):
             if m < len(f) and f[m] != 0.0:
                 uses.setdefault(abs(f[m]), []).append((i, f[m] < 0.0))
-        plan.extend((m, c, tuple(u)) for c, u in uses.items())
-    return tuple(plan)
+        steps.extend((m, c, tuple(u)) for c, u in uses.items())
+    return max(max(len(f) for f in filters) - 2, 0), len(filters), tuple(steps)
 
 
-def _correlate_down(x, filters):
-    """y_i[k] = sum_m f_i[m] x[(2k+m) mod n] for each filter f_i (a tuple of
-    floats), from one wrap pad of x.  Each distinct product |f[m]| x[2k+m]
-    is computed once and added, or subtracted for a negative tap: f x is
-    -(|f| x) and y - p is y + (-p) exactly, so every output has the bits of
-    its own tap-by-tap sum."""
+def _correlate_down(x, plan):
+    """y_i[k] = sum_m f_i[m] x[(2k+m) mod n] for each filter f_i of
+    plan = _product_plan(filters), from one wrap pad of x.  Each distinct
+    product |f[m]| x[2k+m] is computed once into one buffer and added to
+    every output it enters."""
+    after, count, steps = plan
     n = x.shape[-1]
-    xp = _wrap_pad(x, 0, max(max(len(f) for f in filters) - 2, 0))
-    ys = [None] * len(filters)
+    xp = _wrap_pad(x, 0, after)
+    ys = [None] * count
     p = np.empty(x.shape[:-1] + (n // 2,))
-    for m, c, uses in _product_plan(filters):
+    for m, c, uses in steps:
         np.multiply(c, xp[..., m:m + n - 1:2], out=p)
-        for i, negative in uses:
-            if ys[i] is None:  # the first term onto +0.0
-                ys[i] = np.subtract(0.0, p) if negative else np.add(p, 0.0)
-            elif negative:
-                ys[i] -= p
-            else:
-                ys[i] += p
+        _accumulate(ys, p, uses)
     return [np.zeros_like(p) if y is None else y for y in ys]
 
 
 def _periodic_correlate_down(x, f):
     """y[k] = sum_m f[m] x[(2k+m) mod n]."""
-    return _correlate_down(x, (tuple(float(fm) for fm in f),))[0]
+    return _correlate_down(x, _product_plan((tuple(float(fm) for fm in f),)))[0]
 
 
-def _periodic_up_conv(a, f, n):
-    """x[i] = sum_k a[k] f[(i-2k) mod n].
+@lru_cache(maxsize=64)
+def _synthesis_plan(lo, hi):
+    """Synthesis plan of one level, x = up(a) * lo + up(d) * hi with
+    up(a)[2k] = a[k]: output phase p (i = 2q + p) of a filter f takes the
+    taps m = 2t + p, tap m reading a[(q - t) mod n/2], so the source a is
+    wrap-padded once by before = (len(f) - 1) // 2 and tap m reads it at
+    offset before - t.
 
-    Output phase p (i = 2q + p) takes only the taps m = p (mod 2), tap m
-    reading a[(q - (m-p)/2) mod n/2]."""
-    h = n // 2
-    before = (len(f) - 1) // 2
-    ap = _wrap_pad(a, before, 0)
-    y = np.zeros(a.shape[:-1] + (n,))
+    Returns (befores, steps, outputs, sum count).  befores holds one pad
+    per source (a for lo, d for hi).  Each (filter, phase) has one sum of
+    its nonzero terms in increasing t; two phases with the same terms share
+    one sum (Haar's low-pass).  steps holds one (source, offset, |tap|,
+    uses) per distinct product in increasing t, uses its ((sum index,
+    negative), ...), so every sum receives its terms in order.  outputs
+    holds (lo sum index, hi sum index) per phase; a sum with no term stays
+    +0.0."""
+    befores = tuple((len(f) - 1) // 2 for f in (lo, hi))
+    sums = {}
+    outputs = []
+    products = {}
     for p in (0, 1):
-        yp = y[..., p::2]
-        for m in range(p, len(f), 2):
-            if f[m] != 0.0:
-                s = before - (m - p) // 2
-                yp += f[m] * ap[..., s:s + h]
-    return y
+        phase = []
+        for i, f in enumerate((lo, hi)):
+            terms = tuple(((m - p) // 2, abs(f[m]), f[m] < 0.0)
+                          for m in range(p, len(f), 2) if f[m] != 0.0)
+            k = sums.setdefault((i, terms), len(sums))
+            phase.append(k)
+            for t, c, negative in terms:
+                uses = products.setdefault((t, i, c), [])
+                if (k, negative) not in uses:
+                    uses.append((k, negative))
+        outputs.append(tuple(phase))
+    steps = tuple((i, befores[i] - t, c, tuple(uses))
+                  for (t, i, c), uses in sorted(products.items(), key=lambda e: e[0][0]))
+    return befores, steps, tuple(outputs), len(sums)
+
+
+def _up_conv(a, d, plan):
+    """x[i] = sum_k a[k] lo[(i-2k) mod n] + sum_k d[k] hi[(i-2k) mod n] for
+    plan = _synthesis_plan(lo, hi), n = 2 a.shape[-1]: one wrap pad per
+    source, each distinct product computed once into one buffer, and each
+    phase's lo and hi sums added into x[..., p::2] of one fresh output."""
+    befores, steps, outputs, count = plan
+    h = a.shape[-1]
+    sources = (_wrap_pad(a, befores[0], 0), _wrap_pad(d, befores[1], 0))
+    sums = [None] * count
+    p = np.empty(a.shape[:-1] + (h,))
+    out = np.empty(a.shape[:-1] + (2 * h,))
+    for i, s, c, uses in steps:
+        np.multiply(c, sources[i][..., s:s + h], out=p)
+        _accumulate(sums, p, uses)
+    sums = [0.0 if y is None else y for y in sums]
+    for phase, (k_lo, k_hi) in enumerate(outputs):
+        np.add(sums[k_lo], sums[k_hi], out=out[..., phase::2])
+    return out
 
 
 def _shift_windows(bases):
@@ -219,26 +272,27 @@ def _check_dyadic(n):
 def _dwt_raw(x, filt, levels):
     """Detail coefficients per level (finest first) and final approximation;
     each level pads its input once for both analysis filters."""
-    bank = (filt.analysis_lowpass, filt.analysis_highpass)
+    plan = _product_plan((filt.analysis_lowpass, filt.analysis_highpass))
     details = []
     a = np.asarray(x, dtype=float)
     for _ in range(levels):
-        a, d = _correlate_down(a, bank)
+        a, d = _correlate_down(a, plan)
         details.append(d)
     return details, a
 
 
 def _idwt_raw(details, approx, lo, hi):
-    """One synthesis loop, coarsest level first, with the filter pair (lo, hi).
+    """One synthesis loop, coarsest level first, with the filter pair (lo, hi)
+    (sequences of floats).
 
     The synthesis filters invert _dwt_raw; the analysis filters give the
     adjoint of the analysis map (the same map for orthonormal pairs), which
     materializes analysis atoms in the biorthogonal case.
     """
+    plan = _synthesis_plan(tuple(lo), tuple(hi))
     a = np.asarray(approx, dtype=float)
     for d in reversed(details):
-        n = 2 * a.shape[-1]
-        a = _periodic_up_conv(a, lo, n) + _periodic_up_conv(d, hi, n)
+        a = _up_conv(a, d, plan)
     return a
 
 
@@ -309,7 +363,9 @@ class WaveletBasis(Frame):
             d[row, 0] = 1.0
         approx = np.zeros((rows, self.carry_dim))
         approx[-1, 0] = 1.0
-        pair = self.filters.arrays()[2:] if synthesis else self.filters.arrays()[:2]
+        f = self.filters
+        pair = ((f.synthesis_lowpass, f.synthesis_highpass) if synthesis
+                else (f.analysis_lowpass, f.analysis_highpass))
         return _idwt_raw(details, approx, *pair)
 
     def analyze(self, signal):
@@ -324,7 +380,8 @@ class WaveletBasis(Frame):
         details = self._values_to_details(coeffs.values * self._scale)
         approx = coeffs.carry if coeffs.carry is not None \
             else np.zeros(coeffs.values.shape[:-1] + (self.carry_dim,))
-        return _idwt_raw(details, approx, *self.filters.arrays()[2:])
+        return _idwt_raw(details, approx, self.filters.synthesis_lowpass,
+                         self.filters.synthesis_highpass)
 
     def shift_structure(self, positions):
         # psi_{j,k} is psi_{j,0} shifted by k n/2^j
@@ -362,8 +419,9 @@ def cs_distinct_count(n, M):
         raise FrameError(f"shift count M={M} exceeds n={n}")
     if M < 1:
         raise FrameError("M must be >= 1")
-    fl = int(np.floor(np.log2(M)))
-    cl = int(np.ceil(np.log2(n / M)))
+    n, M = int(n), int(M)
+    fl = M.bit_length() - 1  # floor(log2 M)
+    cl = (-(-n // M) - 1).bit_length()  # ceil(log2(n/M)) = ceil(log2(ceil(n/M)))
     return n * fl + M * (2 ** cl - 1)
 
 
@@ -408,12 +466,15 @@ class CycleSpinFrame(Frame):
     def analyze(self, signal):
         """The M shifted signals go through one basis analysis as a
         (B*M, n) block; row m of a signal's stack is the signal rolled by -m
-        (a window of the signal doubled along its last axis)."""
+        (two slice copies into the stack)."""
         signal = self._check_signal(signal)
         lead = signal.shape[:-1]
-        doubled = np.concatenate([signal, signal], axis=-1)
-        shifted = sliding_window_view(doubled, self.n, axis=-1)[..., :self.M, :]
-        cv = self.basis.analyze(shifted.reshape(-1, self.n))
+        n = self.n
+        shifted = np.empty(lead + (self.M, n))
+        for m in range(self.M):
+            shifted[..., m, :n - m] = signal[..., m:]
+            shifted[..., m, n - m:] = signal[..., :m]
+        cv = self.basis.analyze(shifted.reshape(-1, n))
         return CoefficientVector(cv.values.reshape(lead + (self.atom_count,)),
                                  ("j", "k", "m"), self._labels,
                                  carry=cv.carry.reshape(lead + (self.carry_dim,)))
@@ -431,13 +492,14 @@ class CycleSpinFrame(Frame):
             coeffs.values.reshape(-1, self.basis.atom_count), ("j", "k"),
             self.basis.label_arrays(), carry=carry))
         rec = rec.reshape(lead + (self.M, self.n))
-        out = np.zeros(lead + (self.n,))
+        out = rec[..., 0, :] + 0.0  # the first shift onto +0.0
         n = self.n
-        for m in range(self.M):
+        for m in range(1, self.M):
             # out += np.roll(rec[..., m, :], m, axis=-1), as two slice adds
             out[..., m:] += rec[..., m, :n - m]
             out[..., :m] += rec[..., m, n - m:]
-        return out / self.M
+        out /= self.M
+        return out
 
     def shift_structure(self, positions):
         # T_m psi_{j,k} is psi_{j,0} shifted by m + k*n/2^j
@@ -618,8 +680,10 @@ class SineFrame(Frame):
             self.bounds = ((r * self.n - 1) / (self.n - 1),) * 2
         self.name = f"sine[n={n},r={oversample}]"
         self._labels = (np.arange(self.atom_count),)
-        # the raw coefficient at w = m/r is -Im(FFT_{2rn}(x))[m], m = 1..rn-1
+        # the raw coefficient at w = m/r is -Im(FFT_{2rn}(x))[m], m = 1..rn-1;
+        # -a / b is a / (-b) exactly, so the negation rides on the division
         self._fft_len = 2 * self.oversample * self.n
+        self._negated_norms = -self._raw_norms
 
     def project_span(self, u):
         u = self._check_signal(u).copy()
@@ -629,16 +693,17 @@ class SineFrame(Frame):
     def _analysis(self, x):
         """Unit-atom coefficients <phi_w, x> of a signal block."""
         spec = np.fft.rfft(x, self._fft_len)
-        return -spec.imag[..., 1:self.atom_count + 1] / self._raw_norms
+        return spec.imag[..., 1:self.atom_count + 1] / self._negated_norms
 
-    def _adjoint(self, values):
-        """Phi^T c = sum_w c_w phi_w for a coefficient block, by one FFT of the
-        coefficients placed at bins 1..rn-1 (the zero padding supplies the
-        rest)."""
+    def _adjoint(self, values, scale=1.0):
+        """Phi^T c / scale = sum_w c_w phi_w / scale for a coefficient block,
+        by one FFT of the coefficients placed at bins 1..rn-1 (the zero
+        padding supplies the rest).  The FFT gives -Phi^T c, and one division
+        by -scale both negates and scales it."""
         d = np.empty(values.shape[:-1] + (self.atom_count + 1,))
         d[..., 0] = 0.0
         np.divide(values, self._raw_norms, out=d[..., 1:])
-        return -np.fft.rfft(d, self._fft_len).imag[..., :self.n]
+        return np.divide(np.fft.rfft(d, self._fft_len).imag[..., :self.n], -scale)
 
     def analyze(self, signal):
         signal = self._check_signal(signal)
@@ -653,8 +718,7 @@ class SineFrame(Frame):
         self._check_coeffs(coeffs)
         values = coeffs.values
         if self.bounds is not None and self.bounds[0] == self.bounds[1]:
-            out = self._adjoint(values)
-            out /= self.bounds[0]
+            out = self._adjoint(values, self.bounds[0])
             out[..., 0] = 0.0  # the span's zero coordinate, +0.0 rather than -0.0
             return out
         out = np.empty(values.shape[:-1] + (self.n,))
@@ -746,7 +810,9 @@ def frame_from_spec(spec):
      "matrix_path": ..., "coarsest_level": ..., "name": ...}
 
     n, M, oversample and coarsest_level must be JSON integers; type,
-    filters, matrix_path and name JSON strings.
+    filters, matrix_path and name JSON strings.  An explicit frame's matrix
+    is read with io.read_matrix: OSError for an unreadable file,
+    io.FileFormatError for one that does not parse.
     """
     spec = load_frame_spec(spec)
     kind = spec["type"]
@@ -763,5 +829,4 @@ def frame_from_spec(spec):
                               spec.get("coarsest_level", 0))
     if kind == "sine":
         return SineFrame(spec["n"], spec.get("oversample", 1))
-    matrix = np.loadtxt(spec["matrix_path"], delimiter=",", ndmin=2)
-    return ExplicitFrame(matrix, name=spec.get("name", "explicit"))
+    return ExplicitFrame(read_matrix(spec["matrix_path"]), name=spec.get("name", "explicit"))

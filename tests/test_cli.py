@@ -660,6 +660,8 @@ _SPEC_DENOISE = ["denoise", "--input", "@SIG", "--output", "@OUT", "--frame-spec
     ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":"@MATRIX","name":5}'],
      2, "--frame-spec"),
     ([*_SPEC_DENOISE, "@BIN"], 3, "--frame-spec"),
+    ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":"@BADMATRIX"}'], 3, "--frame-spec"),
+    ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":"@MISSING"}'], 4, "--frame-spec"),
     (["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "3", "8", "16"],
      2, "--n-list"),
     (["diagnose", "--frame-spec", '{"type":"cyclespin","M":4}', "--n-list", "2", "8", "16"],
@@ -676,7 +678,8 @@ _SPEC_DENOISE = ["denoise", "--input", "@SIG", "--output", "@OUT", "--frame-spec
          "norm-spec-weights-path-missing", "norm-spec-weights-path-number",
          "norm-spec-weights-path-binary", "norm-spec-weights-length", "norm-spec-sine-labels",
          "frame-spec-filters-number", "frame-spec-matrix-path-number",
-         "frame-spec-name-number", "frame-spec-binary-file", "diagnose-wavelet-n-3",
+         "frame-spec-name-number", "frame-spec-binary-file", "frame-spec-matrix-not-numbers",
+         "frame-spec-matrix-missing", "diagnose-wavelet-n-3",
          "diagnose-cyclespin-n-2", "replay-binary-manifest", "sigma-before-file-error",
          "denoise-alpha-unused", "denoise-c-unused", "denoise-z-unused"])
 def test_malformed_input_takes_the_exit_code_contract(tmp_path, capsys, args, code, flag):
@@ -686,9 +689,10 @@ def test_malformed_input_takes_the_exit_code_contract(tmp_path, capsys, args, co
     ftio.write_signal(sig, np.arange(16.0))
     np.savetxt(matrix, np.eye(16), delimiter=",")
     binary.write_bytes(b"\xff\xfe\x00not text")
+    (tmp_path / "bad.csv").write_text("a,b\n1,2\n")
     inputs = sorted(tmp_path.iterdir())
     paths = {"@SIG": sig, "@MATRIX": matrix, "@BIN": binary, "@OUT": tmp_path / "out.csv",
-             "@MISSING": tmp_path / "missing.csv"}
+             "@MISSING": tmp_path / "missing.csv", "@BADMATRIX": tmp_path / "bad.csv"}
     for token, path in paths.items():
         args = [a.replace(token, str(path)) for a in args]
     if args[0] in ("thresholds", "simulate", "diagnose"):

@@ -177,3 +177,38 @@ def test_evaluate_block_equals_per_row(rng):
         want = [evaluate(spec, template.replace_values(row)) for row in block]
         assert got.shape == (6,)
         assert np.array_equal(got, want)
+
+
+class _NoBytes(np.ndarray):
+    """A label column that refuses to be copied to bytes."""
+
+    def tobytes(self, *args, **kwargs):
+        raise AssertionError("label column copied to bytes")
+
+
+@pytest.mark.parametrize("spec, template", [
+    (NormSpec("pqr_wavelet", p=2, q=1.5, r=0.5), wavelet_template()),
+    (NormSpec("pqr_oriented", p=1.5, q=2, r=1), oriented_template())],
+    ids=["wavelet", "oriented"])
+def test_scale_groups_are_cached_per_column_object(spec, template, rng):
+    # a hit copies no column; an equal column in a new object gets equal
+    # groups; the cache entry keeps its columns alive, so their ids cannot
+    # be taken by another column while it lives
+    from framethresh import norms
+    labels = tuple(col.view(_NoBytes) for col in template.labels)
+    cv = CoefficientVector(rng.standard_normal((3, template.count)),
+                           template.label_names, labels)
+    first = evaluate(spec, cv)
+    groups = norms._scale_groups(spec, cv)
+    assert norms._scale_groups(spec, cv) is groups
+    assert evaluate(spec, cv).tobytes() == first.tobytes()
+    fresh = CoefficientVector(cv.values, cv.label_names,
+                              tuple(np.array(col) for col in labels))
+    again = norms._scale_groups(spec, fresh)
+    assert again is not groups
+    assert [key for key, _ in again] == [key for key, _ in groups]
+    for (_, a), (_, b) in zip(again, groups):
+        assert (a == b) if isinstance(a, slice) else np.array_equal(a, b)
+    assert evaluate(spec, fresh).tobytes() == first.tobytes()
+    jcol = labels[0]
+    assert any(entry[0] is jcol for entry in norms._GROUP_CACHE.values())

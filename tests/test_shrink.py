@@ -194,3 +194,25 @@ def test_soft_estimate_inside_confidence_ball(values, T):
     cv = CoefficientVector(np.array(values))
     shrunk = cv.replace_values(shrink_value(cv.values, T, "soft"))
     assert confidence_region_contains(cv, T * (1 + 1e-12) + 1e-12, shrunk)
+
+
+@pytest.mark.parametrize("rule", ["soft", "hard", "garrote"])
+@pytest.mark.parametrize("T", [0.0, 1.5, np.inf])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["1d", "block"])
+def test_kept_count_is_count_above_threshold(rule, T, lead):
+    # the identity frame's coefficients are the data (-0.0 becomes +0.0);
+    # |y| == T, signed zeros, infinities (inf - inf is NaN under soft at
+    # T = inf), NaN and subnormals
+    y = np.array([0.0, -0.0, 1.5, -1.5, 2.0, -2.0, 0.5, np.inf, -np.inf,
+                  np.nan, -np.nan, 1e-300, -5e-324])
+    data = np.broadcast_to(y, lead + y.shape).copy()
+    if lead:
+        data[1] *= -1.0
+    frame = ExplicitFrame(np.eye(len(y)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = denoise(frame, data, T, rule)
+        expected = np.count_nonzero(np.abs(frame.analyze(data).values) > T)
+    assert res.kept_count == expected
+    if rule == "soft":
+        # NaN shrinks to NaN: nonzero, yet |y| > T is false
+        assert np.count_nonzero(res.thresholded_coeffs.values) > res.kept_count

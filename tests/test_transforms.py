@@ -7,7 +7,7 @@ from framethresh.core import CoefficientVector, DimensionMismatch, ExplicitFrame
 from framethresh.shrink import shrink_value
 from framethresh.transforms import (CDF97, D4, FILTERS, HAAR, CycleSpinFrame, SineFrame,
                                     TIWaveletFrame, WaveletBasis, _dwt_raw, _idwt_raw,
-                                    _periodic_correlate_down, _periodic_up_conv,
+                                    _periodic_correlate_down,
                                     _shift_windows, _shifted_atoms, cs_distinct_count,
                                     frame_from_spec, get_filters, load_frame_spec)
 
@@ -58,12 +58,15 @@ def _signed_zero_inputs(shape, rng):
 @pytest.mark.parametrize("n", [2, 4, 6, 16, 1024])
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["1d", "block"])
 def test_filter_primitives_equal_roll_formulas_bytewise(name, n, lead, rng):
+    # the up-convolution of one filter, as one synthesis level with that
+    # filter on both sources
     for f in FILTERS[name].arrays():
         for x in _signed_zero_inputs(lead + (n,), rng):
             assert (_periodic_correlate_down(x, f).tobytes()
                     == _roll_correlate_down(x, f).tobytes())
-            a = x[..., : n // 2]
-            assert _periodic_up_conv(a, f, n).tobytes() == _roll_up_conv(a, f, n).tobytes()
+            a, d = x[..., : n // 2], x[..., n // 2:]
+            assert (_idwt_raw([d], a, f, f).tobytes()
+                    == (_roll_up_conv(a, f, n) + _roll_up_conv(d, f, n)).tobytes())
 
 
 # --- decimated transform --------------------------------------------------------
@@ -87,6 +90,38 @@ def test_analyze_equals_roll_cascade_bytewise(name, n, lead, rng):
             values = np.concatenate(details[::-1], axis=-1) / basis._scale
             assert cv.values.tobytes() == values.tobytes()
             assert cv.carry.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(FILTERS))
+@pytest.mark.parametrize("n", [2, 4, 16, 1024])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["1d", "block"])
+def test_synthesis_equals_roll_cascade_bytewise(name, n, lead, rng):
+    # one pad per source, one product per (source, offset, |tap|), a sum two
+    # phases share computed once and the lo and hi sums added into the
+    # strided halves of one output give the bits of the per-level
+    # circular-shift cascade, with either filter pair; at n = 2 the cdf97
+    # filters wrap their pads more than once
+    arrays = FILTERS[name].arrays()
+    for c in range(min(3, int(np.log2(n)))):
+        basis = WaveletBasis(n, name, c)
+        m = basis.atom_count
+        for x in _signed_zero_inputs(lead + (n,), rng):
+            values, carry = x[..., :m], x[..., m:]
+
+            def cascade(details, lo, hi):
+                a = carry
+                for d in reversed(details):
+                    size = 2 * a.shape[-1]
+                    a = _roll_up_conv(a, lo, size) + _roll_up_conv(d, hi, size)
+                return a
+
+            details = basis._values_to_details(values)
+            for lo, hi in (arrays[:2], arrays[2:]):
+                assert (_idwt_raw(details, carry, lo, hi).tobytes()
+                        == cascade(details, lo, hi).tobytes())
+            expected = cascade(basis._values_to_details(values * basis._scale), *arrays[2:])
+            cv = CoefficientVector(values, ("j", "k"), basis.label_arrays(), carry)
+            assert basis.dual_synthesize(cv).tobytes() == expected.tobytes()
 
 
 def test_haar_n2_constant_signal():
