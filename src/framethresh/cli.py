@@ -308,23 +308,23 @@ def _run_experiment(args, cfg, report):
 # --- diagnose -------------------------------------------------------------------
 
 def cmd_diagnose(args):
+    if args.delta is not None and args.delta > args.rho:
+        raise CliError(EXIT_VALIDATION, f"--delta {args.delta} is above --rho {args.rho}",
+                       "--delta")
     template = _read("--frame-spec", load_frame_spec, args.frame_spec)
     frames = [_read("--n-list", frame_from_spec, {**template, "n": n}) for n in args.n_list]
     try:
-        stab = stability_check(frames, args.rho, deduplicate=not args.keep_duplicates)
+        stab = stability_check(frames, args.rho)
     except (ValueError, FrameError) as exc:
         raise CliError(EXIT_VALIDATION, str(exc), "--n-list")
     report = {"stability": io.to_jsonable(stab)}
     if args.T:
         largest = frames[-1]
-        gram = frame_gram(largest, deduplicate=not args.keep_duplicates)
+        gram = frame_gram(largest)
         m = gram.shape[0]
         report["rest_sum"] = rest_sum(gram, m)
         if args.delta is not None:
-            try:
-                r1, r2, r3 = rest_split(gram, m, args.rho, args.delta)
-            except ValueError as exc:
-                raise CliError(EXIT_VALIDATION, str(exc), "--delta")
+            r1, r2, r3 = rest_split(gram, m, args.rho, args.delta)
             report["rest_split"] = {"R1": r1, "R2": r2, "R3": r3}
         report["comparison_bounds"] = [
             io.to_jsonable(comparison_bound(gram, T, flavor=args.flavor))
@@ -341,6 +341,8 @@ def cmd_replay(args):
             or not all(isinstance(arg, str) for arg in command)):
         raise CliError(EXIT_PARSE, "manifest must be a JSON object whose command is a "
                        "non-empty list of strings", "manifest")
+    if command[0] == "replay":  # no run writes such a manifest; it may replay itself
+        raise CliError(EXIT_PARSE, "manifest command is itself a replay", "manifest")
     return _dispatch(command)
 
 
@@ -441,10 +443,10 @@ def build_parser():
     g.add_argument("--frame-spec", required=True)
     g.add_argument("--n-list", type=int, nargs="+", required=True)
     g.add_argument("--rho", type=_PROBABILITY, default=0.5)
-    g.add_argument("--delta", type=float, default=None)
+    g.add_argument("--delta", type=_ranged(float, lambda x: 0 < x < 1 / 3, "in (0, 1/3)"),
+                   default=None)
     g.add_argument("--T", type=_FINITE, action="append", default=None)
     g.add_argument("--flavor", default="abs", choices=("abs", "normal"))
-    g.add_argument("--keep-duplicates", action="store_true")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_diagnose)
 

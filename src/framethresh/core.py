@@ -227,14 +227,14 @@ def _dense_frame_operator(frame):
     return op
 
 
-def gram_coherence_counts(frame, deltas, deduplicate=True):
-    """Count off-diagonal Gram entries |<phi_w, phi_w'>| >= delta.
+def gram_coherence_counts(frame, deltas):
+    """Count off-diagonal Gram entries |<phi_w, phi_w'>| >= delta over the
+    distinct atoms of the frame, frame.distinct_positions().
 
     Counts ordered pairs (w, w'), w != w', so totals are even by symmetry.
-    With deduplicate=True (default) the census runs over distinct atoms only;
-    duplicated atoms otherwise trivially contribute |<phi,phi>| = 1 pairs.
-    The frame bounds are computed first, so a frame without them raises
-    FrameError before any atom is materialized.
+    A duplicated atom (cycle spinning) enters once; its multiplicity enters
+    only the frame operator.  The frame bounds are computed first, so a
+    frame without them raises FrameError before any atom is materialized.
 
     Two routes give the same counts.  The dense route (explicit and sine
     frames) computes the Gram matrix as gemm tiles of _BLOCK x _BLOCK atoms,
@@ -263,7 +263,7 @@ def gram_coherence_counts(frame, deltas, deduplicate=True):
         if not 0 < d <= 1:
             raise ValueError(f"coherence level delta={d} outside (0, 1]")
     bounds = frame_bounds(frame)
-    positions = frame.distinct_positions() if deduplicate else np.arange(frame.atom_count)
+    positions = frame.distinct_positions()
     keyed = _shift_keys(frame, positions)
     if keyed is None:
         counts, max_off = _dense_census(frame, positions, levels)
@@ -388,29 +388,29 @@ def _tie_counts(frame, positions, levels, keys, n, ties):
     One block row of atoms at a time, every tied pair (a, b) with a in the
     block is enumerated: each tie (level, r, r', d) and the mirror
     (level, r', r, -d) of a cross-row one send an atom a at row r to the
-    atoms b at key r' n + (shift(a) + d) mod n.  A pair in tile
-    (a // _BLOCK, b // _BLOCK) above the diagonal counts twice, as in the
-    dense route; within a diagonal tile each ordered pair counts once;
-    below it, never (its mirror counts).  An atom is never paired with
-    itself, though a duplicate of it (deduplicate=False) shares its key."""
+    atom b at key r' n + (shift(a) + d) mod n, if there is one.  The census
+    runs over distinct atoms, so keys are unique and a table indexed by key
+    finds b; a tie on one row at d = 0 holds no pair, so b is never a.  A
+    pair in tile (a // _BLOCK, b // _BLOCK) above the diagonal counts
+    twice, as in the dense route; within a diagonal tile each ordered pair
+    counts once; below it, never (its mirror counts)."""
     cross = ties[ties[:, 1] != ties[:, 2]]
     mirrored = np.stack([cross[:, 0], cross[:, 2], cross[:, 1], -cross[:, 3] % n], 1)
     ties = np.concatenate([ties, mirrored])
     ties = ties[np.argsort(ties[:, 1], kind="stable")]
-    first = np.searchsorted(ties[:, 1], np.arange(keys.max() // n + 2))
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    rows = keys.max() // n + 1
+    first = np.searchsorted(ties[:, 1], np.arange(rows + 1))
+    # int32 keeps the table within the census's memory bound; -1: no atom
+    at = np.full(rows * n, -1, np.int32)
+    at[keys] = np.arange(len(keys), dtype=np.int32)
     counts = np.zeros(len(levels), np.int64)
     for i in range(-(-len(positions) // _BLOCK)):
         a = np.arange(i * _BLOCK, min((i + 1) * _BLOCK, len(positions)))
         r = keys[a] // n
         k, t = _expand(first[r], first[r + 1] - first[r])
         a = a[k]
-        target = ties[t, 2] * n + (keys[a] + ties[t, 3]) % n
-        lo = np.searchsorted(sorted_keys, target, "left")
-        k, b = _expand(lo, np.searchsorted(sorted_keys, target, "right") - lo)
-        a, t, b = a[k], t[k], order[b]
-        keep = (b // _BLOCK >= i) & (a != b)
+        b = at[ties[t, 2] * n + (keys[a] + ties[t, 3]) % n]
+        keep = b // _BLOCK >= i  # drops b = -1 too
         a, t, b = a[keep], t[keep], b[keep]
         j = b // _BLOCK
         weight = np.where(j > i, 2, 1)
@@ -459,6 +459,8 @@ class ExplicitFrame(Frame):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise FrameError("explicit frame needs a 2-d atom matrix")
+        if not np.all(np.isfinite(matrix)):
+            raise FrameError("explicit frame matrix holds a NaN or infinite entry")
         norms = np.linalg.norm(matrix, axis=1)
         if np.any(norms == 0):
             raise FrameError("explicit frame contains a zero atom")

@@ -52,9 +52,10 @@ class StabilityReport:
     verdict: str
 
 
-def stability_check(frame_family, rho, deduplicate=True):
-    """Count off-diagonal Gram pairs |<phi,phi'>| >= rho across a family of
-    frames of increasing n and report finite-n evidence for both conditions.
+def stability_check(frame_family, rho):
+    """Count off-diagonal Gram pairs |<phi,phi'>| >= rho of distinct atoms
+    across a family of frames of increasing n and report finite-n evidence
+    for both conditions; |Omega| is the distinct atom count.
 
     Counts are reported both without (omega != omega') and with the diagonal
     (the definition is ambiguous on that point); the ratio column is
@@ -75,9 +76,9 @@ def stability_check(frame_family, rho, deduplicate=True):
         raise ValueError(f"frame sizes n={ns} must strictly increase")
     rows = []
     for fr in frames:
-        summary = gram_coherence_counts(fr, [rho], deduplicate=deduplicate)
+        summary = gram_coherence_counts(fr, [rho])
         count = summary.coherence_counts[rho]
-        m = summary.distinct_count if deduplicate else fr.atom_count
+        m = summary.distinct_count
         rows.append(StabilityRow(
             n=fr.n, omega_count=m, count_geq_rho=count,
             ratio=count * math.sqrt(math.log(m)) / m,
@@ -281,8 +282,9 @@ class GramMatrix(np.ndarray):
         self._histogram = None
 
 
-def frame_gram(frame, deduplicate=True):
-    """Dense Gram matrix of (distinct) atoms; for diagnostics at modest n.
+def frame_gram(frame):
+    """Dense Gram matrix of the distinct atoms, frame.distinct_positions();
+    for diagnostics at modest n.
 
     Returns a read-only GramMatrix whose base is an array over a read-only
     buffer, so writing into it and setting flags.writeable on it, on its
@@ -291,8 +293,7 @@ def frame_gram(frame, deduplicate=True):
     is not to be written: the kept histogram would no longer match the
     entries.  From the first comparison sum on it, the GramMatrix holds its
     |kappa| histogram, 16 B per distinct |kappa|, for as long as it lives."""
-    positions = frame.distinct_positions() if deduplicate else np.arange(frame.atom_count)
-    atoms = frame.atom(positions)
+    atoms = frame.atom(frame.distinct_positions())
     # no copy: the read-only memoryview shares the product's memory
     gram = np.asarray(memoryview(atoms @ atoms.T).toreadonly()).view(GramMatrix)
     gram._keeps_histogram = True

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameError
-
 
 class ThresholdError(ValueError):
     pass
@@ -159,17 +157,23 @@ def _check_sigma(sigma):
         raise ThresholdError(f"noise level sigma={sigma} must be > 0")
 
 
-def ti_constant_c(filters, grid_size=2 ** 14, scale=6):
+#: grid of the cascade refinement in ti_constant_c, and the scale of the
+#: atom sampled on it
+_CURVATURE_GRID = 2 ** 14
+_CURVATURE_SCALE = 6
+
+
+def ti_constant_c(filters):
     """Curvature constant c = sqrt(-kappa''(0)) of the autocorrelation of the
     (unit-norm) analysis mother wavelet, by central differences on a cascade
     refinement of the wavelet to a fine grid.
 
-    The wavelet is materialized as the unit-norm discrete analysis atom at a
-    mid scale of a grid_size-point basis; successive samples are then
-    kappa-values at spacing dt = 2^scale / grid_size, and
+    The wavelet is materialized as the unit-norm discrete analysis atom at
+    scale _CURVATURE_SCALE of a _CURVATURE_GRID-point basis; successive
+    samples are then kappa-values at spacing dt = 2^scale / grid, and
     -kappa''(0) ~ 2(1 - kappa(dt))/dt^2.  The estimate is validated by grid
-    refinement (relative change < 1e-2 from grid_size/4 to grid_size) and the
-    result carries the grid step used.
+    refinement (relative change < 1e-2 from grid/4 to grid) and the result
+    carries the grid step used.
 
     Raises for filter pairs whose mother wavelet is not continuously
     differentiable (Haar, D4) or when the curvature estimate fails to
@@ -183,16 +187,13 @@ def ti_constant_c(filters, grid_size=2 ** 14, scale=6):
         raise ThresholdError(
             f"wavelet '{filters.name}' is not continuously differentiable; "
             "the autocorrelation has no curvature at 0")
-    if grid_size < 2 ** 12:
-        raise ThresholdError("grid_size must be at least 2^12")
-    estimates = []
-    for g in (grid_size // 4, grid_size // 2, grid_size):
-        estimates.append(_curvature_estimate(filters, g, scale))
+    grid = _CURVATURE_GRID
+    estimates = [_curvature_estimate(filters, g) for g in (grid // 4, grid // 2, grid)]
     c_prev, _, c_fin = estimates
     if abs(c_fin - c_prev) > 1e-2 * c_fin:
         raise ThresholdError(
             f"curvature estimate did not stabilize across grids: {estimates}")
-    return CurvatureEstimate(c=c_fin, grid_step=2.0 ** scale / grid_size,
+    return CurvatureEstimate(c=c_fin, grid_step=2.0 ** _CURVATURE_SCALE / grid,
                              refinement=tuple(estimates))
 
 
@@ -202,13 +203,11 @@ class CurvatureEstimate:
     grid_step: float
     refinement: tuple
 
-    def __float__(self):
-        return self.c
 
-
-def _curvature_estimate(filters, grid_size, scale):
+def _curvature_estimate(filters, grid_size):
     from .transforms import WaveletBasis
 
+    scale = _CURVATURE_SCALE
     wb = WaveletBasis(grid_size, filters)
     v = wb.atom(2 ** scale - 1)  # flat position of detail atom (j=scale, k=0)
     dt = 2.0 ** scale / grid_size

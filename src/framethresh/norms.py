@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,43 +174,3 @@ def _run_or_index(idx):
     if idx[-1] - idx[0] == len(idx) - 1:
         return slice(idx[0], idx[-1] + 1)
     return np.array(idx)
-
-
-def is_monotone(spec, template=None, pairs=1000, seed=20240):
-    """Monotonicity certificate under coordinatewise domination.
-
-    Draws `pairs` random (x, xbar) with |x| <= |xbar| coordinatewise on the
-    template's index set and checks evaluate(x) <= evaluate(xbar) every time.
-    All shipped kinds certify true.
-    """
-    if template is None:
-        template = _default_template(spec)
-    rng = np.random.default_rng(seed)
-    count = template.count
-    for _ in range(pairs):
-        xbar = rng.standard_normal(count) * np.exp(rng.uniform(-1, 2))
-        frac = rng.uniform(0.0, 1.0, count)
-        signs = rng.choice([-1.0, 1.0], count)
-        x = signs * frac * np.abs(xbar)
-        lo = evaluate(spec, template.replace_values(x))
-        hi = evaluate(spec, template.replace_values(xbar))
-        if lo > hi * (1 + 1e-12):
-            return False
-    return True
-
-
-def _default_template(spec, J=5):
-    if spec.kind == "weighted_l2":
-        size = len(spec.weights) if spec.weights is not None else 32
-        return CoefficientVector(np.zeros(size))
-    if spec.kind == "pqr_wavelet":
-        js = np.concatenate([np.full(2 ** j, j) for j in range(J)])
-        ks = np.concatenate([np.arange(2 ** j) for j in range(J)])
-        return CoefficientVector(np.zeros(len(js)), ("j", "k"), (js, ks))
-    js, ls, ks = [], [], []
-    for j in range(J):
-        for l in range(4 * 2 ** (j // 2)):
-            for k in range(2 ** j):
-                js.append(j); ls.append(l); ks.append(k)
-    return CoefficientVector(np.zeros(len(js)), ("j", "l", "k"),
-                             (np.array(js), np.array(ls), np.array(ks)))

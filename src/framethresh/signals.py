@@ -17,24 +17,12 @@ def sine_superposition(n, frequencies, amplitude=SINE_AMPLITUDE):
     return out
 
 
-def piecewise_constant(n, n_pieces=8, values=None, seed=0):
+def piecewise_constant(n, n_pieces=8, seed=0):
     """Blocky signal, dyadic-friendly but with non-dyadic jump locations."""
-    if values is None:
-        rng = np.random.default_rng(seed)
-        values = rng.uniform(-2.0, 2.0, n_pieces)
-    values = np.asarray(values, dtype=float)
-    edges = np.linspace(0, n, len(values) + 1).astype(int)
+    values = np.random.default_rng(seed).uniform(-2.0, 2.0, n_pieces)
+    edges = np.linspace(0, n, n_pieces + 1).astype(int)
     out = np.empty(n)
     for i, v in enumerate(values):
         out[edges[i]:edges[i + 1]] = v
     return out
 
-
-def sparse_in_frame(frame, positions, amplitudes):
-    """Signal with prescribed frame coefficients: dual synthesis of a sparse
-    coefficient vector (zero carry)."""
-    values = np.zeros(frame.atom_count)
-    for p, a in zip(positions, amplitudes):
-        values[p] = a
-    cv = frame.analyze(np.zeros(frame.n)).replace_values(values)
-    return frame.dual_synthesize(cv)

@@ -17,7 +17,7 @@ two-sided exact-oracle checks use 3 s.e. around the exact value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,12 +138,6 @@ class CoverageReport:
     exact: float | None
     trials: int
     frame_name: str
-
-    @property
-    def within_3se_of_exact(self):
-        if self.exact is None:
-            return None
-        return abs(self.empirical - self.exact) <= 3.0 * self.se
 
     def one_sided_ok(self):
         return self.empirical >= (1.0 - self.alpha) - 3.0 * self.se

@@ -183,11 +183,6 @@ def _correlate_down(x, plan):
     return [np.zeros_like(p) if y is None else y for y in ys]
 
 
-def _periodic_correlate_down(x, f):
-    """y[k] = sum_m f[m] x[(2k+m) mod n]."""
-    return _correlate_down(x, _product_plan((tuple(float(fm) for fm in f),)))[0]
-
-
 @lru_cache(maxsize=64)
 def _synthesis_plan(lo, hi):
     """Synthesis plan of one level, x = up(a) * lo + up(d) * hi with
@@ -401,11 +396,6 @@ class WaveletBasis(Frame):
         _, rows, shifts = self.shift_structure(position)
         return _shifted_atoms(self._windows, rows, shifts)
 
-    def scaling_atom(self, k=0):
-        """Unit-norm analysis scaling atom at the coarsest level."""
-        v = self._unit_responses()[-1]
-        return np.roll(v / np.linalg.norm(v), k * (self.n >> self.coarsest_level))
-
     def label_arrays(self):
         return self._labels
 
@@ -592,10 +582,6 @@ class TIWaveletFrame(Frame):
 
     def atom_multiplicity(self, position):
         return 2.0 ** self._labels[0][position]
-
-    @property
-    def distinct_count(self):
-        return self.atom_count
 
     def analyze(self, signal):
         signal = self._check_signal(signal)

@@ -75,7 +75,8 @@ def test_criterion_02_tight_frame_bounds():
     for filters in ("haar", "d4"):
         for M in (2, 4):
             frame = CycleSpinFrame(256, M, filters)
-            scaling = frame.basis.scaling_atom(0)
+            scaling = frame.basis._unit_responses()[-1]
+            scaling /= np.linalg.norm(scaling)
             for _ in range(20):
                 u = gen.standard_normal(256)
                 u -= (scaling @ u) * scaling

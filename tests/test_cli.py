@@ -387,11 +387,13 @@ def test_simulate_coverage_wavelet_above_dense_limit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content", ['[1]', '{"command": "nope"}', '{"command": []}',
-                                     '{"command": ["simulate", 3]}'],
-                         ids=["list", "string-command", "empty-command", "non-string"])
+                                     '{"command": ["simulate", 3]}',
+                                     '{"command": ["replay", "@SELF"]}'],
+                         ids=["list", "string-command", "empty-command", "non-string",
+                              "replays-itself"])
 def test_replay_malformed_manifest_is_parse_error(tmp_path, content, capsys):
     manifest = tmp_path / "m.json"
-    manifest.write_text(content)
+    manifest.write_text(content.replace("@SELF", str(manifest.resolve())))
     code, _, err = run_main(capsys, ["replay", str(manifest)])
     assert code == 3
     payload = json.loads(err)["error"]
@@ -629,6 +631,7 @@ _SIDAK = ["simulate", "--experiment", "sidak", "--frame-spec", '{"type":"wavelet
 _SMOOTH = ["simulate", "--experiment", "smoothness", "--frame-spec", '{"type":"wavelet","n":16}',
            "--alpha", "0.1", "--trials", "4", "--seed", "1"]
 _SPEC_DENOISE = ["denoise", "--input", "@SIG", "--output", "@OUT", "--frame-spec"]
+_DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", "8", "16"]
 
 
 @pytest.mark.parametrize("args, code, flag", [
@@ -662,10 +665,17 @@ _SPEC_DENOISE = ["denoise", "--input", "@SIG", "--output", "@OUT", "--frame-spec
     ([*_SPEC_DENOISE, "@BIN"], 3, "--frame-spec"),
     ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":"@BADMATRIX"}'], 3, "--frame-spec"),
     ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":"@MISSING"}'], 4, "--frame-spec"),
+    ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":"@NANMATRIX"}'], 2, "--frame-spec"),
+    (["simulate", "--experiment", "gumbel", "--frame-spec",
+      '{"type":"explicit","matrix_path":"@NANMATRIX"}', "--trials", "10", "--seed", "1"],
+     2, "--frame-spec"),
     (["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "3", "8", "16"],
      2, "--n-list"),
     (["diagnose", "--frame-spec", '{"type":"cyclespin","M":4}', "--n-list", "2", "8", "16"],
      2, "--n-list"),
+    ([*_DIAGNOSE, "--delta", "5"], 2, "--delta"),
+    ([*_DIAGNOSE, "--delta", "nan"], 2, "--delta"),
+    ([*_DIAGNOSE, "--delta", "0.3", "--rho", "0.2"], 2, "--delta"),
     (["replay", "@BIN"], 3, "manifest"),
     (["denoise", "--input", "@MISSING", "--output", "@OUT", "--frame-spec",
       '{"type":"wavelet","n":16}', "--sigma", "0"], 2, "--sigma"),
@@ -679,8 +689,9 @@ _SPEC_DENOISE = ["denoise", "--input", "@SIG", "--output", "@OUT", "--frame-spec
          "norm-spec-weights-path-binary", "norm-spec-weights-length", "norm-spec-sine-labels",
          "frame-spec-filters-number", "frame-spec-matrix-path-number",
          "frame-spec-name-number", "frame-spec-binary-file", "frame-spec-matrix-not-numbers",
-         "frame-spec-matrix-missing", "diagnose-wavelet-n-3",
-         "diagnose-cyclespin-n-2", "replay-binary-manifest", "sigma-before-file-error",
+         "frame-spec-matrix-missing", "frame-spec-matrix-nan", "simulate-matrix-nan",
+         "diagnose-wavelet-n-3", "diagnose-cyclespin-n-2", "diagnose-delta-5",
+         "diagnose-delta-nan", "diagnose-delta-above-rho", "replay-binary-manifest", "sigma-before-file-error",
          "denoise-alpha-unused", "denoise-c-unused", "denoise-z-unused"])
 def test_malformed_input_takes_the_exit_code_contract(tmp_path, capsys, args, code, flag):
     """Each invocation exits with its code, kind and flag, writes nothing,
@@ -690,9 +701,11 @@ def test_malformed_input_takes_the_exit_code_contract(tmp_path, capsys, args, co
     np.savetxt(matrix, np.eye(16), delimiter=",")
     binary.write_bytes(b"\xff\xfe\x00not text")
     (tmp_path / "bad.csv").write_text("a,b\n1,2\n")
+    (tmp_path / "nan.csv").write_text("1,0\nnan,1\n")
     inputs = sorted(tmp_path.iterdir())
     paths = {"@SIG": sig, "@MATRIX": matrix, "@BIN": binary, "@OUT": tmp_path / "out.csv",
-             "@MISSING": tmp_path / "missing.csv", "@BADMATRIX": tmp_path / "bad.csv"}
+             "@MISSING": tmp_path / "missing.csv", "@BADMATRIX": tmp_path / "bad.csv",
+             "@NANMATRIX": tmp_path / "nan.csv"}
     for token, path in paths.items():
         args = [a.replace(token, str(path)) for a in args]
     if args[0] in ("thresholds", "simulate", "diagnose"):

@@ -227,6 +227,15 @@ def test_dual_synthesize_singular_frame_rejected():
         ExplicitFrame(np.array([[1.0, 0.0], [2.0, 0.0]]))  # rank 1, no span
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_explicit_frame_rejects_non_finite_entry(bad):
+    # a signed permutation would skip the eigensolve, a general matrix would
+    # reach the Cholesky factorization: both are rejected first
+    for mat in ([[1.0, 0.0], [bad, 1.0]], [[bad, 0.0], [0.0, 1.0]]):
+        with pytest.raises(FrameError, match="NaN or infinite"):
+            ExplicitFrame(np.array(mat))
+
+
 def test_frame_bounds_orthonormal(haar64):
     a, b = frame_bounds(haar64)
     assert abs(a - 1) < 1e-9 and abs(b - 1) < 1e-9
@@ -340,7 +349,7 @@ def test_gram_counts_orthonormal_zero(haar64):
 def test_gram_counts_duplicated_atom():
     mat = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     fr = ExplicitFrame(mat)
-    summary = gram_coherence_counts(fr, [1.0], deduplicate=False)
+    summary = gram_coherence_counts(fr, [1.0])
     assert summary.coherence_counts[1.0] >= 2  # the duplicate pair, both orders
 
 
@@ -462,18 +471,15 @@ def test_batched_operators_reject_bad_shapes(frame):
 CENSUS_LEVELS = [0.1, 0.5, 2 ** -0.5, 1.0]
 
 
-def _dense_route(frame, levels, deduplicate=True):
-    positions = frame.distinct_positions() if deduplicate else np.arange(frame.atom_count)
-    return core._dense_census(frame, positions, levels)
+def _dense_route(frame, levels):
+    return core._dense_census(frame, frame.distinct_positions(), levels)
 
 
 def _assert_census_equals_dense(frame, levels=CENSUS_LEVELS):
-    for dedup in (True, False):
-        counts, max_off = _dense_route(frame, levels, dedup)
-        summary = gram_coherence_counts(frame, levels, deduplicate=dedup)
-        assert summary.coherence_counts == dict(zip(levels, counts.tolist())), \
-            (frame.name, dedup)
-        assert abs(summary.max_offdiag - max_off) <= 8 * frame.n * np.finfo(float).eps
+    counts, max_off = _dense_route(frame, levels)
+    summary = gram_coherence_counts(frame, levels)
+    assert summary.coherence_counts == dict(zip(levels, counts.tolist())), frame.name
+    assert abs(summary.max_offdiag - max_off) <= 8 * frame.n * np.finfo(float).eps
 
 
 def _census_frames(kind, filters):

@@ -222,15 +222,10 @@ def test_ti_constant_rejects_nondifferentiable():
 
 
 def test_ti_constant_cdf97_stabilizes():
-    est = evt.ti_constant_c(CDF97R, grid_size=2 ** 13)
+    est = evt.ti_constant_c(CDF97R)
     assert est.c == pytest.approx(4.87, abs=0.05)
     lo, mid, hi = est.refinement
     assert abs(hi - lo) < 1e-2 * hi
-
-
-def test_ti_constant_grid_floor():
-    with pytest.raises(ThresholdError):
-        evt.ti_constant_c(CDF97, grid_size=2 ** 10)
 
 
 def test_autocorrelation_peak_and_symmetry():

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from framethresh.core import CoefficientVector
-from framethresh.norms import NormSpec, NormSpecError, evaluate, is_monotone
+from framethresh.norms import NormSpec, NormSpecError, evaluate
 from framethresh.transforms import WaveletBasis
 
 
@@ -97,11 +97,29 @@ def test_incompatible_index_set():
         evaluate(spec, CoefficientVector(np.zeros(4)))  # flat labels only
 
 
+def is_monotone(spec, template, pairs=1000, seed=20240):
+    """Draw `pairs` random (x, xbar) with |x| <= |xbar| coordinatewise on
+    the template's index set and check evaluate(x) <= evaluate(xbar) every
+    time."""
+    rng = np.random.default_rng(seed)
+    count = template.count
+    for _ in range(pairs):
+        xbar = rng.standard_normal(count) * np.exp(rng.uniform(-1, 2))
+        frac = rng.uniform(0.0, 1.0, count)
+        signs = rng.choice([-1.0, 1.0], count)
+        x = signs * frac * np.abs(xbar)
+        lo = evaluate(spec, template.replace_values(x))
+        hi = evaluate(spec, template.replace_values(xbar))
+        if lo > hi * (1 + 1e-12):
+            return False
+    return True
+
+
 def test_is_monotone_all_kinds():
-    assert is_monotone(NormSpec("weighted_l2"))
-    assert is_monotone(NormSpec("pqr_wavelet", p=1, q=1, r=0))
-    assert is_monotone(NormSpec("pqr_wavelet", p=3, q=1.5, r=2))
-    assert is_monotone(NormSpec("pqr_oriented", p=1, q=2, r=0.5))
+    assert is_monotone(NormSpec("weighted_l2"), CoefficientVector(np.zeros(32)))
+    assert is_monotone(NormSpec("pqr_wavelet", p=1, q=1, r=0), wavelet_template(5))
+    assert is_monotone(NormSpec("pqr_wavelet", p=3, q=1.5, r=2), wavelet_template(5))
+    assert is_monotone(NormSpec("pqr_oriented", p=1, q=2, r=0.5), oriented_template(5))
 
 
 def test_monotone_under_halving(rng):

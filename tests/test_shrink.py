@@ -7,7 +7,6 @@ from framethresh.core import CoefficientVector, DimensionMismatch, ExplicitFrame
 from framethresh.evt import ThresholdSpec
 from framethresh.shrink import (DenoiseResult, confidence_region_contains,
                                 denoise, shrink_value)
-from framethresh.signals import sparse_in_frame
 from framethresh.transforms import SineFrame, WaveletBasis
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
@@ -117,7 +116,9 @@ def test_soft_nonexpansive(y1, y2, T):
 def test_denoise_two_sparse_haar_closed_form():
     wb = WaveletBasis(16, "haar")
     positions, amps = (2, 9), (4.0, -3.0)
-    u = sparse_in_frame(wb, positions, amps)
+    values = np.zeros(wb.atom_count)
+    values[list(positions)] = amps
+    u = wb.dual_synthesize(wb.analyze(np.zeros(wb.n)).replace_values(values))
     T = 1.25  # below min |coefficient|
     result = denoise(wb, u, T, rule="soft")
     expected = sum((a - np.sign(a) * T) * wb.atom(p)

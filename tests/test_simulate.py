@@ -118,7 +118,7 @@ def test_coverage_orthonormal_exact_oracle():
     assert rep.exact is not None
     assert rep.exact == pytest.approx(
         exact_independent_coverage(rep.threshold, m), abs=1e-12)
-    assert rep.within_3se_of_exact
+    assert abs(rep.empirical - rep.exact) <= 3.0 * rep.se
 
 
 def test_coverage_alpha_to_zero():
