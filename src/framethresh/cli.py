@@ -180,9 +180,8 @@ def cmd_denoise(args):
         raise CliError(EXIT_VALIDATION, "input signal contains NaN or infinite values",
                        "--input")
     clean = _read_clean(args.clean, frame.n) if args.clean else None
-    spec = ThresholdSpec(rule=args.threshold_rule, sigma=args.sigma,
-                         alpha=args.alpha, z=args.z, M=getattr(frame, "M", None),
-                         c=args.c, value=args.fixed_value)
+    spec = ThresholdSpec(rule=args.threshold_rule, sigma=args.sigma, alpha=args.alpha,
+                         z=args.z, c=args.c, value=args.fixed_value)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             result = denoise(frame, data, spec, rule=args.rule)
@@ -223,6 +222,8 @@ def cmd_simulate(args):
             qq, clean = _run_experiment(args, cfg, report)
     except OverflowError as exc:
         raise CliError(EXIT_VALIDATION, f"the computation overflowed: {exc}", "--sigma")
+    except ThresholdError as exc:  # too few atoms or shifts for the rule at --alpha
+        raise CliError(EXIT_VALIDATION, str(exc), "--frame-spec")
     # the computation runs at the larger of the two scales, sigma and the
     # --clean signal's peak, so the larger one is named for an overflow
     large_clean = clean is not None and np.max(np.abs(clean)) > args.sigma
@@ -273,10 +274,7 @@ def _run_experiment(args, cfg, report):
         if not isinstance(frame, TIWaveletFrame):
             raise CliError(EXIT_VALIDATION, "ti experiment needs a ti frame spec",
                            "--frame-spec")
-        try:
-            c = evt.ti_constant_c(frame.filters).c
-        except ThresholdError as exc:
-            raise CliError(EXIT_VALIDATION, str(exc), "--frame-spec")
+        c = evt.ti_constant_c(frame.filters).c
         rows = simulate.ti_bound_experiment(frame, c, args.z, cfg)
         report.update(c=c, rows=io.to_jsonable(rows))
     elif exp == "smoothness":
@@ -284,11 +282,9 @@ def _run_experiment(args, cfg, report):
         try:
             rep = simulate.smoothness_experiment(
                 frame, signals.piecewise_constant(frame.n) if clean is None else clean,
-                args.alpha, norm_spec, cfg, rule=args.rule)
+                args.alpha, norm_spec, cfg)
         except NormSpecError as exc:  # the spec does not fit the frame's coefficients
             raise CliError(EXIT_VALIDATION, str(exc), "--norm-spec")
-        except ValueError as exc:
-            raise CliError(EXIT_VALIDATION, str(exc), "--rule")
         report.update(io.to_jsonable(rep))
     elif exp == "risk":
         rep = simulate.oracle_risk_experiment(
@@ -432,7 +428,6 @@ def build_parser():
     s.add_argument("--reference-m", type=_COUNT, default=None)
     s.add_argument("--clean", default=None)
     s.add_argument("--norm-spec", default='{"kind":"pqr_wavelet","p":1,"q":1,"r":0}')
-    s.add_argument("--rule", default="soft")
     s.add_argument("--use-cyclespin-rule", action="store_true")
     s.add_argument("--matrices", type=_COUNT, default=20)
     s.add_argument("--dim", type=_COUNT, default=8)

@@ -165,8 +165,8 @@ _CURVATURE_SCALE = 6
 
 def ti_constant_c(filters):
     """Curvature constant c = sqrt(-kappa''(0)) of the autocorrelation of the
-    (unit-norm) analysis mother wavelet, by central differences on a cascade
-    refinement of the wavelet to a fine grid.
+    (unit-norm) analysis mother wavelet of a WaveletFilterPair, by central
+    differences on a cascade refinement of the wavelet to a fine grid.
 
     The wavelet is materialized as the unit-norm discrete analysis atom at
     scale _CURVATURE_SCALE of a _CURVATURE_GRID-point basis; successive
@@ -179,10 +179,6 @@ def ti_constant_c(filters):
     differentiable (Haar, D4) or when the curvature estimate fails to
     stabilize or is nonpositive.
     """
-    from .transforms import get_filters
-
-    if isinstance(filters, str):
-        filters = get_filters(filters)
     if not filters.differentiable:
         raise ThresholdError(
             f"wavelet '{filters.name}' is not continuously differentiable; "
@@ -225,21 +221,20 @@ class ThresholdSpec:
     """Which threshold rule plus its parameters.
 
     rule: 'universal' | 'evt' | 'from_zn' | 'cyclespin' | 'ti' | 'fixed'.
-    m (count) and M (shifts) may be omitted when resolving against a frame
-    that supplies them.
+    The counts every rule but 'fixed' needs come from the frame it resolves
+    against: m = frame.evt_count, n = frame.n and the shift count M of a
+    cycle-spinning frame.
     """
 
     rule: str
     sigma: float
     alpha: float | None = None
     z: float | None = None
-    m: int | None = None
-    M: int | None = None
     c: float | None = None
     value: float | None = None
 
     def resolve(self, frame=None):
-        """Numeric threshold; frame-dependent counts come from frame.evt_count."""
+        """Numeric threshold; without a frame only the fixed rule resolves."""
         _check_sigma(self.sigma)
         value = self._resolve_raw(frame)
         if not (math.isfinite(value) and value > 0) and self.rule != "fixed":
@@ -252,9 +247,9 @@ class ThresholdSpec:
             if self.value is None or not self.value >= 0:
                 raise ThresholdError("fixed rule needs a nonnegative value")
             return float(self.value)
-        m = self.m
-        if m is None and frame is not None:
-            m = frame.evt_count
+        if frame is None:
+            raise ThresholdError(f"rule {self.rule!r} resolves against a frame")
+        m = frame.evt_count
         if self.rule == "universal":
             return universal_threshold(self.sigma, m)
         if self.rule == "evt":
@@ -264,25 +259,17 @@ class ThresholdSpec:
                 raise ThresholdError("from_zn rule needs z")
             return threshold_from_zn(self.sigma, m, self.z)
         if self.rule == "cyclespin":
-            n, M = self._frame_nM(frame)
-            return cyclespin_threshold(self.sigma, self._alpha(), n, M)
+            M = getattr(frame, "M", None)
+            if M is None:
+                raise ThresholdError("cyclespin rule needs the shift count M")
+            return cyclespin_threshold(self.sigma, self._alpha(), frame.n, M)
         if self.rule == "ti":
-            n = frame.n if frame is not None else m
             if self.c is None:
                 raise ThresholdError("ti rule needs the curvature constant c")
-            return ti_threshold(self.sigma, self._alpha(), n, self.c)
+            return ti_threshold(self.sigma, self._alpha(), frame.n, self.c)
         raise ThresholdError(f"unknown threshold rule {self.rule!r}")
 
     def _alpha(self):
         if self.alpha is None:
             raise ThresholdError(f"rule {self.rule!r} needs alpha")
         return self.alpha
-
-    def _frame_nM(self, frame):
-        M = self.M if self.M is not None else getattr(frame, "M", None)
-        if M is None:
-            raise ThresholdError("cyclespin rule needs the shift count M")
-        n = frame.n if frame is not None else self.m
-        if n is None:
-            raise ThresholdError("cyclespin rule needs n")
-        return n, M

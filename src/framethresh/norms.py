@@ -1,9 +1,9 @@
 """Smoothness functionals on coefficient vectors.
 
 Weighted l2 norms and scale-weighted l^{p,q} (Besov-style) mixed norms for
-wavelet-indexed and (scale, orientation)-indexed coefficients.  All shipped
-functionals are monotone under coordinatewise domination of magnitudes, the
-exact hypothesis behind the smoothness claim for soft thresholding.
+scale-labelled coefficients.  All shipped functionals are monotone under
+coordinatewise domination of magnitudes, the exact hypothesis behind the
+smoothness claim for soft thresholding.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .core import CoefficientVector
 from .io import read_signal
 
-KINDS = ("weighted_l2", "pqr_wavelet", "pqr_oriented")
+KINDS = ("weighted_l2", "pqr_wavelet")
 
 
 class NormSpecError(ValueError):
@@ -27,9 +27,8 @@ class NormSpecError(ValueError):
 @dataclass(frozen=True)
 class NormSpec:
     """kind 'weighted_l2' uses per-coefficient weights c(omega) > 0
-    (default all ones); the pqr kinds use p, q >= 1 and r >= 0 with scale
-    exponent s = r + 1/2 - 1/p (wavelet) or s = r + (3/2)(1/2 - 1/p)
-    (oriented)."""
+    (default all ones); 'pqr_wavelet' uses p, q >= 1 and r >= 0 with scale
+    exponent s = r + 1/2 - 1/p."""
 
     kind: str
     p: float = 2.0
@@ -40,7 +39,7 @@ class NormSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise NormSpecError(f"unknown norm kind {self.kind!r}")
-        if self.kind != "weighted_l2":
+        if self.kind == "pqr_wavelet":
             if self.p < 1 or self.q < 1:
                 raise NormSpecError("norm parameters p, q must be >= 1")
             if self.r < 0:
@@ -52,8 +51,6 @@ class NormSpec:
     def scale_exponent(self):
         if self.kind == "pqr_wavelet":
             return self.r + 0.5 - 1.0 / self.p
-        if self.kind == "pqr_oriented":
-            return self.r + 1.5 * (0.5 - 1.0 / self.p)
         raise NormSpecError("weighted_l2 has no scale exponent")
 
     @staticmethod
@@ -83,7 +80,6 @@ def evaluate(spec, coeffs):
 
     weighted_l2: sqrt(sum c(w) |x(w)|^2)
     pqr_wavelet: (sum_j 2^{jsq} ||x(j,.)||_p^q)^{1/q} over the scale label j
-    pqr_oriented: same with the sum over (scale, orientation) pairs
     Carried scaling coefficients are not part of the index set and hence are
     excluded, matching the detail-space estimator.  A (B, m) block of values
     gives an array of B values, one per row; 1-D values give a float.
@@ -104,8 +100,7 @@ def evaluate(spec, coeffs):
     groups = _scale_groups(spec, coeffs)
     s = spec.scale_exponent
     total = 0.0
-    for key, idx in groups:
-        j = key[0]
+    for j, idx in groups:
         a = np.abs(x[..., idx] if isinstance(idx, slice) else x.take(idx, axis=-1))
         if spec.p != 1.0:
             a **= spec.p
@@ -130,38 +125,31 @@ def _per_row(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-#: (oriented, id(j column), id(l column)) -> (j column, l column, groups);
-#: the entry holds its columns, so their ids are not reused while it lives
+#: id(j column) -> (j column, groups); the entry holds its column, so its
+#: id is not reused while it lives
 _GROUP_CACHE = {}
 
 
 def _scale_groups(spec, coeffs):
-    """The (key, positions) groups of the scale (and orientation) labels, in
-    ascending key order.  Cached per label column object: frames hand the
-    same (unchanging) columns to every coefficient vector they make, so a
-    hit costs one lookup; a new column, equal or not, is grouped afresh."""
+    """The (j, positions) groups of the scale labels, in ascending j.
+    Cached per label column object: frames hand the same (unchanging)
+    columns to every coefficient vector they make, so a hit costs one
+    lookup; a new column, equal or not, is grouped afresh."""
     names = coeffs.label_names
     if "j" not in names:
         raise NormSpecError(
             f"{spec.kind} needs scale-labelled coefficients, got labels {names}")
     jcol = coeffs.labels[names.index("j")]
-    oriented = spec.kind == "pqr_oriented"
-    if oriented and "l" not in names:
-        raise NormSpecError("pqr_oriented needs (j, l, k)-labelled coefficients")
-    lcol = coeffs.labels[names.index("l")] if oriented else None
-    cache_key = (oriented, id(jcol), id(lcol))
-    hit = _GROUP_CACHE.get(cache_key)
+    hit = _GROUP_CACHE.get(id(jcol))
     if hit is not None:
-        return hit[2]
-    keys = (list(zip(jcol.tolist(), lcol.tolist())) if oriented
-            else [(j,) for j in jcol.tolist()])
+        return hit[1]
     order = {}
-    for i, key in enumerate(keys):
-        order.setdefault(key, []).append(i)
-    groups = [(key, _run_or_index(idx)) for key, idx in sorted(order.items())]
+    for i, j in enumerate(jcol.tolist()):
+        order.setdefault(j, []).append(i)
+    groups = [(j, _run_or_index(idx)) for j, idx in sorted(order.items())]
     if len(_GROUP_CACHE) > 64:
         _GROUP_CACHE.clear()
-    _GROUP_CACHE[cache_key] = (jcol, lcol, groups)
+    _GROUP_CACHE[id(jcol)] = (jcol, groups)
     return groups
 
 

@@ -4,8 +4,8 @@ The estimator is analysis -> coefficient-wise shrinkage -> dual synthesis.
 Carried (scaling) coefficients pass through untouched.  Only the soft rule
 satisfies the shrinkage property |F(y +/- T, T)| <= |y| that the smoothness
 claim rests on; hard (which maps y + T to itself once past the threshold) and
-the nonnegative garrote both violate it and are excluded from the
-smoothness-claim experiments.
+the nonnegative garrote both violate it, so the smoothness experiment
+soft-thresholds.
 """
 
 from __future__ import annotations
@@ -15,12 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CoefficientVector, DimensionMismatch
-from .evt import ThresholdSpec
+from .evt import ThresholdError, ThresholdSpec
 
 SHRINKAGE_RULES = ("soft", "hard", "garrote")
-
-#: rules satisfying |F(y +/- T, T)| <= |y| (needed by the smoothness claim)
-SHRINKING_RULES = ("soft",)
 
 
 def shrink_value(y, threshold, rule="soft"):
@@ -31,7 +28,7 @@ def shrink_value(y, threshold, rule="soft"):
     garrote: y max(1 - T^2/y^2, 0), 0 at y = 0
     """
     if not threshold >= 0:  # also refuses NaN
-        raise ValueError(f"threshold {threshold} must be >= 0")
+        raise ThresholdError(f"threshold {threshold} must be >= 0")
     y = np.asarray(y, dtype=float)
     if rule == "soft":
         # in place on one fresh array; [()] gives a 0-d input its scalar

@@ -428,11 +428,8 @@ class CycleSpinFrame(Frame):
     eigensolve.
     """
 
-    def __init__(self, basis_or_n, M, filters=HAAR, coarsest_level=0):
-        if isinstance(basis_or_n, WaveletBasis):
-            basis = basis_or_n
-        else:
-            basis = WaveletBasis(basis_or_n, filters, coarsest_level)
+    def __init__(self, n, M, filters=HAAR, coarsest_level=0):
+        basis = WaveletBasis(n, filters, coarsest_level)
         if basis.filters.analysis_lowpass != basis.filters.synthesis_lowpass:
             raise FrameError("cycle spinning requires an orthonormal wavelet basis")
         M = int(M)
@@ -533,9 +530,13 @@ class TIWaveletFrame(Frame):
     the FFT symbol computed once at construction, which gives the exact
     frame bounds and the pseudoinverse.  Dual synthesis works on the half
     spectrum of its real inputs: one rfft of the coefficient block, a
-    multiply by per-scale kernels 2^j fft(base_j) / symbol (0 off the span)
-    cached at construction, a sum over scales plus the scaling part, and
-    one inverse FFT.
+    multiply by per-scale kernels 2^j fft(base_j) rest / symbol (0 off the
+    span) cached at construction, a sum over scales plus the scaling part,
+    and one inverse FFT.  rest is the share of each bin that the scaling
+    part leaves to the details: 1 on every detail bin at coarsest level 0,
+    where the scaling atom is constant, and below 1 on the low bins above
+    it, which the coarser scaling atom also reconstructs.  So
+    dual_synthesize(analyze(u)) == u at every coarsest level.
     """
 
     def __init__(self, n, filters=HAAR, coarsest_level=0):
@@ -575,10 +576,13 @@ class TIWaveletFrame(Frame):
         # average folded in
         h = self.n // 2 + 1
         good = self._good[:h]
-        self._synthesis_kernel = np.zeros((self.levels, h), dtype=complex)
-        self._synthesis_kernel[:, good] = (weights * ah[:, :h])[:, good] / sym[:h][good]
         self._scaling_synthesis = (np.fft.rfft(basis._unit_responses(synthesis=True)[-1])
                                    * (2 ** self.coarsest_level / self.n))
+        # the share of each bin that the scaling part leaves to the details
+        rest = 1.0 - self._scaling_synthesis * self._scaling_mult
+        self._synthesis_kernel = np.zeros((self.levels, h), dtype=complex)
+        self._synthesis_kernel[:, good] = ((weights * ah[:, :h])[:, good] / sym[:h][good]
+                                           * rest[good])
 
     def atom_multiplicity(self, position):
         return 2.0 ** self._labels[0][position]
@@ -592,11 +596,12 @@ class TIWaveletFrame(Frame):
         return CoefficientVector(vals, ("j", "s"), self._labels, carry=carry)
 
     def dual_synthesize(self, coeffs):
-        """Multiset pseudoinverse on the detail span plus the shift-averaged
-        scaling reconstruction (exact complement for orthonormal filters):
+        """The shift-averaged scaling reconstruction
         (1/n) sum_s carry[s] T_s phi_synth, the average over all shifted
-        bases of their scaling-space reconstructions.  Both parts are summed
-        on the half spectrum and leave through one inverse FFT."""
+        bases of their scaling-space reconstructions, plus the multiset
+        pseudoinverse of the details on the share of each bin the scaling
+        part leaves to them.  Both parts are summed on the half spectrum and
+        leave through one inverse FFT."""
         self._check_coeffs(coeffs)
         values = coeffs.values
         spec = np.fft.rfft(values.reshape(values.shape[:-1] + (self.levels, self.n)))

@@ -631,6 +631,12 @@ _SIDAK = ["simulate", "--experiment", "sidak", "--frame-spec", '{"type":"wavelet
 _SMOOTH = ["simulate", "--experiment", "smoothness", "--frame-spec", '{"type":"wavelet","n":16}',
            "--alpha", "0.1", "--trials", "4", "--seed", "1"]
 _SPEC_DENOISE = ["denoise", "--input", "@SIG", "--output", "@OUT", "--frame-spec"]
+_ONE_ATOM = ('{"type":"wavelet","n":2}', '{"type":"sine","n":2}')
+
+
+def _simulate(experiment, frame_spec, *extra):
+    return ["simulate", "--experiment", experiment, "--frame-spec", frame_spec,
+            "--alpha", "0.1", "--trials", "4", "--seed", "1", *extra]
 _DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", "8", "16"]
 
 
@@ -658,6 +664,16 @@ _DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", 
     ([*_SMOOTH, "--norm-spec", '{"kind":"weighted_l2","weights":[1,2]}'], 2, "--norm-spec"),
     (["simulate", "--experiment", "smoothness", "--frame-spec", '{"type":"sine","n":16}',
       "--alpha", "0.1", "--trials", "4", "--seed", "1"], 2, "--norm-spec"),
+    ([*_SMOOTH, "--rule", "hard"], 2, "--rule"),
+    (_simulate("gumbel", _ONE_ATOM[0], "--trials", "10"), 2, "--frame-spec"),
+    (_simulate("coverage", _ONE_ATOM[1]), 2, "--frame-spec"),
+    (_simulate("risk", _ONE_ATOM[0]), 2, "--frame-spec"),
+    (_simulate("smoothness", _ONE_ATOM[0]), 2, "--frame-spec"),
+    (_simulate("smoothness", _ONE_ATOM[1], "--norm-spec", '{"kind":"weighted_l2"}'),
+     2, "--frame-spec"),
+    (_simulate("coverage", '{"type":"cyclespin","n":4,"M":1}', "--use-cyclespin-rule"),
+     2, "--frame-spec"),
+    (_simulate("risk", '{"type":"wavelet","n":4}', "--alpha", "0.999999"), 2, "--frame-spec"),
     ([*_SPEC_DENOISE, '{"type":"wavelet","n":16,"filters":5}'], 2, "--frame-spec"),
     ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":5}'], 2, "--frame-spec"),
     ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":"@MATRIX","name":5}'],
@@ -687,6 +703,9 @@ _DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", 
          "norm-spec-list", "norm-spec-p-string", "norm-spec-p-nan", "norm-spec-weights-number",
          "norm-spec-weights-path-missing", "norm-spec-weights-path-number",
          "norm-spec-weights-path-binary", "norm-spec-weights-length", "norm-spec-sine-labels",
+         "simulate-rule-hard", "gumbel-one-atom", "coverage-one-atom", "risk-one-atom",
+         "smoothness-one-atom-wavelet", "smoothness-one-atom-sine",
+         "coverage-cyclespin-rule-M-1", "risk-negative-threshold",
          "frame-spec-filters-number", "frame-spec-matrix-path-number",
          "frame-spec-name-number", "frame-spec-binary-file", "frame-spec-matrix-not-numbers",
          "frame-spec-matrix-missing", "frame-spec-matrix-nan", "simulate-matrix-nan",

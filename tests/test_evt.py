@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from framethresh import evt
 from framethresh.evt import ThresholdError, ThresholdSpec
-from framethresh.transforms import CDF97, CDF97R, HAAR, CycleSpinFrame, WaveletBasis
+from framethresh.core import ExplicitFrame
+from framethresh.transforms import CDF97, CDF97R, D4, HAAR, CycleSpinFrame, WaveletBasis
 
 # frozen from a 50-digit mpmath evaluation of the closed forms
 ORACLE = {
@@ -216,7 +217,7 @@ def test_evt_threshold_continuous_in_alpha():
 # --- autocorrelation constant -------------------------------------------------
 
 def test_ti_constant_rejects_nondifferentiable():
-    for filt in ("haar", "d4"):
+    for filt in (HAAR, D4):
         with pytest.raises(ThresholdError):
             evt.ti_constant_c(filt)
 
@@ -254,18 +255,22 @@ def test_threshold_spec_resolution():
     assert ThresholdSpec("cyclespin", 1.0, alpha=0.1).resolve(cs) == pytest.approx(
         evt.cyclespin_threshold(1.0, 0.1, 1024, 4))
     assert ThresholdSpec("fixed", 1.0, value=2.5).resolve() == 2.5
-    assert ThresholdSpec("from_zn", 2.0, z=0.0, m=1024).resolve() == pytest.approx(
+    assert ThresholdSpec("from_zn", 2.0, z=0.0).resolve(
+        ExplicitFrame(np.eye(1024))) == pytest.approx(
         2 * evt.norms_chi(1024).b)
 
 
 def test_threshold_spec_validation():
+    eye64, eye1024 = ExplicitFrame(np.eye(64)), ExplicitFrame(np.eye(1024))
     with pytest.raises(ThresholdError):
-        ThresholdSpec("evt", 0.0, alpha=0.1, m=64).resolve()
+        ThresholdSpec("evt", 0.0, alpha=0.1).resolve(eye64)
     with pytest.raises(ThresholdError):
-        ThresholdSpec("evt", 1.0, m=64).resolve()  # missing alpha
+        ThresholdSpec("evt", 1.0).resolve(eye64)  # missing alpha
     with pytest.raises(ThresholdError):
-        ThresholdSpec("banana", 1.0, m=64).resolve()
+        ThresholdSpec("banana", 1.0).resolve(eye64)
     with pytest.raises(ThresholdError):
         ThresholdSpec("fixed", 1.0, value=-1.0).resolve()
     with pytest.raises(ThresholdError):
-        ThresholdSpec("ti", 1.0, alpha=0.1, m=1024).resolve()  # missing c
+        ThresholdSpec("ti", 1.0, alpha=0.1).resolve(eye1024)  # missing c
+    with pytest.raises(ThresholdError):
+        ThresholdSpec("evt", 1.0, alpha=0.1).resolve()  # no frame to count

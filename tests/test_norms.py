@@ -14,22 +14,10 @@ def wavelet_template(J=4):
     return CoefficientVector(np.zeros(len(js)), ("j", "k"), (js, ks))
 
 
-def oriented_template(J=3):
-    js, ls, ks = [], [], []
-    for j in range(J):
-        for l in range(4 * 2 ** (j // 2)):
-            for k in range(2 ** j):
-                js.append(j); ls.append(l); ks.append(k)
-    return CoefficientVector(np.zeros(len(js)), ("j", "l", "k"),
-                             (np.array(js), np.array(ls), np.array(ks)))
-
-
 def test_zero_coefficients_all_specs():
     specs = [NormSpec("weighted_l2"),
-             NormSpec("pqr_wavelet", p=1, q=1, r=0),
-             NormSpec("pqr_oriented", p=2, q=1, r=1)]
-    for spec, tpl in zip(specs, (CoefficientVector(np.zeros(8)),
-                                 wavelet_template(), oriented_template())):
+             NormSpec("pqr_wavelet", p=1, q=1, r=0)]
+    for spec, tpl in zip(specs, (CoefficientVector(np.zeros(8)), wavelet_template())):
         assert evaluate(spec, tpl) == 0.0
 
 
@@ -63,15 +51,6 @@ def test_weighted_l2_parseval(rng):
     cv = wb.analyze(u)
     spec = NormSpec("weighted_l2")
     assert evaluate(spec, cv) == pytest.approx(float(np.linalg.norm(u)), rel=1e-10)
-
-
-def test_oriented_scale_exponent():
-    spec = NormSpec("pqr_oriented", p=1, q=1, r=0)
-    assert spec.scale_exponent == pytest.approx(1.5 * (0.5 - 1.0))
-    tpl = oriented_template()
-    x = tpl.values.copy()
-    x[0] = 2.0
-    assert evaluate(spec, tpl.replace_values(x)) == pytest.approx(2.0)
 
 
 def test_weight_validation():
@@ -119,7 +98,6 @@ def test_is_monotone_all_kinds():
     assert is_monotone(NormSpec("weighted_l2"), CoefficientVector(np.zeros(32)))
     assert is_monotone(NormSpec("pqr_wavelet", p=1, q=1, r=0), wavelet_template(5))
     assert is_monotone(NormSpec("pqr_wavelet", p=3, q=1.5, r=2), wavelet_template(5))
-    assert is_monotone(NormSpec("pqr_oriented", p=1, q=2, r=0.5), oriented_template(5))
 
 
 def test_monotone_under_halving(rng):
@@ -186,8 +164,7 @@ def test_evaluate_block_equals_per_row(rng):
     cases = [(NormSpec("weighted_l2"), tpl),
              (NormSpec("weighted_l2", weights=tuple(rng.uniform(0.5, 2.0, tpl.count))), tpl),
              (NormSpec("pqr_wavelet", p=1, q=1, r=0), tpl),
-             (NormSpec("pqr_wavelet", p=2, q=3, r=1.5), tpl),
-             (NormSpec("pqr_oriented", p=2, q=1, r=1), oriented_template())]
+             (NormSpec("pqr_wavelet", p=2, q=3, r=1.5), tpl)]
     for spec, template in cases:
         block = rng.standard_normal((6, template.count))
         got = evaluate(spec, CoefficientVector(block, template.label_names,
@@ -205,9 +182,8 @@ class _NoBytes(np.ndarray):
 
 
 @pytest.mark.parametrize("spec, template", [
-    (NormSpec("pqr_wavelet", p=2, q=1.5, r=0.5), wavelet_template()),
-    (NormSpec("pqr_oriented", p=1.5, q=2, r=1), oriented_template())],
-    ids=["wavelet", "oriented"])
+    (NormSpec("pqr_wavelet", p=2, q=1.5, r=0.5), wavelet_template())],
+    ids=["wavelet"])
 def test_scale_groups_are_cached_per_column_object(spec, template, rng):
     # a hit copies no column; an equal column in a new object gets equal
     # groups; the cache entry keeps its columns alive, so their ids cannot

@@ -179,15 +179,6 @@ def test_smoothness_zero_signal_matches_coverage():
     assert rep.one_sided_ok()
 
 
-def test_smoothness_refuses_non_shrinking_rules():
-    frame = WaveletBasis(64, "haar")
-    spec = NormSpec("pqr_wavelet", p=1, q=1, r=0)
-    cfg = McConfig(trials=10, seed=1)
-    for rule in ("garrote", "hard"):
-        with pytest.raises(ValueError):
-            smoothness_experiment(frame, np.zeros(64), 0.1, spec, cfg, rule=rule)
-
-
 def test_oracle_risk_zero_signal_orthonormal():
     m = 256
     frame = ExplicitFrame(np.eye(m), "iid")

@@ -280,7 +280,7 @@ def test_est_cs_loop_equals_frame_pipeline(rng):
     basis = WaveletBasis(64, "haar")
     data = rng.standard_normal(64) + np.repeat(rng.uniform(-2, 2, 8), 8)
     for M in (2, 4):
-        frame = CycleSpinFrame(basis, M)
+        frame = CycleSpinFrame(64, M, "haar")
         cv = frame.analyze(data)
         shrunk = cv.replace_values(shrink_value(cv.values, 0.7, "soft"))
         pipeline = frame.dual_synthesize(shrunk)
@@ -446,19 +446,23 @@ def test_ti_distinct_count():
 def _ti_full_fft_synthesis(frame, values, carry):
     """Full-spectrum TI dual synthesis: fft of the coefficient block, the
     per-scale kernels 2^j fft(base_j) summed coarsest first, a masked
-    division by the symbol, one ifft, and a second fft/ifft pair for the
+    division by the symbol times the share 1 - fft(synthesis scaling atom)
+    2^c/n conj(fft(analysis scaling atom)) of each bin that the scaling part
+    leaves to the details, one ifft, and a second fft/ifft pair for the
     carry with the a-trous synthesis scaling atom."""
+    _, scaling, synth = _atrous_atoms(frame.n, frame.filters, frame.coarsest_level)
+    shift_average = 2 ** frame.coarsest_level / frame.n
+    rest = 1.0 - np.fft.fft(synth) * shift_average * np.conj(np.fft.fft(scaling))
     weights = 2.0 ** np.arange(frame.coarsest_level, frame.J)[:, None]
     synthesis_mult = weights * np.fft.fft(frame.basis._bases)
     spec = np.fft.fft(values.reshape(values.shape[:-1] + (frame.levels, frame.n)))
     y = (synthesis_mult * spec).sum(axis=-2)
-    y[..., frame._good] /= frame._fft_symbol[frame._good]
+    y[..., frame._good] *= rest[frame._good] / frame._fft_symbol[frame._good]
     y[..., ~frame._good] = 0.0
     out = np.fft.ifft(y).real
     if carry is not None:
-        spec = np.fft.fft(carry) * np.fft.fft(
-            _atrous_atoms(frame.n, frame.filters, frame.coarsest_level)[2])
-        out += np.fft.ifft(spec).real * (2 ** frame.coarsest_level / frame.n)
+        spec = np.fft.fft(carry) * np.fft.fft(synth)
+        out += np.fft.ifft(spec).real * shift_average
     return out
 
 
