@@ -142,7 +142,10 @@ def cmd_thresholds(args):
     if args.wavelet is not None:
         filters = _read("--wavelet", get_filters, args.wavelet)
         if filters.differentiable:
-            c_row = evt.ti_constant_c(filters).c
+            try:
+                c_row = evt.ti_constant_c(filters).c
+            except ThresholdError as exc:  # cdf97's estimate does not stabilize
+                raise CliError(EXIT_VALIDATION, str(exc), "--wavelet")
     for a in args.alpha:
         rows.append({"rule": "evt", "alpha": a,
                      "threshold": evt.evt_threshold(args.sigma, a, args.n)})

@@ -79,7 +79,6 @@ class CoefficientVector:
 class GramSummary:
     frame_bounds: tuple
     coherence_counts: dict
-    max_offdiag: float
     distinct_count: int
 
 
@@ -255,8 +254,7 @@ def gram_coherence_counts(frame, deltas):
     covers the gemm's and the FFT's rounding together); every pair at a lag
     inside the band is a tie, decided from its entry of the very gemm tile
     the dense route computes, through the same tile helper.  Only tiles
-    holding a tie are computed.  max_offdiag comes from the lag values on
-    that route and may differ from the gemm's by up to the band.
+    holding a tie are computed.
     """
     levels = [float(d) for d in deltas]
     for d in levels:
@@ -266,12 +264,12 @@ def gram_coherence_counts(frame, deltas):
     positions = frame.distinct_positions()
     keyed = _shift_keys(frame, positions)
     if keyed is None:
-        counts, max_off = _dense_census(frame, positions, levels)
+        counts = _dense_census(frame, positions, levels)
     else:
-        counts, max_off = _shift_census(frame, positions, levels, *keyed)
+        counts = _shift_census(frame, positions, levels, *keyed)
     return GramSummary(frame_bounds=bounds,
                        coherence_counts={d: int(c) for d, c in zip(levels, counts)},
-                       max_offdiag=max_off, distinct_count=len(positions))
+                       distinct_count=len(positions))
 
 
 def _gram_tiles(frame, positions, tiles):
@@ -291,19 +289,16 @@ def _gram_tiles(frame, positions, tiles):
 
 
 def _dense_census(frame, positions, levels):
-    """(off-diagonal counts per level, max off-diagonal |kappa|) from every
-    tile; a tile above the diagonal stands for its mirror too and counts
-    twice."""
+    """Off-diagonal counts per level from every tile; a tile above the
+    diagonal stands for its mirror too and counts twice."""
     blocks = -(-len(positions) // _BLOCK)
     tiles = ((i, j) for i in range(blocks) for j in range(i, blocks))
     counts = np.zeros(len(levels), np.int64)
-    max_off = 0.0
     for i, j, tile in _gram_tiles(frame, positions, tiles):
         if i == j:
             np.fill_diagonal(tile, 0.0)
-        max_off = max(max_off, float(tile.max()))
         counts += [(1 if i == j else 2) * np.count_nonzero(tile >= d) for d in levels]
-    return counts, max_off
+    return counts
 
 
 def _shift_keys(frame, positions):
@@ -320,11 +315,11 @@ def _shift_census(frame, positions, levels, bases, keys):
     """The census of the atoms at keys = row * n + shift, each the base
     atom of its row rolled by its shift: the lag tables decide every pair
     outside the tie band, the gemm tiles the ties."""
-    counts, max_off, ties = _lag_census(frame.name, bases, keys, levels)
+    counts, ties = _lag_census(frame.name, bases, keys, levels)
     if len(ties):
         counts += _tie_counts(frame, positions, np.array(levels), keys,
                               bases.shape[1], ties)
-    return counts, max_off
+    return counts
 
 
 def _lag_tables(name, bases, keys):
@@ -355,8 +350,8 @@ def _lag_tables(name, bases, keys):
 
 
 def _lag_census(name, bases, keys, levels):
-    """(counts, max off-diagonal |kappa|, ties) from the lag tables of the
-    atoms at keys = row * n + shift.
+    """(counts, ties) from the lag tables of the atoms at keys =
+    row * n + shift.
 
     Lags whose value lies within 8 n eps of a level are ties, symmetrized
     in d on a row with itself so that a pair and its mirror tie together;
@@ -366,19 +361,16 @@ def _lag_census(name, bases, keys, levels):
     band = 8 * n * np.finfo(float).eps
     mirror = -np.arange(n) % n
     counts = np.zeros(len(levels), np.int64)
-    max_off = 0.0
     ties = [np.empty((0, 4), np.int64)]
     for r, values, pairs in _lag_tables(name, bases, keys):
         present = pairs > 0
-        if present.any():
-            max_off = max(max_off, float(values[present].max()))
         for li, level in enumerate(levels):
             tie = np.abs(values - level) <= band
             tie[0] |= tie[0, mirror]
             counts[li] += pairs[(values >= level) & ~tie].sum()
             k, d = np.nonzero(tie & present)
             ties.append(np.stack([np.full_like(k, li), np.full_like(k, r), r + k, d], 1))
-    return counts, max_off, np.concatenate(ties)
+    return counts, np.concatenate(ties)
 
 
 def _tie_counts(frame, positions, levels, keys, n, ties):

@@ -172,8 +172,8 @@ def ti_constant_c(filters):
     scale _CURVATURE_SCALE of a _CURVATURE_GRID-point basis; successive
     samples are then kappa-values at spacing dt = 2^scale / grid, and
     -kappa''(0) ~ 2(1 - kappa(dt))/dt^2.  The estimate is validated by grid
-    refinement (relative change < 1e-2 from grid/4 to grid) and the result
-    carries the grid step used.
+    refinement (relative change < 1e-2 from grid/4 to grid), and the result
+    carries the three estimates.
 
     Raises for filter pairs whose mother wavelet is not continuously
     differentiable (Haar, D4) or when the curvature estimate fails to
@@ -189,14 +189,12 @@ def ti_constant_c(filters):
     if abs(c_fin - c_prev) > 1e-2 * c_fin:
         raise ThresholdError(
             f"curvature estimate did not stabilize across grids: {estimates}")
-    return CurvatureEstimate(c=c_fin, grid_step=2.0 ** _CURVATURE_SCALE / grid,
-                             refinement=tuple(estimates))
+    return CurvatureEstimate(c=c_fin, refinement=tuple(estimates))
 
 
 @dataclass(frozen=True)
 class CurvatureEstimate:
     c: float
-    grid_step: float
     refinement: tuple
 
 

@@ -1,6 +1,6 @@
 """File formats: signals as CSV or raw little-endian float64, matrices and
-coefficient vectors as CSV (the latter with index columns), reports as JSON,
-Q-Q tables as CSV."""
+coefficient vectors as CSV (the latter written with index columns), reports
+as JSON, Q-Q tables as CSV."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ import json
 import os
 
 import numpy as np
-
-from .core import CoefficientVector
 
 
 class FileFormatError(ValueError):
@@ -66,25 +64,6 @@ def write_coefficients(path, coeffs):
         for i in range(coeffs.count):
             idx = ",".join(str(int(col[i])) for col in coeffs.labels)
             fh.write(f"{idx},{float(coeffs.values[i])!r}\n")
-
-
-def read_coefficients(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[-1] != "value":
-            raise FileFormatError(f"{path}: expected trailing 'value' column")
-        names = tuple(header[:-1])
-        cols = [[] for _ in names]
-        values = []
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != len(header):
-                raise FileFormatError(f"{path}: ragged row {line.strip()!r}")
-            for c, p in zip(cols, parts):
-                c.append(int(p))
-            values.append(float(parts[-1]))
-    return CoefficientVector(np.array(values), names,
-                             tuple(np.array(c) for c in cols))
 
 
 def write_qq(path, pairs):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoefficientVector
 from .io import read_signal
 
 KINDS = ("weighted_l2", "pqr_wavelet")
@@ -55,11 +54,12 @@ class NormSpec:
 
     @staticmethod
     def from_json(text):
-        """Parse {"kind": ..., "p": ..., "q": ..., "r": ..., "weights": [...]}
-        or a "weights_path" pointing at a signal file (io.read_signal).
+        """Parse the JSON text {"kind": ..., "p": ..., "q": ..., "r": ...,
+        "weights": [...]} or with a "weights_path" pointing at a signal file
+        (io.read_signal).
         Raises NormSpecError for a malformed spec, and OSError or
         io.FileFormatError for a weights file that cannot be read."""
-        obj = json.loads(text) if isinstance(text, str) else text
+        obj = json.loads(text)
         if not isinstance(obj, dict):
             raise NormSpecError("norm spec must be a JSON object")
         weights = obj.get("weights")
@@ -76,7 +76,7 @@ class NormSpec:
 
 
 def evaluate(spec, coeffs):
-    """Evaluate the functional on a coefficient vector.
+    """Evaluate the functional on a core.CoefficientVector.
 
     weighted_l2: sqrt(sum c(w) |x(w)|^2)
     pqr_wavelet: (sum_j 2^{jsq} ||x(j,.)||_p^q)^{1/q} over the scale label j
@@ -84,8 +84,6 @@ def evaluate(spec, coeffs):
     excluded, matching the detail-space estimator.  A (B, m) block of values
     gives an array of B values, one per row; 1-D values give a float.
     """
-    if not isinstance(coeffs, CoefficientVector):
-        coeffs = CoefficientVector(np.asarray(coeffs, dtype=float))
     x = coeffs.values
     if spec.kind == "weighted_l2":
         if spec.weights is None:

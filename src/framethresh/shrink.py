@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CoefficientVector, DimensionMismatch
-from .evt import ThresholdError, ThresholdSpec
+from .evt import ThresholdError
 
 SHRINKAGE_RULES = ("soft", "hard", "garrote")
 
@@ -58,18 +58,14 @@ class DenoiseResult:
 def denoise(frame, data, spec, rule="soft"):
     """Frame soft/hard/garrote thresholding estimator.
 
-    spec is a ThresholdSpec (or a bare numeric threshold); the resolved
-    threshold applies to all indexed coefficients, never to the carry.
-    kept_count counts coefficients with |Y(omega)| > T.
+    spec is a ThresholdSpec (a fixed threshold T is
+    ThresholdSpec("fixed", sigma, value=T)); the resolved threshold applies
+    to all indexed coefficients, never to the carry.  kept_count counts
+    coefficients with |Y(omega)| > T.
     """
     if rule not in SHRINKAGE_RULES:
         raise ValueError(f"unknown shrinkage rule {rule!r}")
-    if isinstance(spec, ThresholdSpec):
-        threshold = spec.resolve(frame)
-    else:
-        threshold = float(spec)
-        if not threshold >= 0:  # also refuses NaN
-            raise ValueError("threshold must be >= 0")
+    threshold = spec.resolve(frame)
     coeffs = frame.analyze(data)
     shrunk = coeffs.replace_values(shrink_value(coeffs.values, threshold, rule))
     estimate = frame.dual_synthesize(shrunk)
@@ -86,19 +82,12 @@ def denoise(frame, data, spec, rule="soft"):
 
 def confidence_region_contains(center, threshold, candidate):
     """Membership in the sup-norm ball of radius T around the data
-    coefficients: true iff ||candidate - center||_inf <= T."""
-    if isinstance(center, CoefficientVector):
-        cvals, clabels = center.values, center.labels
-    else:
-        cvals, clabels = np.asarray(center, dtype=float), None
-    if isinstance(candidate, CoefficientVector):
-        dvals, dlabels = candidate.values, candidate.labels
-    else:
-        dvals, dlabels = np.asarray(candidate, dtype=float), None
-    if len(cvals) != len(dvals):
+    coefficients: true iff ||candidate - center||_inf <= T.  Both are
+    CoefficientVectors over the same index set (same length and labels)."""
+    if center.count != candidate.count:
         raise DimensionMismatch("coefficient index sets differ in length")
-    if clabels is not None and dlabels is not None:
-        for a, b in zip(clabels, dlabels):
-            if not np.array_equal(a, b):
-                raise DimensionMismatch("coefficient index sets differ")
-    return bool(np.max(np.abs(dvals - cvals)) <= threshold) if len(cvals) else True
+    for a, b in zip(center.labels, candidate.labels):
+        if not np.array_equal(a, b):
+            raise DimensionMismatch("coefficient index sets differ")
+    return bool(center.count == 0
+                or np.max(np.abs(candidate.values - center.values)) <= threshold)

@@ -7,13 +7,13 @@ import numpy as np
 SINE_AMPLITUDE = 5.0 * np.sqrt(2.0) / 16.0
 
 
-def sine_superposition(n, frequencies, amplitude=SINE_AMPLITUDE):
-    """sum_i A sin(pi w_i k / n); the two-wave examples use
-    frequencies (150, 380) on-grid and (150.5, 380) off-grid."""
+def sine_superposition(n, frequencies):
+    """sum_i A sin(pi w_i k / n) with A = SINE_AMPLITUDE; the two-wave
+    examples use frequencies (150, 380) on-grid and (150.5, 380) off-grid."""
     k = np.arange(n)
     out = np.zeros(n)
     for w in frequencies:
-        out += amplitude * np.sin(np.pi * w * k / n)
+        out += SINE_AMPLITUDE * np.sin(np.pi * w * k / n)
     return out
 
 

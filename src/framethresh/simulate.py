@@ -71,10 +71,6 @@ class EmpiricalDistribution:
         values = np.sort(np.asarray(values, dtype=float))
         return EmpiricalDistribution(samples=values, count=len(values))
 
-    def cdf(self, x):
-        """Right-continuous empirical CDF #{samples <= x}/count."""
-        return np.searchsorted(self.samples, x, side="right") / self.count
-
 
 def mc_se(p_hat, trials):
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)

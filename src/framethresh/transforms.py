@@ -63,12 +63,7 @@ class WaveletFilterPair:
     analysis_highpass: tuple
     synthesis_lowpass: tuple
     synthesis_highpass: tuple
-    vanishing_moments: int
     differentiable: bool  # mother wavelet continuously differentiable
-
-    def arrays(self):
-        return (np.array(self.analysis_lowpass), np.array(self.analysis_highpass),
-                np.array(self.synthesis_lowpass), np.array(self.synthesis_highpass))
 
 
 _HAAR_LO = (1 / SQRT2, 1 / SQRT2)
@@ -94,19 +89,17 @@ _CDF97_REC_HI = (0.0, 0.03782845550699535, 0.02384946501937986,
 
 HAAR = WaveletFilterPair("haar", _HAAR_LO, tuple(_qmf(np.array(_HAAR_LO))),
                          _HAAR_LO, tuple(_qmf(np.array(_HAAR_LO))),
-                         vanishing_moments=1, differentiable=False)
+                         differentiable=False)
 D4 = WaveletFilterPair("d4", _D4_LO, tuple(_qmf(np.array(_D4_LO))),
                        _D4_LO, tuple(_qmf(np.array(_D4_LO))),
-                       vanishing_moments=2, differentiable=False)
+                       differentiable=False)
 CDF97 = WaveletFilterPair("cdf97", _CDF97_DEC_LO, _CDF97_DEC_HI,
-                          _CDF97_REC_LO, _CDF97_REC_HI,
-                          vanishing_moments=4, differentiable=True)
+                          _CDF97_REC_LO, _CDF97_REC_HI, differentiable=True)
 # reversed orientation: analysis on the 7-tap side, whose mother wavelet is
 # the smoother one of the pair (the natural choice for translation-invariant
 # analysis, which needs a C^1 generator)
 CDF97R = WaveletFilterPair("cdf97r", _CDF97_REC_LO, _CDF97_REC_HI,
-                           _CDF97_DEC_LO, _CDF97_DEC_HI,
-                           vanishing_moments=4, differentiable=True)
+                           _CDF97_DEC_LO, _CDF97_DEC_HI, differentiable=True)
 
 FILTERS = {"haar": HAAR, "d4": D4, "db2": D4, "cdf97": CDF97, "cdf97r": CDF97R}
 
@@ -404,7 +397,8 @@ class WaveletBasis(Frame):
 
 def cs_distinct_count(n, M):
     """Number of different atoms among the M-shift copies of the basis
-    wavelets: n*floor(log2 M) + M*(2^ceil(log2(n/M)) - 1)."""
+    wavelets at coarsest level 0: n*floor(log2 M) + M*(2^ceil(log2(n/M)) - 1).
+    CycleSpinFrame.distinct_count gives the count at every coarsest level."""
     if M > n:
         raise FrameError(f"shift count M={M} exceeds n={n}")
     if M < 1:
@@ -500,7 +494,11 @@ class CycleSpinFrame(Frame):
 
     @property
     def distinct_count(self):
-        return cs_distinct_count(self.n, self.M)
+        """The atoms of scale j are the 2^j basis atoms, spaced n/2^j
+        apart, each shifted by m < M: min(M 2^j, n) distinct shifts of the
+        scale's base atom."""
+        return sum(min(self.M << j, self.n)
+                   for j in range(self.basis.coarsest_level, self.basis.J))
 
     def distinct_positions(self):
         """One representative per distinct shifted atom: distinctness is
@@ -630,9 +628,9 @@ _CG_MAX_ITER = 100
 
 class SineFrame(Frame):
     """Oversampled sine frame: unit-norm atoms sin(pi w k / n) for w on the
-    grid {1/r, 2/r, ..., n}.  Frequencies whose raw atom vanishes identically
-    (w = n) are excluded and reported in `excluded`.  The atoms span the
-    subspace {u : u(0) = 0}; r = 1 gives an orthonormal basis of it.
+    grid {1/r, 2/r, ..., n} without w = n, the one grid point whose raw atom
+    vanishes identically.  The atoms span the subspace {u : u(0) = 0};
+    r = 1 gives an orthonormal basis of it.
 
     Analysis and its adjoint are zero-padded FFTs of length 2rn, one per
     (B, n) or (B, m) block; the grid point w = m/r sits at FFT bin m, so
@@ -660,7 +658,6 @@ class SineFrame(Frame):
         # the grid {1/r, ..., n}; w = n is the one point whose atom vanishes
         w = np.arange(1, r * self.n) / r
         self.frequencies = w
-        self.excluded = [float(self.n)]
         # ||sin(pi w k / n)||^2 over k < n, by summing the cosine series
         self._raw_norms = np.sqrt(self.n / 2 - 0.5 * np.sin(np.pi * w)
                                   * np.cos(np.pi * w * (self.n - 1) / self.n)
@@ -797,7 +794,7 @@ def frame_from_spec(spec):
     """Build a frame from a JSON spec string, dict, or file path.
 
     {"type": "wavelet"|"cyclespin"|"ti"|"sine"|"explicit", "n": ...,
-     "filters": "haar"|"d4"|"cdf97", "M": ..., "oversample": ...,
+     "filters": "haar"|"d4"|"cdf97"|"cdf97r", "M": ..., "oversample": ...,
      "matrix_path": ..., "coarsest_level": ..., "name": ...}
 
     n, M, oversample and coarsest_level must be JSON integers; type,

@@ -256,11 +256,12 @@ def test_coefficients_roundtrip(tmp_path):
                            (np.array([0, 1, 1]), np.array([0, 0, 1])))
     path = tmp_path / "coeffs.csv"
     ftio.write_coefficients(path, cv)
-    back = ftio.read_coefficients(str(path))
-    assert np.array_equal(back.values, cv.values)
-    assert back.label_names == ("j", "k")
-    for a, b in zip(back.labels, cv.labels):
-        assert np.array_equal(a, b)
+    lines = path.read_text().splitlines()
+    assert lines[0].split(",") == ["j", "k", "value"]
+    rows = [line.split(",") for line in lines[1:]]
+    assert np.array_equal([float(r[-1]) for r in rows], cv.values)
+    for col, labels in enumerate(cv.labels):
+        assert np.array_equal([int(r[col]) for r in rows], labels)
 
 
 def test_diagnose_replay_reproduces_bytes(tmp_path):
@@ -645,6 +646,7 @@ _DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", 
     (["simulate", "--experiment", "comparison", "--draws", "0", "--seed", "1"], 2, "--draws"),
     (["thresholds", "--n", "2", "--wavelet", "cdf97r"], 2, "--n"),
     (["thresholds", "--n", "3", "--wavelet", "cdf97r"], 2, "--n"),
+    (["thresholds", "--n", "1024", "--wavelet", "cdf97"], 2, "--wavelet"),
     ([*_SIDAK, "--reference-m", "-3"], 2, "--reference-m"),
     (["simulate", "--experiment", "risk1d", "--mu", "nan", "--trials", "10", "--seed", "1"],
      2, "--mu"),
@@ -699,6 +701,7 @@ _DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", 
     ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--c", "0"], 2, "--c"),
     ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--z", "inf"], 2, "--z")],
     ids=["comparison-dim-0", "comparison-draws-0", "ti-row-n-2", "ti-row-n-3",
+         "ti-row-c-unstable",
          "sidak-reference-m-negative", "risk1d-mu-nan", "ti-z-nan", "gumbel-alpha-1.5",
          "norm-spec-list", "norm-spec-p-string", "norm-spec-p-nan", "norm-spec-weights-number",
          "norm-spec-weights-path-missing", "norm-spec-weights-path-number",

@@ -349,7 +349,6 @@ def test_atom_index_array_matches_per_atom_and_analysis(frame, rng):
 def test_gram_counts_orthonormal_zero(haar64):
     summary = gram_coherence_counts(haar64, [0.1, 0.5, 1.0])
     assert all(c == 0 for c in summary.coherence_counts.values())
-    assert summary.max_offdiag < 1e-10
 
 
 def test_gram_counts_duplicated_atom():
@@ -369,6 +368,30 @@ def test_gram_counts_match_exhaustive_enumeration():
         np.abs(gram - np.diag(np.diag(gram))) >= delta))
     summary = gram_coherence_counts(frame, [delta])
     assert summary.coherence_counts[delta] == exhaustive
+
+
+_DISTINCT_FRAMES = {"wavelet": WaveletBasis, "ti": TIWaveletFrame, "cyclespin": CycleSpinFrame,
+                    "sine": SineFrame,
+                    "explicit": lambda *shape: ExplicitFrame(
+                        np.random.default_rng(7).standard_normal(shape))}
+
+
+@pytest.mark.parametrize("kind, args", [
+    *((kind, (32, f, c)) for kind in ("wavelet", "ti")
+      for f in ("haar", "d4", "cdf97", "cdf97r") for c in (0, 1, 2)),
+    *(("cyclespin", (32, M, f, c)) for f in ("haar", "d4") for M in (1, 2, 4, 8)
+      for c in (0, 1, 2)),
+    *(("sine", (16, r)) for r in (1, 2, 3)),
+    ("explicit", (24, 16))], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_one_distinct_count_per_frame(kind, args):
+    """The threshold rules' |Omega|, the frame's distinct count, its
+    representatives and the census agree, and count the different atoms."""
+    frame = _DISTINCT_FRAMES[kind](*args)
+    count = frame.distinct_count
+    assert frame.evt_count == count == len(frame.distinct_positions())
+    assert gram_coherence_counts(frame, [0.5]).distinct_count == count
+    atoms = frame.atom(np.arange(frame.atom_count)).round(12) + 0.0  # -0.0 to 0.0
+    assert len(np.unique(atoms, axis=0)) == count
 
 
 def test_gram_counts_are_even():
@@ -482,10 +505,9 @@ def _dense_route(frame, levels):
 
 
 def _assert_census_equals_dense(frame, levels=CENSUS_LEVELS):
-    counts, max_off = _dense_route(frame, levels)
+    counts = _dense_route(frame, levels)
     summary = gram_coherence_counts(frame, levels)
     assert summary.coherence_counts == dict(zip(levels, counts.tolist())), frame.name
-    assert abs(summary.max_offdiag - max_off) <= 8 * frame.n * np.finfo(float).eps
 
 
 def _census_frames(kind, filters):
@@ -535,7 +557,7 @@ def test_census_reproduces_the_pinned_workload_counts():
               (CycleSpinFrame(1024, 4, "haar"), 11124)]
     for frame, count in pinned:
         assert gram_coherence_counts(frame, [0.5]).coherence_counts == {0.5: count}
-        assert _dense_route(frame, [0.5])[0].tolist() == [count]
+        assert _dense_route(frame, [0.5]).tolist() == [count]
     # a repeated level is counted once, not once per repetition
     assert gram_coherence_counts(pinned[0][0], [0.5, 0.5]).coherence_counts == {0.5: 7872}
 
@@ -556,7 +578,7 @@ def test_structure_census_without_ties_materializes_no_atom(monkeypatch):
     summary = gram_coherence_counts(CycleSpinFrame(256, 4, "d4"), [0.1, 0.5])
     assert calls == []
     assert summary.coherence_counts == dict(zip([0.1, 0.5], _dense_route(
-        CycleSpinFrame(256, 4, "d4"), [0.1, 0.5])[0].tolist()))
+        CycleSpinFrame(256, 4, "d4"), [0.1, 0.5]).tolist()))
 
 
 @pytest.mark.parametrize("frame, level, tied", [

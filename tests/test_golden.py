@@ -15,6 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from framethresh.evt import ThresholdSpec
 from framethresh.shrink import denoise, shrink_value
 from framethresh.transforms import CycleSpinFrame, WaveletBasis
 
@@ -54,7 +55,7 @@ def _digest(name):
             shrunk = cv.replace_values(shrink_value(cv.values, 1.0))
             add(frame.dual_synthesize(shrunk))
             for rule in ("soft", "hard", "garrote"):
-                res = denoise(frame, x, 0.8, rule)
+                res = denoise(frame, x, ThresholdSpec("fixed", 1.0, value=0.8), rule)
                 add(res.estimate, res.thresholded_coeffs.values, [res.kept_count])
     return h.hexdigest()
 

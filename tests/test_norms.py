@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -145,7 +147,8 @@ def test_malformed_norm_spec_is_norm_spec_error(text):
 
 def test_unreadable_weights_path_is_os_error(tmp_path):
     with pytest.raises(OSError):
-        NormSpec.from_json({"kind": "weighted_l2", "weights_path": str(tmp_path / "none.csv")})
+        NormSpec.from_json(json.dumps(
+            {"kind": "weighted_l2", "weights_path": str(tmp_path / "none.csv")}))
 
 def test_wavelet_coefficients_feed_pqr_directly(rng):
     wb = WaveletBasis(64, "haar")

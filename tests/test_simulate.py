@@ -11,7 +11,7 @@ from framethresh.rng import normal as rng_normal
 from framethresh.rng import open_uniform, stream_normal, trial_generator
 from framethresh.shrink import shrink_value
 from framethresh.signals import piecewise_constant
-from framethresh.simulate import (EmpiricalDistribution, McConfig,
+from framethresh.simulate import (McConfig,
                                   comparison_bound_experiment,
                                   coverage_experiment, exact_independent_coverage,
                                   ks_distance, mc_se, oracle_risk_experiment,
@@ -221,13 +221,6 @@ def test_comparison_bound_experiment_small():
     assert len(rows) == 6
     for row in rows:
         assert row.within_bound
-
-
-def test_empirical_distribution_cdf_convention():
-    dist = EmpiricalDistribution.from_samples([1.0, 2.0, 2.0, 3.0])
-    assert dist.cdf(0.5) == 0.0
-    assert dist.cdf(2.0) == 0.75  # right-continuous: #{<= x}/count
-    assert dist.cdf(3.0) == 1.0
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
