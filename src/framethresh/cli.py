@@ -270,7 +270,7 @@ def _run_experiment(args, cfg, report):
         rep = simulate.coverage_experiment(frame, args.alpha, cfg, threshold=threshold)
         report.update(io.to_jsonable(rep))
     elif exp == "sidak":
-        m_ref = args.reference_m or frame.distinct_count
+        m_ref = args.reference_m or frame.evt_count
         rows = simulate.sidak_experiment(frame, m_ref, args.T, cfg)
         report.update(reference_m=m_ref, rows=io.to_jsonable(rows))
     elif exp == "ti":

@@ -77,7 +77,6 @@ class CoefficientVector:
 
 @dataclass
 class GramSummary:
-    frame_bounds: tuple
     coherence_counts: dict
     distinct_count: int
 
@@ -134,19 +133,16 @@ class Frame:
         weighted here."""
         return np.ones_like(position, dtype=float)
 
-    @property
-    def distinct_count(self):
-        """Number of distinct atoms; equals atom_count unless overridden."""
-        return self.atom_count
-
     def distinct_positions(self):
         """Flat positions selecting one representative per distinct atom."""
         return np.arange(self.atom_count)
 
     @property
     def evt_count(self):
-        """Effective |Omega| used by extreme-value threshold rules."""
-        return self.distinct_count
+        """|Omega|, the number of distinct atoms: the count the
+        extreme-value threshold rules and the Gram census use.  Equals
+        atom_count unless overridden."""
+        return self.atom_count
 
     # --- generic operator plumbing ----------------------------------------
 
@@ -231,9 +227,8 @@ def gram_coherence_counts(frame, deltas):
     distinct atoms of the frame, frame.distinct_positions().
 
     Counts ordered pairs (w, w'), w != w', so totals are even by symmetry.
-    A duplicated atom (cycle spinning) enters once; its multiplicity enters
-    only the frame operator.  The frame bounds are computed first, so a
-    frame without them raises FrameError before any atom is materialized.
+    A duplicated atom (cycle spinning, a repeated explicit row) enters once;
+    its multiplicity enters only the frame operator.
 
     Two routes give the same counts.  The dense route (explicit and sine
     frames) computes the Gram matrix as gemm tiles of _BLOCK x _BLOCK atoms,
@@ -260,15 +255,13 @@ def gram_coherence_counts(frame, deltas):
     for d in levels:
         if not 0 < d <= 1:
             raise ValueError(f"coherence level delta={d} outside (0, 1]")
-    bounds = frame_bounds(frame)
     positions = frame.distinct_positions()
     keyed = _shift_keys(frame, positions)
     if keyed is None:
         counts = _dense_census(frame, positions, levels)
     else:
         counts = _shift_census(frame, positions, levels, *keyed)
-    return GramSummary(frame_bounds=bounds,
-                       coherence_counts={d: int(c) for d, c in zip(levels, counts)},
+    return GramSummary(coherence_counts={d: int(c) for d, c in zip(levels, counts)},
                        distinct_count=len(positions))
 
 
@@ -429,17 +422,20 @@ class ExplicitFrame(Frame):
     """Frame given by an explicit atom matrix (rows are atoms).
 
     Rows are renormalized to unit norm.  The atoms must span R^n (the frame
-    property).  The constructor eigensolves the frame operator A^T A once,
-    which gives the frame bounds, and keeps the pseudoinverse
-    (A^T A)^{-1} A^T from its Cholesky factorization, so dual synthesis is
-    one matrix product.  A (B, .) block is one matrix product too; its rows
-    can differ from the 1-D products in the last ulp, since BLAS sums a
-    block in another order.
+    property).  A repeated unit row is one distinct atom: it enters
+    evt_count and the Gram census once, while analysis, the frame bounds
+    and dual synthesis keep every row.  The constructor eigensolves the
+    frame operator A^T A once, which gives the frame bounds, and keeps the
+    pseudoinverse (A^T A)^{-1} A^T from its Cholesky factorization, so dual
+    synthesis is one matrix product.  A (B, .) block is one matrix product
+    too; its rows can differ from the 1-D products in the last ulp, since
+    BLAS sums a block in another order.
 
     A signed permutation (a square matrix whose unit rows each hold one
     entry of magnitude 1.0, in distinct columns; the identity, say) has
     A^T A = I exactly, so its bounds are (1.0, 1.0) and its pseudoinverse
-    is exactly A^T.  Such a frame skips the eigensolve and analyzes and
+    is exactly A^T.  Its rows are distinct by construction.  Such a frame
+    skips the search for repeated rows, the eigensolve, and analyzes and
     synthesizes by gathering coordinates times their signs, equal byte for
     byte to the matrix products on finite input (adding 0.0 turns a -0.0
     into the +0.0 the products give).  The one difference: a non-finite
@@ -462,8 +458,13 @@ class ExplicitFrame(Frame):
         self.span_dim = self.n
         self._permutation = _signed_permutation(self._atoms)
         if self._permutation is not None:
+            self._distinct = np.arange(self.atom_count)
             self.bounds = (1.0, 1.0)
             return
+        # the first of each set of equal unit rows (np.unique sorts stably
+        # for return_index); adding 0.0 makes -0.0 equal 0.0
+        first = np.unique(self._atoms + 0.0, axis=0, return_index=True)[1]
+        self._distinct = np.sort(first)
         # imported here: scipy.linalg takes longer to load than the rest of
         # the package, and only this route needs it
         from scipy.linalg import cho_factor, cho_solve
@@ -493,6 +494,14 @@ class ExplicitFrame(Frame):
 
     def atom(self, position):
         return self._atoms[position].copy()
+
+    def distinct_positions(self):
+        """The first row of each distinct unit row, ascending."""
+        return self._distinct
+
+    @property
+    def evt_count(self):
+        return len(self._distinct)
 
 
 def _signed_permutation(atoms):

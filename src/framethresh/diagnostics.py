@@ -14,9 +14,9 @@ order of the pairs.  The histogram comes from one pass over row blocks of
 _BLOCK_ENTRIES entries, which also checks the Gram matrix: besides the Gram
 matrix the caller holds, a sum takes O(_BLOCK_ENTRIES + distinct |kappa|)
 memory at every m (about 4.5 MB for the 2048 x 2048 TI haar n=256 Gram,
-whose 32 MB a whole-array |G| would copy twice).  frame_gram returns a
-read-only GramMatrix that keeps its histogram from the first sum on it, so
-every sum of a diagnose run after the first skips the pass; any other array
+whose 32 MB a whole-array |G| would copy twice).  frame_gram makes the
+histogram once, when it builds the Gram matrix, and returns a read-only
+GramMatrix that holds it, so no sum on it runs the pass; any other array
 pays the pass on every call.
 """
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import gram_coherence_counts
+from .core import frame_bounds, gram_coherence_counts
 
 
 @dataclass
@@ -65,6 +65,9 @@ def stability_check(frame_family, rho):
     family) and the upper frame bounds not growing with n (compared against
     sqrt of the n growth between the last two rows).  The strict
     ratio-nonincreasing flag is reported alongside.
+
+    Every frame's bounds come first, largest n first, so a family with a
+    frame that has none raises FrameError before any census runs.
     """
     if not 0 < rho < 1:
         raise ValueError(f"rho={rho} outside (0, 1)")
@@ -74,8 +77,9 @@ def stability_check(frame_family, rho):
     ns = [fr.n for fr in frames]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"frame sizes n={ns} must strictly increase")
+    bounds = [frame_bounds(fr) for fr in reversed(frames)][::-1]
     rows = []
-    for fr in frames:
+    for fr, (_, b_n) in zip(frames, bounds):
         summary = gram_coherence_counts(fr, [rho])
         count = summary.coherence_counts[rho]
         m = summary.distinct_count
@@ -83,7 +87,7 @@ def stability_check(frame_family, rho):
             n=fr.n, omega_count=m, count_geq_rho=count,
             ratio=count * math.sqrt(math.log(m)) / m,
             per_atom=count / m,
-            upper_frame_bound=summary.frame_bounds[1],
+            upper_frame_bound=b_n,
             count_with_diagonal=count + m))
     ratios = [r.ratio for r in rows]
     nonincreasing = all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
@@ -168,28 +172,23 @@ def _offdiag_histogram(gram):
 
 
 def _offdiag_terms(gram, term):
-    """(gram, values, counts, terms) of a Gram matrix: gram as a float array,
-    (values, counts) its _offdiag_histogram (every term vanishes at the
-    zeroed diagonal, so each sum runs over the whole array) and terms[i] =
-    term(values[i]).
+    """(values, counts, terms) of a Gram matrix: (values, counts) its
+    _offdiag_histogram (every term vanishes at the zeroed diagonal, so each
+    sum runs over the whole array) and terms[i] = term(values[i]).
 
-    A GramMatrix from frame_gram makes its histogram on the first call and
-    keeps it; every other input makes it on every call.  A rejected Gram
-    matrix raises before anything is kept, and no term is computed for it.
-    The scalar formula runs once per distinct |kappa| on Python floats, so
-    every term equals the scalar formula's bit for bit (numpy's vectorized
-    exp and pow differ from the C library's in the last ulp on a few percent
-    of inputs); shift-structured Grams hold few distinct values."""
-    # np.asarray drops the subclass, so the type is read on gram itself
-    array = np.asarray(gram, dtype=float)
-    if isinstance(gram, GramMatrix) and gram._keeps_histogram:
-        if gram._histogram is None:
-            gram._histogram = _offdiag_histogram(array)
+    A GramMatrix from frame_gram holds its histogram; every other input
+    makes it on every call, and a rejected one raises before any term is
+    computed.  The scalar formula runs once per distinct |kappa| on Python
+    floats, so every term equals the scalar formula's bit for bit (numpy's
+    vectorized exp and pow differ from the C library's in the last ulp on a
+    few percent of inputs); shift-structured Grams hold few distinct
+    values."""
+    if isinstance(gram, GramMatrix) and gram._histogram is not None:
         values, counts = gram._histogram
     else:
-        values, counts = _offdiag_histogram(array)
+        values, counts = _offdiag_histogram(np.asarray(gram, dtype=float))
     terms = np.fromiter(map(term, values.tolist()), float, len(values))
-    return array, values, counts, terms
+    return values, counts, terms
 
 
 def _weighted_fsum(terms, counts):
@@ -212,7 +211,7 @@ def rest_sum(gram, m):
     rounded: the count-weighted sum over the distinct |kappa|."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    _, _, counts, terms = _rest_terms(gram, m)
+    _, counts, terms = _rest_terms(gram, m)
     return _weighted_fsum(terms, counts)
 
 
@@ -223,7 +222,7 @@ def rest_split(gram, m, rho, delta):
         raise ValueError(f"delta={delta} outside (0, 1/3)")
     if not delta <= rho < 1:
         raise ValueError(f"rho={rho} outside [delta, 1)")
-    _, v, c, t = _rest_terms(gram, m)
+    v, c, t = _rest_terms(gram, m)
     return tuple(_weighted_fsum(t[mask], c[mask])
                  for mask in (v >= rho, (v >= delta) & (v < rho), v < delta))
 
@@ -250,11 +249,11 @@ def comparison_bound(gram, threshold, flavor="abs"):
         raise ValueError(f"threshold T={threshold} is not finite")
     factor = 0.25 if flavor == "abs" else 0.125
     t2 = threshold ** 2
-    gram, v, c, t = _offdiag_terms(gram, lambda a: a * math.exp(-t2 / (1.0 + a)))
+    v, c, t = _offdiag_terms(gram, lambda a: a * math.exp(-t2 / (1.0 + a)))
     top = t.max()
+    pair = _first_pair(np.asarray(gram, dtype=float), v[t == top]) if top else (0, 0)
     return ComparisonBound(value=factor * _weighted_fsum(t, c), threshold=threshold,
-                           flavor=flavor, max_term=factor * float(top),
-                           argmax_pair=_first_pair(gram, v[t == top]) if top else (0, 0))
+                           flavor=flavor, max_term=factor * float(top), argmax_pair=pair)
 
 
 def _first_pair(gram, maxima):
@@ -270,15 +269,14 @@ def _first_pair(gram, maxima):
 class GramMatrix(np.ndarray):
     """A read-only Gram matrix, as frame_gram returns it.
 
-    The instance frame_gram returns keeps the (values, counts) histogram of
-    its off-diagonal |kappa| from the first sum on it, so rest_sum,
-    rest_split and comparison_bound on one Gram matrix share one pass over
-    it.  Views, copies and ufunc results are GramMatrix instances that keep
-    nothing, and np.asarray gives a plain ndarray: the sums run the pass on
-    every call for them, as for any array."""
+    The instance frame_gram returns holds the (values, counts) histogram of
+    its off-diagonal |kappa| that frame_gram made, so rest_sum, rest_split
+    and comparison_bound on it run no pass over it.  Views, copies and
+    ufunc results are GramMatrix instances that hold none, and np.asarray
+    gives a plain ndarray: the sums run the pass on every call for them,
+    as for any array."""
 
     def __array_finalize__(self, obj):
-        self._keeps_histogram = False
         self._histogram = None
 
 
@@ -286,15 +284,19 @@ def frame_gram(frame):
     """Dense Gram matrix of the distinct atoms, frame.distinct_positions();
     for diagnostics at modest n.
 
-    Returns a read-only GramMatrix whose base is an array over a read-only
-    buffer, so writing into it and setting flags.writeable on it, on its
-    base or on any view of it all raise; .copy() gives a writable one.  The
-    buffer's exporter (gram.base.base.obj) is the product's own array, which
-    is not to be written: the kept histogram would no longer match the
-    entries.  From the first comparison sum on it, the GramMatrix holds its
-    |kappa| histogram, 16 B per distinct |kappa|, for as long as it lives."""
+    Makes the |kappa| histogram of the comparison sums in one pass over the
+    product, which checks it too: a Gram matrix the sums would reject
+    raises ValueError here.  Returns a read-only GramMatrix that holds the
+    histogram, 16 B per distinct |kappa|, and whose base is an array over a
+    read-only buffer, so writing into it and setting flags.writeable on it,
+    on its base or on any view of it all raise; .copy() gives a writable
+    one.  The buffer's exporter (gram.base.base.obj) is the product's own
+    array, which is not to be written: the histogram would no longer match
+    the entries."""
     atoms = frame.atom(frame.distinct_positions())
+    product = atoms @ atoms.T
+    histogram = _offdiag_histogram(product)
     # no copy: the read-only memoryview shares the product's memory
-    gram = np.asarray(memoryview(atoms @ atoms.T).toreadonly()).view(GramMatrix)
-    gram._keeps_histogram = True
+    gram = np.asarray(memoryview(product).toreadonly()).view(GramMatrix)
+    gram._histogram = histogram
     return gram

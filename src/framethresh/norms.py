@@ -17,6 +17,8 @@ import numpy as np
 from .io import read_signal
 
 KINDS = ("weighted_l2", "pqr_wavelet")
+#: the keys of a JSON norm spec
+_JSON_KEYS = ("kind", "p", "q", "r", "weights", "weights_path")
 
 
 class NormSpecError(ValueError):
@@ -57,11 +59,16 @@ class NormSpec:
         """Parse the JSON text {"kind": ..., "p": ..., "q": ..., "r": ...,
         "weights": [...]} or with a "weights_path" pointing at a signal file
         (io.read_signal).
-        Raises NormSpecError for a malformed spec, and OSError or
-        io.FileFormatError for a weights file that cannot be read."""
+        Raises NormSpecError for a malformed spec or one with any other key,
+        and OSError or io.FileFormatError for a weights file that cannot be
+        read."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise NormSpecError("norm spec must be a JSON object")
+        unknown = sorted(set(obj) - set(_JSON_KEYS))
+        if unknown:
+            raise NormSpecError(f"norm spec takes no key {unknown[0]!r}; it takes "
+                                f"{', '.join(_JSON_KEYS)}")
         weights = obj.get("weights")
         if weights is None and "weights_path" in obj:
             weights = read_signal(str(obj["weights_path"])).tolist()

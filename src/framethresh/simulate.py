@@ -64,12 +64,10 @@ def _noise_blocks(frame, cfg):
 @dataclass
 class EmpiricalDistribution:
     samples: np.ndarray  # sorted ascending
-    count: int
 
     @staticmethod
     def from_samples(values):
-        values = np.sort(np.asarray(values, dtype=float))
-        return EmpiricalDistribution(samples=values, count=len(values))
+        return EmpiricalDistribution(np.sort(np.asarray(values, dtype=float)))
 
 
 def mc_se(p_hat, trials):
@@ -86,7 +84,8 @@ def sample_max_abs(frame, cfg):
 
 
 def rescale_to_gumbel(samples, norms, sigma=1.0):
-    """M -> (M/sigma - b)/a."""
+    """M -> (M/sigma - b)/a, of an EmpiricalDistribution or an array of
+    maxima."""
     if norms.a <= 0:
         raise ValueError("scale constant a must be positive")
     if isinstance(samples, EmpiricalDistribution):
@@ -94,31 +93,26 @@ def rescale_to_gumbel(samples, norms, sigma=1.0):
     return EmpiricalDistribution.from_samples(norms.rescale(samples, sigma))
 
 
-def ks_distance(samples):
-    """Sup-norm distance of the empirical CDF to the Gumbel CDF."""
-    if isinstance(samples, EmpiricalDistribution):
-        dist = samples
-    else:
-        dist = EmpiricalDistribution.from_samples(samples)
-    if dist.count < 10:
+def ks_distance(dist):
+    """Sup-norm distance of an EmpiricalDistribution's CDF to the Gumbel
+    CDF."""
+    count = len(dist.samples)
+    if count < 10:
         raise ValueError("need at least 10 samples for a KS distance")
     g = gumbel_cdf(dist.samples)
-    i = np.arange(1, dist.count + 1)
-    upper = np.max(i / dist.count - g)
-    lower = np.max(g - (i - 1) / dist.count)
+    i = np.arange(1, count + 1)
+    upper = np.max(i / count - g)
+    lower = np.max(g - (i - 1) / count)
     return float(max(upper, lower))
 
 
-def qq_data(samples):
-    """(empirical quantile, Gumbel quantile) pairs at plotting positions
-    (i - 0.5)/count."""
-    if isinstance(samples, EmpiricalDistribution):
-        dist = samples
-    else:
-        dist = EmpiricalDistribution.from_samples(samples)
-    if dist.count < 10:
+def qq_data(dist):
+    """(empirical quantile, Gumbel quantile) pairs of an
+    EmpiricalDistribution at plotting positions (i - 0.5)/count."""
+    count = len(dist.samples)
+    if count < 10:
         raise ValueError("need at least 10 samples for a Q-Q table")
-    p = (np.arange(1, dist.count + 1) - 0.5) / dist.count
+    p = (np.arange(1, count + 1) - 0.5) / count
     gq = -np.log(-np.log(p))
     return np.column_stack([dist.samples, gq])
 
@@ -301,9 +295,10 @@ def oracle_risk_experiment(frame, clean_signal, alpha, cfg):
     (sigma^2/a_n) [ log(1/(1-alpha)) sqrt(pi log m)
                     + (1 + 2 log m) sum_w min(1, x_w^2/sigma^2) ].
 
-    The carry (scaling part) is zeroed on both the estimator and the target,
-    so the comparison is exactly the thresholded-subspace risk the bound
-    controls; for whole-space frames this changes nothing.  The bound's
+    The carry (scaling part) is left out of both the estimator and the
+    target, and every frame synthesizes a missing carry as zero, so the
+    comparison is exactly the thresholded-subspace risk the bound controls;
+    for whole-space frames this changes nothing.  The bound's
     assumption T <= sigma sqrt(2 log m) is checked and reported; the
     experiment still runs when it fails.  The standard error needs at least
     2 trials; fewer raise ValueError.
@@ -320,13 +315,14 @@ def oracle_risk_experiment(frame, clean_signal, alpha, cfg):
     second = (1.0 + 2.0 * math.log(m)) * float(
         np.sum(np.minimum(1.0, (x_clean.values / cfg.sigma) ** 2)))
     bound = (cfg.sigma ** 2 / a_n) * (first + second)
-    target = frame.dual_synthesize(_zero_carry(x_clean, x_clean.values))
+    target = frame.dual_synthesize(
+        CoefficientVector(x_clean.values, x_clean.label_names, x_clean.labels))
     risks = []
     for eps in _noise_blocks(frame, cfg):
         eps += clean  # the fresh noise block becomes the data block
         cv = frame.analyze(eps)
-        est = frame.dual_synthesize(
-            _zero_carry(cv, shrink_value(cv.values, threshold, "soft")))
+        est = frame.dual_synthesize(CoefficientVector(
+            shrink_value(cv.values, threshold, "soft"), cv.label_names, cv.labels))
         risks.append(np.sum((est - target) ** 2, axis=-1))
     risks = np.concatenate(risks)
     emp = float(np.mean(risks))
@@ -335,13 +331,6 @@ def oracle_risk_experiment(frame, clean_signal, alpha, cfg):
                       first_summand=first, second_summand=second,
                       lower_frame_bound=a_n, threshold=threshold,
                       assumption_ok=assumption_ok, trials=cfg.trials)
-
-
-def _zero_carry(cv, values):
-    """values with cv's labels and a zero carry (none if cv has none); the
-    values are taken as they are, not copied."""
-    carry = None if cv.carry is None else np.zeros_like(cv.carry)
-    return CoefficientVector(values, cv.label_names, cv.labels, carry=carry)
 
 
 @dataclass

@@ -398,7 +398,7 @@ class WaveletBasis(Frame):
 def cs_distinct_count(n, M):
     """Number of different atoms among the M-shift copies of the basis
     wavelets at coarsest level 0: n*floor(log2 M) + M*(2^ceil(log2(n/M)) - 1).
-    CycleSpinFrame.distinct_count gives the count at every coarsest level."""
+    CycleSpinFrame.evt_count gives the count at every coarsest level."""
     if M > n:
         raise FrameError(f"shift count M={M} exceeds n={n}")
     if M < 1:
@@ -493,7 +493,7 @@ class CycleSpinFrame(Frame):
         return _shifted_atoms(self.basis._windows, rows, shifts)
 
     @property
-    def distinct_count(self):
+    def evt_count(self):
         """The atoms of scale j are the 2^j basis atoms, spaced n/2^j
         apart, each shifted by m < M: min(M 2^j, n) distinct shifts of the
         scale's base atom."""
@@ -747,9 +747,16 @@ class SineFrame(Frame):
 
 # --- frame construction from JSON specs ---------------------------------------
 
-#: the keys each frame type needs besides n (an explicit frame takes no n)
-_SPEC_KEYS = {"wavelet": (), "cyclespin": ("M",), "ti": (), "sine": (),
-              "explicit": ("matrix_path",)}
+_WAVELET_SPEC_KEYS = ("n", "filters", "coarsest_level")
+#: the keys each frame type takes besides type, named as its constructor's
+#: parameters
+_SPEC_KEYS = {"wavelet": _WAVELET_SPEC_KEYS, "ti": _WAVELET_SPEC_KEYS,
+              "cyclespin": (*_WAVELET_SPEC_KEYS, "M"), "sine": ("n", "oversample"),
+              "explicit": ("matrix_path", "name")}
+#: the keys besides n that a type needs (an explicit frame takes no n)
+_NEEDED_SPEC_KEYS = {"cyclespin": ("M",), "explicit": ("matrix_path",)}
+_SPEC_FRAMES = {"wavelet": WaveletBasis, "cyclespin": CycleSpinFrame, "ti": TIWaveletFrame,
+                "sine": SineFrame}
 _INTEGER_SPEC_KEYS = ("n", "M", "oversample", "coarsest_level")
 _STRING_SPEC_KEYS = ("type", "filters", "matrix_path", "name")
 
@@ -760,8 +767,8 @@ def load_frame_spec(spec):
 
     Raises OSError for an unreadable file, json.JSONDecodeError for bad
     JSON and FrameError for a spec that is not a JSON object, names an
-    unknown type or filter family, lacks a key its type needs or holds a
-    field of the wrong JSON type.
+    unknown type or filter family, lacks a key its type needs, holds a key
+    its type does not take or holds a field of the wrong JSON type.
     """
     if isinstance(spec, str):
         if spec.strip().startswith("{"):
@@ -775,46 +782,43 @@ def load_frame_spec(spec):
         if key in spec and not isinstance(spec[key], str):
             raise FrameError(f"frame spec {key!r} must be a string, got {spec[key]!r}")
     kind = spec.get("type")
-    for key in _SPEC_KEYS.get(kind, ()):
+    for key in _NEEDED_SPEC_KEYS.get(kind, ()):
         if spec.get(key) is None:
             raise FrameError(f"{kind} frame spec needs {key!r}")
     for key in _INTEGER_SPEC_KEYS:
         value = spec.get(key)
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, (int, np.integer))):
+        if key in spec and (isinstance(value, bool)
+                            or not isinstance(value, (int, np.integer))):
             raise FrameError(f"frame spec {key!r} must be an integer, got {value!r}")
     if kind not in _SPEC_KEYS:
         raise FrameError(f"unknown frame type {kind!r}")
-    if kind in ("wavelet", "cyclespin", "ti"):
-        get_filters(spec.get("filters", "haar"))
+    unknown = sorted(set(spec) - {"type", *_SPEC_KEYS[kind]})
+    if unknown:
+        raise FrameError(f"{kind} frame spec takes no key {unknown[0]!r}; it takes "
+                         f"{', '.join(_SPEC_KEYS[kind])}")
+    if "filters" in spec:
+        get_filters(spec["filters"])
     return spec
 
 
 def frame_from_spec(spec):
     """Build a frame from a JSON spec string, dict, or file path.
 
-    {"type": "wavelet"|"cyclespin"|"ti"|"sine"|"explicit", "n": ...,
-     "filters": "haar"|"d4"|"cdf97"|"cdf97r", "M": ..., "oversample": ...,
-     "matrix_path": ..., "coarsest_level": ..., "name": ...}
+    {"type": "wavelet"|"ti", "n": ..., "filters": "haar"|"d4"|"cdf97"|"cdf97r",
+     "coarsest_level": ...}, cyclespin the same plus "M",
+    {"type": "sine", "n": ..., "oversample": ...} or
+    {"type": "explicit", "matrix_path": ..., "name": ...}
 
-    n, M, oversample and coarsest_level must be JSON integers; type,
-    filters, matrix_path and name JSON strings.  An explicit frame's matrix
-    is read with io.read_matrix: OSError for an unreadable file,
-    io.FileFormatError for one that does not parse.
+    Any other key raises FrameError.  n, M, oversample and coarsest_level
+    must be JSON integers; type, filters, matrix_path and name JSON
+    strings.  A key left out takes the constructor's default.  An explicit
+    frame's matrix is read with io.read_matrix: OSError for an unreadable
+    file, io.FileFormatError for one that does not parse.
     """
-    spec = load_frame_spec(spec)
-    kind = spec["type"]
-    if kind != "explicit" and spec.get("n") is None:
+    args = dict(load_frame_spec(spec))
+    kind = args.pop("type")
+    if kind == "explicit":
+        return ExplicitFrame(read_matrix(args.pop("matrix_path")), **args)
+    if "n" not in args:
         raise FrameError(f"{kind} frame spec needs 'n'")
-    if kind == "wavelet":
-        return WaveletBasis(spec["n"], spec.get("filters", "haar"),
-                            spec.get("coarsest_level", 0))
-    if kind == "cyclespin":
-        return CycleSpinFrame(spec["n"], spec["M"], spec.get("filters", "haar"),
-                              spec.get("coarsest_level", 0))
-    if kind == "ti":
-        return TIWaveletFrame(spec["n"], spec.get("filters", "haar"),
-                              spec.get("coarsest_level", 0))
-    if kind == "sine":
-        return SineFrame(spec["n"], spec.get("oversample", 1))
-    return ExplicitFrame(read_matrix(spec["matrix_path"]), name=spec.get("name", "explicit"))
+    return _SPEC_FRAMES[kind](**args)

@@ -184,7 +184,7 @@ def test_criterion_06_coverage():
 
 def test_criterion_07_sidak_domination():
     frame = TIWaveletFrame(256, "haar")
-    rows = sidak_experiment(frame, frame.distinct_count, (2.5, 3.0, 3.5),
+    rows = sidak_experiment(frame, frame.evt_count, (2.5, 3.0, 3.5),
                             McConfig(trials=TRIALS, seed=7001))
     for row in rows:
         assert row.dominates, row

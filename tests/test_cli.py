@@ -84,6 +84,23 @@ def test_denoise_example_fixture(tmp_path):
     assert (tmp_path / "est.csv.manifest.json").exists()
 
 
+def test_denoise_evt_counts_a_repeated_explicit_atom_once(tmp_path):
+    """The evt rule fits |Omega| = 2 to the explicit frame [[1, 0], [1, 0],
+    [0, 1]]: its repeated row is one atom, though analysis keeps all 3."""
+    from framethresh import evt
+    matrix, sig, rep = tmp_path / "m.csv", tmp_path / "x.csv", tmp_path / "r.json"
+    np.savetxt(matrix, [[1, 0], [1, 0], [0, 1]], delimiter=",")
+    ftio.write_signal(sig, np.array([0.5, -4.0]))
+    code = main(["denoise", "--input", str(sig),
+                 "--frame-spec", json.dumps({"type": "explicit", "matrix_path": str(matrix)}),
+                 "--threshold-rule", "evt", "--alpha", "0.1",
+                 "--output", str(tmp_path / "o.csv"), "--report", str(rep)])
+    assert code == 0
+    report = json.loads(rep.read_text())
+    assert report["atom_count"] == 3
+    assert report["threshold_used"] == evt.evt_threshold(1.0, 0.1, 2)
+
+
 def test_denoise_missing_input_is_io_error(tmp_path, capsys):
     code, _, err = run_main(capsys, ["denoise", "--input", str(tmp_path / "nope.csv"),
                                      "--frame-spec", '{"type":"sine","n":64}',
@@ -209,7 +226,7 @@ def test_diagnose_ti_bounds(tmp_path):
 
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_diagnose_sums_equal_sums_on_a_plain_gram(tmp_path, n):
-    # diagnose runs every sum on one frame_gram result, which keeps its
+    # diagnose runs every sum on one frame_gram result, which holds its
     # |kappa| histogram; a plain array copy pays the pass on every call
     from framethresh.diagnostics import comparison_bound, frame_gram, rest_split, rest_sum
     from framethresh.transforms import TIWaveletFrame
@@ -347,7 +364,9 @@ def test_simulate_risk_missing_clean_is_io_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec, key", [('{"type":"wavelet","n":"16"}', "'n'"),
-                                       ('{"type":"sine","n":16.5}', "'n'")])
+                                       ('{"type":"sine","n":16.5}', "'n'"),
+                                       ('{"type":"sine","n":16,"oversample":null}',
+                                        "'oversample'")])
 def test_denoise_non_integer_spec_field_is_validation_error(tmp_path, spec, key, capsys):
     sig = tmp_path / "x.csv"
     ftio.write_signal(sig, np.zeros(16))
@@ -664,6 +683,7 @@ _DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", 
     ([*_SMOOTH, "--norm-spec", '{"kind":"weighted_l2","weights_path":"@BIN"}'],
      3, "--norm-spec"),
     ([*_SMOOTH, "--norm-spec", '{"kind":"weighted_l2","weights":[1,2]}'], 2, "--norm-spec"),
+    ([*_SMOOTH, "--norm-spec", '{"kind":"pqr_wavelet","P":1}'], 3, "--norm-spec"),
     (["simulate", "--experiment", "smoothness", "--frame-spec", '{"type":"sine","n":16}',
       "--alpha", "0.1", "--trials", "4", "--seed", "1"], 2, "--norm-spec"),
     ([*_SMOOTH, "--rule", "hard"], 2, "--rule"),
@@ -677,6 +697,9 @@ _DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", 
      2, "--frame-spec"),
     (_simulate("risk", '{"type":"wavelet","n":4}', "--alpha", "0.999999"), 2, "--frame-spec"),
     ([*_SPEC_DENOISE, '{"type":"wavelet","n":16,"filters":5}'], 2, "--frame-spec"),
+    ([*_SPEC_DENOISE, '{"type":"wavelet","n":16,"filter":"d4"}'], 2, "--frame-spec"),
+    ([*_SPEC_DENOISE, '{"type":"sine","n":16,"oversampling":2}'], 2, "--frame-spec"),
+    ([*_SPEC_DENOISE, '{"type":"wavelet","n":16,"M":4}'], 2, "--frame-spec"),
     ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":5}'], 2, "--frame-spec"),
     ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":"@MATRIX","name":5}'],
      2, "--frame-spec"),
@@ -691,6 +714,8 @@ _DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", 
      2, "--n-list"),
     (["diagnose", "--frame-spec", '{"type":"cyclespin","M":4}', "--n-list", "2", "8", "16"],
      2, "--n-list"),
+    (["diagnose", "--frame-spec", '{"type":"ti","filter":"d4"}', "--n-list", "4", "8", "16"],
+     2, "--frame-spec"),
     ([*_DIAGNOSE, "--delta", "5"], 2, "--delta"),
     ([*_DIAGNOSE, "--delta", "nan"], 2, "--delta"),
     ([*_DIAGNOSE, "--delta", "0.3", "--rho", "0.2"], 2, "--delta"),
@@ -705,14 +730,18 @@ _DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", 
          "sidak-reference-m-negative", "risk1d-mu-nan", "ti-z-nan", "gumbel-alpha-1.5",
          "norm-spec-list", "norm-spec-p-string", "norm-spec-p-nan", "norm-spec-weights-number",
          "norm-spec-weights-path-missing", "norm-spec-weights-path-number",
-         "norm-spec-weights-path-binary", "norm-spec-weights-length", "norm-spec-sine-labels",
+         "norm-spec-weights-path-binary", "norm-spec-weights-length", "norm-spec-unknown-key",
+         "norm-spec-sine-labels",
          "simulate-rule-hard", "gumbel-one-atom", "coverage-one-atom", "risk-one-atom",
          "smoothness-one-atom-wavelet", "smoothness-one-atom-sine",
          "coverage-cyclespin-rule-M-1", "risk-negative-threshold",
-         "frame-spec-filters-number", "frame-spec-matrix-path-number",
+         "frame-spec-filters-number", "frame-spec-wavelet-filter-key",
+         "frame-spec-sine-oversampling-key", "frame-spec-wavelet-M-key",
+         "frame-spec-matrix-path-number",
          "frame-spec-name-number", "frame-spec-binary-file", "frame-spec-matrix-not-numbers",
          "frame-spec-matrix-missing", "frame-spec-matrix-nan", "simulate-matrix-nan",
-         "diagnose-wavelet-n-3", "diagnose-cyclespin-n-2", "diagnose-delta-5",
+         "diagnose-wavelet-n-3", "diagnose-cyclespin-n-2", "diagnose-ti-filter-key",
+         "diagnose-delta-5",
          "diagnose-delta-nan", "diagnose-delta-above-rho", "replay-binary-manifest", "sigma-before-file-error",
          "denoise-alpha-unused", "denoise-c-unused", "denoise-z-unused"])
 def test_malformed_input_takes_the_exit_code_contract(tmp_path, capsys, args, code, flag):

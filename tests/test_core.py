@@ -352,10 +352,11 @@ def test_gram_counts_orthonormal_zero(haar64):
 
 
 def test_gram_counts_duplicated_atom():
-    mat = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    fr = ExplicitFrame(mat)
+    # a repeated row is one distinct atom, so it forms no pair with itself
+    fr = ExplicitFrame(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert fr.evt_count == 2 and fr.distinct_positions().tolist() == [0, 2]
     summary = gram_coherence_counts(fr, [1.0])
-    assert summary.coherence_counts[1.0] >= 2  # the duplicate pair, both orders
+    assert summary.coherence_counts[1.0] == 0 and summary.distinct_count == 2
 
 
 def test_gram_counts_match_exhaustive_enumeration():
@@ -373,7 +374,11 @@ def test_gram_counts_match_exhaustive_enumeration():
 _DISTINCT_FRAMES = {"wavelet": WaveletBasis, "ti": TIWaveletFrame, "cyclespin": CycleSpinFrame,
                     "sine": SineFrame,
                     "explicit": lambda *shape: ExplicitFrame(
-                        np.random.default_rng(7).standard_normal(shape))}
+                        np.random.default_rng(7).standard_normal(shape)),
+                    # rows 2 and 4 repeat rows 0 and 3 after normalization,
+                    # row 4 with a -0.0
+                    "explicit-repeated": lambda: ExplicitFrame(
+                        [[1, 0, 0], [0, 1, 0], [2, 0, 0], [0, 0, 1], [-0.0, 0, 3]])}
 
 
 @pytest.mark.parametrize("kind, args", [
@@ -382,13 +387,14 @@ _DISTINCT_FRAMES = {"wavelet": WaveletBasis, "ti": TIWaveletFrame, "cyclespin": 
     *(("cyclespin", (32, M, f, c)) for f in ("haar", "d4") for M in (1, 2, 4, 8)
       for c in (0, 1, 2)),
     *(("sine", (16, r)) for r in (1, 2, 3)),
-    ("explicit", (24, 16))], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
+    ("explicit", (24, 16)), ("explicit-repeated", ())],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
 def test_one_distinct_count_per_frame(kind, args):
-    """The threshold rules' |Omega|, the frame's distinct count, its
-    representatives and the census agree, and count the different atoms."""
+    """The threshold rules' |Omega|, the frame's representatives and the
+    census agree, and count the different atoms."""
     frame = _DISTINCT_FRAMES[kind](*args)
-    count = frame.distinct_count
-    assert frame.evt_count == count == len(frame.distinct_positions())
+    count = frame.evt_count
+    assert count == len(frame.distinct_positions())
     assert gram_coherence_counts(frame, [0.5]).distinct_count == count
     atoms = frame.atom(np.arange(frame.atom_count)).round(12) + 0.0  # -0.0 to 0.0
     assert len(np.unique(atoms, axis=0)) == count
@@ -615,18 +621,10 @@ def test_structure_census_touches_only_tie_tiles(monkeypatch, frame, level, tied
     assert len(atoms) == len(rows) + sum(i != j for i, j in tiles)
 
 
-def test_census_fails_fast_without_frame_bounds(monkeypatch):
-    """Bounds come first: a frame whose bounds raise materializes no atom."""
-    frame = CycleSpinFrame(8192, 4, "haar", coarsest_level=1)
-    calls = _spy(monkeypatch, CycleSpinFrame, "atom")
-    with pytest.raises(FrameError, match="dense eigensolve limit"):
-        gram_coherence_counts(frame, [0.5])
-    assert calls == []
-
-
 def test_structure_census_memory_within_dense_route(monkeypatch):
-    """tracemalloc peak of the census on cyclespin haar n=4096 against the
-    same steps on the dense route: bounds, positions and the tile loop.
+    """tracemalloc peak of bounds and census on cyclespin haar n=4096
+    against the same steps on the dense route: bounds, positions and the
+    tile loop.
     The dense loop holds two atom blocks and a tile from its second tile on,
     so its first three tiles reach its peak (the whole loop takes 1176)."""
     import itertools
@@ -643,6 +641,7 @@ def test_structure_census_memory_within_dense_route(monkeypatch):
             _dense_route(frame, [0.5])
 
     def structure(frame):
+        frame_bounds(frame)
         return gram_coherence_counts(frame, [0.5]).coherence_counts[0.5]
 
     results, peaks = {}, {}

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framethresh import diagnostics
+from framethresh.core import FrameError
 from framethresh.diagnostics import (ComparisonBound, GramMatrix, _weighted_fsum,
                                      comparison_bound, frame_gram, rest_split,
                                      rest_sum, stability_check)
@@ -248,7 +249,7 @@ def _oracle_hex(gram, thresholds, oracle=None):
 
 @pytest.mark.parametrize("bound_first", [False, True], ids=["rest-first", "bound-first"])
 def test_kept_histogram_sums_equal_whole_matrix_in_either_order(bound_first, block_oracles):
-    # the frame_gram results keep their histogram from the first call on
+    # the frame_gram results hold the histogram frame_gram made
     for gram, oracle in zip(_block_grams(), block_oracles, strict=True):
         assert _sums_hex(gram, _THRESHOLDS, bound_first) == _oracle_hex(gram, _THRESHOLDS, oracle)
         if isinstance(gram, GramMatrix):
@@ -275,10 +276,11 @@ def _count_passes(monkeypatch):
 
 
 def test_one_histogram_pass_per_frame_gram(monkeypatch):
-    gram = frame_gram(TIWaveletFrame(64, "haar"))
+    # frame_gram runs the one pass; no sum on its result runs another
     passes = _count_passes(monkeypatch)
-    sums = _sums_hex(gram, (2.0, 3.0))
+    gram = frame_gram(TIWaveletFrame(64, "haar"))
     assert passes() == 1
+    sums = _sums_hex(gram, (2.0, 3.0))
     assert _sums_hex(gram, (2.0, 3.0)) == sums
     assert passes() == 1
     # views, copies and plain arrays pay the pass on every call (4 calls)
@@ -329,12 +331,9 @@ class _Atoms:
 
 
 def test_rejected_frame_gram_keeps_nothing():
-    gram = frame_gram(_Atoms(2.0 * np.eye(3)))
-    for _ in range(2):
-        for call in (lambda: rest_sum(gram, 3), lambda: comparison_bound(gram, 2.0)):
-            with pytest.raises(ValueError, match="diagonal must be 1"):
-                call()
-        assert gram._histogram is None
+    # frame_gram checks the Gram matrix as it makes the histogram
+    with pytest.raises(ValueError, match="diagonal must be 1"):
+        frame_gram(_Atoms(2.0 * np.eye(3)))
 
 
 def _bad_grams():
@@ -521,6 +520,21 @@ def test_stability_counts_even_and_diagonal_variant():
     for row in report.rows:
         assert row.count_geq_rho % 2 == 0
         assert row.count_with_diagonal == row.count_geq_rho + row.omega_count
+
+
+def test_stability_fails_fast_without_frame_bounds(monkeypatch):
+    """Bounds come first, largest n first: a family whose largest frame
+    has none (cyclespin above coarsest level 0, n = 8192 past the dense
+    eigensolve) raises before any bounds or census of the smaller ones, so
+    no atom is materialized."""
+    calls = []
+    original = CycleSpinFrame.atom
+    monkeypatch.setattr(CycleSpinFrame, "atom",
+                        lambda self, position: calls.append(position) or original(self, position))
+    frames = [CycleSpinFrame(n, 4, "haar", coarsest_level=1) for n in (1024, 2048, 8192)]
+    with pytest.raises(FrameError, match="n=8192 exceeds the dense eigensolve limit"):
+        stability_check(frames, rho=0.5)
+    assert calls == []
 
 
 def test_stability_needs_three_frames():

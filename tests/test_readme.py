@@ -1,11 +1,14 @@
-"""The README's shell recipes parse with the CLI's own argument parser, so a
-recipe that keeps a removed or renamed flag fails the suite."""
+"""The README's shell recipes parse with the CLI's own argument parser, and
+their frame and norm specs load, so a recipe that keeps a removed or renamed
+flag or spec key fails the suite."""
 
 import re
 import shlex
 from pathlib import Path
 
 from framethresh.cli import build_parser
+from framethresh.norms import NormSpec
+from framethresh.transforms import load_frame_spec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,7 +31,14 @@ def test_readme_commands_parse():
     # the CLI section and the experiment recipes
     assert len(commands) >= 12, commands
     subcommands = set()
+    frame_specs = 0
     for command in commands:
         args = build_parser().parse_args(shlex.split(command, comments=True)[1:])
         subcommands.add(args.subcommand)
+        if getattr(args, "frame_spec", None) is not None:
+            load_frame_spec(args.frame_spec)
+            frame_specs += 1
+        if getattr(args, "norm_spec", None) is not None:
+            NormSpec.from_json(args.norm_spec)
     assert subcommands == {"thresholds", "denoise", "simulate", "diagnose", "replay"}
+    assert frame_specs >= 10, frame_specs

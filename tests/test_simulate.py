@@ -11,7 +11,7 @@ from framethresh.rng import normal as rng_normal
 from framethresh.rng import open_uniform, stream_normal, trial_generator
 from framethresh.shrink import shrink_value
 from framethresh.signals import piecewise_constant
-from framethresh.simulate import (McConfig,
+from framethresh.simulate import (EmpiricalDistribution, McConfig,
                                   comparison_bound_experiment,
                                   coverage_experiment, exact_independent_coverage,
                                   ks_distance, mc_se, oracle_risk_experiment,
@@ -40,7 +40,7 @@ def test_sample_max_abs_zero_sigma():
 def test_sample_max_abs_sorted_and_counted():
     frame = WaveletBasis(16, "haar")
     dist = sample_max_abs(frame, McConfig(trials=57, seed=3))
-    assert dist.count == 57
+    assert len(dist.samples) == 57
     assert np.all(np.diff(dist.samples) >= 0)
 
 
@@ -80,7 +80,7 @@ def test_rescale_affine_equivalence(rng):
     resc = rescale_to_gumbel(raw, norms)
     ks1 = ks_distance(resc)
     z = np.sort((raw - norms.b) / norms.a)
-    ks2 = ks_distance(z)
+    ks2 = ks_distance(EmpiricalDistribution.from_samples(z))
     assert ks1 == pytest.approx(ks2, abs=1e-15)
 
 
@@ -89,24 +89,25 @@ def test_ks_exact_gumbel_draws():
     rng = np.random.default_rng(11)
     u = (rng.integers(0, 2 ** 53, 100_000) + 0.5) / 2 ** 53
     z = -np.log(-np.log(u))
-    assert ks_distance(z) < 0.01
+    assert ks_distance(EmpiricalDistribution.from_samples(z)) < 0.01
 
 
 def test_ks_single_mass_at_median():
     samples = np.full(10, -math.log(math.log(2.0)))  # Gumbel median
-    assert ks_distance(samples) == pytest.approx(0.5, abs=1e-12)
+    assert ks_distance(EmpiricalDistribution.from_samples(samples)) == pytest.approx(
+        0.5, abs=1e-12)
 
 
 def test_ks_needs_ten_samples():
     with pytest.raises(ValueError):
-        ks_distance(np.zeros(5))
+        ks_distance(EmpiricalDistribution.from_samples(np.zeros(5)))
 
 
 def test_qq_diagonal_for_plotting_positions():
     count = 200
     p = (np.arange(1, count + 1) - 0.5) / count
     samples = -np.log(-np.log(p))
-    pairs = qq_data(samples)
+    pairs = qq_data(EmpiricalDistribution.from_samples(samples))
     assert np.max(np.abs(pairs[:, 0] - pairs[:, 1])) < 1e-12
 
 
@@ -408,4 +409,4 @@ def test_mc_config_rejects_seed_outside_uint64(seed):
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
 def test_mc_config_accepts_uint64_seed_end_points(seed):
     dist = sample_max_abs(WaveletBasis(16, "haar", 2), McConfig(trials=2, seed=seed))
-    assert dist.count == 2 and np.all(np.isfinite(dist.samples))
+    assert len(dist.samples) == 2 and np.all(np.isfinite(dist.samples))

@@ -330,7 +330,7 @@ def test_cs_distinct_count_matches_enumeration():
 def test_cyclespin_distinct_count_at_level_0_is_the_closed_form():
     for n in (2 ** J for J in range(1, 13)):
         for M in (2 ** a for a in range(n.bit_length())):
-            assert CycleSpinFrame(n, M, "haar").distinct_count == cs_distinct_count(n, M)
+            assert CycleSpinFrame(n, M, "haar").evt_count == cs_distinct_count(n, M)
 
 
 def test_cs_distinct_count_rejects_M_above_n():
@@ -452,7 +452,7 @@ def test_ti_shift_equivariance():
 def test_ti_distinct_count():
     ti = TIWaveletFrame(64, "haar")
     assert ti.atom_count == 64 * 6  # n log2 n
-    assert ti.distinct_count == ti.atom_count
+    assert ti.evt_count == ti.atom_count
 
 
 def _ti_full_fft_synthesis(frame, values, carry):
