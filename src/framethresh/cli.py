@@ -306,11 +306,18 @@ def _run_experiment(args, cfg, report):
 
 # --- diagnose -------------------------------------------------------------------
 
+#: what diagnose says of an explicit frame spec, in its help and its error
+_DIAGNOSE_TYPES = ("diagnose builds one frame per --n-list size, so it takes wavelet, "
+                   "cyclespin, ti and sine specs")
+
+
 def cmd_diagnose(args):
     if args.delta is not None and args.delta > args.rho:
         raise CliError(EXIT_VALIDATION, f"--delta {args.delta} is above --rho {args.rho}",
                        "--delta")
     template = _read("--frame-spec", load_frame_spec, args.frame_spec)
+    if template["type"] == "explicit":
+        raise CliError(EXIT_VALIDATION, _DIAGNOSE_TYPES, "--frame-spec")
     frames = [_read("--n-list", frame_from_spec, {**template, "n": n}) for n in args.n_list]
     try:
         stab = stability_check(frames, args.rho)
@@ -438,7 +445,7 @@ def build_parser():
     s.set_defaults(func=cmd_simulate)
 
     g = sub.add_parser("diagnose", help="stability census and comparison bounds")
-    g.add_argument("--frame-spec", required=True)
+    g.add_argument("--frame-spec", required=True, help=_DIAGNOSE_TYPES)
     g.add_argument("--n-list", type=int, nargs="+", required=True)
     g.add_argument("--rho", type=_PROBABILITY, default=0.5)
     g.add_argument("--delta", type=_ranged(float, lambda x: 0 < x < 1 / 3, "in (0, 1/3)"),

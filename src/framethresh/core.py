@@ -440,7 +440,11 @@ class ExplicitFrame(Frame):
     byte to the matrix products on finite input (adding 0.0 turns a -0.0
     into the +0.0 the products give).  The one difference: a non-finite
     entry stays in its own coordinate, where the product spreads NaN
-    through 0 * inf across the whole row.
+    through 0 * inf across the whole row.  is_signed_permutation says
+    whether a frame takes this route; simulate.sample_max_abs then skips
+    the analysis, since each coefficient is a noise coordinate times +-1
+    and a trial's max |coefficient| is its noise's max |eps_i|, which
+    rng.max_abs_normal returns bit for bit from the extreme uniforms.
     """
 
     def __init__(self, matrix, name="explicit"):
@@ -491,6 +495,11 @@ class ExplicitFrame(Frame):
             _, _, rows, row_signs = self._permutation
             return _signed_gather(coeffs.values, rows, row_signs)
         return coeffs.values @ self._pinv.T
+
+    @property
+    def is_signed_permutation(self):
+        """Whether the unit rows form a signed permutation (read-only)."""
+        return self._permutation is not None
 
     def atom(self, position):
         return self._atoms[position].copy()

@@ -7,14 +7,23 @@ generator is re-keyed to (seed, t) for each row t, which puts it in exactly
 the state of a fresh generator for that key, so row t is trial t's own draw
 and the block layout changes no draw.  Normal variates go through the
 inverse-CDF transform applied to open-interval uniforms (k + 0.5)/2^53,
-k = next_uint64 >> 11 (scipy's ndtri rational approximation, absolute error
-well below 1e-9), keeping the streams platform-independent; the top word,
-whose quotient rounds to 1.0, takes 1 - 2^-53, so every normal is finite.
+k = next_uint64 >> 11 (scipy's ndtri rational approximation, within 1e-13
+of the exact inverse on that grid, as a test checks), keeping the streams
+platform-independent; the top word, whose quotient rounds to 1.0, takes
+1 - 2^-53, so every normal is finite.
 Blocks and streams are made in their output array: Generator.random fills
 it with k * 2^-53, adding 2^-54 rounds exactly as k + 0.5 does before the
 exact division, and ndtri and the sigma scaling run in place, so a draw
 allocates nothing beside its output.  scipy.special is imported on the first draw,
 not with this module, so that runs which draw nothing never load it.
+
+max_abs_normal returns only each row's max |N| of a block, for frames
+whose analysis reorders coordinates and flips signs (simulate uses it on
+signed-permutation explicit frames, the identity among them).  It draws the
+same uniforms as normal and runs ndtri only on those within 2^-40 of their
+row's largest or smallest one; since every step from a word to its normal
+is monotone and ndtri's error is far below what 2^-40 moves it, that
+returns the same floats as the full transform (see _max_abs_in_place).
 """
 
 from __future__ import annotations
@@ -48,7 +57,21 @@ def normal(seed, trial, size, sigma=1.0):
     row i being trial[i]'s own draw (one trial is row 0 of a one-row
     block)."""
     single = np.ndim(trial) == 0
-    trials = [trial] if single else list(trial)
+    u = _normal_in_place(_uniform_rows(seed, [trial] if single else trial, size), sigma)
+    return u[0] if single else u
+
+
+def max_abs_normal(seed, trials, size, sigma=1.0):
+    """Each row's max |N| of the block normal(seed, trials, size, sigma), a
+    (len(trials),) array equal bit for bit to np.max(np.abs(normal(seed,
+    trials, size, sigma)), axis=-1), from the same uniforms with the inverse
+    CDF run on a few per row (_max_abs_in_place says which and why)."""
+    return _max_abs_in_place(_uniform_rows(seed, trials, size), sigma)
+
+
+def _uniform_rows(seed, trials, size):
+    """The (len(trials), size) block of k * 2^-53 words, row i drawn from
+    trial[i]'s own stream."""
     gen = trial_generator(seed, 0)
     bits = gen.bit_generator
     # a fresh generator's state (counter 0, empty buffer); only the key's
@@ -59,8 +82,7 @@ def normal(seed, trial, size, sigma=1.0):
         state["state"]["key"][1] = t
         bits.state = state
         gen.random(out=u[row])
-    u = _normal_in_place(u, sigma)
-    return u[0] if single else u
+    return u
 
 
 def stream_normal(gen, size, sigma=1.0):
@@ -88,3 +110,40 @@ def _normal_in_place(u, sigma):
     if sigma != 1:
         u *= sigma
     return u
+
+
+#: half-width of the window around a row's extreme uniforms in which
+#: _max_abs_in_place runs ndtri
+_WINDOW = 2.0 ** -40
+
+
+def _max_abs_in_place(u, sigma):
+    """Each row's max |sigma * ndtri(u + 2^-54)| of a (B, size) block of
+    u = k * 2^-53 words (u is overwritten): the same floats as
+    np.max(np.abs(_normal_in_place(u, sigma)), axis=-1).
+
+    A row's max |x| is the larger of |max x| and |min x|, and every step
+    from a word to its normal (the half step, the top-word clip, ndtri,
+    the sigma product) is nondecreasing in exact arithmetic, so the row's
+    largest and smallest normals come from its largest and smallest
+    uniforms.  ndtri is computed, not exact, so it runs on every uniform
+    within 2^-40 of its row's largest or smallest one, not on those two
+    alone: ndtri' = 1/phi(ndtri) >= sqrt(2 pi), so a uniform outside that
+    window lies at least 2.3e-12 below (above) the extreme one in exact
+    ndtri, about 1000 times scipy's ndtri error, and its computed normal
+    is strictly smaller (larger).  The half step and the max reductions run
+    on the whole block, ndtri, the clip and the sigma product on the window
+    only: a couple of values per row."""
+    from scipy.special import ndtri
+    u += _HALF_STEP
+    near = u >= u.max(axis=-1, keepdims=True) - _WINDOW
+    near |= u <= u.min(axis=-1, keepdims=True) + _WINDOW
+    index = np.flatnonzero(near)
+    rows = index // u.shape[-1]
+    x = ndtri(np.minimum(u.ravel()[index], _TOP))
+    if sigma != 1:
+        x *= sigma
+    np.abs(x, out=x)
+    # every row has a window value (its largest), and flatnonzero lists the
+    # rows in order, so each row's window is one run of x
+    return np.maximum.reduceat(x, np.flatnonzero(np.diff(rows, prepend=-1)))

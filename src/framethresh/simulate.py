@@ -8,7 +8,11 @@ row is its trial's own draw, and each block goes through one batched
 analyze, shrink and reduce (and one dual_synthesize for the risk).  A block
 holds at most _BLOCK_ENTRIES coefficients, so memory stays bounded at every
 n, and the layout depends only on the frame's atom count and the trial
-count.
+count.  sample_max_abs on a signed-permutation explicit frame (the identity
+among them) skips the analysis: its coefficients are the noise coordinates
+times +-1, so each block's maxima come from rng.max_abs_normal, which runs
+the inverse CDF only on each row's extreme uniforms and returns the floats
+the analysis route would, bit for bit.
 
 One-sided distributional checks use 3 Monte Carlo standard errors of slack;
 two-sided exact-oracle checks use 3 s.e. around the exact value.
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .core import CoefficientVector, frame_bounds
+from .core import CoefficientVector, ExplicitFrame, frame_bounds
 from .diagnostics import comparison_bound
 from .evt import (evt_threshold, gumbel_cdf, norms_chi, ti_threshold_at_z,
                   universal_threshold)
@@ -52,12 +56,17 @@ class McConfig:
 _BLOCK_ENTRIES = 1 << 18
 
 
+def _trial_blocks(frame, cfg):
+    """Consecutive ranges of trial indices, one per block."""
+    per_block = max(1, _BLOCK_ENTRIES // frame.atom_count)
+    for start in range(0, cfg.trials, per_block):
+        yield range(start, min(start + per_block, cfg.trials))
+
+
 def _noise_blocks(frame, cfg):
     """The noise of consecutive trial blocks, as (B, n) arrays in trial
     order; row t is trial t's own draw."""
-    per_block = max(1, _BLOCK_ENTRIES // frame.atom_count)
-    for start in range(0, cfg.trials, per_block):
-        trials = range(start, min(start + per_block, cfg.trials))
+    for trials in _trial_blocks(frame, cfg):
         yield _rng.normal(cfg.seed, trials, frame.n, cfg.sigma)
 
 
@@ -77,15 +86,28 @@ def mc_se(p_hat, trials):
 # --- max statistics -----------------------------------------------------------
 
 def sample_max_abs(frame, cfg):
-    """Per trial: draw white noise, return max_w |<phi_w, eps>|."""
-    maxima = [np.max(np.abs(frame.analyze(eps).values), axis=-1)
-              for eps in _noise_blocks(frame, cfg)]
+    """Per trial: draw white noise, return max_w |<phi_w, eps>|.
+
+    On an ExplicitFrame whose atoms form a signed permutation (the identity
+    among them) the coefficients are the noise's coordinates, reordered
+    and sign-flipped, so a trial's maximum is its noise's max |eps_i|, which
+    rng.max_abs_normal returns without the analysis and with the inverse
+    CDF run on a few values per trial; the floats are the ones the analysis
+    route gives, bit for bit."""
+    if isinstance(frame, ExplicitFrame) and frame.is_signed_permutation:
+        maxima = [_rng.max_abs_normal(cfg.seed, trials, frame.n, cfg.sigma)
+                  for trials in _trial_blocks(frame, cfg)]
+    else:
+        maxima = [np.max(np.abs(frame.analyze(eps).values), axis=-1)
+                  for eps in _noise_blocks(frame, cfg)]
     return EmpiricalDistribution.from_samples(np.concatenate(maxima))
 
 
 def rescale_to_gumbel(samples, norms, sigma=1.0):
     """M -> (M/sigma - b)/a, of an EmpiricalDistribution or an array of
-    maxima."""
+    maxima; sigma must be positive."""
+    if not sigma > 0:
+        raise ValueError(f"sigma must be > 0 to rescale maxima, got {sigma}")
     if norms.a <= 0:
         raise ValueError("scale constant a must be positive")
     if isinstance(samples, EmpiricalDistribution):
@@ -180,7 +202,11 @@ class SidakRow:
 
 def sidak_experiment(dependent_frame, reference_m, thresholds, cfg):
     """Dependent max-abs coverage vs the exact independent reference with
-    reference_m coefficients; asserts dependent >= independent - 3 se."""
+    reference_m coefficients; asserts dependent >= independent - 3 se.
+    The reference needs sigma > 0; sigma = 0 raises ValueError before any
+    draw."""
+    if not cfg.sigma > 0:
+        raise ValueError(f"sidak reference needs sigma > 0, got sigma={cfg.sigma}")
     maxima = sample_max_abs(dependent_frame, cfg)
     rows = []
     for T in thresholds:

@@ -767,3 +767,21 @@ def test_malformed_input_takes_the_exit_code_contract(tmp_path, capsys, args, co
     assert (rc, payload["code"], payload["flag"]) == (code, code, flag), payload
     assert payload["kind"] == {2: "validation", 3: "parse", 4: "io"}[code]
     assert out == "" and sorted(tmp_path.iterdir()) == inputs
+
+
+def test_diagnose_refuses_an_explicit_frame_spec(tmp_path, capsys):
+    # diagnose sets n from --n-list, which an explicit matrix cannot take;
+    # the spec is refused before its matrix file is read
+    out = tmp_path / "d.json"
+    spec = json.dumps({"type": "explicit", "matrix_path": str(tmp_path / "eye8.csv")})
+    rc, stdout, err = run_main(capsys, ["diagnose", "--frame-spec", spec,
+                                        "--n-list", "8", "16", "32", "--out", str(out)])
+    payload = json.loads(err)["error"]
+    assert (rc, payload["kind"], payload["flag"]) == (2, "validation", "--frame-spec")
+    assert payload["message"] == ("diagnose builds one frame per --n-list size, so it "
+                                  "takes wavelet, cyclespin, ti and sine specs")
+    assert stdout == "" and not out.exists()
+    with pytest.raises(SystemExit):
+        main(["diagnose", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "takes wavelet, cyclespin, ti and sine specs" in help_text

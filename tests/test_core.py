@@ -130,7 +130,7 @@ def _assert_dense_products(frame, atoms, pinv):
 @pytest.mark.parametrize("mat", [pytest.param(m, id=name) for name, m in _signed_permutations()])
 def test_signed_permutation_equals_dense_products_bytewise(mat):
     frame = ExplicitFrame(mat)
-    assert frame._permutation is not None
+    assert frame.is_signed_permutation
     atoms, pinv = _dense_operators(mat)
     _assert_dense_products(frame, atoms, pinv)
     eigvals = np.linalg.eigvalsh(atoms.T @ atoms)
@@ -144,7 +144,7 @@ def test_signed_permutation_equals_dense_products_bytewise(mat):
 ], ids=["duplicated-row", "half-entry", "tall"])
 def test_non_permutation_keeps_matrix_products(mat):
     frame = ExplicitFrame(mat)
-    assert frame._permutation is None
+    assert not frame.is_signed_permutation
     _assert_dense_products(frame, *_dense_operators(mat))
 
 

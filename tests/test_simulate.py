@@ -410,3 +410,133 @@ def test_mc_config_rejects_seed_outside_uint64(seed):
 def test_mc_config_accepts_uint64_seed_end_points(seed):
     dist = sample_max_abs(WaveletBasis(16, "haar", 2), McConfig(trials=2, seed=seed))
     assert len(dist.samples) == 2 and np.all(np.isfinite(dist.samples))
+
+
+# --- maxima on signed-permutation frames from the extreme uniforms -------------
+
+def _permutation_frames():
+    for n in (1, 2, 8, 1024):
+        yield pytest.param(ExplicitFrame(np.eye(n)), id=f"identity-{n}")
+        gen = np.random.default_rng(n + 17)
+        mat = np.zeros((n, n))
+        mat[np.arange(n), gen.permutation(n)] = 1.0
+        mat[::2] *= -1.0  # rows 0, 2, 4, ... negative
+        yield pytest.param(ExplicitFrame(mat), id=f"signed-{n}")
+
+
+def _analysis_route(monkeypatch):
+    """Makes sample_max_abs analyze every frame, as it does a general one;
+    the frame's own signed gather equals the matrix product byte for byte."""
+    monkeypatch.setattr(ExplicitFrame, "is_signed_permutation", False)
+
+
+def _no_analysis(monkeypatch):
+    def analyze(self, signal):
+        raise AssertionError("a signed permutation frame was analyzed")
+    monkeypatch.setattr(ExplicitFrame, "analyze", analyze)
+
+
+@pytest.mark.parametrize("frame", _permutation_frames())
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 2.5])
+def test_permutation_maxima_equal_analysis_route(frame, sigma, monkeypatch):
+    # 2^18 entries make blocks of 256 trials at n = 1024, so 300 trials end
+    # in a short block; the small frames get 3-trial blocks and 7 trials
+    assert frame.is_signed_permutation
+    if frame.n < 1024:
+        monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", 3 * frame.atom_count)
+    cfg = McConfig(trials=300 if frame.n == 1024 else 7, seed=2 ** 64 - 5, sigma=sigma)
+    with monkeypatch.context() as m:
+        _analysis_route(m)
+        want = sample_max_abs(frame, cfg).samples
+    with monkeypatch.context() as m:
+        _no_analysis(m)
+        got = sample_max_abs(frame, cfg).samples
+    assert got.shape == want.shape == (cfg.trials,)
+    assert got.tobytes() == want.tobytes()
+
+
+def _words(*rows):
+    """A block of k * 2^-53 uniforms, the words Generator.random makes."""
+    return np.array(rows, dtype=np.uint64).astype(float) * 2.0 ** -53
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 2.5])
+def test_window_step_on_crafted_uniforms(sigma):
+    from framethresh.rng import _max_abs_in_place, _normal_in_place
+    top = 2 ** 53 - 1  # its uniform rounds to 1.0 and is clipped below 1
+    u = _words(
+        [2 ** 53 - 3, 2 ** 53 - 2, 12345, 2 ** 52],  # adjacent words at the top
+        [0, 1, 2 ** 52, 2 ** 51],                    # adjacent words at the bottom
+        [2 ** 52, 2 ** 52 + 1, 2 ** 52 - 1, 2 ** 52 + 2],  # around 0.5, ties
+        [top, 5, 2 ** 52, 7],
+        [top, top - 1, top - 2, 3],
+        [top, top, top, top],
+        [17, 2 ** 53 - 18, 2 ** 52, 2 ** 50])         # a symmetric pair of extremes
+    want = np.max(np.abs(_normal_in_place(u.copy(), sigma)), axis=-1)
+    got = _max_abs_in_place(u.copy(), sigma)
+    assert np.all(np.isfinite(got))
+    assert got.tobytes() == want.tobytes()
+    one = _words([top])
+    assert _max_abs_in_place(one.copy(), sigma).tobytes() == np.abs(
+        _normal_in_place(one.copy(), sigma)).tobytes()
+
+
+def test_window_runs_ndtri_on_the_extremes_only(monkeypatch):
+    import scipy.special
+    from framethresh.rng import max_abs_normal
+    ndtri = scipy.special.ndtri
+    seen = []
+
+    def counted(u, *args, **kwargs):
+        seen.append(np.size(u))
+        return ndtri(u, *args, **kwargs)
+    monkeypatch.setattr(scipy.special, "ndtri", counted)
+    got = max_abs_normal(9, range(64), 1024, 1.0)
+    assert seen == [2 * 64]
+    monkeypatch.setattr(scipy.special, "ndtri", ndtri)
+    assert got.tobytes() == np.max(np.abs(rng_normal(9, range(64), 1024)), axis=-1).tobytes()
+
+
+def test_ndtri_within_1e13_of_the_exact_inverse_on_the_grid():
+    """The window's premise: scipy's ndtri on the uniforms (k + 0.5)/2^53
+    lies within 1e-13 of the exact inverse normal CDF.  Checked as the
+    equivalent bracket Phi(x - 1e-13) < u < Phi(x + 1e-13) at x = ndtri(u),
+    with mpmath's normal CDF at 120 bits (the upper tail needs ~95 to tell
+    1 - 2^-53 from its neighbours' images)."""
+    mpmath = pytest.importorskip("mpmath")
+    from scipy.special import ndtri
+    tail = np.unique(np.geomspace(1, 2 ** 51, 700).astype(np.uint64))
+    tail = np.concatenate([np.arange(8, dtype=np.uint64), tail])
+    centre = np.random.default_rng(40).integers(0, 2 ** 53, 600, dtype=np.uint64)
+    middle = np.arange(2 ** 52 - 50, 2 ** 52 + 50, dtype=np.uint64)
+    ks = np.concatenate([tail, np.uint64(2 ** 53 - 1) - tail, centre, middle])
+    u = np.minimum((ks.astype(float) + 0.5) / 2.0 ** 53, 1.0 - 2.0 ** -53)
+    x = ndtri(u)
+    assert len(ks) > 2000 and np.all(np.isfinite(x))
+    step = mpmath.mpf(1e-13)
+    with mpmath.workprec(120):
+        for ui, xi in zip(u.tolist(), x.tolist()):
+            assert mpmath.ncdf(xi - step) < ui < mpmath.ncdf(xi + step), (ui, xi)
+
+
+def test_identity_reports_equal_analysis_route(monkeypatch):
+    frame = ExplicitFrame(np.eye(256), "orthonormal-basis")
+    cfg = McConfig(trials=1500, seed=31)
+    fast = (coverage_experiment(frame, 0.1, cfg),
+            sidak_experiment(frame, 256, (2.5, 3.0, 3.5), cfg))
+    _analysis_route(monkeypatch)
+    assert fast == (coverage_experiment(frame, 0.1, cfg),
+                    sidak_experiment(frame, 256, (2.5, 3.0, 3.5), cfg))
+
+
+def test_zero_sigma_refused_before_any_draw(monkeypatch):
+    def boom(*args):
+        raise AssertionError("drew noise")
+    monkeypatch.setattr(simulate, "sample_max_abs", boom)
+    cfg = McConfig(trials=20, seed=1, sigma=0.0)
+    with pytest.raises(ValueError, match="sigma"):
+        sidak_experiment(ExplicitFrame(np.eye(8)), 8, (2.0,), cfg)
+    with pytest.raises(ValueError, match="sigma"):
+        rescale_to_gumbel(np.ones(20), evt.norms_chi(8), sigma=0.0)
+    with pytest.raises(ValueError, match="sigma"):
+        rescale_to_gumbel(np.ones(20), evt.norms_chi(8), sigma=-1.0)
