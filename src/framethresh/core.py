@@ -431,40 +431,46 @@ class ExplicitFrame(Frame):
     too; its rows can differ from the 1-D products in the last ulp, since
     BLAS sums a block in another order.
 
-    A signed permutation (a square matrix whose unit rows each hold one
-    entry of magnitude 1.0, in distinct columns; the identity, say) has
-    A^T A = I exactly, so its bounds are (1.0, 1.0) and its pseudoinverse
-    is exactly A^T.  Its rows are distinct by construction.  Such a frame
-    skips the search for repeated rows, the eigensolve, and analyzes and
+    A signed permutation (a square matrix whose rows each hold one nonzero
+    entry e, in distinct columns, with e / sqrt(e * e) exactly +-1.0; the
+    identity, say) has unit rows with A^T A = I exactly, so its bounds are
+    (1.0, 1.0) and its pseudoinverse is exactly A^T.  Its rows are distinct
+    by construction.  Such a frame is recognized on the input matrix, before
+    any row is normalized, and is held as four length-n vectors: each row's
+    column and sign, and each column's row and sign.  It keeps no unit-row
+    matrix (atom() builds rows on demand, +0.0 off the signed entry), skips
+    the search for repeated rows and the eigensolve, and analyzes and
     synthesizes by gathering coordinates times their signs, equal byte for
     byte to the matrix products on finite input (adding 0.0 turns a -0.0
     into the +0.0 the products give).  The one difference: a non-finite
-    entry stays in its own coordinate, where the product spreads NaN
-    through 0 * inf across the whole row.  is_signed_permutation says
-    whether a frame takes this route; simulate.sample_max_abs then skips
-    the analysis, since each coefficient is a noise coordinate times +-1
-    and a trial's max |coefficient| is its noise's max |eps_i|, which
-    rng.max_abs_normal returns bit for bit from the extreme uniforms.
+    entry stays in its own coordinate, where the product spreads NaN through
+    0 * inf across the whole row.  is_signed_permutation says whether a
+    frame takes this route; simulate.sample_max_abs then skips the analysis,
+    since each coefficient is a noise coordinate times +-1 and a trial's max
+    |coefficient| is its noise's max |eps_i|, which rng.max_abs_normal
+    returns bit for bit from the extreme uniforms.
     """
 
     def __init__(self, matrix, name="explicit"):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise FrameError("explicit frame needs a 2-d atom matrix")
+        if matrix.size == 0:
+            raise FrameError(f"explicit frame matrix of shape {matrix.shape} is empty")
         if not np.all(np.isfinite(matrix)):
             raise FrameError("explicit frame matrix holds a NaN or infinite entry")
-        norms = np.linalg.norm(matrix, axis=1)
-        if np.any(norms == 0):
-            raise FrameError("explicit frame contains a zero atom")
-        self._atoms = matrix / norms[:, None]
-        self.atom_count, self.n = self._atoms.shape
+        self.atom_count, self.n = matrix.shape
         self.name = name
         self.span_dim = self.n
-        self._permutation = _signed_permutation(self._atoms)
+        self._permutation = _signed_permutation(matrix)
         if self._permutation is not None:
             self._distinct = np.arange(self.atom_count)
             self.bounds = (1.0, 1.0)
             return
+        norms = np.linalg.norm(matrix, axis=1)
+        if np.any(norms == 0):
+            raise FrameError("explicit frame contains a zero atom")
+        self._atoms = matrix / norms[:, None]
         # the first of each set of equal unit rows (np.unique sorts stably
         # for return_index); adding 0.0 makes -0.0 equal 0.0
         first = np.unique(self._atoms + 0.0, axis=0, return_index=True)[1]
@@ -502,7 +508,13 @@ class ExplicitFrame(Frame):
         return self._permutation is not None
 
     def atom(self, position):
-        return self._atoms[position].copy()
+        if self._permutation is None:
+            return self._atoms[position].copy()
+        columns, signs, _, _ = self._permutation
+        columns, signs = columns[position], signs[position]
+        out = np.zeros(np.shape(columns) + (self.n,))
+        np.put_along_axis(out, columns[..., None], signs[..., None], axis=-1)
+        return out
 
     def distinct_positions(self):
         """The first row of each distinct unit row, ascending."""
@@ -513,17 +525,25 @@ class ExplicitFrame(Frame):
         return len(self._distinct)
 
 
-def _signed_permutation(atoms):
-    """(columns, signs, rows, row_signs) when the unit-row matrix is a signed
-    permutation, atoms[i, columns[i]] == signs[i] == +-1.0 with zeros
-    elsewhere; rows and row_signs gather the transpose, atoms[rows[j], j] ==
-    row_signs[j].  None for any other matrix."""
-    m, n = atoms.shape
-    nonzero = atoms != 0
-    if m != n or not np.all(np.count_nonzero(nonzero, axis=1) == 1):
+def _signed_permutation(matrix):
+    """(columns, signs, rows, row_signs) when the unit rows of the finite
+    matrix form a signed permutation: the matrix is square, row i holds one
+    nonzero entry e, at columns[i], with signs[i] = e / sqrt(e * e) exactly
+    +-1.0 (the unit row's entry: the row norm is sqrt(e * e)), and the
+    columns are distinct; rows and row_signs gather the transpose,
+    columns[rows[j]] == j with row_signs[j] == signs[rows[j]].  None for any
+    other matrix.  No float temporary of the matrix's size is made."""
+    m, n = matrix.shape
+    if m != n:
+        return None
+    nonzero = matrix != 0
+    if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
         return None
     columns = np.argmax(nonzero, axis=1)
-    signs = atoms[np.arange(n), columns]
+    entries = matrix[np.arange(n), columns]
+    # e * e may overflow or underflow; such a row is refused below
+    with np.errstate(over="ignore", divide="ignore"):
+        signs = entries / np.sqrt(entries * entries)
     if not np.all(np.abs(signs) == 1.0) or not np.all(np.bincount(columns, minlength=n) == 1):
         return None
     rows = np.argsort(columns)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -17,7 +18,7 @@ class FileFormatError(ValueError):
 
 def read_signal(path):
     """CSV (one value per line) or raw little-endian float64 by extension
-    (.f64/.bin/.raw)."""
+    (.f64/.bin/.raw).  A file with no values is a FileFormatError."""
     ext = os.path.splitext(path)[1].lower()
     if ext in (".f64", ".bin", ".raw"):
         with open(path, "rb") as fh:
@@ -26,23 +27,34 @@ def read_signal(path):
             raise FileFormatError(
                 f"signal file {path} holds {len(raw)} bytes, "
                 "not a whole number of float64 values")
-        return np.frombuffer(raw, dtype="<f8").astype(float)
-    try:
-        values = np.loadtxt(path, dtype=float, ndmin=1)
-    except ValueError as exc:
-        raise FileFormatError(f"could not parse signal file {path}: {exc}") from exc
-    if values.ndim != 1:
-        raise FileFormatError(f"signal file {path} must hold one value per line")
+        values = np.frombuffer(raw, dtype="<f8").astype(float)
+    else:
+        values = _load_csv(path, "signal", ndmin=1)
+        if values.ndim != 1:
+            raise FileFormatError(f"signal file {path} must hold one value per line")
+    if values.size == 0:
+        raise FileFormatError(f"signal file {path} holds no values")
     return values
 
 
 def read_matrix(path):
     """A CSV matrix, one row per line and comma-separated columns, as a 2-D
-    float array."""
+    float array.  A file with no values is a FileFormatError."""
+    values = _load_csv(path, "matrix", delimiter=",", ndmin=2)
+    if values.size == 0:
+        raise FileFormatError(f"matrix file {path} holds no values")
+    return values
+
+
+def _load_csv(path, kind, **kwargs):
+    """np.loadtxt as floats, with FileFormatError for text that does not
+    parse and no warning for a file with no values (the callers refuse it)."""
     try:
-        return np.loadtxt(path, dtype=float, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(path, dtype=float, **kwargs)
     except ValueError as exc:
-        raise FileFormatError(f"could not parse matrix file {path}: {exc}") from exc
+        raise FileFormatError(f"could not parse {kind} file {path}: {exc}") from exc
 
 
 def write_signal(path, signal):

@@ -706,6 +706,9 @@ _DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", 
     ([*_SPEC_DENOISE, "@BIN"], 3, "--frame-spec"),
     ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":"@BADMATRIX"}'], 3, "--frame-spec"),
     ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":"@MISSING"}'], 4, "--frame-spec"),
+    ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":"@EMPTY"}'], 3, "--frame-spec"),
+    (["denoise", "--input", "@EMPTY", "--output", "@OUT", "--frame-spec",
+      '{"type":"wavelet","n":16}'], 3, "--input"),
     ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":"@NANMATRIX"}'], 2, "--frame-spec"),
     (["simulate", "--experiment", "gumbel", "--frame-spec",
       '{"type":"explicit","matrix_path":"@NANMATRIX"}', "--trials", "10", "--seed", "1"],
@@ -739,7 +742,8 @@ _DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", 
          "frame-spec-sine-oversampling-key", "frame-spec-wavelet-M-key",
          "frame-spec-matrix-path-number",
          "frame-spec-name-number", "frame-spec-binary-file", "frame-spec-matrix-not-numbers",
-         "frame-spec-matrix-missing", "frame-spec-matrix-nan", "simulate-matrix-nan",
+         "frame-spec-matrix-missing", "frame-spec-matrix-empty", "input-empty",
+         "frame-spec-matrix-nan", "simulate-matrix-nan",
          "diagnose-wavelet-n-3", "diagnose-cyclespin-n-2", "diagnose-ti-filter-key",
          "diagnose-delta-5",
          "diagnose-delta-nan", "diagnose-delta-above-rho", "replay-binary-manifest", "sigma-before-file-error",
@@ -753,10 +757,11 @@ def test_malformed_input_takes_the_exit_code_contract(tmp_path, capsys, args, co
     binary.write_bytes(b"\xff\xfe\x00not text")
     (tmp_path / "bad.csv").write_text("a,b\n1,2\n")
     (tmp_path / "nan.csv").write_text("1,0\nnan,1\n")
+    (tmp_path / "empty.csv").write_text("")
     inputs = sorted(tmp_path.iterdir())
     paths = {"@SIG": sig, "@MATRIX": matrix, "@BIN": binary, "@OUT": tmp_path / "out.csv",
              "@MISSING": tmp_path / "missing.csv", "@BADMATRIX": tmp_path / "bad.csv",
-             "@NANMATRIX": tmp_path / "nan.csv"}
+             "@NANMATRIX": tmp_path / "nan.csv", "@EMPTY": tmp_path / "empty.csv"}
     for token, path in paths.items():
         args = [a.replace(token, str(path)) for a in args]
     if args[0] in ("thresholds", "simulate", "diagnose"):
@@ -767,6 +772,19 @@ def test_malformed_input_takes_the_exit_code_contract(tmp_path, capsys, args, co
     assert (rc, payload["code"], payload["flag"]) == (code, code, flag), payload
     assert payload["kind"] == {2: "validation", 3: "parse", 4: "io"}[code]
     assert out == "" and sorted(tmp_path.iterdir()) == inputs
+
+
+def test_empty_matrix_file_prints_only_the_json_error(tmp_path):
+    # in process, pytest's warning capture would hide a warning printed
+    # before the JSON line
+    sig, empty = tmp_path / "x.csv", tmp_path / "empty.csv"
+    ftio.write_signal(sig, np.arange(16.0))
+    empty.write_text("")
+    spec = json.dumps({"type": "explicit", "matrix_path": str(empty)})
+    rc, out, err = run_cli(["denoise", "--input", str(sig), "--output",
+                            str(tmp_path / "out.csv"), "--frame-spec", spec])
+    assert (rc, out, err.count("\n")) == (3, "", 1), err
+    assert json.loads(err)["error"]["flag"] == "--frame-spec"
 
 
 def test_diagnose_refuses_an_explicit_frame_spec(tmp_path, capsys):

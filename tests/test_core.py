@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +10,7 @@ from framethresh import core, transforms
 from framethresh.core import (CoefficientVector, DimensionMismatch, ExplicitFrame,
                               FrameError, IterationError, frame_bounds,
                               gram_coherence_counts)
+from framethresh.diagnostics import frame_gram
 from framethresh.transforms import (CycleSpinFrame, SineFrame, TIWaveletFrame,
                                     WaveletBasis)
 
@@ -107,6 +111,8 @@ def _signed_permutations():
         yield f"signed-{n}", mat
     # rows are renormalized first, so any nonzero magnitudes qualify
     yield "scaled-3", np.array([[0.0, 0.5, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+    # -0.0 off the diagonal: the unit rows keep it, atom() gives +0.0
+    yield "negated-identity-7", -np.eye(7)
 
 
 def _signed_zero_inputs(n):
@@ -141,11 +147,79 @@ def test_signed_permutation_equals_dense_products_bytewise(mat):
     np.vstack([np.eye(4), np.eye(4)[[2]]]),   # duplicated row
     np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
     np.vstack([np.eye(3), np.ones((1, 3))]),  # m != n
-], ids=["duplicated-row", "half-entry", "tall"])
+    # a second nonzero entry that the division by its row norm rounds to 0
+    np.array([[1e10, 5e-324], [0.0, 1.0]]),
+], ids=["duplicated-row", "half-entry", "tall", "vanishing-second-entry"])
 def test_non_permutation_keeps_matrix_products(mat):
     frame = ExplicitFrame(mat)
     assert not frame.is_signed_permutation
     _assert_dense_products(frame, *_dense_operators(mat))
+
+
+class _UnitRows(core.Frame):
+    """The unit rows of a matrix, kept densely: the reference for the atoms
+    a signed permutation builds on demand."""
+
+    name = "unit-rows"
+
+    def __init__(self, mat):
+        self._atoms = mat / np.linalg.norm(mat, axis=1)[:, None]
+        self.atom_count, self.n = self._atoms.shape
+
+    def atom(self, position):
+        return self._atoms[position].copy()
+
+
+@pytest.mark.parametrize("mat", [pytest.param(m, id=name) for name, m in _signed_permutations()])
+def test_signed_permutation_atoms_equal_unit_rows_bytewise(mat):
+    frame, dense = ExplicitFrame(mat), _UnitRows(mat)
+    n = frame.n
+    # the dense unit rows keep a -0.0 input entry; atom() gives +0.0 there
+    want = dense.atom(np.arange(n)) + 0.0
+    assert frame.atom(np.arange(n)).tobytes() == want.tobytes()
+    for p in (0, n - 1, -1, np.int64(n // 2)):
+        assert frame.atom(p).tobytes() == want[p].tobytes()
+    assert frame.atom([n - 1, 0]).tobytes() == want[[n - 1, 0]].tobytes()
+    assert np.count_nonzero(np.signbit(frame.atom(np.arange(n)))) == np.count_nonzero(mat < 0)
+    assert frame_bounds(frame) == frame_bounds(dense) == (1.0, 1.0)
+    assert np.asarray(frame_gram(frame)).tobytes() == np.asarray(frame_gram(dense)).tobytes()
+    levels = [0.5, 1.0]
+    assert (gram_coherence_counts(frame, levels).coherence_counts
+            == gram_coherence_counts(dense, levels).coherence_counts == {0.5: 0, 1.0: 0})
+
+
+def test_signed_permutation_holds_no_dense_copy():
+    """The identity at n = 1024 is held as four length-n vectors and the
+    distinct positions: no unit-row copy of its 8 MB matrix is retained or
+    made while it is built."""
+    import tracemalloc
+
+    mat = np.eye(1024)
+    ExplicitFrame(np.eye(8))  # lazy imports settle unmeasured
+    tracemalloc.start()
+    try:
+        frame = ExplicitFrame(mat)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert frame.is_signed_permutation
+    assert retained <= 64 * 1024 and peak < 3 * 2 ** 20, (retained, peak)
+
+
+def test_signed_permutation_loads_no_scipy_linalg():
+    # the Cholesky pseudoinverse is the only user of scipy.linalg
+    code = ("import sys, numpy as np; from framethresh.core import ExplicitFrame; "
+            "f = ExplicitFrame(-np.eye(8)[::-1]); f.dual_synthesize(f.analyze(np.ones(8))); "
+            "print(f.is_signed_permutation, 'scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "True False"
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_explicit_frame_rejects_empty_matrix(shape):
+    with pytest.raises(FrameError, match="empty"):
+        ExplicitFrame(np.zeros(shape))
 
 
 def test_signed_permutation_rejects_repeated_column():

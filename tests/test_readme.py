@@ -1,6 +1,6 @@
 """The README's shell recipes parse with the CLI's own argument parser, and
 their frame and norm specs load, so a recipe that keeps a removed or renamed
-flag or spec key fails the suite."""
+flag or spec key fails the suite; its module table keeps two cells a row."""
 
 import re
 import shlex
@@ -42,3 +42,16 @@ def test_readme_commands_parse():
             NormSpec.from_json(args.norm_spec)
     assert subcommands == {"thresholds", "denoise", "simulate", "diagnose", "replay"}
     assert frame_specs >= 10, frame_specs
+
+
+def test_module_table_rows_have_the_header_cells():
+    # an unescaped | inside a cell (say |kappa|) ends the cell there
+    lines = README.read_text().splitlines()
+    start = lines.index("| module | contents |")
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line)
+    pipes = [len(re.findall(r"(?<!\\)\|", row)) for row in rows]
+    assert len(rows) >= 10 and pipes == [3] * len(rows), pipes
