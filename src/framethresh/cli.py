@@ -15,6 +15,7 @@ with exit 2 and writes nothing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.metadata
 import json
@@ -141,11 +142,8 @@ def cmd_thresholds(args):
     c_row = None
     if args.wavelet is not None:
         filters = _read("--wavelet", get_filters, args.wavelet)
-        if filters.differentiable:
-            try:
-                c_row = evt.ti_constant_c(filters).c
-            except ThresholdError as exc:  # cdf97's estimate does not stabilize
-                raise CliError(EXIT_VALIDATION, str(exc), "--wavelet")
+        with contextlib.suppress(ThresholdError):  # haar and d4 have no ti row
+            c_row = evt.ti_constant_c(filters)
     for a in args.alpha:
         rows.append({"rule": "evt", "alpha": a,
                      "threshold": evt.evt_threshold(args.sigma, a, args.n)})
@@ -163,6 +161,7 @@ def cmd_thresholds(args):
             except ThresholdError as exc:
                 raise CliError(EXIT_VALIDATION, str(exc), "--n")
     table = {"sigma": args.sigma, "n": args.n, "rows": rows}
+    _require_finite(table, "--sigma")
     if args.out:
         _write("--out", io.write_report, args.out, table)
     else:
@@ -188,6 +187,8 @@ def cmd_denoise(args):
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             result = denoise(frame, data, spec, rule=args.rule)
+    except OverflowError as exc:
+        raise CliError(EXIT_VALIDATION, str(exc), "--sigma")
     except (ThresholdError, ValueError) as exc:
         raise CliError(EXIT_VALIDATION, str(exc), "--threshold-rule")
     report = {
@@ -277,7 +278,7 @@ def _run_experiment(args, cfg, report):
         if not isinstance(frame, TIWaveletFrame):
             raise CliError(EXIT_VALIDATION, "ti experiment needs a ti frame spec",
                            "--frame-spec")
-        c = evt.ti_constant_c(frame.filters).c
+        c = evt.ti_constant_c(frame.filters)
         rows = simulate.ti_bound_experiment(frame, c, args.z, cfg)
         report.update(c=c, rows=io.to_jsonable(rows))
     elif exp == "smoothness":

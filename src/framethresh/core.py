@@ -421,8 +421,9 @@ def _expand(starts, lengths):
 class ExplicitFrame(Frame):
     """Frame given by an explicit atom matrix (rows are atoms).
 
-    Rows are renormalized to unit norm.  The atoms must span R^n (the frame
-    property).  A repeated unit row is one distinct atom: it enters
+    Rows are renormalized to unit norm; a row whose squared norm overflows
+    or underflows float64 is refused by its index.  The atoms must span R^n
+    (the frame property).  A repeated unit row is one distinct atom: it enters
     evt_count and the Gram census once, while analysis, the frame bounds
     and dual synthesis keep every row.  The constructor eigensolves the
     frame operator A^T A once, which gives the frame bounds, and keeps the
@@ -467,10 +468,16 @@ class ExplicitFrame(Frame):
             self._distinct = np.arange(self.atom_count)
             self.bounds = (1.0, 1.0)
             return
-        norms = np.linalg.norm(matrix, axis=1)
-        if np.any(norms == 0):
+        if not np.all(np.any(matrix, axis=1)):
             raise FrameError("explicit frame contains a zero atom")
-        self._atoms = matrix / norms[:, None]
+        with np.errstate(over="ignore"):  # a row out of range is named below
+            squares = np.sum(matrix * matrix, axis=1)  # np.linalg.norm's, unrooted
+        out_of_range = np.isinf(squares) | (squares < np.finfo(float).tiny)
+        if np.any(out_of_range):
+            row = int(np.argmax(out_of_range))
+            raise FrameError(f"explicit frame row {row}: its squared norm "
+                             + ("overflows" if np.isinf(squares[row]) else "underflows"))
+        self._atoms = matrix / np.sqrt(squares)[:, None]
         # the first of each set of equal unit rows (np.unique sorts stably
         # for return_index); adding 0.0 makes -0.0 equal 0.0
         first = np.unique(self._atoms + 0.0, axis=0, return_index=True)[1]

@@ -135,9 +135,6 @@ def ti_threshold(sigma, alpha, n, c):
     """Translation-invariant threshold
     sigma*[sqrt(2 log n) + (z(alpha) + log(c/pi))/sqrt(2 log n)],
     c the curvature constant of the mother wavelet autocorrelation."""
-    _check_sigma(sigma)
-    if c <= 0:
-        raise ThresholdError(f"autocorrelation curvature constant c={c} must be > 0")
     if n < 4:
         raise ThresholdError("ti threshold needs n >= 4")
     return ti_threshold_at_z(sigma, gumbel_quantile(alpha), n, c)
@@ -157,59 +154,51 @@ def _check_sigma(sigma):
         raise ThresholdError(f"noise level sigma={sigma} must be > 0")
 
 
-#: grid of the cascade refinement in ti_constant_c, and the scale of the
-#: atom sampled on it
-_CURVATURE_GRID = 2 ** 14
-_CURVATURE_SCALE = 6
+#: how near an eigenvalue counts as 1, 1/2 or 1/4 (d4's double 1/4 splits by 1e-8)
+_SPECTRUM_TOL = 1e-6
 
 
 def ti_constant_c(filters):
-    """Curvature constant c = sqrt(-kappa''(0)) of the autocorrelation of the
-    (unit-norm) analysis mother wavelet of a WaveletFilterPair, by central
-    differences on a cascade refinement of the wavelet to a fine grid.
+    """Curvature constant c = sqrt(-kappa''(0)) of the autocorrelation kappa
+    of the analysis mother wavelet of a WaveletFilterPair, exactly from the
+    taps by connection coefficients (Beylkin, "On the representation of
+    operators in bases of compactly supported wavelets", SIAM J. Numer. Anal.
+    1992).  The scaling autocorrelation A(x) = int phi(t) phi(t - x) dt is
+    refinable with filter a, the autocorrelation of the analysis low-pass, so
+    at the integers A is the eigenvector of T[k, l] = a[2k - l] for
+    eigenvalue 1 (scaled to sum A(k) = 1) and A'' the one for 1/4 (scaled to
+    sum k^2 A''(k) = 2).  With b the autocorrelation of the analysis
+    high-pass, Psi(0) = sum_l b_l A(-l), Psi''(0) = 4 sum_l b_l A''(-l) and
+    c = sqrt(-Psi''(0) / Psi(0)).
 
-    The wavelet is materialized as the unit-norm discrete analysis atom at
-    scale _CURVATURE_SCALE of a _CURVATURE_GRID-point basis; successive
-    samples are then kappa-values at spacing dt = 2^scale / grid, and
-    -kappa''(0) ~ 2(1 - kappa(dt))/dt^2.  The estimate is validated by grid
-    refinement (relative change < 1e-2 from grid/4 to grid), and the result
-    carries the three estimates.
-
-    Raises for filter pairs whose mother wavelet is not continuously
-    differentiable (Haar, D4) or when the curvature estimate fails to
-    stabilize or is nonpositive.
+    The same spectrum decides whether c exists (Villemoes, SIAM J. Math.
+    Anal. 1994): with one copy each of 1, 1/2 and 1/4 set aside, the largest
+    remaining |eigenvalue| rho gives the Sobolev exponent s = -log4(rho),
+    and kappa''(0) exists when s > 1.  Raises ThresholdError otherwise
+    (Haar s = 1/2, D4 s = 1).
     """
-    if not filters.differentiable:
+    lo, hi = filters.analysis_lowpass, filters.analysis_highpass
+    a, b = np.correlate(lo, lo, "full"), np.correlate(hi, hi, "full")
+    half = len(a) // 2
+    k = np.arange(-half, half + 1)
+    taps = 2 * k[:, None] - k + half  # the index of a[2k - l], -1 outside a
+    taps[(taps < 0) | (taps >= len(a))] = -1
+    eigvals, eigvecs = np.linalg.eig(np.append(a, 0.0)[taps])
+    rest, found = list(range(len(eigvals))), {}
+    for target in (1.0, 0.5, 0.25):
+        i = min(rest, key=lambda j: abs(eigvals[j] - target))
+        if abs(eigvals[i] - target) < _SPECTRUM_TOL:
+            rest.remove(i)
+            found[target] = eigvecs[:, i].real
+    rho = np.max(np.abs(eigvals[rest]), initial=0.0)
+    if len(found) < 3 or rho >= 0.25 - _SPECTRUM_TOL:
         raise ThresholdError(
-            f"wavelet '{filters.name}' is not continuously differentiable; "
-            "the autocorrelation has no curvature at 0")
-    grid = _CURVATURE_GRID
-    estimates = [_curvature_estimate(filters, g) for g in (grid // 4, grid // 2, grid)]
-    c_prev, _, c_fin = estimates
-    if abs(c_fin - c_prev) > 1e-2 * c_fin:
-        raise ThresholdError(
-            f"curvature estimate did not stabilize across grids: {estimates}")
-    return CurvatureEstimate(c=c_fin, refinement=tuple(estimates))
-
-
-@dataclass(frozen=True)
-class CurvatureEstimate:
-    c: float
-    refinement: tuple
-
-
-def _curvature_estimate(filters, grid_size):
-    from .transforms import WaveletBasis
-
-    scale = _CURVATURE_SCALE
-    wb = WaveletBasis(grid_size, filters)
-    v = wb.atom(2 ** scale - 1)  # flat position of detail atom (j=scale, k=0)
-    dt = 2.0 ** scale / grid_size
-    rho1 = float(np.dot(v, np.roll(v, 1)))
-    curv = 2.0 * (1.0 - rho1) / dt ** 2
-    if curv <= 0:
-        raise ThresholdError("nonpositive curvature estimate -kappa''(0)")
-    return math.sqrt(curv)
+            f"wavelet '{filters.name}' has Sobolev exponent {-math.log(rho, 4):.3g}, "
+            "not above 1: its autocorrelation has no curvature at 0")
+    at_zero = len(b) // 2 + half  # sum_l b_l f(-l) is this entry of b * f
+    psi0 = np.convolve(b, found[1.0] / found[1.0].sum())[at_zero]
+    psi2 = 4.0 * np.convolve(b, found[0.25] * 2.0 / np.dot(k ** 2, found[0.25]))[at_zero]
+    return math.sqrt(-psi2 / psi0)
 
 
 # --- threshold rule selection -------------------------------------------------
@@ -232,10 +221,14 @@ class ThresholdSpec:
     value: float | None = None
 
     def resolve(self, frame=None):
-        """Numeric threshold; without a frame only the fixed rule resolves."""
+        """Numeric threshold; without a frame only the fixed rule resolves.
+        Raises OverflowError when sigma times the rule's value overflows."""
         _check_sigma(self.sigma)
         value = self._resolve_raw(frame)
-        if not (math.isfinite(value) and value > 0) and self.rule != "fixed":
+        if self.rule != "fixed" and math.isinf(value):
+            raise OverflowError(f"rule {self.rule!r} resolved to a threshold {value} "
+                                "that is not finite")
+        if self.rule != "fixed" and not value > 0:
             raise ThresholdError(
                 f"rule {self.rule!r} resolved to a non-positive threshold {value}")
         return value

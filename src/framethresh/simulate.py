@@ -28,8 +28,8 @@ import numpy as np
 from . import rng as _rng
 from .core import CoefficientVector, ExplicitFrame, frame_bounds
 from .diagnostics import comparison_bound
-from .evt import (evt_threshold, gumbel_cdf, norms_chi, ti_threshold_at_z,
-                  universal_threshold)
+from .evt import (evt_threshold, gumbel_cdf, norms_chi, ti_constant_c,
+                  ti_threshold_at_z, universal_threshold)
 from .norms import evaluate as norm_evaluate
 from .shrink import shrink_value
 
@@ -238,8 +238,7 @@ def ti_bound_experiment(ti_frame, c, z_list, cfg):
     one-sidedly against exp(-e^{-z}).  Each row also holds the threshold
     at z that the chi norms of the frame's count would give, which a stable
     frame of that many atoms needs (at coarsest level 0, n log2 n atoms)."""
-    if not ti_frame.filters.differentiable:
-        raise ValueError("ti bound needs a continuously differentiable wavelet")
+    ti_constant_c(ti_frame.filters)  # ThresholdError when the wavelet has no c
     maxima = sample_max_abs(ti_frame, cfg)
     stable = norms_chi(ti_frame.evt_count)
     rows = []

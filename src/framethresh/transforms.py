@@ -63,7 +63,6 @@ class WaveletFilterPair:
     analysis_highpass: tuple
     synthesis_lowpass: tuple
     synthesis_highpass: tuple
-    differentiable: bool  # mother wavelet continuously differentiable
 
 
 _HAAR_LO = (1 / SQRT2, 1 / SQRT2)
@@ -88,18 +87,16 @@ _CDF97_REC_HI = (0.0, 0.03782845550699535, 0.02384946501937986,
                  0.03782845550699535)
 
 HAAR = WaveletFilterPair("haar", _HAAR_LO, tuple(_qmf(np.array(_HAAR_LO))),
-                         _HAAR_LO, tuple(_qmf(np.array(_HAAR_LO))),
-                         differentiable=False)
+                         _HAAR_LO, tuple(_qmf(np.array(_HAAR_LO))))
 D4 = WaveletFilterPair("d4", _D4_LO, tuple(_qmf(np.array(_D4_LO))),
-                       _D4_LO, tuple(_qmf(np.array(_D4_LO))),
-                       differentiable=False)
+                       _D4_LO, tuple(_qmf(np.array(_D4_LO))))
 CDF97 = WaveletFilterPair("cdf97", _CDF97_DEC_LO, _CDF97_DEC_HI,
-                          _CDF97_REC_LO, _CDF97_REC_HI, differentiable=True)
+                          _CDF97_REC_LO, _CDF97_REC_HI)
 # reversed orientation: analysis on the 7-tap side, whose mother wavelet is
 # the smoother one of the pair (the natural choice for translation-invariant
 # analysis, which needs a C^1 generator)
 CDF97R = WaveletFilterPair("cdf97r", _CDF97_REC_LO, _CDF97_REC_HI,
-                           _CDF97_DEC_LO, _CDF97_DEC_HI, differentiable=True)
+                           _CDF97_DEC_LO, _CDF97_DEC_HI)
 
 FILTERS = {"haar": HAAR, "d4": D4, "db2": D4, "cdf97": CDF97, "cdf97r": CDF97R}
 

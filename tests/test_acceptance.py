@@ -8,8 +8,8 @@ checks 3 s.e. around the exact value.
 Two sub-checks are strict xfails with the blocking analysis in their reason
 strings: the sine-frame half of the Gumbel KS criterion (true finite-n KS
 ~0.06 vs the 0.05 calibration guess) and the z=2 deterministic threshold
-comparison of the TI criterion (measured wavelet constant c=4.87 exceeds the
-finite-n crossover c*=4.74 at n=1024).
+comparison of the TI criterion (c = 4.8708 exceeds the crossover 4.74 at
+n=1024).
 """
 
 import json
@@ -197,7 +197,7 @@ def test_criterion_07_sidak_domination():
 @pytest.fixture(scope="module")
 def ti_setup():
     frame = TIWaveletFrame(1024, CDF97R)
-    c = evt.ti_constant_c(CDF97R).c
+    c = evt.ti_constant_c(CDF97R)
     return frame, c
 
 
@@ -228,9 +228,9 @@ def test_criterion_08_ti_threshold_comparison(ti_setup):
     strict=True,
     reason="at n=1024 the comparison T_ti(z) < a(chi, n log2 n) z + b(chi, "
     "n log2 n) holds only for c below the crossover c*(z) = 7.08, 6.19, "
-    "5.42, 4.74 at z = -1, 0, 1, 2; the measured CDF 9/7 constant c = 4.87 "
-    "exceeds c*(2). The comparison is asymptotic in n: at n = 4096 the z=2 "
-    "check passes.")
+    "5.42, 4.74 at z = -1, 0, 1, 2; the reversed CDF 9/7 constant c = 4.8708 "
+    "exceeds the crossover 4.74. The comparison is asymptotic in n: at n = 4096 "
+    "the z=2 check passes.")
 def test_criterion_08_ti_threshold_comparison_z2(ti_setup):
     frame, c = ti_setup
     norms = evt.norms_chi(1024 * 10)

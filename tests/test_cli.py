@@ -53,6 +53,23 @@ def test_thresholds_scale_linearly_in_sigma(tmp_path):
         assert b["threshold"] == pytest.approx(2 * a["threshold"], rel=1e-12)
 
 
+@pytest.mark.parametrize("wavelet, c", [("cdf97", 6.46687), ("cdf97r", 4.87076),
+                                        ("haar", None), ("d4", None)])
+def test_thresholds_ti_rows_follow_the_wavelet(tmp_path, wavelet, c):
+    # a ti row for each alpha when the wavelet has the constant c; haar and
+    # d4 have none, and the table still prints
+    out = tmp_path / "table.json"
+    code = main(["thresholds", "--n", "1024", "--alpha", "0.1", "--alpha", "0.05",
+                 "--wavelet", wavelet, "--out", str(out)])
+    assert code == 0
+    ti = [row for row in json.loads(out.read_text())["rows"] if row["rule"] == "ti"]
+    if c is None:
+        assert ti == []
+    else:
+        assert [row["alpha"] for row in ti] == [0.1, 0.05]
+        assert all(row["c"] == pytest.approx(c, abs=1e-5) for row in ti)
+
+
 def test_thresholds_validation_names_flag(tmp_path):
     # through `python -m`: the process exit status is main's return code
     proc_code, _, err = run_cli(["thresholds", "--n", "1024", "--alpha", "1.5"])
@@ -658,6 +675,8 @@ def _simulate(experiment, frame_spec, *extra):
     return ["simulate", "--experiment", experiment, "--frame-spec", frame_spec,
             "--alpha", "0.1", "--trials", "4", "--seed", "1", *extra]
 _DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", "8", "16"]
+# explicit frame matrices whose first row's squared norm overflows or underflows
+_OUT_OF_RANGE_MATRICES = {"huge.csv": "1e200,1e200\n0,1\n", "tiny.csv": "1e-200,0\n0,1\n"}
 
 
 @pytest.mark.parametrize("args, code, flag", [
@@ -665,7 +684,12 @@ _DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", 
     (["simulate", "--experiment", "comparison", "--draws", "0", "--seed", "1"], 2, "--draws"),
     (["thresholds", "--n", "2", "--wavelet", "cdf97r"], 2, "--n"),
     (["thresholds", "--n", "3", "--wavelet", "cdf97r"], 2, "--n"),
-    (["thresholds", "--n", "1024", "--wavelet", "cdf97"], 2, "--wavelet"),
+    (["thresholds", "--n", "64", "--sigma", "1e308"], 2, "--sigma"),
+    (["thresholds", "--n", "64", "--sigma", "1e308", "--M", "4", "--wavelet", "cdf97r"],
+     2, "--sigma"),
+    ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--sigma", "1e308"], 2, "--sigma"),
+    (["simulate", "--experiment", "ti", "--frame-spec", '{"type":"ti","n":16,"filters":"haar"}',
+      "--trials", "4", "--seed", "1"], 2, "--frame-spec"),
     ([*_SIDAK, "--reference-m", "-3"], 2, "--reference-m"),
     (["simulate", "--experiment", "risk1d", "--mu", "nan", "--trials", "10", "--seed", "1"],
      2, "--mu"),
@@ -710,6 +734,8 @@ _DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", 
     (["denoise", "--input", "@EMPTY", "--output", "@OUT", "--frame-spec",
       '{"type":"wavelet","n":16}'], 3, "--input"),
     ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":"@NANMATRIX"}'], 2, "--frame-spec"),
+    ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":"@HUGEMATRIX"}'], 2, "--frame-spec"),
+    ([*_SPEC_DENOISE, '{"type":"explicit","matrix_path":"@TINYMATRIX"}'], 2, "--frame-spec"),
     (["simulate", "--experiment", "gumbel", "--frame-spec",
       '{"type":"explicit","matrix_path":"@NANMATRIX"}', "--trials", "10", "--seed", "1"],
      2, "--frame-spec"),
@@ -729,7 +755,8 @@ _DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", 
     ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--c", "0"], 2, "--c"),
     ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--z", "inf"], 2, "--z")],
     ids=["comparison-dim-0", "comparison-draws-0", "ti-row-n-2", "ti-row-n-3",
-         "ti-row-c-unstable",
+         "thresholds-sigma-overflow", "thresholds-sigma-overflow-M-ti",
+         "denoise-sigma-overflow", "simulate-ti-haar",
          "sidak-reference-m-negative", "risk1d-mu-nan", "ti-z-nan", "gumbel-alpha-1.5",
          "norm-spec-list", "norm-spec-p-string", "norm-spec-p-nan", "norm-spec-weights-number",
          "norm-spec-weights-path-missing", "norm-spec-weights-path-number",
@@ -743,7 +770,8 @@ _DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", 
          "frame-spec-matrix-path-number",
          "frame-spec-name-number", "frame-spec-binary-file", "frame-spec-matrix-not-numbers",
          "frame-spec-matrix-missing", "frame-spec-matrix-empty", "input-empty",
-         "frame-spec-matrix-nan", "simulate-matrix-nan",
+         "frame-spec-matrix-nan", "frame-spec-matrix-row-overflow",
+         "frame-spec-matrix-row-underflow", "simulate-matrix-nan",
          "diagnose-wavelet-n-3", "diagnose-cyclespin-n-2", "diagnose-ti-filter-key",
          "diagnose-delta-5",
          "diagnose-delta-nan", "diagnose-delta-above-rho", "replay-binary-manifest", "sigma-before-file-error",
@@ -758,10 +786,13 @@ def test_malformed_input_takes_the_exit_code_contract(tmp_path, capsys, args, co
     (tmp_path / "bad.csv").write_text("a,b\n1,2\n")
     (tmp_path / "nan.csv").write_text("1,0\nnan,1\n")
     (tmp_path / "empty.csv").write_text("")
+    for name, text in _OUT_OF_RANGE_MATRICES.items():
+        (tmp_path / name).write_text(text)
     inputs = sorted(tmp_path.iterdir())
     paths = {"@SIG": sig, "@MATRIX": matrix, "@BIN": binary, "@OUT": tmp_path / "out.csv",
              "@MISSING": tmp_path / "missing.csv", "@BADMATRIX": tmp_path / "bad.csv",
-             "@NANMATRIX": tmp_path / "nan.csv", "@EMPTY": tmp_path / "empty.csv"}
+             "@NANMATRIX": tmp_path / "nan.csv", "@EMPTY": tmp_path / "empty.csv",
+             "@HUGEMATRIX": tmp_path / "huge.csv", "@TINYMATRIX": tmp_path / "tiny.csv"}
     for token, path in paths.items():
         args = [a.replace(token, str(path)) for a in args]
     if args[0] in ("thresholds", "simulate", "diagnose"):
@@ -785,6 +816,20 @@ def test_empty_matrix_file_prints_only_the_json_error(tmp_path):
                             str(tmp_path / "out.csv"), "--frame-spec", spec])
     assert (rc, out, err.count("\n")) == (3, "", 1), err
     assert json.loads(err)["error"]["flag"] == "--frame-spec"
+
+
+@pytest.mark.parametrize("name, kind", [("huge.csv", "overflows"), ("tiny.csv", "underflows")])
+def test_out_of_range_matrix_row_prints_only_the_json_error(tmp_path, name, kind):
+    # a row whose squared norm leaves the float range is named, with no
+    # numpy warning printed before the JSON line
+    sig, matrix = tmp_path / "x.csv", tmp_path / name
+    ftio.write_signal(sig, np.arange(2.0))
+    matrix.write_text(_OUT_OF_RANGE_MATRICES[name])
+    spec = json.dumps({"type": "explicit", "matrix_path": str(matrix)})
+    rc, out, err = run_cli(["denoise", "--input", str(sig), "--output",
+                            str(tmp_path / "out.csv"), "--frame-spec", spec])
+    assert (rc, out, err.count("\n")) == (2, "", 1), err
+    assert json.loads(err)["error"]["message"] == f"explicit frame row 0: its squared norm {kind}"
 
 
 def test_diagnose_refuses_an_explicit_frame_spec(tmp_path, capsys):

@@ -316,6 +316,25 @@ def test_explicit_frame_rejects_non_finite_entry(bad):
             ExplicitFrame(np.array(mat))
 
 
+@pytest.mark.parametrize("mat, message", [
+    ([[0.0, 1.0], [1e200, 1e200]], "row 1: its squared norm overflows"),
+    ([[1e-200, 0.0], [0.0, 1.0]], "row 0: its squared norm underflows"),
+    ([[1.0, 0.0], [0.0, 1e-155]], "row 1: its squared norm underflows"),
+    ([[1.0, 1.0], [0.0, 0.0]], "contains a zero atom")])
+def test_explicit_frame_names_a_row_out_of_float_range(mat, message):
+    # with the RuntimeWarning filter of the suite, a numpy overflow warning
+    # would fail this test too
+    with pytest.raises(FrameError, match=message):
+        ExplicitFrame(np.array(mat))
+
+
+def test_explicit_frame_unit_rows_are_linalg_norm_rows(rng):
+    mat = rng.standard_normal((24, 8)) * np.logspace(-150, 150, 24)[:, None]
+    fr = ExplicitFrame(mat)
+    expected = mat / np.linalg.norm(mat, axis=1)[:, None]
+    assert fr.atom(np.arange(24)).tobytes() == expected.tobytes()
+
+
 def test_frame_bounds_orthonormal(haar64):
     a, b = frame_bounds(haar64)
     assert abs(a - 1) < 1e-9 and abs(b - 1) < 1e-9

@@ -217,16 +217,56 @@ def test_evt_threshold_continuous_in_alpha():
 # --- autocorrelation constant -------------------------------------------------
 
 def test_ti_constant_rejects_nondifferentiable():
-    for filt in (HAAR, D4):
-        with pytest.raises(ThresholdError):
+    for filt, s in ((HAAR, "0.5"), (D4, "1")):
+        with pytest.raises(ThresholdError, match=f"Sobolev exponent {s}, not above 1"):
             evt.ti_constant_c(filt)
 
 
-def test_ti_constant_cdf97_stabilizes():
-    est = evt.ti_constant_c(CDF97R)
-    assert est.c == pytest.approx(4.87, abs=0.05)
-    lo, mid, hi = est.refinement
-    assert abs(hi - lo) < 1e-2 * hi
+def test_ti_constant_exact_values():
+    c = evt.ti_constant_c(CDF97R)
+    assert type(c) is float
+    assert c == pytest.approx(4.8707596, abs=1e-7)
+    assert evt.ti_constant_c(CDF97) == pytest.approx(6.46687, abs=1e-5)
+
+
+def _power(taps, w):
+    """|H(w)|^2 of H(w) = 2^(-1/2) sum_k h_k e^{-ikw}, as the cosine series
+    of the taps' autocorrelation."""
+    taps = np.asarray(taps)
+    a = np.correlate(taps, taps, "full")
+    return np.cos(np.multiply.outer(w, np.arange(len(a)) - len(a) // 2)) @ a / 2
+
+
+def test_ti_constant_matches_the_fourier_integral():
+    # c^2 = int w^2 |psi_hat|^2 / int |psi_hat|^2 with psi_hat(w) =
+    # G(w/2) prod_{j>=2} H(w/2^j), the product truncated where w/2^j < 1e-9,
+    # by the trapezoid rule on [0, 2 pi 512] (the integrand is even)
+    step = 2 * np.pi / 32
+    w = np.arange(0.0, 2 * np.pi * 512 + step / 2, step)
+    density = _power(CDF97R.analysis_highpass, w / 2)
+    j = 2
+    while w[-1] / 2 ** j > 1e-9:
+        density *= _power(CDF97R.analysis_lowpass, w / 2 ** j)
+        j += 1
+    weights = np.full(len(w), step)
+    weights[[0, -1]] = step / 2
+    c_fourier = math.sqrt((weights * w ** 2) @ density / (weights @ density))
+    assert evt.ti_constant_c(CDF97R) == pytest.approx(c_fourier, rel=1e-6)
+
+
+def _finite_difference_c(grid_size, scale=6):
+    # the unit-norm detail atom (j=scale, k=0) of a grid_size-point basis
+    # samples the mother wavelet at spacing dt = 2^scale / grid_size, so
+    # -kappa''(0) ~ 2(1 - kappa(dt)) / dt^2
+    v = WaveletBasis(grid_size, CDF97R).atom(2 ** scale - 1)
+    dt = 2.0 ** scale / grid_size
+    return math.sqrt(2.0 * (1.0 - float(np.dot(v, np.roll(v, 1)))) / dt ** 2)
+
+
+def test_finite_differences_approach_the_exact_ti_constant():
+    c = evt.ti_constant_c(CDF97R)
+    coarse, fine = _finite_difference_c(2 ** 12), _finite_difference_c(2 ** 14)
+    assert abs(fine - c) < abs(coarse - c)
 
 
 def test_autocorrelation_peak_and_symmetry():

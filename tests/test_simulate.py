@@ -162,9 +162,11 @@ def test_ti_bound_large_z_trivial():
 
 
 def test_ti_bound_rejects_nondifferentiable():
-    frame = TIWaveletFrame(64, "haar")
-    with pytest.raises(ValueError):
-        ti_bound_experiment(frame, 1.0, [0.0], McConfig(trials=10, seed=1))
+    # the wavelet's Sobolev exponent is not above 1, so it has no constant c
+    for filters in ("haar", "d4"):
+        with pytest.raises(evt.ThresholdError, match="Sobolev exponent"):
+            ti_bound_experiment(TIWaveletFrame(64, filters), 1.0, [0.0],
+                                McConfig(trials=10, seed=1))
 
 
 def test_smoothness_zero_signal_matches_coverage():
