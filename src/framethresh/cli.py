@@ -183,7 +183,7 @@ def cmd_denoise(args):
                        "--input")
     clean = _read_clean(args.clean, frame.n) if args.clean else None
     spec = ThresholdSpec(rule=args.threshold_rule, sigma=args.sigma, alpha=args.alpha,
-                         z=args.z, c=args.c, value=args.fixed_value)
+                         z=args.z, value=args.fixed_value)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             result = denoise(frame, data, spec, rule=args.rule)
@@ -200,6 +200,8 @@ def cmd_denoise(args):
         "n": frame.n,
         "atom_count": frame.atom_count,
     }
+    # with the config's sigma, alpha and z, every input of threshold_used
+    report.update(spec.frame_inputs(frame))
     if clean is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             report["mse"] = float(np.mean((result.estimate - clean) ** 2))
@@ -271,16 +273,14 @@ def _run_experiment(args, cfg, report):
         rep = simulate.coverage_experiment(frame, args.alpha, cfg, threshold=threshold)
         report.update(io.to_jsonable(rep))
     elif exp == "sidak":
-        m_ref = args.reference_m or frame.evt_count
-        rows = simulate.sidak_experiment(frame, m_ref, args.T, cfg)
-        report.update(reference_m=m_ref, rows=io.to_jsonable(rows))
+        rows = simulate.sidak_experiment(frame, args.T, cfg)
+        report.update(reference_m=frame.evt_count, rows=io.to_jsonable(rows))
     elif exp == "ti":
         if not isinstance(frame, TIWaveletFrame):
             raise CliError(EXIT_VALIDATION, "ti experiment needs a ti frame spec",
                            "--frame-spec")
-        c = evt.ti_constant_c(frame.filters)
-        rows = simulate.ti_bound_experiment(frame, c, args.z, cfg)
-        report.update(c=c, rows=io.to_jsonable(rows))
+        rows = simulate.ti_bound_experiment(frame, args.z, cfg)
+        report.update(c=evt.ti_constant_c(frame.filters), rows=io.to_jsonable(rows))
     elif exp == "smoothness":
         norm_spec = _read("--norm-spec", NormSpec.from_json, args.norm_spec)
         try:
@@ -363,7 +363,12 @@ _USAGE_FLAG = re.compile(r"(?:argument |arguments: |required: )(--?[\w-]+)")
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors (a missing or unknown flag, a
     value of the wrong type) take the exit-code contract's exit 2 with a JSON
-    error instead of argparse's usage text; subparsers inherit the class."""
+    error instead of argparse's usage text; subparsers inherit the class.
+    A flag is taken only by its full name: a prefix such as --c or --w is
+    an unrecognized argument, not --clean or --wavelet."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         flag = _USAGE_FLAG.search(message)
@@ -413,7 +418,6 @@ def build_parser():
                    choices=("universal", "evt", "from_zn", "cyclespin", "ti", "fixed"))
     d.add_argument("--alpha", type=_PROBABILITY, default=None)
     d.add_argument("--z", type=_FINITE, default=None)
-    d.add_argument("--c", type=_POSITIVE, default=None)
     d.add_argument("--fixed-value", type=float, default=None)
     d.add_argument("--sigma", type=_POSITIVE, default=1.0)
     d.add_argument("--output", required=True)
@@ -436,7 +440,6 @@ def build_parser():
     s.add_argument("--T", type=_NONNEGATIVE, action="append", default=None)
     s.add_argument("--z", type=_FINITE, action="append", default=None)
     s.add_argument("--mu", type=_FINITE, action="append", default=None)
-    s.add_argument("--reference-m", type=_COUNT, default=None)
     s.add_argument("--clean", default=None)
     s.add_argument("--norm-spec", default='{"kind":"pqr_wavelet","p":1,"q":1,"r":0}')
     s.add_argument("--use-cyclespin-rule", action="store_true")

@@ -51,33 +51,34 @@ class GumbelNorms:
         return sigma * (self.a * float(z) + self.b)
 
 
-def _check_count(m):
+def _log_count(m):
+    """log m of a count m >= 2; math.log takes an int of any size, which
+    float(m) would overflow past 10^308."""
     if m < 2:
         raise ThresholdError(f"coefficient count m={m} must be >= 2")
-    return float(m)
+    return math.log(m)
 
 
 def norms_chi(m):
     """a = 1/sqrt(2 log m), b = sqrt(2 log m) - (log log m + log pi)/(2 sqrt(2 log m))."""
-    mf = _check_count(m)
-    s = math.sqrt(2.0 * math.log(mf))
-    b = s - (math.log(math.log(mf)) + math.log(math.pi)) / (2.0 * s)
+    log_m = _log_count(m)
+    s = math.sqrt(2.0 * log_m)
+    b = s - (math.log(log_m) + math.log(math.pi)) / (2.0 * s)
     return GumbelNorms(a=1.0 / s, b=b, flavor="chi", m=int(m))
 
 
 def norms_normal(m):
     """Same as norms_chi but with log(4 pi): maxima without absolute values."""
-    mf = _check_count(m)
-    s = math.sqrt(2.0 * math.log(mf))
-    b = s - (math.log(math.log(mf)) + math.log(4.0 * math.pi)) / (2.0 * s)
+    log_m = _log_count(m)
+    s = math.sqrt(2.0 * log_m)
+    b = s - (math.log(log_m) + math.log(4.0 * math.pi)) / (2.0 * s)
     return GumbelNorms(a=1.0 / s, b=b, flavor="normal", m=int(m))
 
 
 def universal_threshold(sigma, m):
     """Donoho-Johnstone universal threshold sigma*sqrt(2 log m)."""
     _check_sigma(sigma)
-    mf = _check_count(m)
-    return sigma * math.sqrt(2.0 * math.log(mf))
+    return sigma * math.sqrt(2.0 * _log_count(m))
 
 
 def threshold_from_zn(sigma, m, z):
@@ -87,10 +88,9 @@ def threshold_from_zn(sigma, m, z):
     z = z_n -> infinity; z fixed gives the sharp confidence radius.
     """
     _check_sigma(sigma)
-    mf = _check_count(m)
-    s = math.sqrt(2.0 * math.log(mf))
-    return sigma * (s + (2.0 * float(z) - math.log(math.log(mf))
-                         - math.log(math.pi)) / (2.0 * s))
+    log_m = _log_count(m)
+    s = math.sqrt(2.0 * log_m)
+    return sigma * (s + (2.0 * float(z) - math.log(log_m) - math.log(math.pi)) / (2.0 * s))
 
 
 def evt_threshold(sigma, alpha, m):
@@ -103,9 +103,9 @@ def cyclespin_location(n, M):
     """b_M(chi, n): cycle-spinning location constant with the additive
     2 log log2(M) correction."""
     _check_shift_count(n, M)
-    nf = _check_count(n)
-    s = math.sqrt(2.0 * math.log(nf))
-    return s + (-math.log(math.log(nf)) - math.log(math.pi)
+    log_n = _log_count(n)
+    s = math.sqrt(2.0 * log_n)
+    return s + (-math.log(log_n) - math.log(math.pi)
                 + 2.0 * math.log(math.log2(M))) / (2.0 * s)
 
 
@@ -116,7 +116,7 @@ def cyclespin_threshold(sigma, alpha, n, M):
     """
     _check_sigma(sigma)
     z = gumbel_quantile(alpha)
-    a = 1.0 / math.sqrt(2.0 * math.log(_check_count(n)))
+    a = 1.0 / math.sqrt(2.0 * _log_count(n))
     return sigma * (a * z + cyclespin_location(n, M))
 
 
@@ -145,7 +145,7 @@ def ti_threshold_at_z(sigma, z, n, c):
     _check_sigma(sigma)
     if c <= 0:
         raise ThresholdError(f"autocorrelation curvature constant c={c} must be > 0")
-    s = math.sqrt(2.0 * math.log(float(n)))
+    s = math.sqrt(2.0 * math.log(n))
     return sigma * (s + (float(z) + math.log(c / math.pi)) / s)
 
 
@@ -208,16 +208,14 @@ class ThresholdSpec:
     """Which threshold rule plus its parameters.
 
     rule: 'universal' | 'evt' | 'from_zn' | 'cyclespin' | 'ti' | 'fixed'.
-    The counts every rule but 'fixed' needs come from the frame it resolves
-    against: m = frame.evt_count, n = frame.n and the shift count M of a
-    cycle-spinning frame.
+    The rest of what a rule but 'fixed' needs comes from the frame it
+    resolves against: n = frame.n and what frame_inputs returns.
     """
 
     rule: str
     sigma: float
     alpha: float | None = None
     z: float | None = None
-    c: float | None = None
     value: float | None = None
 
     def resolve(self, frame=None):
@@ -240,7 +238,8 @@ class ThresholdSpec:
             return float(self.value)
         if frame is None:
             raise ThresholdError(f"rule {self.rule!r} resolves against a frame")
-        m = frame.evt_count
+        inputs = self.frame_inputs(frame)
+        m = inputs["m"]
         if self.rule == "universal":
             return universal_threshold(self.sigma, m)
         if self.rule == "evt":
@@ -250,15 +249,28 @@ class ThresholdSpec:
                 raise ThresholdError("from_zn rule needs z")
             return threshold_from_zn(self.sigma, m, self.z)
         if self.rule == "cyclespin":
-            M = getattr(frame, "M", None)
-            if M is None:
-                raise ThresholdError("cyclespin rule needs the shift count M")
-            return cyclespin_threshold(self.sigma, self._alpha(), frame.n, M)
+            return cyclespin_threshold(self.sigma, self._alpha(), frame.n, inputs["M"])
         if self.rule == "ti":
-            if self.c is None:
-                raise ThresholdError("ti rule needs the curvature constant c")
-            return ti_threshold(self.sigma, self._alpha(), frame.n, self.c)
+            return ti_threshold(self.sigma, self._alpha(), frame.n, inputs["c"])
         raise ThresholdError(f"unknown threshold rule {self.rule!r}")
+
+    def frame_inputs(self, frame):
+        """What the rule reads from the frame beside n: m = frame.evt_count
+        for every rule but 'fixed', the shift count M of a cycle-spinning
+        frame for 'cyclespin', and c = ti_constant_c(frame.filters) of a
+        WaveletBasis or TIWaveletFrame for 'ti'."""
+        if self.rule == "fixed":
+            return {}
+        inputs = {"m": frame.evt_count}
+        if self.rule == "cyclespin":
+            inputs["M"] = getattr(frame, "M", None)
+            if inputs["M"] is None:
+                raise ThresholdError("cyclespin rule needs the shift count M")
+        if self.rule == "ti":
+            if getattr(frame, "filters", None) is None:
+                raise ThresholdError(f"ti rule needs a wavelet basis or ti frame, not {frame.name}")
+            inputs["c"] = ti_constant_c(frame.filters)
+        return inputs
 
     def _alpha(self):
         if self.alpha is None:

@@ -24,6 +24,10 @@ same uniforms as normal and runs ndtri only on those within 2^-40 of their
 row's largest or smallest one; since every step from a word to its normal
 is monotone and ndtri's error is far below what 2^-40 moves it, that
 returns the same floats as the full transform (see _max_abs_in_place).
+count_max_abs_within counts, per threshold T, the rows of a stream_normal
+block with max |N| <= T by comparing each row's largest and smallest
+uniforms with Phi(+-T), by the same argument, so that ndtri runs only on a
+row with an extreme uniform within 2^-40 of Phi(+-T).
 """
 
 from __future__ import annotations
@@ -147,3 +151,43 @@ def _max_abs_in_place(u, sigma):
     # every row has a window value (its largest), and flatnonzero lists the
     # rows in order, so each row's window is one run of x
     return np.maximum.reduceat(x, np.flatnonzero(np.diff(rows, prepend=-1)))
+
+
+def count_max_abs_within(gen, shape, thresholds):
+    """For each T of thresholds, the number of rows of the (B, dim) block
+    stream_normal(gen, shape) whose max |N| is <= T, an int array equal to
+    [np.count_nonzero(np.max(np.abs(block), axis=1) <= T) for T in
+    thresholds].  It draws the same words from gen (the stream goes on
+    where stream_normal leaves it) and counts them with _count_within."""
+    u = np.empty(shape)
+    gen.random(out=u)
+    return _count_within(u, thresholds)
+
+
+def _count_within(u, thresholds):
+    """The counts of count_max_abs_within from a (B, dim) block of
+    u = k * 2^-53 words (u is overwritten).
+
+    A row's max |N| <= T when its largest normal is <= T and its smallest
+    >= -T, and those come from its largest and smallest uniforms.  The
+    2^-40 window argument of _max_abs_in_place, applied at Phi(+-T) =
+    ndtr(+-T) (within 1e-16 of the exact value) instead of at the row's
+    extremes, decides a row whose extreme uniforms lie 2^-40 or more from
+    both crossings without any ndtri.  Only the other rows run ndtri (with
+    the top-word clip) on their values, so where _max_abs_in_place
+    transforms a couple of values per row, this transforms almost none,
+    which makes it the faster of the two for counts against a few T."""
+    from scipy.special import ndtr, ndtri
+    u += _HALF_STEP
+    hi, lo = u[:, 0].copy(), u[:, 0].copy()
+    for k in range(1, u.shape[1]):  # column slices: dim is small
+        np.maximum(hi, u[:, k], out=hi)
+        np.minimum(lo, u[:, k], out=lo)
+    counts = np.zeros(len(thresholds), dtype=np.int64)
+    for i, T in enumerate(thresholds):
+        top, bottom = ndtr(T), ndtr(-T)
+        inside = (hi < top - _WINDOW) & (lo > bottom + _WINDOW)
+        near = ~inside & (hi <= top + _WINDOW) & (lo >= bottom - _WINDOW)
+        x = np.abs(ndtri(np.minimum(u[near], _TOP)))
+        counts[i] = np.count_nonzero(inside) + np.count_nonzero(np.max(x, axis=1) <= T)
+    return counts

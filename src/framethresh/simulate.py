@@ -200,9 +200,9 @@ class SidakRow:
     dominates: bool
 
 
-def sidak_experiment(dependent_frame, reference_m, thresholds, cfg):
+def sidak_experiment(dependent_frame, thresholds, cfg):
     """Dependent max-abs coverage vs the exact independent reference with
-    reference_m coefficients; asserts dependent >= independent - 3 se.
+    the frame's evt_count coefficients; asserts dependent >= independent - 3 se.
     The reference needs sigma > 0; sigma = 0 raises ValueError before any
     draw."""
     if not cfg.sigma > 0:
@@ -211,7 +211,7 @@ def sidak_experiment(dependent_frame, reference_m, thresholds, cfg):
     rows = []
     for T in thresholds:
         emp = float(np.mean(maxima.samples <= T))
-        exact = exact_independent_coverage(T, reference_m, cfg.sigma)
+        exact = exact_independent_coverage(T, dependent_frame.evt_count, cfg.sigma)
         se = mc_se(emp, cfg.trials)
         rows.append(SidakRow(threshold=float(T), empirical_dependent=emp,
                              exact_independent=exact, se=se,
@@ -232,18 +232,18 @@ class TiBoundRow:
     holds: bool
 
 
-def ti_bound_experiment(ti_frame, c, z_list, cfg):
-    """Empirical P{ ||W_{n,n} eps||_inf <= T(z) } with
-    T(z) = sigma [sqrt(2 log n) + (z + log(c/pi))/sqrt(2 log n)], compared
-    one-sidedly against exp(-e^{-z}).  Each row also holds the threshold
+def ti_bound_experiment(ti_frame, z_list, cfg):
+    """Empirical P{ ||W_{n,n} eps||_inf <= T(z) } with c the frame's
+    ti_constant_c and T(z) = sigma [sqrt(2 log n) + (z + log(c/pi))/sqrt(2 log n)],
+    compared one-sidedly against exp(-e^{-z}).  Each row also holds the threshold
     at z that the chi norms of the frame's count would give, which a stable
     frame of that many atoms needs (at coarsest level 0, n log2 n atoms)."""
-    ti_constant_c(ti_frame.filters)  # ThresholdError when the wavelet has no c
+    c = ti_constant_c(ti_frame.filters)  # ThresholdError when the wavelet has no c
     maxima = sample_max_abs(ti_frame, cfg)
     stable = norms_chi(ti_frame.evt_count)
     rows = []
     for z in z_list:
-        T = ti_threshold_at_z(cfg.sigma, z, ti_frame.n, float(c))
+        T = ti_threshold_at_z(cfg.sigma, z, ti_frame.n, c)
         emp = float(np.mean(maxima.samples <= T))
         target = float(gumbel_cdf(z))
         se = mc_se(emp, cfg.trials)
@@ -454,11 +454,9 @@ def comparison_bound_experiment(cfg, n_matrices=20, dim=8, thresholds=(1.0, 2.0,
             block = min(draws - done, 1 << 15)
             z = _rng.stream_normal(gen, (block, dim))
             dep_max = _row_max_abs(z @ chol.T)
-            w = _rng.stream_normal(gen, (block, dim))
-            ind_max = _row_max_abs(w)
+            ind_counts += _rng.count_max_abs_within(gen, (block, dim), thresholds)
             for k, T in enumerate(thresholds):
                 dep_counts[k] += np.count_nonzero(dep_max <= T)
-                ind_counts[k] += np.count_nonzero(ind_max <= T)
             done += block
         for k, T in enumerate(thresholds):
             p_dep = dep_counts[k] / draws

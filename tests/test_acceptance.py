@@ -184,8 +184,7 @@ def test_criterion_06_coverage():
 
 def test_criterion_07_sidak_domination():
     frame = TIWaveletFrame(256, "haar")
-    rows = sidak_experiment(frame, frame.evt_count, (2.5, 3.0, 3.5),
-                            McConfig(trials=TRIALS, seed=7001))
+    rows = sidak_experiment(frame, (2.5, 3.0, 3.5), McConfig(trials=TRIALS, seed=7001))
     for row in rows:
         assert row.dominates, row
     detail = "; ".join(
@@ -203,7 +202,7 @@ def ti_setup():
 
 def test_criterion_08_ti_bound_monte_carlo(ti_setup):
     frame, c = ti_setup
-    rows = ti_bound_experiment(frame, c, [-1.0, 0.0, 1.0, 2.0],
+    rows = ti_bound_experiment(frame, [-1.0, 0.0, 1.0, 2.0],
                                McConfig(trials=TRIALS, seed=8001))
     for row in rows:
         assert row.holds, row

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -116,6 +117,92 @@ def test_denoise_evt_counts_a_repeated_explicit_atom_once(tmp_path):
     report = json.loads(rep.read_text())
     assert report["atom_count"] == 3
     assert report["threshold_used"] == evt.evt_threshold(1.0, 0.1, 2)
+
+
+_HAAR64 = '{"type":"wavelet","n":64,"filters":"haar"}'
+_CS64 = '{"type":"cyclespin","n":64,"M":4,"filters":"haar","coarsest_level":1}'
+_TI64 = '{"type":"ti","n":64,"filters":"cdf97r"}'
+_SINE64 = '{"type":"sine","n":64,"oversample":2}'
+
+
+def _recompute_threshold(report, config):
+    """threshold_used from the denoise report and the manifest's config alone."""
+    from framethresh import evt
+    rule, sigma = report["threshold_rule"], config["sigma"]
+    if rule == "fixed":
+        return config["fixed_value"]
+    if rule == "universal":
+        return evt.universal_threshold(sigma, report["m"])
+    if rule == "evt":
+        return evt.evt_threshold(sigma, config["alpha"], report["m"])
+    if rule == "from_zn":
+        return evt.threshold_from_zn(sigma, report["m"], config["z"])
+    if rule == "cyclespin":
+        return evt.cyclespin_threshold(sigma, config["alpha"], report["n"], report["M"])
+    return evt.ti_threshold(sigma, config["alpha"], report["n"], report["c"])
+
+
+@pytest.mark.parametrize("spec, rule, extra", [
+    (_HAAR64, "universal", []), (_HAAR64, "evt", ["--alpha", "0.1"]),
+    (_HAAR64, "from_zn", ["--z", "1.5"]), (_HAAR64, "fixed", ["--fixed-value", "0.7"]),
+    (_CS64, "cyclespin", ["--alpha", "0.1"]), (_CS64, "evt", ["--alpha", "0.05"]),
+    (_TI64, "ti", ["--alpha", "0.1"]), (_TI64, "universal", []),
+    (_SINE64, "evt", ["--alpha", "0.1"]), (_SINE64, "from_zn", ["--z", "-0.5"])],
+    ids=["haar-universal", "haar-evt", "haar-from_zn", "haar-fixed", "cyclespin-cyclespin",
+         "cyclespin-evt", "ti-ti", "ti-universal", "sine-evt", "sine-from_zn"])
+def test_denoise_report_recomputes_its_threshold(tmp_path, spec, rule, extra):
+    # the report holds m, M and c where the rule uses them, and the manifest's
+    # config sigma, alpha, z and the fixed value: together every input
+    sig, out, rep = tmp_path / "x.csv", tmp_path / "o.csv", tmp_path / "r.json"
+    ftio.write_signal(sig, np.random.default_rng(3).standard_normal(64))
+    code = main(["denoise", "--input", str(sig), "--frame-spec", spec, "--sigma", "0.75",
+                 "--threshold-rule", rule, *extra, "--output", str(out), "--report", str(rep)])
+    assert code == 0
+    report = json.loads(rep.read_text())
+    config = json.loads((tmp_path / "o.csv.manifest.json").read_text())["config"]
+    assert "c" not in config and report["threshold_used"] == _recompute_threshold(report, config)
+    assert ("m" in report, "M" in report, "c" in report) == (
+        rule != "fixed", rule == "cyclespin", rule == "ti")
+    if spec == _CS64 and rule != "fixed":
+        assert report["m"] < report["atom_count"]  # shifts repeat coarse atoms
+
+
+def test_thresholds_ti_row_is_the_denoise_ti_threshold(tmp_path, capsys):
+    code, out, _ = run_main(capsys, ["thresholds", "--n", "1024", "--wavelet", "cdf97r"])
+    assert code == 0
+    ti_row, = (row for row in json.loads(out)["rows"] if row["rule"] == "ti")
+    sig, rep = tmp_path / "x.csv", tmp_path / "r.json"
+    ftio.write_signal(sig, np.zeros(1024))
+    code = main(["denoise", "--input", str(sig), "--frame-spec",
+                 '{"type":"ti","n":1024,"filters":"cdf97r"}', "--threshold-rule", "ti",
+                 "--alpha", "0.1", "--output", str(tmp_path / "o.csv"), "--report", str(rep)])
+    assert code == 0
+    report = json.loads(rep.read_text())
+    assert (report["threshold_used"], report["c"]) == (ti_row["threshold"], ti_row["c"])
+
+
+def test_thresholds_take_a_count_past_the_float_range():
+    code, out, err = run_cli(["thresholds", "--n", str(10 ** 400), "--M", "4",
+                              "--wavelet", "cdf97r"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert [row["rule"] for row in rows] == ["universal", "evt", "cyclespin", "ti"]
+    assert all(math.isfinite(row["threshold"]) for row in rows)
+
+
+def test_simulate_sidak_reference_is_the_frames_count(tmp_path):
+    from framethresh.simulate import exact_independent_coverage
+    from framethresh.transforms import frame_from_spec
+    out = tmp_path / "sidak.json"
+    code = main(["simulate", "--experiment", "sidak", "--frame-spec", _CS64,
+                 "--trials", "50", "--seed", "3", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    frame = frame_from_spec(_CS64)
+    assert report["reference_m"] == frame.evt_count < frame.atom_count
+    for row in report["rows"]:
+        assert row["exact_independent"] == exact_independent_coverage(
+            row["threshold"], frame.evt_count)
 
 
 def test_denoise_missing_input_is_io_error(tmp_path, capsys):
@@ -690,7 +777,7 @@ _OUT_OF_RANGE_MATRICES = {"huge.csv": "1e200,1e200\n0,1\n", "tiny.csv": "1e-200,
     ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--sigma", "1e308"], 2, "--sigma"),
     (["simulate", "--experiment", "ti", "--frame-spec", '{"type":"ti","n":16,"filters":"haar"}',
       "--trials", "4", "--seed", "1"], 2, "--frame-spec"),
-    ([*_SIDAK, "--reference-m", "-3"], 2, "--reference-m"),
+    ([*_SIDAK, "--reference-m", "-3"], 2, "--reference-m"),  # the flag is gone
     (["simulate", "--experiment", "risk1d", "--mu", "nan", "--trials", "10", "--seed", "1"],
      2, "--mu"),
     (["simulate", "--experiment", "ti", "--frame-spec", '{"type":"ti","n":16,"filters":"cdf97r"}',
@@ -752,8 +839,13 @@ _OUT_OF_RANGE_MATRICES = {"huge.csv": "1e200,1e200\n0,1\n", "tiny.csv": "1e-200,
     (["denoise", "--input", "@MISSING", "--output", "@OUT", "--frame-spec",
       '{"type":"wavelet","n":16}', "--sigma", "0"], 2, "--sigma"),
     ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--alpha", "1.5"], 2, "--alpha"),
-    ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--c", "0"], 2, "--c"),
-    ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--z", "inf"], 2, "--z")],
+    ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--c", "0"], 2, "--c"),  # the flag is gone
+    ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--z", "inf"], 2, "--z"),
+    # a flag is taken only by its full name, not by a prefix such as --w or --c
+    (["thresholds", "--n", "64", "--w", "cdf97r"], 2, "--w"),
+    ([*_SMOOTH, "--c", "@MISSING"], 2, "--c"),
+    # a manifest recorded with a flag that is gone no longer replays
+    (["replay", "@OLDMANIFEST"], 2, "--c")],
     ids=["comparison-dim-0", "comparison-draws-0", "ti-row-n-2", "ti-row-n-3",
          "thresholds-sigma-overflow", "thresholds-sigma-overflow-M-ti",
          "denoise-sigma-overflow", "simulate-ti-haar",
@@ -775,7 +867,8 @@ _OUT_OF_RANGE_MATRICES = {"huge.csv": "1e200,1e200\n0,1\n", "tiny.csv": "1e-200,
          "diagnose-wavelet-n-3", "diagnose-cyclespin-n-2", "diagnose-ti-filter-key",
          "diagnose-delta-5",
          "diagnose-delta-nan", "diagnose-delta-above-rho", "replay-binary-manifest", "sigma-before-file-error",
-         "denoise-alpha-unused", "denoise-c-unused", "denoise-z-unused"])
+         "denoise-alpha-unused", "denoise-c-unused", "denoise-z-unused",
+         "thresholds-wavelet-prefix", "simulate-clean-prefix", "replay-removed-flag"])
 def test_malformed_input_takes_the_exit_code_contract(tmp_path, capsys, args, code, flag):
     """Each invocation exits with its code, kind and flag, writes nothing,
     and prints one JSON object on stderr (no traceback)."""
@@ -786,13 +879,18 @@ def test_malformed_input_takes_the_exit_code_contract(tmp_path, capsys, args, co
     (tmp_path / "bad.csv").write_text("a,b\n1,2\n")
     (tmp_path / "nan.csv").write_text("1,0\nnan,1\n")
     (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "old.manifest.json").write_text(json.dumps({"command": [
+        "denoise", "--input", "x.csv", "--output", "o.csv", "--frame-spec",
+        '{"type":"ti","n":16,"filters":"cdf97r"}', "--threshold-rule", "ti",
+        "--alpha", "0.1", "--c", "4.8708"]}))
     for name, text in _OUT_OF_RANGE_MATRICES.items():
         (tmp_path / name).write_text(text)
     inputs = sorted(tmp_path.iterdir())
     paths = {"@SIG": sig, "@MATRIX": matrix, "@BIN": binary, "@OUT": tmp_path / "out.csv",
              "@MISSING": tmp_path / "missing.csv", "@BADMATRIX": tmp_path / "bad.csv",
              "@NANMATRIX": tmp_path / "nan.csv", "@EMPTY": tmp_path / "empty.csv",
-             "@HUGEMATRIX": tmp_path / "huge.csv", "@TINYMATRIX": tmp_path / "tiny.csv"}
+             "@HUGEMATRIX": tmp_path / "huge.csv", "@TINYMATRIX": tmp_path / "tiny.csv",
+             "@OLDMANIFEST": tmp_path / "old.manifest.json"}
     for token, path in paths.items():
         args = [a.replace(token, str(path)) for a in args]
     if args[0] in ("thresholds", "simulate", "diagnose"):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from framethresh import evt
 from framethresh.evt import ThresholdError, ThresholdSpec
 from framethresh.core import ExplicitFrame
-from framethresh.transforms import CDF97, CDF97R, D4, HAAR, CycleSpinFrame, WaveletBasis
+from framethresh.transforms import (CDF97, CDF97R, D4, HAAR, CycleSpinFrame, SineFrame,
+                                    TIWaveletFrame, WaveletBasis)
 
 # frozen from a 50-digit mpmath evaluation of the closed forms
 ORACLE = {
@@ -311,6 +312,32 @@ def test_threshold_spec_validation():
     with pytest.raises(ThresholdError):
         ThresholdSpec("fixed", 1.0, value=-1.0).resolve()
     with pytest.raises(ThresholdError):
-        ThresholdSpec("ti", 1.0, alpha=0.1).resolve(eye1024)  # missing c
+        ThresholdSpec("ti", 1.0, alpha=0.1).resolve(eye1024)  # no filters
     with pytest.raises(ThresholdError):
         ThresholdSpec("evt", 1.0, alpha=0.1).resolve()  # no frame to count
+
+
+@pytest.mark.parametrize("frame", [TIWaveletFrame(1024, CDF97R), TIWaveletFrame(1024, CDF97),
+                                   WaveletBasis(1024, CDF97R)], ids=lambda f: f.name)
+def test_ti_rule_takes_c_from_the_frames_filters(frame):
+    expected = evt.ti_threshold(1.5, 0.1, 1024, evt.ti_constant_c(frame.filters))
+    assert ThresholdSpec("ti", 1.5, alpha=0.1).resolve(frame) == expected
+
+
+@pytest.mark.parametrize("frame, match", [
+    (TIWaveletFrame(64, HAAR), "Sobolev exponent"), (WaveletBasis(64, D4), "Sobolev exponent"),
+    (CycleSpinFrame(64, 4, "haar"), "ti rule"), (SineFrame(64, 2), "ti rule"),
+    (ExplicitFrame(np.eye(64)), "ti rule")], ids=lambda x: getattr(x, "name", x))
+def test_ti_rule_refuses_frames_without_a_constant(frame, match):
+    with pytest.raises(ThresholdError, match=match):
+        ThresholdSpec("ti", 1.0, alpha=0.1).resolve(frame)
+
+
+def test_counts_beyond_the_float_range():
+    # math.log of the int itself: float(10**400) would overflow
+    m = 10 ** 400
+    s = math.sqrt(2.0 * 400 * math.log(10))
+    assert evt.universal_threshold(1.0, m) == pytest.approx(s, rel=1e-15)
+    for value in (evt.evt_threshold(1.0, 0.1, m), evt.cyclespin_threshold(1.0, 0.1, m, 4),
+                  evt.ti_threshold(1.0, 0.1, m, 4.87), evt.norms_chi(m).b):
+        assert math.isfinite(value) and value > s - 1

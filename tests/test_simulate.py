@@ -8,7 +8,8 @@ from framethresh import evt, simulate
 from framethresh.core import CoefficientVector, ExplicitFrame
 from framethresh.norms import NormSpec, evaluate
 from framethresh.rng import normal as rng_normal
-from framethresh.rng import open_uniform, stream_normal, trial_generator
+from framethresh import rng as _rng
+from framethresh.rng import count_max_abs_within, open_uniform, stream_normal, trial_generator
 from framethresh.shrink import shrink_value
 from framethresh.signals import piecewise_constant
 from framethresh.simulate import (EmpiricalDistribution, McConfig,
@@ -137,7 +138,7 @@ def test_coverage_dependent_frame_skips_exact():
 def test_sidak_orthonormal_self_equality():
     m = 128
     frame = ExplicitFrame(np.eye(m), "iid")
-    rows = sidak_experiment(frame, m, (2.5, 3.0, 3.5), McConfig(trials=3000, seed=21))
+    rows = sidak_experiment(frame, (2.5, 3.0, 3.5), McConfig(trials=3000, seed=21))
     for row in rows:
         assert abs(row.empirical_dependent - row.exact_independent) <= 3 * row.se + 1e-9
         assert row.dominates
@@ -149,14 +150,14 @@ def test_sidak_equicorrelated_strict_domination():
     np.fill_diagonal(gram, 1.0)
     chol = np.linalg.cholesky(gram)
     frame = ExplicitFrame(chol, "equicorrelated")  # rows have unit norm
-    rows = sidak_experiment(frame, dim, (2.0,), McConfig(trials=4000, seed=23))
+    rows = sidak_experiment(frame, (2.0,), McConfig(trials=4000, seed=23))
     row = rows[0]
     assert row.empirical_dependent > row.exact_independent + 10 * row.se
 
 
 def test_ti_bound_large_z_trivial():
     frame = TIWaveletFrame(128, CDF97R)
-    rows = ti_bound_experiment(frame, 4.87, [10.0], McConfig(trials=300, seed=31))
+    rows = ti_bound_experiment(frame, [10.0], McConfig(trials=300, seed=31))
     assert rows[0].empirical >= rows[0].gumbel - 3 * rows[0].se
     assert rows[0].empirical > 0.99
 
@@ -165,7 +166,7 @@ def test_ti_bound_rejects_nondifferentiable():
     # the wavelet's Sobolev exponent is not above 1, so it has no constant c
     for filters in ("haar", "d4"):
         with pytest.raises(evt.ThresholdError, match="Sobolev exponent"):
-            ti_bound_experiment(TIWaveletFrame(64, filters), 1.0, [0.0],
+            ti_bound_experiment(TIWaveletFrame(64, filters), [0.0],
                                 McConfig(trials=10, seed=1))
 
 
@@ -338,6 +339,44 @@ def test_normal_draw_peaks_near_its_output(draw):
         tracemalloc.stop()
     assert z.nbytes == 2 ** 21
     assert peak <= 1.2 * z.nbytes, (peak, z.nbytes)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (2 ** 12, 8)])
+def test_count_max_abs_within_equals_the_normal_block(shape):
+    # the same counts as the stream_normal block, and the stream goes on
+    # from the same place
+    thresholds = (0.0, 0.5, 1.0, 2.0, 3.0, np.inf)
+    gen, oracle = _mid_stream_generators(7, lambda gen: gen.random(3))
+    counts = count_max_abs_within(gen, shape, thresholds)
+    block_max = np.max(np.abs(stream_normal(oracle, shape)), axis=1)
+    assert list(counts) == [np.count_nonzero(block_max <= T) for T in thresholds]
+    assert gen.random() == oracle.random()
+
+
+def test_count_within_runs_ndtri_on_rows_near_a_crossing():
+    # each crafted row has one word within 2^-41 of Phi(+-T), T = 1 or 2, on
+    # either side of the crossing, and words of 1/2 (normal ~0) elsewhere;
+    # the last row holds the top word, clipped to 1 - 2^-53 (normal 8.2),
+    # whose uniform rounds to Phi(9) = 1.0.  Only the ndtri fallback
+    # decides these rows.
+    from scipy.special import ndtr
+    rows = []
+    for T in (1.0, 2.0):
+        for sign in (1, -1):
+            k0 = round(ndtr(sign * T) * 2 ** 53 - 0.5)
+            for d in range(-2 ** 12, 2 ** 12 + 1, 2 ** 9):
+                row = np.full(8, 2.0 ** 52)
+                row[d % 8] = k0 + d
+                rows.append(row)
+    rows.append(np.full(8, 2.0 ** 52))
+    rows[-1][3] = 2 ** 53 - 1
+    u = np.array(rows) * 2.0 ** -53
+    thresholds = (1.0, 2.0, 9.0)
+    block_max = np.max(np.abs(_rng._normal_in_place(u.copy(), 1.0)), axis=1)
+    expected = [np.count_nonzero(block_max <= T) for T in thresholds]
+    assert list(_rng._count_within(u, thresholds)) == expected
+    # rows on both sides of the crossings at T = 1 and at T = 2
+    assert 0 < expected[0] < 34 < expected[1] < 68 and expected[2] == 69
 
 
 def _reference_maxima(frame, cfg):
@@ -525,10 +564,10 @@ def test_identity_reports_equal_analysis_route(monkeypatch):
     frame = ExplicitFrame(np.eye(256), "orthonormal-basis")
     cfg = McConfig(trials=1500, seed=31)
     fast = (coverage_experiment(frame, 0.1, cfg),
-            sidak_experiment(frame, 256, (2.5, 3.0, 3.5), cfg))
+            sidak_experiment(frame, (2.5, 3.0, 3.5), cfg))
     _analysis_route(monkeypatch)
     assert fast == (coverage_experiment(frame, 0.1, cfg),
-                    sidak_experiment(frame, 256, (2.5, 3.0, 3.5), cfg))
+                    sidak_experiment(frame, (2.5, 3.0, 3.5), cfg))
 
 
 def test_zero_sigma_refused_before_any_draw(monkeypatch):
@@ -537,7 +576,7 @@ def test_zero_sigma_refused_before_any_draw(monkeypatch):
     monkeypatch.setattr(simulate, "sample_max_abs", boom)
     cfg = McConfig(trials=20, seed=1, sigma=0.0)
     with pytest.raises(ValueError, match="sigma"):
-        sidak_experiment(ExplicitFrame(np.eye(8)), 8, (2.0,), cfg)
+        sidak_experiment(ExplicitFrame(np.eye(8)), (2.0,), cfg)
     with pytest.raises(ValueError, match="sigma"):
         rescale_to_gumbel(np.ones(20), evt.norms_chi(8), sigma=0.0)
     with pytest.raises(ValueError, match="sigma"):
