@@ -230,10 +230,12 @@ def cmd_simulate(args):
         raise CliError(EXIT_VALIDATION, f"the computation overflowed: {exc}", "--sigma")
     except ThresholdError as exc:  # too few atoms or shifts for the rule at --alpha
         raise CliError(EXIT_VALIDATION, str(exc), "--frame-spec")
-    # the computation runs at the larger of the two scales, sigma and the
-    # --clean signal's peak, so the larger one is named for an overflow
+    # risk1d's only unbounded input is mu.  Elsewhere the computation runs
+    # at the larger of the two scales, sigma and the --clean signal's peak,
+    # so the larger one is named for an overflow
     large_clean = clean is not None and np.max(np.abs(clean)) > args.sigma
-    _require_finite({**report, "qq": qq}, "--clean" if large_clean else "--sigma")
+    flag = "--mu" if args.experiment == "risk1d" else "--clean" if large_clean else "--sigma"
+    _require_finite({**report, "qq": qq}, flag)
     outputs = [_write("--out", io.write_report, args.out, report)]
     if qq is not None:
         outputs.append(_write("--qq", io.write_qq, args.qq, qq))
@@ -252,6 +254,9 @@ def _run_experiment(args, cfg, report):
     if exp in ("risk", "risk1d") and args.trials < 2:
         raise CliError(EXIT_VALIDATION, "this experiment's standard error needs --trials >= 2",
                        "--trials")
+    if exp in ("risk1d", "comparison") and args.sigma != 1.0:
+        raise CliError(EXIT_VALIDATION, "this experiment draws unit-variance noise, so it "
+                       f"takes no --sigma but 1, got {args.sigma}", "--sigma")
     qq = clean = None
     if exp not in ("risk1d", "comparison"):
         frame = _read("--frame-spec", frame_from_spec, args.frame_spec)
@@ -283,12 +288,15 @@ def _run_experiment(args, cfg, report):
         report.update(c=evt.ti_constant_c(frame.filters), rows=io.to_jsonable(rows))
     elif exp == "smoothness":
         norm_spec = _read("--norm-spec", NormSpec.from_json, args.norm_spec)
+        clean_signal = signals.piecewise_constant(frame.n) if clean is None else clean
         try:
-            rep = simulate.smoothness_experiment(
-                frame, signals.piecewise_constant(frame.n) if clean is None else clean,
-                args.alpha, norm_spec, cfg)
+            rep = simulate.smoothness_experiment(frame, clean_signal, args.alpha, norm_spec, cfg)
         except NormSpecError as exc:  # the spec does not fit the frame's coefficients
             raise CliError(EXIT_VALIDATION, str(exc), "--norm-spec")
+        if (not math.isfinite(rep.clean_value)
+                and np.all(np.isfinite(frame.analyze(clean_signal).values))):
+            raise CliError(EXIT_VALIDATION, f"the norm of the finite clean coefficients is "
+                           f"{rep.clean_value}: the norm spec overflows", "--norm-spec")
         report.update(io.to_jsonable(rep))
     elif exp == "risk":
         rep = simulate.oracle_risk_experiment(

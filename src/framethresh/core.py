@@ -77,7 +77,10 @@ class CoefficientVector:
 
 @dataclass
 class GramSummary:
-    coherence_counts: dict
+    """The census at one level: count, the ordered off-diagonal pairs at
+    or above it, and distinct_count, the number of distinct atoms."""
+
+    count: int
     distinct_count: int
 
 
@@ -222,15 +225,16 @@ def _dense_frame_operator(frame):
     return op
 
 
-def gram_coherence_counts(frame, deltas):
+def gram_coherence_counts(frame, delta):
     """Count off-diagonal Gram entries |<phi_w, phi_w'>| >= delta over the
-    distinct atoms of the frame, frame.distinct_positions().
+    distinct atoms of the frame, frame.distinct_positions(), at one level
+    delta in (0, 1].
 
-    Counts ordered pairs (w, w'), w != w', so totals are even by symmetry.
+    Counts ordered pairs (w, w'), w != w', so the count is even by symmetry.
     A duplicated atom (cycle spinning, a repeated explicit row) enters once;
     its multiplicity enters only the frame operator.
 
-    Two routes give the same counts.  The dense route (explicit and sine
+    Two routes give the same count.  The dense route (explicit and sine
     frames) computes the Gram matrix as gemm tiles of _BLOCK x _BLOCK atoms,
     the tiles on and above the diagonal in row-major order, with at most
     two atom blocks materialized at a time.  The structure route (frames
@@ -245,24 +249,27 @@ def gram_coherence_counts(frame, deltas):
     TI haar n=256, 8192 off-diagonal entries equal 0.5 in exact arithmetic,
     the gemm rounds 5888 of them to >= 0.5, and pairs at the same lag fall
     on both sides.  So the structure route decides from the lag value only
-    the lags whose |v| lies farther than 8 n eps from a level (a band that
+    the lags whose |v| lies farther than 8 n eps from delta (a band that
     covers the gemm's and the FFT's rounding together); every pair at a lag
     inside the band is a tie, decided from its entry of the very gemm tile
     the dense route computes, through the same tile helper.  Only tiles
     holding a tie are computed.
     """
-    levels = [float(d) for d in deltas]
-    for d in levels:
-        if not 0 < d <= 1:
-            raise ValueError(f"coherence level delta={d} outside (0, 1]")
+    delta = float(delta)
+    if not 0 < delta <= 1:
+        raise ValueError(f"coherence level delta={delta} outside (0, 1]")
     positions = frame.distinct_positions()
-    keyed = _shift_keys(frame, positions)
-    if keyed is None:
-        counts = _dense_census(frame, positions, levels)
+    structure = frame.shift_structure(positions)
+    if structure is None:
+        count = _dense_census(frame, positions, delta)
     else:
-        counts = _shift_census(frame, positions, levels, *keyed)
-    return GramSummary(coherence_counts={d: int(c) for d, c in zip(levels, counts)},
-                       distinct_count=len(positions))
+        bases, rows, shifts = structure
+        n = bases.shape[1]
+        keys = rows * n + shifts
+        count, ties = _lag_census(frame.name, bases, keys, delta)
+        if len(ties):
+            count += _tie_counts(frame, positions, delta, keys, n, ties)
+    return GramSummary(count=int(count), distinct_count=len(positions))
 
 
 def _gram_tiles(frame, positions, tiles):
@@ -281,38 +288,17 @@ def _gram_tiles(frame, positions, tiles):
         mj = None
 
 
-def _dense_census(frame, positions, levels):
-    """Off-diagonal counts per level from every tile; a tile above the
+def _dense_census(frame, positions, delta):
+    """The off-diagonal count at delta from every tile; a tile above the
     diagonal stands for its mirror too and counts twice."""
     blocks = -(-len(positions) // _BLOCK)
     tiles = ((i, j) for i in range(blocks) for j in range(i, blocks))
-    counts = np.zeros(len(levels), np.int64)
+    count = 0
     for i, j, tile in _gram_tiles(frame, positions, tiles):
         if i == j:
             np.fill_diagonal(tile, 0.0)
-        counts += [(1 if i == j else 2) * np.count_nonzero(tile >= d) for d in levels]
-    return counts
-
-
-def _shift_keys(frame, positions):
-    """(bases, keys) of the frame's shift structure at positions, with
-    keys = row * n + shift, or None for a frame without one."""
-    structure = frame.shift_structure(positions)
-    if structure is None:
-        return None
-    bases, rows, shifts = structure
-    return bases, rows * bases.shape[1] + shifts
-
-
-def _shift_census(frame, positions, levels, bases, keys):
-    """The census of the atoms at keys = row * n + shift, each the base
-    atom of its row rolled by its shift: the lag tables decide every pair
-    outside the tie band, the gemm tiles the ties."""
-    counts, ties = _lag_census(frame.name, bases, keys, levels)
-    if len(ties):
-        counts += _tie_counts(frame, positions, np.array(levels), keys,
-                              bases.shape[1], ties)
-    return counts
+        count += (1 if i == j else 2) * np.count_nonzero(tile >= delta)
+    return count
 
 
 def _lag_tables(name, bases, keys):
@@ -342,72 +328,67 @@ def _lag_tables(name, bases, keys):
         yield r, values, pairs
 
 
-def _lag_census(name, bases, keys, levels):
-    """(counts, ties) from the lag tables of the atoms at keys =
+def _lag_census(name, bases, keys, delta):
+    """(count, ties) at delta from the lag tables of the atoms at keys =
     row * n + shift.
 
-    Lags whose value lies within 8 n eps of a level are ties, symmetrized
-    in d on a row with itself so that a pair and its mirror tie together;
-    every other lag counts all its pairs at once.  ties holds one (level
-    index, r, r', d) row per tied lag that holds a pair."""
+    Lags whose value lies within 8 n eps of delta are ties, symmetrized in
+    d on a row with itself so that a pair and its mirror tie together;
+    every other lag counts all its pairs at once.  ties holds one
+    (r, r', d) row per tied lag that holds a pair."""
     n = bases.shape[1]
     band = 8 * n * np.finfo(float).eps
     mirror = -np.arange(n) % n
-    counts = np.zeros(len(levels), np.int64)
-    ties = [np.empty((0, 4), np.int64)]
+    count = 0
+    ties = [np.empty((0, 3), np.int64)]
     for r, values, pairs in _lag_tables(name, bases, keys):
-        present = pairs > 0
-        for li, level in enumerate(levels):
-            tie = np.abs(values - level) <= band
-            tie[0] |= tie[0, mirror]
-            counts[li] += pairs[(values >= level) & ~tie].sum()
-            k, d = np.nonzero(tie & present)
-            ties.append(np.stack([np.full_like(k, li), np.full_like(k, r), r + k, d], 1))
-    return counts, np.concatenate(ties)
+        tie = np.abs(values - delta) <= band
+        tie[0] |= tie[0, mirror]
+        count += pairs[(values >= delta) & ~tie].sum()
+        k, d = np.nonzero(tie & (pairs > 0))
+        ties.append(np.stack([np.full_like(k, r), r + k, d], 1))
+    return count, np.concatenate(ties)
 
 
-def _tie_counts(frame, positions, levels, keys, n, ties):
-    """Counts of the tied pairs per level, each pair read from its gemm
+def _tie_counts(frame, positions, delta, keys, n, ties):
+    """The count at delta of the tied pairs, each pair read from its gemm
     tile.
 
     One block row of atoms at a time, every tied pair (a, b) with a in the
-    block is enumerated: each tie (level, r, r', d) and the mirror
-    (level, r', r, -d) of a cross-row one send an atom a at row r to the
-    atom b at key r' n + (shift(a) + d) mod n, if there is one.  The census
-    runs over distinct atoms, so keys are unique and a table indexed by key
-    finds b; a tie on one row at d = 0 holds no pair, so b is never a.  A
-    pair in tile (a // _BLOCK, b // _BLOCK) above the diagonal counts
-    twice, as in the dense route; within a diagonal tile each ordered pair
-    counts once; below it, never (its mirror counts)."""
-    cross = ties[ties[:, 1] != ties[:, 2]]
-    mirrored = np.stack([cross[:, 0], cross[:, 2], cross[:, 1], -cross[:, 3] % n], 1)
-    ties = np.concatenate([ties, mirrored])
-    ties = ties[np.argsort(ties[:, 1], kind="stable")]
+    block is enumerated: each tie (r, r', d) and the mirror (r', r, -d) of
+    a cross-row one send an atom a at row r to the atom b at key
+    r' n + (shift(a) + d) mod n, if there is one.  The census runs over
+    distinct atoms, so keys are unique and a table indexed by key finds b;
+    a tie on one row at d = 0 holds no pair, so b is never a.  A pair in
+    tile (a // _BLOCK, b // _BLOCK) above the diagonal counts twice, as in
+    the dense route; within a diagonal tile each ordered pair counts once;
+    below it, never (its mirror counts)."""
+    cross = ties[ties[:, 0] != ties[:, 1]]
+    ties = np.concatenate([ties, np.stack([cross[:, 1], cross[:, 0], -cross[:, 2] % n], 1)])
+    ties = ties[np.argsort(ties[:, 0], kind="stable")]
     rows = keys.max() // n + 1
-    first = np.searchsorted(ties[:, 1], np.arange(rows + 1))
+    first = np.searchsorted(ties[:, 0], np.arange(rows + 1))
     # int32 keeps the table within the census's memory bound; -1: no atom
     at = np.full(rows * n, -1, np.int32)
     at[keys] = np.arange(len(keys), dtype=np.int32)
-    counts = np.zeros(len(levels), np.int64)
+    count = 0
     for i in range(-(-len(positions) // _BLOCK)):
         a = np.arange(i * _BLOCK, min((i + 1) * _BLOCK, len(positions)))
         r = keys[a] // n
         k, t = _expand(first[r], first[r + 1] - first[r])
         a = a[k]
-        b = at[ties[t, 2] * n + (keys[a] + ties[t, 3]) % n]
+        b = at[ties[t, 1] * n + (keys[a] + ties[t, 2]) % n]
         keep = b // _BLOCK >= i  # drops b = -1 too
-        a, t, b = a[keep], t[keep], b[keep]
+        a, b = a[keep], b[keep]
         j = b // _BLOCK
-        weight = np.where(j > i, 2, 1)
         # the column blocks holding a tied pair (np.unique would import numpy.ma)
         tiles = ((i, int(x)) for x in np.flatnonzero(np.bincount(j)))
         for _, jj, tile in _gram_tiles(frame, positions, tiles):
             sel = j == jj
-            li = ties[t[sel], 0]
-            hit = tile[a[sel] - i * _BLOCK, b[sel] - jj * _BLOCK] >= levels[li]
-            counts += np.bincount(li[hit], weight[sel][hit], len(levels)).astype(np.int64)
+            hit = tile[a[sel] - i * _BLOCK, b[sel] - jj * _BLOCK] >= delta
+            count += (2 if jj > i else 1) * np.count_nonzero(hit)
             del tile  # not held while the next tile's atoms are materialized
-    return counts
+    return count
 
 
 def _expand(starts, lengths):

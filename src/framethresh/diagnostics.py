@@ -80,8 +80,8 @@ def stability_check(frame_family, rho):
     bounds = [frame_bounds(fr) for fr in reversed(frames)][::-1]
     rows = []
     for fr, (_, b_n) in zip(frames, bounds):
-        summary = gram_coherence_counts(fr, [rho])
-        count = summary.coherence_counts[rho]
+        summary = gram_coherence_counts(fr, rho)
+        count = summary.count
         m = summary.distinct_count
         rows.append(StabilityRow(
             n=fr.n, omega_count=m, count_geq_rho=count,
@@ -240,7 +240,8 @@ def comparison_bound(gram, threshold, flavor="abs"):
     """Li-Shao bound on |P{max <= T}(independent) - P{max <= T}(gram)|:
     (1/4 for abs, 1/8 for normal) * sum_{w != w'} |kappa| exp(-T^2/(1+|kappa|)).
     The largest term's pair is the first in row-major order, (0, 0) when
-    every term is 0.  A non-finite threshold raises ValueError.
+    every term is 0.  A non-finite threshold raises ValueError; one past
+    1.34e154 squares to inf, so every term and the bound are 0.0.
     """
     if flavor not in ("abs", "normal"):
         raise ValueError(f"flavor must be 'abs' or 'normal', got {flavor!r}")
@@ -248,7 +249,7 @@ def comparison_bound(gram, threshold, flavor="abs"):
     if not math.isfinite(threshold):
         raise ValueError(f"threshold T={threshold} is not finite")
     factor = 0.25 if flavor == "abs" else 0.125
-    t2 = threshold ** 2
+    t2 = threshold * threshold  # inf past 1.34e154, where ** raises
     v, c, t = _offdiag_terms(gram, lambda a: a * math.exp(-t2 / (1.0 + a)))
     top = t.max()
     pair = _first_pair(np.asarray(gram, dtype=float), v[t == top]) if top else (0, 0)

@@ -89,7 +89,8 @@ def evaluate(spec, coeffs):
     pqr_wavelet: (sum_j 2^{jsq} ||x(j,.)||_p^q)^{1/q} over the scale label j
     Carried scaling coefficients are not part of the index set and hence are
     excluded, matching the detail-space estimator.  A (B, m) block of values
-    gives an array of B values, one per row; 1-D values give a float.
+    gives an array of B values, one per row; 1-D values give a float.  A
+    scale weight 2^{jsq} past the float range raises NormSpecError.
     """
     x = coeffs.values
     if spec.kind == "weighted_l2":
@@ -110,7 +111,12 @@ def evaluate(spec, coeffs):
         if spec.p != 1.0:
             a **= spec.p
         block_p = _scalar_pow(np.sum(a, axis=-1), 1.0 / spec.p)
-        total += 2.0 ** (j * s * spec.q) * _scalar_pow(block_p, spec.q)
+        try:
+            weight = 2.0 ** (j * s * spec.q)
+        except OverflowError:
+            raise NormSpecError(f"pqr_wavelet scale weight 2^(j s q) overflows at scale "
+                                f"j={j}, s={s}, q={spec.q}") from None
+        total += weight * _scalar_pow(block_p, spec.q)
     return _per_row(_scalar_pow(total, 1.0 / spec.q))
 
 

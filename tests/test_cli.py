@@ -780,6 +780,12 @@ _OUT_OF_RANGE_MATRICES = {"huge.csv": "1e200,1e200\n0,1\n", "tiny.csv": "1e-200,
     ([*_SIDAK, "--reference-m", "-3"], 2, "--reference-m"),  # the flag is gone
     (["simulate", "--experiment", "risk1d", "--mu", "nan", "--trials", "10", "--seed", "1"],
      2, "--mu"),
+    (["simulate", "--experiment", "risk1d", "--mu", "1e200", "--T", "1e300", "--trials", "10",
+      "--seed", "1"], 2, "--mu"),
+    (["simulate", "--experiment", "risk1d", "--sigma", "3", "--trials", "10", "--seed", "1"],
+     2, "--sigma"),
+    (["simulate", "--experiment", "comparison", "--sigma", "3", "--matrices", "2",
+      "--draws", "100", "--seed", "1"], 2, "--sigma"),
     (["simulate", "--experiment", "ti", "--frame-spec", '{"type":"ti","n":16,"filters":"cdf97r"}',
       "--z", "nan", "--trials", "10", "--seed", "1"], 2, "--z"),
     (["simulate", "--experiment", "gumbel", "--frame-spec", '{"type":"wavelet","n":16}',
@@ -795,6 +801,9 @@ _OUT_OF_RANGE_MATRICES = {"huge.csv": "1e200,1e200\n0,1\n", "tiny.csv": "1e-200,
      3, "--norm-spec"),
     ([*_SMOOTH, "--norm-spec", '{"kind":"weighted_l2","weights":[1,2]}'], 2, "--norm-spec"),
     ([*_SMOOTH, "--norm-spec", '{"kind":"pqr_wavelet","P":1}'], 3, "--norm-spec"),
+    ([*_SMOOTH, "--norm-spec", '{"kind":"pqr_wavelet","p":1,"q":1,"r":1e300}'],
+     2, "--norm-spec"),
+    ([*_SMOOTH, "--norm-spec", '{"kind":"pqr_wavelet","p":1e308}'], 2, "--norm-spec"),
     (["simulate", "--experiment", "smoothness", "--frame-spec", '{"type":"sine","n":16}',
       "--alpha", "0.1", "--trials", "4", "--seed", "1"], 2, "--norm-spec"),
     ([*_SMOOTH, "--rule", "hard"], 2, "--rule"),
@@ -849,10 +858,12 @@ _OUT_OF_RANGE_MATRICES = {"huge.csv": "1e200,1e200\n0,1\n", "tiny.csv": "1e-200,
     ids=["comparison-dim-0", "comparison-draws-0", "ti-row-n-2", "ti-row-n-3",
          "thresholds-sigma-overflow", "thresholds-sigma-overflow-M-ti",
          "denoise-sigma-overflow", "simulate-ti-haar",
-         "sidak-reference-m-negative", "risk1d-mu-nan", "ti-z-nan", "gumbel-alpha-1.5",
+         "sidak-reference-m-negative", "risk1d-mu-nan", "risk1d-mu-square-overflow",
+         "risk1d-sigma-3", "comparison-sigma-3", "ti-z-nan", "gumbel-alpha-1.5",
          "norm-spec-list", "norm-spec-p-string", "norm-spec-p-nan", "norm-spec-weights-number",
          "norm-spec-weights-path-missing", "norm-spec-weights-path-number",
          "norm-spec-weights-path-binary", "norm-spec-weights-length", "norm-spec-unknown-key",
+         "norm-spec-scale-weight-overflow", "norm-spec-clean-value-overflow",
          "norm-spec-sine-labels",
          "simulate-rule-hard", "gumbel-one-atom", "coverage-one-atom", "risk-one-atom",
          "smoothness-one-atom-wavelet", "smoothness-one-atom-sine",
@@ -901,6 +912,43 @@ def test_malformed_input_takes_the_exit_code_contract(tmp_path, capsys, args, co
     assert (rc, payload["code"], payload["flag"]) == (code, code, flag), payload
     assert payload["kind"] == {2: "validation", 3: "parse", 4: "io"}[code]
     assert out == "" and sorted(tmp_path.iterdir()) == inputs
+
+
+def _finite_report(path):
+    def reject(token):
+        raise AssertionError(f"non-finite value {token} in {path.name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+_TI_DIAGNOSE = ["diagnose", "--frame-spec", '{"type":"ti"}', "--n-list", "16", "32", "64"]
+_COMPARISON = ["simulate", "--experiment", "comparison", "--matrices", "2", "--draws", "1000",
+               "--seed", "1"]
+_RISK1D = ["simulate", "--experiment", "risk1d", "--trials", "10", "--seed", "1"]
+
+
+def test_thresholds_past_the_square_range_run(tmp_path, capsys):
+    """T * T is inf past 1.34e154, where T ** 2 raises: the comparison
+    bound is 0.0, and risk1d's bound e^{-inf} + min(inf, mu^2) is mu^2."""
+    out = tmp_path / "out.json"
+    assert run_main(capsys, [*_TI_DIAGNOSE, "--T", "1e308", "--out", str(out)]) == (0, "", "")
+    bound, = _finite_report(out)["comparison_bounds"]
+    assert (bound["value"], bound["max_term"], bound["argmax_pair"]) == (0.0, 0.0, [0, 0])
+    assert run_main(capsys, [*_COMPARISON, "--T", "1e200", "--out", str(out)]) == (0, "", "")
+    assert [row["bound"] for row in _finite_report(out)["rows"]] == [0.0, 0.0]
+    assert run_main(capsys, [*_RISK1D, "--T", "1e200", "--mu", "3", "--out", str(out)]) == (
+        0, "", "")
+    row, = _finite_report(out)["rows"]
+    assert (row["bound"], row["empirical"]) == (9.0, 9.0)
+
+
+@pytest.mark.parametrize("args", [_RISK1D, _COMPARISON], ids=["risk1d", "comparison"])
+def test_unit_variance_experiments_take_sigma_1(tmp_path, capsys, args):
+    # --sigma 1 is the default, which the report records as it did
+    default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+    assert run_main(capsys, [*args, "--out", str(default)])[0] == 0
+    assert run_main(capsys, [*args, "--sigma", "1", "--out", str(explicit)])[0] == 0
+    assert _finite_report(explicit)["sigma"] == 1.0
+    assert explicit.read_bytes() == default.read_bytes()
 
 
 def test_empty_matrix_file_prints_only_the_json_error(tmp_path):

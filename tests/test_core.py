@@ -183,9 +183,9 @@ def test_signed_permutation_atoms_equal_unit_rows_bytewise(mat):
     assert np.count_nonzero(np.signbit(frame.atom(np.arange(n)))) == np.count_nonzero(mat < 0)
     assert frame_bounds(frame) == frame_bounds(dense) == (1.0, 1.0)
     assert np.asarray(frame_gram(frame)).tobytes() == np.asarray(frame_gram(dense)).tobytes()
-    levels = [0.5, 1.0]
-    assert (gram_coherence_counts(frame, levels).coherence_counts
-            == gram_coherence_counts(dense, levels).coherence_counts == {0.5: 0, 1.0: 0})
+    for level in (0.5, 1.0):
+        assert gram_coherence_counts(frame, level).count == 0
+        assert gram_coherence_counts(dense, level).count == 0
 
 
 def test_signed_permutation_holds_no_dense_copy():
@@ -440,16 +440,15 @@ def test_atom_index_array_matches_per_atom_and_analysis(frame, rng):
 
 
 def test_gram_counts_orthonormal_zero(haar64):
-    summary = gram_coherence_counts(haar64, [0.1, 0.5, 1.0])
-    assert all(c == 0 for c in summary.coherence_counts.values())
+    assert all(gram_coherence_counts(haar64, d).count == 0 for d in (0.1, 0.5, 1.0))
 
 
 def test_gram_counts_duplicated_atom():
     # a repeated row is one distinct atom, so it forms no pair with itself
     fr = ExplicitFrame(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     assert fr.evt_count == 2 and fr.distinct_positions().tolist() == [0, 2]
-    summary = gram_coherence_counts(fr, [1.0])
-    assert summary.coherence_counts[1.0] == 0 and summary.distinct_count == 2
+    summary = gram_coherence_counts(fr, 1.0)
+    assert summary.count == 0 and summary.distinct_count == 2
 
 
 def test_gram_counts_match_exhaustive_enumeration():
@@ -460,8 +459,7 @@ def test_gram_counts_match_exhaustive_enumeration():
     delta = 0.5
     exhaustive = int(np.count_nonzero(
         np.abs(gram - np.diag(np.diag(gram))) >= delta))
-    summary = gram_coherence_counts(frame, [delta])
-    assert summary.coherence_counts[delta] == exhaustive
+    assert gram_coherence_counts(frame, delta).count == exhaustive
 
 
 _DISTINCT_FRAMES = {"wavelet": WaveletBasis, "ti": TIWaveletFrame, "cyclespin": CycleSpinFrame,
@@ -488,28 +486,31 @@ def test_one_distinct_count_per_frame(kind, args):
     frame = _DISTINCT_FRAMES[kind](*args)
     count = frame.evt_count
     assert count == len(frame.distinct_positions())
-    assert gram_coherence_counts(frame, [0.5]).distinct_count == count
+    assert gram_coherence_counts(frame, 0.5).distinct_count == count
     atoms = frame.atom(np.arange(frame.atom_count)).round(12) + 0.0  # -0.0 to 0.0
     assert len(np.unique(atoms, axis=0)) == count
 
 
 def test_gram_counts_are_even():
     for frame in (ALL_SMALL_FRAMES[2], ALL_SMALL_FRAMES[5]):
-        summary = gram_coherence_counts(frame, [0.2, 0.5])
-        assert all(c % 2 == 0 for c in summary.coherence_counts.values())
+        assert all(gram_coherence_counts(frame, d).count % 2 == 0 for d in (0.2, 0.5))
 
 
 def test_gram_counts_nonincreasing_in_delta():
-    summary = gram_coherence_counts(SineFrame(64, 2), [0.1, 0.3, 0.6, 0.9])
-    counts = [summary.coherence_counts[d] for d in (0.1, 0.3, 0.6, 0.9)]
+    counts = [gram_coherence_counts(SineFrame(64, 2), d).count for d in (0.1, 0.3, 0.6, 0.9)]
     assert counts == sorted(counts, reverse=True)
 
 
 def test_gram_rejects_bad_delta(haar16):
-    with pytest.raises(ValueError):
-        gram_coherence_counts(haar16, [0.0])
-    with pytest.raises(ValueError):
-        gram_coherence_counts(haar16, [1.5])
+    for delta in (0.0, 1.5, np.nan):
+        with pytest.raises(ValueError):
+            gram_coherence_counts(haar16, delta)
+
+
+def test_gram_census_takes_one_level(haar16):
+    # a list of levels is refused: float([0.5]) raises TypeError
+    with pytest.raises(TypeError):
+        gram_coherence_counts(haar16, [0.5])
 
 
 def test_coefficient_vector_index_map(haar16):
@@ -599,14 +600,14 @@ def test_batched_operators_reject_bad_shapes(frame):
 CENSUS_LEVELS = [0.1, 0.5, 2 ** -0.5, 1.0]
 
 
-def _dense_route(frame, levels):
-    return core._dense_census(frame, frame.distinct_positions(), levels)
+def _dense_route(frame, level):
+    return core._dense_census(frame, frame.distinct_positions(), level)
 
 
-def _assert_census_equals_dense(frame, levels=CENSUS_LEVELS):
-    counts = _dense_route(frame, levels)
-    summary = gram_coherence_counts(frame, levels)
-    assert summary.coherence_counts == dict(zip(levels, counts.tolist())), frame.name
+def _assert_census_equals_dense(frame):
+    for level in CENSUS_LEVELS:
+        assert gram_coherence_counts(frame, level).count == _dense_route(frame, level), (
+            frame.name, level)
 
 
 def _census_frames(kind, filters):
@@ -644,7 +645,7 @@ def test_structure_census_equals_dense_tiles_at_small_blocks(monkeypatch, block)
         _assert_census_equals_dense(frame)
     if block == 7:  # the dense route's count, measured once (it takes 1.5 s)
         ti = TIWaveletFrame(256, "haar")
-        assert gram_coherence_counts(ti, [0.5]).coherence_counts == {0.5: 114944}
+        assert gram_coherence_counts(ti, 0.5).count == 114944
 
 
 def test_census_reproduces_the_pinned_workload_counts():
@@ -655,10 +656,8 @@ def test_census_reproduces_the_pinned_workload_counts():
               (CycleSpinFrame(256, 4, "haar"), 2772), (CycleSpinFrame(512, 4, "haar"), 5556),
               (CycleSpinFrame(1024, 4, "haar"), 11124)]
     for frame, count in pinned:
-        assert gram_coherence_counts(frame, [0.5]).coherence_counts == {0.5: count}
-        assert _dense_route(frame, [0.5]).tolist() == [count]
-    # a repeated level is counted once, not once per repetition
-    assert gram_coherence_counts(pinned[0][0], [0.5, 0.5]).coherence_counts == {0.5: 7872}
+        assert gram_coherence_counts(frame, 0.5).count == count
+        assert _dense_route(frame, 0.5) == count
 
 
 def _spy(monkeypatch, owner, name):
@@ -674,10 +673,9 @@ def _spy(monkeypatch, owner, name):
 
 def test_structure_census_without_ties_materializes_no_atom(monkeypatch):
     calls = _spy(monkeypatch, CycleSpinFrame, "atom")
-    summary = gram_coherence_counts(CycleSpinFrame(256, 4, "d4"), [0.1, 0.5])
+    counts = [gram_coherence_counts(CycleSpinFrame(256, 4, "d4"), d).count for d in (0.1, 0.5)]
     assert calls == []
-    assert summary.coherence_counts == dict(zip([0.1, 0.5], _dense_route(
-        CycleSpinFrame(256, 4, "d4"), [0.1, 0.5]).tolist()))
+    assert counts == [_dense_route(CycleSpinFrame(256, 4, "d4"), d) for d in (0.1, 0.5)]
 
 
 @pytest.mark.parametrize("frame, level, tied", [
@@ -707,7 +705,7 @@ def test_structure_census_touches_only_tie_tiles(monkeypatch, frame, level, tied
             yield i, j, tile
     monkeypatch.setattr(core, "_gram_tiles", tile_spy)
     atoms = _spy(monkeypatch, type(frame), "atom")
-    gram_coherence_counts(frame, [level])
+    gram_coherence_counts(frame, level)
     assert bool(expected) == tied
     assert set(tiles) == expected and len(tiles) == len(expected)
     rows = {i for i, _ in tiles}
@@ -731,11 +729,11 @@ def test_structure_census_memory_within_dense_route(monkeypatch):
         frame_bounds(frame)
         with monkeypatch.context() as patch:
             patch.setattr(core, "_gram_tiles", first_tiles)
-            _dense_route(frame, [0.5])
+            _dense_route(frame, 0.5)
 
     def structure(frame):
         frame_bounds(frame)
-        return gram_coherence_counts(frame, [0.5]).coherence_counts[0.5]
+        return gram_coherence_counts(frame, 0.5).count
 
     results, peaks = {}, {}
     for route in (structure, dense):

@@ -548,6 +548,17 @@ def test_stability_needs_strictly_increasing_n(ns):
         stability_check([TIWaveletFrame(n, "haar") for n in ns], rho=0.5)
 
 
+@pytest.mark.parametrize("gram", [np.eye(4), frame_gram(TIWaveletFrame(16, "haar"))],
+                         ids=["identity", "ti-haar-16"])
+@pytest.mark.parametrize("threshold", [1e200, -1e200, 1e308])
+def test_comparison_bound_past_the_square_range_is_zero(gram, threshold):
+    # T * T is inf past 1.34e154, so every term a exp(-inf) is 0.0
+    for flavor in ("abs", "normal"):
+        bound = comparison_bound(gram, threshold, flavor)
+        assert (bound.value, bound.max_term, bound.argmax_pair) == (0.0, 0.0, (0, 0))
+        assert bound.threshold == threshold
+
+
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
 def test_comparison_bound_rejects_non_finite_threshold(threshold):
     gram = np.full((3, 3), 0.5)

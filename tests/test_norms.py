@@ -209,3 +209,9 @@ def test_scale_groups_are_cached_per_column_object(spec, template, rng):
     assert evaluate(spec, fresh).tobytes() == first.tobytes()
     jcol = labels[0]
     assert any(entry[0] is jcol for entry in norms._GROUP_CACHE.values())
+
+
+def test_pqr_scale_weight_overflow_is_a_norm_spec_error():
+    # 2^(j s q) at j = 1 with s = r + 1/2 - 1/p = 1e300 is past the float range
+    with pytest.raises(NormSpecError, match="overflows"):
+        evaluate(NormSpec("pqr_wavelet", p=1, q=1, r=1e300), wavelet_template())

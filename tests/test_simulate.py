@@ -218,6 +218,17 @@ def test_risk_1d_mu0_T3():
     assert row.within_bound
 
 
+def test_risk_1d_past_the_square_range():
+    # T * T is inf: the bound is e^{-inf} + min(inf, 9) = 9, and every trial
+    # shrinks to 0, so each loses mu^2 = 9
+    row, = risk_1d_check([3.0], [1e200], McConfig(trials=10, seed=1))
+    assert (row.bound, row.empirical, row.se) == (9.0, 9.0, 0.0)
+    # mu * mu is inf, and so is every trial's loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        row, = risk_1d_check([1e200], [1e300], McConfig(trials=10, seed=1))
+    assert row.bound == math.inf and row.empirical == math.inf
+
+
 def test_comparison_bound_experiment_small():
     cfg = McConfig(trials=1, seed=53)
     rows = comparison_bound_experiment(cfg, n_matrices=3, dim=5,

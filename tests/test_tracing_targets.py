@@ -39,8 +39,8 @@ def test_tracer_target_resolves_in_its_owner(module_name, attr):
 def test_entries_counter_reads_the_census_result():
     # cycle spinning haar n=16, M=4 has 16*2 + 4*(2^2 - 1) = 44 distinct atoms
     frame = CycleSpinFrame(16, 4, "haar")
-    out = gram_coherence_counts(frame, [0.5])
-    assert tracing._COUNTERS["entries"]((frame, [0.5]), {}, out) == 44 ** 2
+    out = gram_coherence_counts(frame, 0.5)
+    assert tracing._COUNTERS["entries"]((frame, 0.5), {}, out) == 44 ** 2
 
 
 def test_trials_counter_reads_the_config_argument():
