@@ -111,7 +111,7 @@ def _sha256(path):
 def _read(flag, load, value):
     """load(value), with its failures mapped to the exit-code contract and
     the flag that gave the value: an unreadable file exits 4, malformed text
-    3 and an invalid frame 2."""
+    3, and an invalid frame or a value too large to allocate 2."""
     try:
         return load(value)
     except OSError as exc:
@@ -119,8 +119,8 @@ def _read(flag, load, value):
     except (json.JSONDecodeError, UnicodeDecodeError, io.FileFormatError,
             NormSpecError) as exc:
         raise CliError(EXIT_PARSE, str(exc), flag)
-    except FrameError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc), flag)
+    except (FrameError, MemoryError) as exc:
+        raise CliError(EXIT_VALIDATION, str(exc) or "out of memory", flag)
 
 
 def _read_clean(path, n):
@@ -148,18 +148,11 @@ def cmd_thresholds(args):
         rows.append({"rule": "evt", "alpha": a,
                      "threshold": evt.evt_threshold(args.sigma, a, args.n)})
         if args.M is not None:
-            try:
-                rows.append({"rule": "cyclespin", "alpha": a, "M": args.M,
-                             "threshold": evt.cyclespin_threshold(
-                                 args.sigma, a, args.n, args.M)})
-            except ThresholdError as exc:
-                raise CliError(EXIT_VALIDATION, str(exc), "--M")
+            rows.append({"rule": "cyclespin", "alpha": a, "M": args.M,
+                         "threshold": evt.cyclespin_threshold(args.sigma, a, args.n, args.M)})
         if c_row is not None:
-            try:
-                rows.append({"rule": "ti", "alpha": a, "c": c_row,
-                             "threshold": evt.ti_threshold(args.sigma, a, args.n, c_row)})
-            except ThresholdError as exc:
-                raise CliError(EXIT_VALIDATION, str(exc), "--n")
+            rows.append({"rule": "ti", "alpha": a, "c": c_row,
+                         "threshold": evt.ti_threshold(args.sigma, a, args.n, c_row)})
     table = {"sigma": args.sigma, "n": args.n, "rows": rows}
     _require_finite(table, "--sigma")
     if args.out:
@@ -184,13 +177,8 @@ def cmd_denoise(args):
     clean = _read_clean(args.clean, frame.n) if args.clean else None
     spec = ThresholdSpec(rule=args.threshold_rule, sigma=args.sigma, alpha=args.alpha,
                          z=args.z, value=args.fixed_value)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = denoise(frame, data, spec, rule=args.rule)
-    except OverflowError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc), "--sigma")
-    except (ThresholdError, ValueError) as exc:
-        raise CliError(EXIT_VALIDATION, str(exc), "--threshold-rule")
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = denoise(frame, data, spec, rule=args.rule)
     report = {
         "frame": frame.name,
         "rule": args.rule,
@@ -223,13 +211,8 @@ def cmd_simulate(args):
     cfg = simulate.McConfig(trials=args.trials, seed=args.seed, sigma=args.sigma)
     report = {"experiment": args.experiment, "trials": args.trials, "seed": args.seed,
               "sigma": args.sigma}
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            qq, clean = _run_experiment(args, cfg, report)
-    except OverflowError as exc:
-        raise CliError(EXIT_VALIDATION, f"the computation overflowed: {exc}", "--sigma")
-    except ThresholdError as exc:  # too few atoms or shifts for the rule at --alpha
-        raise CliError(EXIT_VALIDATION, str(exc), "--frame-spec")
+    with np.errstate(over="ignore", invalid="ignore"):
+        qq, clean = _run_experiment(args, cfg, report)
     # risk1d's only unbounded input is mu.  Elsewhere the computation runs
     # at the larger of the two scales, sigma and the --clean signal's peak,
     # so the larger one is named for an overflow
@@ -273,7 +256,10 @@ def _run_experiment(args, cfg, report):
             qq = simulate.qq_data(resc)
     elif exp == "coverage":
         threshold = None
-        if getattr(frame, "M", None) is not None and args.use_cyclespin_rule:
+        if args.use_cyclespin_rule:
+            if getattr(frame, "M", None) is None:
+                raise CliError(EXIT_VALIDATION, f"{frame.name} has no shift count M",
+                               "--use-cyclespin-rule")
             threshold = evt.cyclespin_threshold(cfg.sigma, args.alpha, frame.n, frame.M)
         rep = simulate.coverage_experiment(frame, args.alpha, cfg, threshold=threshold)
         report.update(io.to_jsonable(rep))
@@ -426,7 +412,7 @@ def build_parser():
                    choices=("universal", "evt", "from_zn", "cyclespin", "ti", "fixed"))
     d.add_argument("--alpha", type=_PROBABILITY, default=None)
     d.add_argument("--z", type=_FINITE, default=None)
-    d.add_argument("--fixed-value", type=float, default=None)
+    d.add_argument("--fixed-value", type=_NONNEGATIVE, default=None)
     d.add_argument("--sigma", type=_POSITIVE, default=1.0)
     d.add_argument("--output", required=True)
     d.add_argument("--report", default=None)
@@ -489,12 +475,27 @@ def _apply_defaults(args):
         args.mu = [0.0, 3.0]
 
 
+#: the flag that gives each ThresholdError param; what a rule reads from the
+#: frame (m, n, M, c, filters) comes from --frame-spec, or in thresholds from
+#: --n, --M and --wavelet
+_PARAM_FLAGS = {"sigma": "--sigma", "alpha": "--alpha", "z": "--z", "value": "--fixed-value",
+                "rule": "--threshold-rule"}
+_THRESHOLDS_FLAGS = {**_PARAM_FLAGS, "m": "--n", "n": "--n", "M": "--M", "c": "--wavelet",
+                     "filters": "--wavelet"}
+
+
 def _dispatch(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     _apply_defaults(args)
     started = time.time()
-    outputs = args.func(args)
+    try:
+        outputs = args.func(args)
+    except ThresholdError as exc:
+        table = _THRESHOLDS_FLAGS if args.subcommand == "thresholds" else _PARAM_FLAGS
+        raise CliError(EXIT_VALIDATION, str(exc), table.get(exc.param, "--frame-spec"))
+    except FrameError as exc:  # a library check on a frame that no flag gave
+        raise CliError(EXIT_VALIDATION, str(exc))
     if outputs and args.subcommand != "replay":
         _write_manifest(args, outputs, started, list(argv))
     return outputs
@@ -503,10 +504,7 @@ def _dispatch(argv):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        try:
-            _dispatch(argv)
-        except FrameError as exc:  # a library check on a frame that no flag gave
-            raise CliError(EXIT_VALIDATION, str(exc))
+        _dispatch(argv)
     except CliError as exc:
         error = {"kind": exc.kind, "code": exc.code, "message": str(exc), "flag": exc.flag}
         print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)

@@ -13,7 +13,13 @@ import numpy as np
 
 
 class ThresholdError(ValueError):
-    pass
+    """A threshold that cannot be formed.  param names the input at fault:
+    a ThresholdSpec field (sigma, alpha, z, value, rule) or what the rule
+    reads from the frame (m, n, M, c, filters)."""
+
+    def __init__(self, message, param):
+        super().__init__(message)
+        self.param = param
 
 
 def gumbel_cdf(z):
@@ -26,7 +32,7 @@ def gumbel_quantile(alpha):
     probability alpha under the Gumbel law, i.e. gumbel_cdf(z) = 1 - alpha."""
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
-        raise ThresholdError(f"significance level alpha={alpha} outside (0, 1)")
+        raise ThresholdError(f"significance level alpha={alpha} outside (0, 1)", "alpha")
     return -math.log(-math.log1p(-alpha))
 
 
@@ -55,7 +61,7 @@ def _log_count(m):
     """log m of a count m >= 2; math.log takes an int of any size, which
     float(m) would overflow past 10^308."""
     if m < 2:
-        raise ThresholdError(f"coefficient count m={m} must be >= 2")
+        raise ThresholdError(f"coefficient count m={m} must be >= 2", "m")
     return math.log(m)
 
 
@@ -124,11 +130,11 @@ def _check_shift_count(n, M):
     M = int(M)
     if M < 2:
         raise ThresholdError(
-            "cycle-spin threshold needs M >= 2 (use evt_threshold for a basis)")
+            "cycle-spin threshold needs M >= 2 (use evt_threshold for a basis)", "M")
     if M & (M - 1):
-        raise ThresholdError(f"shift count M={M} must be a power of two")
+        raise ThresholdError(f"shift count M={M} must be a power of two", "M")
     if M > n:
-        raise ThresholdError(f"shift count M={M} exceeds n={n}")
+        raise ThresholdError(f"shift count M={M} exceeds n={n}", "M")
 
 
 def ti_threshold(sigma, alpha, n, c):
@@ -136,7 +142,7 @@ def ti_threshold(sigma, alpha, n, c):
     sigma*[sqrt(2 log n) + (z(alpha) + log(c/pi))/sqrt(2 log n)],
     c the curvature constant of the mother wavelet autocorrelation."""
     if n < 4:
-        raise ThresholdError("ti threshold needs n >= 4")
+        raise ThresholdError("ti threshold needs n >= 4", "n")
     return ti_threshold_at_z(sigma, gumbel_quantile(alpha), n, c)
 
 
@@ -144,14 +150,14 @@ def ti_threshold_at_z(sigma, z, n, c):
     """As ti_threshold but at a raw Gumbel argument z instead of a level."""
     _check_sigma(sigma)
     if c <= 0:
-        raise ThresholdError(f"autocorrelation curvature constant c={c} must be > 0")
+        raise ThresholdError(f"autocorrelation curvature constant c={c} must be > 0", "c")
     s = math.sqrt(2.0 * math.log(n))
     return sigma * (s + (float(z) + math.log(c / math.pi)) / s)
 
 
 def _check_sigma(sigma):
     if not sigma > 0:
-        raise ThresholdError(f"noise level sigma={sigma} must be > 0")
+        raise ThresholdError(f"noise level sigma={sigma} must be > 0", "sigma")
 
 
 #: how near an eigenvalue counts as 1, 1/2 or 1/4 (d4's double 1/4 splits by 1e-8)
@@ -194,7 +200,7 @@ def ti_constant_c(filters):
     if len(found) < 3 or rho >= 0.25 - _SPECTRUM_TOL:
         raise ThresholdError(
             f"wavelet '{filters.name}' has Sobolev exponent {-math.log(rho, 4):.3g}, "
-            "not above 1: its autocorrelation has no curvature at 0")
+            "not above 1: its autocorrelation has no curvature at 0", "filters")
     at_zero = len(b) // 2 + half  # sum_l b_l f(-l) is this entry of b * f
     psi0 = np.convolve(b, found[1.0] / found[1.0].sum())[at_zero]
     psi2 = 4.0 * np.convolve(b, found[0.25] * 2.0 / np.dot(k ** 2, found[0.25]))[at_zero]
@@ -219,40 +225,47 @@ class ThresholdSpec:
     value: float | None = None
 
     def resolve(self, frame=None):
-        """Numeric threshold; without a frame only the fixed rule resolves.
-        Raises OverflowError when sigma times the rule's value overflows."""
+        """Numeric threshold: the fixed rule's value, or sigma times the
+        rule's unit threshold (its value at sigma = 1); without a frame only
+        the fixed rule resolves.  Raises ThresholdError naming the input at
+        fault: a unit threshold that is not finite and > 0 blames z for
+        'from_zn' and the frame's count m for the other rules, and a product
+        that is not (sigma past the float range) blames sigma."""
         _check_sigma(self.sigma)
-        value = self._resolve_raw(frame)
-        if self.rule != "fixed" and math.isinf(value):
-            raise OverflowError(f"rule {self.rule!r} resolved to a threshold {value} "
-                                "that is not finite")
-        if self.rule != "fixed" and not value > 0:
-            raise ThresholdError(
-                f"rule {self.rule!r} resolved to a non-positive threshold {value}")
-        return value
-
-    def _resolve_raw(self, frame):
         if self.rule == "fixed":
             if self.value is None or not self.value >= 0:
-                raise ThresholdError("fixed rule needs a nonnegative value")
+                raise ThresholdError("fixed rule needs a nonnegative value", "value")
             return float(self.value)
+        unit = self._unit(frame)
+        if not 0 < unit < math.inf:
+            raise ThresholdError(f"rule {self.rule!r} at sigma 1 resolved to {unit}, not a "
+                                 "finite threshold > 0", "z" if self.rule == "from_zn" else "m")
+        value = self.sigma * unit
+        if not 0 < value < math.inf:
+            raise ThresholdError(f"sigma={self.sigma} times the unit threshold {unit} of rule "
+                                 f"{self.rule!r} is {value}, not a finite threshold > 0", "sigma")
+        return value
+
+    def _unit(self, frame):
+        """The rule's threshold at sigma = 1; each rule's function is sigma
+        times it, so resolve's product has the same bits."""
         if frame is None:
-            raise ThresholdError(f"rule {self.rule!r} resolves against a frame")
+            raise ThresholdError(f"rule {self.rule!r} resolves against a frame", "m")
         inputs = self.frame_inputs(frame)
         m = inputs["m"]
         if self.rule == "universal":
-            return universal_threshold(self.sigma, m)
+            return universal_threshold(1.0, m)
         if self.rule == "evt":
-            return evt_threshold(self.sigma, self._alpha(), m)
+            return evt_threshold(1.0, self._alpha(), m)
         if self.rule == "from_zn":
             if self.z is None:
-                raise ThresholdError("from_zn rule needs z")
-            return threshold_from_zn(self.sigma, m, self.z)
+                raise ThresholdError("from_zn rule needs z", "z")
+            return threshold_from_zn(1.0, m, self.z)
         if self.rule == "cyclespin":
-            return cyclespin_threshold(self.sigma, self._alpha(), frame.n, inputs["M"])
+            return cyclespin_threshold(1.0, self._alpha(), frame.n, inputs["M"])
         if self.rule == "ti":
-            return ti_threshold(self.sigma, self._alpha(), frame.n, inputs["c"])
-        raise ThresholdError(f"unknown threshold rule {self.rule!r}")
+            return ti_threshold(1.0, self._alpha(), frame.n, inputs["c"])
+        raise ThresholdError(f"unknown threshold rule {self.rule!r}", "rule")
 
     def frame_inputs(self, frame):
         """What the rule reads from the frame beside n: m = frame.evt_count
@@ -265,14 +278,15 @@ class ThresholdSpec:
         if self.rule == "cyclespin":
             inputs["M"] = getattr(frame, "M", None)
             if inputs["M"] is None:
-                raise ThresholdError("cyclespin rule needs the shift count M")
+                raise ThresholdError("cyclespin rule needs the shift count M", "M")
         if self.rule == "ti":
             if getattr(frame, "filters", None) is None:
-                raise ThresholdError(f"ti rule needs a wavelet basis or ti frame, not {frame.name}")
+                raise ThresholdError(
+                    f"ti rule needs a wavelet basis or ti frame, not {frame.name}", "filters")
             inputs["c"] = ti_constant_c(frame.filters)
         return inputs
 
     def _alpha(self):
         if self.alpha is None:
-            raise ThresholdError(f"rule {self.rule!r} needs alpha")
+            raise ThresholdError(f"rule {self.rule!r} needs alpha", "alpha")
         return self.alpha

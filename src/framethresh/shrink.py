@@ -28,7 +28,7 @@ def shrink_value(y, threshold, rule="soft"):
     garrote: y max(1 - T^2/y^2, 0), 0 at y = 0
     """
     if not threshold >= 0:  # also refuses NaN
-        raise ThresholdError(f"threshold {threshold} must be >= 0")
+        raise ThresholdError(f"threshold {threshold} must be >= 0", "value")
     y = np.asarray(y, dtype=float)
     if rule == "soft":
         # in place on one fresh array; [()] gives a 0-d input its scalar

@@ -28,7 +28,7 @@ import numpy as np
 from . import rng as _rng
 from .core import CoefficientVector, ExplicitFrame, frame_bounds
 from .diagnostics import comparison_bound
-from .evt import (evt_threshold, gumbel_cdf, norms_chi, ti_constant_c,
+from .evt import (ThresholdSpec, evt_threshold, gumbel_cdf, norms_chi, ti_constant_c,
                   ti_threshold_at_z, universal_threshold)
 from .norms import evaluate as norm_evaluate
 from .shrink import shrink_value
@@ -277,12 +277,13 @@ def smoothness_experiment(frame, clean_signal, alpha, norm_spec, cfg):
     most T shrinks to magnitude at most |y|, and a norm monotone in the
     magnitudes stays at or below its clean value whenever all the noise
     lies below the threshold (hard thresholding and the garrote map y + T
-    above |y|).
+    above |y|).  The threshold comes from ThresholdSpec.resolve, which
+    raises ThresholdError when it is not finite and > 0.
     """
     clean = np.asarray(clean_signal, dtype=float)
     x_clean = frame.analyze(clean)
     j_clean = norm_evaluate(norm_spec, x_clean)
-    threshold = evt_threshold(cfg.sigma, alpha, frame.evt_count)
+    threshold = ThresholdSpec("evt", cfg.sigma, alpha=alpha).resolve(frame)
     hits = []
     for eps in _noise_blocks(frame, cfg):
         eps += clean  # the fresh noise block becomes the data block
@@ -326,20 +327,21 @@ def oracle_risk_experiment(frame, clean_signal, alpha, cfg):
     for whole-space frames this changes nothing.  The bound's
     assumption T <= sigma sqrt(2 log m) is checked and reported; the
     experiment still runs when it fails.  The standard error needs at least
-    2 trials; fewer raise ValueError.
+    2 trials; fewer raise ValueError.  T comes from ThresholdSpec.resolve,
+    which raises ThresholdError when it is not finite and > 0.
     """
     if cfg.trials < 2:
         raise ValueError("the risk standard error needs at least 2 trials")
     clean = np.asarray(clean_signal, dtype=float)
     m = frame.evt_count
-    threshold = evt_threshold(cfg.sigma, alpha, m)
+    threshold = ThresholdSpec("evt", cfg.sigma, alpha=alpha).resolve(frame)
     assumption_ok = threshold <= universal_threshold(cfg.sigma, m) + 1e-12
     a_n, _ = frame_bounds(frame)
     x_clean = frame.analyze(clean)
     first = math.log(1.0 / (1.0 - alpha)) * math.sqrt(math.pi * math.log(m))
     second = (1.0 + 2.0 * math.log(m)) * float(
         np.sum(np.minimum(1.0, (x_clean.values / cfg.sigma) ** 2)))
-    bound = (cfg.sigma ** 2 / a_n) * (first + second)
+    bound = (cfg.sigma * cfg.sigma / a_n) * (first + second)
     target = frame.dual_synthesize(
         CoefficientVector(x_clean.values, x_clean.label_names, x_clean.labels))
     risks = []

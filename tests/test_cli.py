@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
+from framethresh import evt
 from framethresh import io as ftio
 from framethresh.cli import main
 from framethresh.core import CoefficientVector
@@ -755,6 +758,7 @@ _SIDAK = ["simulate", "--experiment", "sidak", "--frame-spec", '{"type":"wavelet
 _SMOOTH = ["simulate", "--experiment", "smoothness", "--frame-spec", '{"type":"wavelet","n":16}',
            "--alpha", "0.1", "--trials", "4", "--seed", "1"]
 _SPEC_DENOISE = ["denoise", "--input", "@SIG", "--output", "@OUT", "--frame-spec"]
+_RULE_DENOISE = [*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--threshold-rule"]
 _ONE_ATOM = ('{"type":"wavelet","n":2}', '{"type":"sine","n":2}')
 
 
@@ -815,6 +819,8 @@ _OUT_OF_RANGE_MATRICES = {"huge.csv": "1e200,1e200\n0,1\n", "tiny.csv": "1e-200,
      2, "--frame-spec"),
     (_simulate("coverage", '{"type":"cyclespin","n":4,"M":1}', "--use-cyclespin-rule"),
      2, "--frame-spec"),
+    (_simulate("coverage", '{"type":"wavelet","n":16}', "--use-cyclespin-rule"),
+     2, "--use-cyclespin-rule"),
     (_simulate("risk", '{"type":"wavelet","n":4}', "--alpha", "0.999999"), 2, "--frame-spec"),
     ([*_SPEC_DENOISE, '{"type":"wavelet","n":16,"filters":5}'], 2, "--frame-spec"),
     ([*_SPEC_DENOISE, '{"type":"wavelet","n":16,"filter":"d4"}'], 2, "--frame-spec"),
@@ -850,6 +856,19 @@ _OUT_OF_RANGE_MATRICES = {"huge.csv": "1e200,1e200\n0,1\n", "tiny.csv": "1e-200,
     ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--alpha", "1.5"], 2, "--alpha"),
     ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--c", "0"], 2, "--c"),  # the flag is gone
     ([*_SPEC_DENOISE, '{"type":"wavelet","n":16}', "--z", "inf"], 2, "--z"),
+    # a threshold that cannot be formed names the input at fault
+    ([*_RULE_DENOISE, "from_zn", "--z", "1e308"], 2, "--z"),
+    ([*_RULE_DENOISE, "from_zn", "--z=-1e308"], 2, "--z"),
+    ([*_RULE_DENOISE, "from_zn", "--z=-1e154"], 2, "--z"),
+    ([*_RULE_DENOISE, "fixed", "--fixed-value=-1.5"], 2, "--fixed-value"),
+    ([*_RULE_DENOISE, "fixed", "--fixed-value", "nan"], 2, "--fixed-value"),
+    ([*_RULE_DENOISE, "fixed"], 2, "--fixed-value"),
+    ([*_RULE_DENOISE, "fixed", "--fixed-value", "inf"], 2, "--fixed-value"),
+    ([*_RULE_DENOISE, "evt"], 2, "--alpha"),
+    ([*_RULE_DENOISE, "from_zn"], 2, "--z"),
+    ([*_RULE_DENOISE, "cyclespin", "--alpha", "0.1"], 2, "--frame-spec"),
+    ([*_SPEC_DENOISE, '{"type":"wavelet","n":16,"filters":"haar"}', "--threshold-rule", "ti",
+      "--alpha", "0.1"], 2, "--frame-spec"),
     # a flag is taken only by its full name, not by a prefix such as --w or --c
     (["thresholds", "--n", "64", "--w", "cdf97r"], 2, "--w"),
     ([*_SMOOTH, "--c", "@MISSING"], 2, "--c"),
@@ -867,7 +886,8 @@ _OUT_OF_RANGE_MATRICES = {"huge.csv": "1e200,1e200\n0,1\n", "tiny.csv": "1e-200,
          "norm-spec-sine-labels",
          "simulate-rule-hard", "gumbel-one-atom", "coverage-one-atom", "risk-one-atom",
          "smoothness-one-atom-wavelet", "smoothness-one-atom-sine",
-         "coverage-cyclespin-rule-M-1", "risk-negative-threshold",
+         "coverage-cyclespin-rule-M-1", "coverage-cyclespin-rule-wavelet",
+         "risk-negative-threshold",
          "frame-spec-filters-number", "frame-spec-wavelet-filter-key",
          "frame-spec-sine-oversampling-key", "frame-spec-wavelet-M-key",
          "frame-spec-matrix-path-number",
@@ -879,6 +899,9 @@ _OUT_OF_RANGE_MATRICES = {"huge.csv": "1e200,1e200\n0,1\n", "tiny.csv": "1e-200,
          "diagnose-delta-5",
          "diagnose-delta-nan", "diagnose-delta-above-rho", "replay-binary-manifest", "sigma-before-file-error",
          "denoise-alpha-unused", "denoise-c-unused", "denoise-z-unused",
+         "from_zn-z-overflow", "from_zn-z-negative-overflow", "from_zn-z-negative-threshold",
+         "fixed-value-negative", "fixed-value-nan", "fixed-value-missing", "fixed-value-inf",
+         "evt-alpha-missing", "from_zn-z-missing", "cyclespin-rule-wavelet", "ti-rule-haar",
          "thresholds-wavelet-prefix", "simulate-clean-prefix", "replay-removed-flag"])
 def test_malformed_input_takes_the_exit_code_contract(tmp_path, capsys, args, code, flag):
     """Each invocation exits with its code, kind and flag, writes nothing,
@@ -949,6 +972,56 @@ def test_unit_variance_experiments_take_sigma_1(tmp_path, capsys, args):
     assert run_main(capsys, [*args, "--sigma", "1", "--out", str(explicit)])[0] == 0
     assert _finite_report(explicit)["sigma"] == 1.0
     assert explicit.read_bytes() == default.read_bytes()
+
+
+def test_simulate_risk_squares_sigma_without_raising(tmp_path, capsys):
+    # sigma * sigma is inf past 1.34e154, where sigma ** 2 raised: the bound
+    # is not finite, and the --clean peak 2 lies below sigma
+    clean = tmp_path / "two.csv"
+    ftio.write_signal(clean, np.full(16, 2.0))
+    rc, out, err = run_main(capsys, [*_simulate("risk", '{"type":"wavelet","n":16}'),
+                                     "--clean", str(clean), "--sigma", "1e300",
+                                     "--out", str(tmp_path / "r.json")])
+    payload = json.loads(err)["error"]
+    assert (rc, payload["flag"]) == (2, "--sigma")
+    assert payload["message"] == ("the result is not finite (result.bound): "
+                                  "the computation overflowed")
+    assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == ["two.csv"]
+
+
+def test_simulate_coverage_cyclespin_rule_takes_the_cyclespin_threshold(tmp_path):
+    out = tmp_path / "c.json"
+    args = _simulate("coverage", '{"type":"cyclespin","n":16,"M":4}', "--use-cyclespin-rule")
+    assert main([*args, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["threshold"] == evt.cyclespin_threshold(1.0, 0.1, 16, 4)
+
+
+#: a wavelet size whose constructor runs out of memory
+_HUGE_N = 2 ** 60
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["denoise", "--input", "@SIG", "--output", "@OUT", "--frame-spec",
+      json.dumps({"type": "wavelet", "n": _HUGE_N})], "--frame-spec"),
+    (["diagnose", "--frame-spec", '{"type":"wavelet"}', "--n-list", "4", "8", str(_HUGE_N),
+      "--out", "@OUT"], "--n-list")], ids=["denoise", "diagnose"])
+def test_frame_too_large_to_allocate_names_its_flag(tmp_path, args, flag):
+    """The constructor allocates growing arrays until one fails, so the run
+    is a subprocess under a 768 MiB address-space limit (never without one:
+    it would take what memory the host has)."""
+    sig, out = tmp_path / "x.csv", tmp_path / "out"
+    ftio.write_signal(sig, np.zeros(16))
+    args = [{"@SIG": str(sig), "@OUT": str(out)}.get(a, a) for a in args]
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 768 * 2 ** 20 if hard == resource.RLIM_INFINITY else min(768 * 2 ** 20, hard)
+    proc = subprocess.run(
+        [sys.executable, "-m", "framethresh.cli", *args], capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (2, "", 1), proc.stderr
+    payload = json.loads(proc.stderr)["error"]
+    assert (payload["kind"], payload["flag"]) == ("validation", flag)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
 def test_empty_matrix_file_prints_only_the_json_error(tmp_path):

@@ -2,7 +2,8 @@
 run in-process on small frames (n <= 16, trials <= 10), either exits 0 with
 finite outputs or exits 2, 3 or 4 with one JSON line on stderr and writes
 nothing.  It never raises, which `python -m framethresh.cli` would report
-as exit 1 with a traceback."""
+as exit 1 with a traceback, and an error names a flag the example set to an
+extreme value, or --frame-spec."""
 
 import contextlib
 import io
@@ -52,6 +53,7 @@ THRESHOLDS = _concat(
 _SIGMA = _flag("--sigma", 1.0, 0.5, optional=True)
 _ALPHA = _flag("--alpha", 0.1, 0.3)
 _ANY_SPEC = st.sampled_from(SPECS)
+_SCALE_SPEC = st.sampled_from(SPECS[:3])  # the default norm spec reads wavelet scales
 _TI_SPEC = st.just(SPECS[1])
 _CYCLESPIN_SPEC = st.just(SPECS[2])
 _CLEAN = st.sampled_from([[], ["--clean", "CLEAN"]])
@@ -90,7 +92,7 @@ SIMULATE = {
         ("coverage", _ANY_SPEC, [_SIGMA, _ALPHA]),
         ("sidak", _ANY_SPEC, [_SIGMA, _T]),
         ("ti", _TI_SPEC, [_SIGMA, _flag("--z", 0.0, 1.0, optional=True)]),
-        ("smoothness", _ANY_SPEC, [_SIGMA, _ALPHA, _CLEAN]),
+        ("smoothness", _SCALE_SPEC, [_SIGMA, _ALPHA, _CLEAN]),
         ("risk", _ANY_SPEC, [_SIGMA, _ALPHA, _CLEAN]),
         ("risk1d", None, [_T, _flag("--mu", 0.0, 3.0, optional=True)]),
         ("comparison", None, [_T, st.just(["--matrices", "2", "--dim", "3",
@@ -143,8 +145,16 @@ def _assert_contract(args):
             return
         assert code in (2, 3, 4), (code, args)
         assert err.count("\n") == 1 and "Traceback" not in err, err
-        assert json.loads(err)["error"]["code"] == code
+        error = json.loads(err)["error"]
+        assert error["code"] == code
+        assert error["flag"] in {*_extreme_flags(args), "--frame-spec"}, (error, args)
         assert out == "" and written == [], (args, written)
+
+
+def _extreme_flags(args):
+    """The flags of args set to one of the EXTREMES, by a `--name=value` token."""
+    pairs = (a.split("=", 1) for a in args if a.startswith("--") and "=" in a)
+    return {name for name, value in pairs if float(value) in EXTREMES}
 
 
 # each example runs in a few milliseconds; the file takes about 2 s

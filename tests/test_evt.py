@@ -317,6 +317,23 @@ def test_threshold_spec_validation():
         ThresholdSpec("evt", 1.0, alpha=0.1).resolve()  # no frame to count
 
 
+@pytest.mark.parametrize("spec, param", [
+    (ThresholdSpec("from_zn", 1.0, z=1e308), "z"), (ThresholdSpec("from_zn", 1.0, z=-1e154), "z"),
+    (ThresholdSpec("from_zn", 1.0), "z"), (ThresholdSpec("evt", 1.0, alpha=0.999999), "m"),
+    (ThresholdSpec("evt", 1.0), "alpha"), (ThresholdSpec("universal", 1.7e308), "sigma"),
+    (ThresholdSpec("fixed", 1.0), "value"), (ThresholdSpec("banana", 1.0), "rule"),
+    (ThresholdSpec("cyclespin", 1.0, alpha=0.1), "M"),
+    (ThresholdSpec("ti", 1.0, alpha=0.1), "filters")],
+    ids=["z-overflow", "z-negative", "z-missing", "evt-negative", "alpha-missing",
+         "sigma-overflow", "value-missing", "unknown-rule", "no-shift-count", "haar-no-c"])
+def test_resolve_names_the_input_at_fault(spec, param):
+    # on the Haar basis of m = 3 atoms; a product past the float range
+    # raises ThresholdError too, not OverflowError
+    with pytest.raises(ThresholdError) as info:
+        spec.resolve(WaveletBasis(4, "haar"))
+    assert info.value.param == param
+
+
 @pytest.mark.parametrize("frame", [TIWaveletFrame(1024, CDF97R), TIWaveletFrame(1024, CDF97),
                                    WaveletBasis(1024, CDF97R)], ids=lambda f: f.name)
 def test_ti_rule_takes_c_from_the_frames_filters(frame):
