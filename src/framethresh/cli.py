@@ -137,28 +137,26 @@ def _read_clean(path, n):
 # --- thresholds ---------------------------------------------------------------
 
 def cmd_thresholds(args):
-    rows = [{"rule": "universal", "alpha": None,
-             "threshold": evt.universal_threshold(args.sigma, args.n)}]
+    def row(rule, alpha=None, **inputs):  # m = n = --n, as in a basis of n atoms
+        spec = ThresholdSpec(rule, args.sigma, alpha=alpha)
+        return {"rule": rule, "alpha": alpha, **inputs,
+                "threshold": spec.resolve_counts(args.n, args.n, **inputs)}
+    rows = [row("universal")]
     c_row = None
     if args.wavelet is not None:
         filters = _read("--wavelet", get_filters, args.wavelet)
         with contextlib.suppress(ThresholdError):  # haar and d4 have no ti row
             c_row = evt.ti_constant_c(filters)
     for a in args.alpha:
-        rows.append({"rule": "evt", "alpha": a,
-                     "threshold": evt.evt_threshold(args.sigma, a, args.n)})
+        rows.append(row("evt", a))
         if args.M is not None:
-            rows.append({"rule": "cyclespin", "alpha": a, "M": args.M,
-                         "threshold": evt.cyclespin_threshold(args.sigma, a, args.n, args.M)})
+            rows.append(row("cyclespin", a, M=args.M))
         if c_row is not None:
-            rows.append({"rule": "ti", "alpha": a, "c": c_row,
-                         "threshold": evt.ti_threshold(args.sigma, a, args.n, c_row)})
+            rows.append(row("ti", a, c=c_row))
     table = {"sigma": args.sigma, "n": args.n, "rows": rows}
-    _require_finite(table, "--sigma")
     if args.out:
-        _write("--out", io.write_report, args.out, table)
-    else:
-        print(json.dumps(io.to_jsonable(table), indent=2, sort_keys=True))
+        return [_write("--out", io.write_report, args.out, table)]
+    print(json.dumps(io.to_jsonable(table), indent=2, sort_keys=True))
     return []
 
 
@@ -229,6 +227,9 @@ def _run_experiment(args, cfg, report):
     """Run the experiment into the report; returns the Q-Q table when
     --qq asks for one, and the --clean signal when one was read."""
     exp = args.experiment
+    if args.use_cyclespin_rule and exp != "coverage":
+        raise CliError(EXIT_VALIDATION, "--use-cyclespin-rule sets the coverage experiment's "
+                       "threshold, and no other experiment's", "--use-cyclespin-rule")
     if exp == "gumbel" and args.trials < 10:
         raise CliError(EXIT_VALIDATION, "the KS distance and Q-Q table need --trials >= 10",
                        "--trials")
@@ -260,7 +261,7 @@ def _run_experiment(args, cfg, report):
             if getattr(frame, "M", None) is None:
                 raise CliError(EXIT_VALIDATION, f"{frame.name} has no shift count M",
                                "--use-cyclespin-rule")
-            threshold = evt.cyclespin_threshold(cfg.sigma, args.alpha, frame.n, frame.M)
+            threshold = ThresholdSpec("cyclespin", cfg.sigma, alpha=args.alpha).resolve(frame)
         rep = simulate.coverage_experiment(frame, args.alpha, cfg, threshold=threshold)
         report.update(io.to_jsonable(rep))
     elif exp == "sidak":

@@ -214,8 +214,8 @@ class ThresholdSpec:
     """Which threshold rule plus its parameters.
 
     rule: 'universal' | 'evt' | 'from_zn' | 'cyclespin' | 'ti' | 'fixed'.
-    The rest of what a rule but 'fixed' needs comes from the frame it
-    resolves against: n = frame.n and what frame_inputs returns.
+    The rest of what a rule but 'fixed' needs are counts: n and what
+    frame_inputs reads from a frame, or the arguments of resolve_counts.
     """
 
     rule: str
@@ -225,18 +225,24 @@ class ThresholdSpec:
     value: float | None = None
 
     def resolve(self, frame=None):
+        """resolve_counts of frame.n and frame_inputs(frame); only 'fixed' needs no frame."""
+        if frame is None and self.rule != "fixed":
+            raise ThresholdError(f"rule {self.rule!r} resolves against a frame", "m")
+        return self.resolve_counts(getattr(frame, "n", None), **self.frame_inputs(frame))
+
+    def resolve_counts(self, n=None, m=None, M=None, c=None):
         """Numeric threshold: the fixed rule's value, or sigma times the
-        rule's unit threshold (its value at sigma = 1); without a frame only
-        the fixed rule resolves.  Raises ThresholdError naming the input at
-        fault: a unit threshold that is not finite and > 0 blames z for
-        'from_zn' and the frame's count m for the other rules, and a product
+        rule's unit threshold (its value at sigma = 1) of the counts n, m,
+        M ('cyclespin') and c ('ti').  Raises ThresholdError naming the
+        input at fault: a unit threshold that is not finite and > 0 blames z
+        for 'from_zn' and the count m for the other rules, and a product
         that is not (sigma past the float range) blames sigma."""
         _check_sigma(self.sigma)
         if self.rule == "fixed":
             if self.value is None or not self.value >= 0:
                 raise ThresholdError("fixed rule needs a nonnegative value", "value")
             return float(self.value)
-        unit = self._unit(frame)
+        unit = self._unit(n, m, M, c)
         if not 0 < unit < math.inf:
             raise ThresholdError(f"rule {self.rule!r} at sigma 1 resolved to {unit}, not a "
                                  "finite threshold > 0", "z" if self.rule == "from_zn" else "m")
@@ -246,13 +252,9 @@ class ThresholdSpec:
                                  f"{self.rule!r} is {value}, not a finite threshold > 0", "sigma")
         return value
 
-    def _unit(self, frame):
+    def _unit(self, n, m, M, c):
         """The rule's threshold at sigma = 1; each rule's function is sigma
-        times it, so resolve's product has the same bits."""
-        if frame is None:
-            raise ThresholdError(f"rule {self.rule!r} resolves against a frame", "m")
-        inputs = self.frame_inputs(frame)
-        m = inputs["m"]
+        times it, so resolve_counts' product has the same bits."""
         if self.rule == "universal":
             return universal_threshold(1.0, m)
         if self.rule == "evt":
@@ -262,9 +264,9 @@ class ThresholdSpec:
                 raise ThresholdError("from_zn rule needs z", "z")
             return threshold_from_zn(1.0, m, self.z)
         if self.rule == "cyclespin":
-            return cyclespin_threshold(1.0, self._alpha(), frame.n, inputs["M"])
+            return cyclespin_threshold(1.0, self._alpha(), n, M)
         if self.rule == "ti":
-            return ti_threshold(1.0, self._alpha(), frame.n, inputs["c"])
+            return ti_threshold(1.0, self._alpha(), n, c)
         raise ThresholdError(f"unknown threshold rule {self.rule!r}", "rule")
 
     def frame_inputs(self, frame):

@@ -28,8 +28,7 @@ import numpy as np
 from . import rng as _rng
 from .core import CoefficientVector, ExplicitFrame, frame_bounds
 from .diagnostics import comparison_bound
-from .evt import (ThresholdSpec, evt_threshold, gumbel_cdf, norms_chi, ti_constant_c,
-                  ti_threshold_at_z, universal_threshold)
+from .evt import ThresholdSpec, gumbel_cdf, norms_chi, ti_constant_c, ti_threshold_at_z
 from .norms import evaluate as norm_evaluate
 from .shrink import shrink_value
 
@@ -173,12 +172,12 @@ def _is_orthonormal(frame):
 def coverage_experiment(frame, alpha, cfg, threshold=None):
     """Empirical P{ ||Phi eps||_inf <= T } against the 1-alpha target.
 
-    threshold defaults to the EVT threshold at the frame's count; for
-    orthonormal frames (decided by _is_orthonormal) the exact finite-m value
-    (2 Phi(T)-1)^m with m = atom_count is included.
+    threshold defaults to ThresholdSpec('evt').resolve(frame), which raises
+    ThresholdError when it is not finite and > 0; for orthonormal frames
+    (_is_orthonormal) the exact value (2 Phi(T)-1)^m, m = atom_count, is included.
     """
     if threshold is None:
-        threshold = evt_threshold(cfg.sigma, alpha, frame.evt_count)
+        threshold = ThresholdSpec("evt", cfg.sigma, alpha=alpha).resolve(frame)
     maxima = sample_max_abs(frame, cfg)
     emp = float(np.mean(maxima.samples <= threshold))
     exact = None
@@ -335,7 +334,7 @@ def oracle_risk_experiment(frame, clean_signal, alpha, cfg):
     clean = np.asarray(clean_signal, dtype=float)
     m = frame.evt_count
     threshold = ThresholdSpec("evt", cfg.sigma, alpha=alpha).resolve(frame)
-    assumption_ok = threshold <= universal_threshold(cfg.sigma, m) + 1e-12
+    assumption_ok = threshold <= ThresholdSpec("universal", cfg.sigma).resolve(frame) + 1e-12
     a_n, _ = frame_bounds(frame)
     x_clean = frame.analyze(clean)
     first = math.log(1.0 / (1.0 - alpha)) * math.sqrt(math.pi * math.log(m))

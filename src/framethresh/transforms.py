@@ -493,17 +493,18 @@ class CycleSpinFrame(Frame):
     def evt_count(self):
         """The atoms of scale j are the 2^j basis atoms, spaced n/2^j
         apart, each shifted by m < M: min(M 2^j, n) distinct shifts of the
-        scale's base atom."""
+        scale's base atom, the copies with m < n/2^j that
+        distinct_positions keeps."""
         return sum(min(self.M << j, self.n)
                    for j in range(self.basis.coarsest_level, self.basis.J))
 
     def distinct_positions(self):
-        """One representative per distinct shifted atom: distinctness is
-        decided by (row, shift) of the shift structure; the first position
-        of each key is kept."""
-        _, rows, shifts = self.shift_structure(np.arange(self.atom_count))
-        key = rows * self.n + shifts
-        return np.sort(np.unique(key, return_index=True)[1])
+        """The first position of each distinct shifted atom, ascending:
+        T_m psi_{j,k} = T_{m-L} psi_{j,k+1} with L = n/2^j (k mod 2^j), so
+        the first copy of each atom is the one with m < L, the rule
+        evt_count counts."""
+        j, _, m = self._labels
+        return np.flatnonzero(m < self.n >> j)
 
 
 # --- translation invariant frame ---------------------------------------------
@@ -652,6 +653,8 @@ class SineFrame(Frame):
         self.n = int(n)
         self.oversample = int(oversample)
         r = self.oversample
+        if r * self.n * 8 > np.iinfo(np.intp).max:  # numpy indexes no more bytes
+            raise FrameError(f"sine grid of r * n = {r} * {n} doubles is too large to index")
         # the grid {1/r, ..., n}; w = n is the one point whose atom vanishes
         w = np.arange(1, r * self.n) / r
         self.frequencies = w

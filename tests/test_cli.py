@@ -184,6 +184,25 @@ def test_thresholds_ti_row_is_the_denoise_ti_threshold(tmp_path, capsys):
     assert (report["threshold_used"], report["c"]) == (ti_row["threshold"], ti_row["c"])
 
 
+def test_thresholds_out_writes_a_manifest_that_replays(tmp_path, capsys):
+    out = tmp_path / "table.json"
+    args = ["thresholds", "--n", "1024", "--alpha", "0.05", "--M", "4", "--wavelet", "cdf97r",
+            "--out", str(out)]
+    assert main(args) == 0
+    table = out.read_bytes()
+    manifest = json.loads((tmp_path / "table.json.manifest.json").read_text())
+    assert manifest["command"] == args
+    assert manifest["output_sha256"] == {str(out): hashlib.sha256(table).hexdigest()}
+    out.unlink()
+    assert main(["replay", str(tmp_path / "table.json.manifest.json")]) == 0
+    assert out.read_bytes() == table
+    # printed to stdout, the table has no file to go next to
+    code, printed, _ = run_main(capsys, args[:-2])
+    assert code == 0 and json.loads(printed) == json.loads(table)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.json",
+                                                          "table.json.manifest.json"]
+
+
 def test_thresholds_take_a_count_past_the_float_range():
     code, out, err = run_cli(["thresholds", "--n", str(10 ** 400), "--M", "4",
                               "--wavelet", "cdf97r"])
@@ -822,6 +841,28 @@ _OUT_OF_RANGE_MATRICES = {"huge.csv": "1e200,1e200\n0,1\n", "tiny.csv": "1e-200,
     (_simulate("coverage", '{"type":"wavelet","n":16}', "--use-cyclespin-rule"),
      2, "--use-cyclespin-rule"),
     (_simulate("risk", '{"type":"wavelet","n":4}', "--alpha", "0.999999"), 2, "--frame-spec"),
+    # every threshold a rule gives is finite and > 0: m = 3 and m = 2 go
+    # negative at alpha near 1
+    (["thresholds", "--n", "3", "--alpha", "0.9999"], 2, "--n"),
+    (["thresholds", "--n", "2", "--alpha", "0.9999", "--M", "2"], 2, "--n"),
+    (["simulate", "--experiment", "coverage", "--frame-spec", '{"type":"wavelet","n":4}',
+      "--alpha", "0.9999", "--trials", "20", "--seed", "1"], 2, "--frame-spec"),
+    (["simulate", "--experiment", "coverage", "--frame-spec", '{"type":"cyclespin","n":4,"M":2}',
+      "--use-cyclespin-rule", "--alpha", "0.9999", "--trials", "20", "--seed", "1"],
+     2, "--frame-spec"),
+    # only coverage reads --use-cyclespin-rule
+    (_simulate("risk", '{"type":"wavelet","n":16}', "--use-cyclespin-rule"),
+     2, "--use-cyclespin-rule"),
+    (_simulate("smoothness", '{"type":"wavelet","n":16}', "--use-cyclespin-rule"),
+     2, "--use-cyclespin-rule"),
+    (_simulate("gumbel", '{"type":"wavelet","n":16}', "--trials", "10", "--use-cyclespin-rule"),
+     2, "--use-cyclespin-rule"),
+    # a sine grid past the address range is refused before any allocation
+    ([*_SPEC_DENOISE, json.dumps({"type": "sine", "n": 2 ** 60})], 2, "--frame-spec"),
+    ([*_SPEC_DENOISE, json.dumps({"type": "sine", "n": 16, "oversample": 2 ** 60})],
+     2, "--frame-spec"),
+    (["diagnose", "--frame-spec", '{"type":"sine"}', "--n-list", "4", "8", str(2 ** 60)],
+     2, "--n-list"),
     ([*_SPEC_DENOISE, '{"type":"wavelet","n":16,"filters":5}'], 2, "--frame-spec"),
     ([*_SPEC_DENOISE, '{"type":"wavelet","n":16,"filter":"d4"}'], 2, "--frame-spec"),
     ([*_SPEC_DENOISE, '{"type":"sine","n":16,"oversampling":2}'], 2, "--frame-spec"),
@@ -888,6 +929,11 @@ _OUT_OF_RANGE_MATRICES = {"huge.csv": "1e200,1e200\n0,1\n", "tiny.csv": "1e-200,
          "smoothness-one-atom-wavelet", "smoothness-one-atom-sine",
          "coverage-cyclespin-rule-M-1", "coverage-cyclespin-rule-wavelet",
          "risk-negative-threshold",
+         "thresholds-evt-negative", "thresholds-evt-cyclespin-negative",
+         "coverage-evt-negative", "coverage-cyclespin-rule-negative",
+         "risk-cyclespin-rule", "smoothness-cyclespin-rule", "gumbel-cyclespin-rule",
+         "sine-grid-n-too-large", "sine-grid-oversample-too-large",
+         "diagnose-sine-grid-too-large",
          "frame-spec-filters-number", "frame-spec-wavelet-filter-key",
          "frame-spec-sine-oversampling-key", "frame-spec-wavelet-M-key",
          "frame-spec-matrix-path-number",

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framethresh import evt
+from framethresh import cli, evt
 from framethresh.evt import ThresholdError, ThresholdSpec
 from framethresh.core import ExplicitFrame
 from framethresh.transforms import (CDF97, CDF97R, D4, HAAR, CycleSpinFrame, SineFrame,
@@ -332,6 +332,59 @@ def test_resolve_names_the_input_at_fault(spec, param):
     with pytest.raises(ThresholdError) as info:
         spec.resolve(WaveletBasis(4, "haar"))
     assert info.value.param == param
+
+
+@st.composite
+def _frames(draw):
+    """A frame of n <= 256 of each kind a rule reads, with drawn filters,
+    coarsest level, M and r, or the identity; at n = 2 and 4 the evt unit
+    threshold goes below 0 for alpha near 1 (m = 3 at alpha 0.9999)."""
+    J = draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
+    n, kind = 2 ** J, draw(st.sampled_from(["wavelet", "cyclespin", "ti", "sine", "identity"]))
+    if kind == "sine":
+        return SineFrame(n, draw(st.integers(1, 4)))
+    if kind == "identity":
+        return ExplicitFrame(np.eye(n))
+    level = draw(st.integers(0, J - 1))
+    if kind == "cyclespin":  # orthonormal filters only
+        return CycleSpinFrame(n, 2 ** draw(st.integers(0, J)), draw(st.sampled_from([HAAR, D4])),
+                              level)
+    filters = draw(st.sampled_from([HAAR, D4, CDF97, CDF97R]))
+    return (WaveletBasis if kind == "wavelet" else TIWaveletFrame)(n, filters, level)
+
+
+_ALPHA = st.one_of(st.floats(1e-9, 1 - 1e-9), st.sampled_from([0.9999, 0.999999]))
+
+
+# each example builds one frame of at most 2048 atoms: about 5 ms
+@settings(deadline=None)
+@given(frame=_frames(), alphas=st.lists(_ALPHA, min_size=1, max_size=4),
+       sigma=st.floats(1e-3, 1e3), z=st.floats(-1e3, 1e3),
+       value=st.one_of(st.floats(-10.0, 10.0), st.sampled_from([math.inf, math.nan])))
+def test_every_rule_gives_a_finite_threshold_above_0_or_refuses(frame, alphas, sigma, z,
+                                                               value):
+    """resolve is finite and > 0 and non-increasing in alpha, or raises
+    ThresholdError naming an input the CLI has a flag for or one the rule
+    reads from the frame.  The fixed rule gives its own value >= 0, inf
+    included (which keeps no coefficient)."""
+    alphas = sorted(alphas)
+    specs = {"universal": [ThresholdSpec("universal", sigma)],
+             "from_zn": [ThresholdSpec("from_zn", sigma, z=z)],
+             "fixed": [ThresholdSpec("fixed", sigma, value=value)],
+             **{rule: [ThresholdSpec(rule, sigma, alpha=a) for a in alphas]
+                for rule in ("evt", "cyclespin", "ti")}}
+    for rule, rule_specs in specs.items():
+        resolved = []
+        for spec in rule_specs:
+            try:
+                resolved.append(spec.resolve(frame))
+            except ThresholdError as exc:
+                assert exc.param in {*cli._PARAM_FLAGS, "m", "n", "M", "c", "filters"}, exc
+        if rule == "fixed":
+            assert resolved in ([], [value]) and all(t >= 0 for t in resolved)
+        else:
+            assert all(0 < t < math.inf for t in resolved), (rule, resolved)
+            assert resolved == sorted(resolved, reverse=True), (rule, alphas, resolved)
 
 
 @pytest.mark.parametrize("frame", [TIWaveletFrame(1024, CDF97R), TIWaveletFrame(1024, CDF97),
