@@ -123,15 +123,15 @@ def _read(flag, load, value):
         raise CliError(EXIT_VALIDATION, str(exc) or "out of memory", flag)
 
 
-def _read_clean(path, n):
-    """The --clean signal: n finite samples."""
-    clean = _read("--clean", io.read_signal, path)
-    if len(clean) != n:
-        raise CliError(EXIT_VALIDATION, "clean signal length mismatch", "--clean")
-    if not np.all(np.isfinite(clean)):
-        raise CliError(EXIT_VALIDATION, "clean signal contains NaN or infinite values",
-                       "--clean")
-    return clean
+def _read_signal(flag, path, n):
+    """The signal file a flag names: n finite samples."""
+    signal = _read(flag, io.read_signal, path)
+    if len(signal) != n:
+        raise CliError(EXIT_VALIDATION,
+                       f"{flag} signal length {len(signal)} does not match frame n={n}", flag)
+    if not np.all(np.isfinite(signal)):
+        raise CliError(EXIT_VALIDATION, f"{flag} signal contains NaN or infinite values", flag)
+    return signal
 
 
 # --- thresholds ---------------------------------------------------------------
@@ -164,15 +164,8 @@ def cmd_thresholds(args):
 
 def cmd_denoise(args):
     frame = _read("--frame-spec", frame_from_spec, args.frame_spec)
-    data = _read("--input", io.read_signal, args.input)
-    if len(data) != frame.n:
-        raise CliError(EXIT_VALIDATION,
-                       f"signal length {len(data)} does not match frame n={frame.n}",
-                       "--input")
-    if not np.all(np.isfinite(data)):
-        raise CliError(EXIT_VALIDATION, "input signal contains NaN or infinite values",
-                       "--input")
-    clean = _read_clean(args.clean, frame.n) if args.clean else None
+    data = _read_signal("--input", args.input, frame.n)
+    clean = _read_signal("--clean", args.clean, frame.n) if args.clean else None
     spec = ThresholdSpec(rule=args.threshold_rule, sigma=args.sigma, alpha=args.alpha,
                          z=args.z, value=args.fixed_value)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -246,7 +239,7 @@ def _run_experiment(args, cfg, report):
         frame = _read("--frame-spec", frame_from_spec, args.frame_spec)
         report["frame"] = frame.name
         if args.clean and exp in ("smoothness", "risk"):
-            clean = _read_clean(args.clean, frame.n)
+            clean = _read_signal("--clean", args.clean, frame.n)
     if exp == "gumbel":
         dist = simulate.sample_max_abs(frame, cfg)
         norms = evt.norms_chi(frame.evt_count)

@@ -69,13 +69,9 @@ def denoise(frame, data, spec, rule="soft"):
     coeffs = frame.analyze(data)
     shrunk = coeffs.replace_values(shrink_value(coeffs.values, threshold, rule))
     estimate = frame.dual_synthesize(shrunk)
-    if rule == "soft":
-        # |y| - T > 0 exactly when |y| > T, so soft(y) is nonzero there, and
-        # NaN (from NaN y, or |y| = T = inf) is neither > 0 nor < 0
-        v = shrunk.values
-        kept = int(np.count_nonzero(v > 0.0) + np.count_nonzero(v < 0.0))
-    else:
-        kept = int(np.count_nonzero(np.abs(coeffs.values) > threshold))
+    # one count for every rule: soft's |y| - T > 0 exactly when |y| > T, and
+    # a NaN y, or |y| = T = inf, is kept by neither
+    kept = int(np.count_nonzero(np.abs(coeffs.values) > threshold))
     return DenoiseResult(estimate=estimate, thresholded_coeffs=shrunk,
                          threshold_used=threshold, kept_count=kept, rule=rule)
 

@@ -20,15 +20,17 @@ orthonormal filters, a genuine correction for CDF 9/7), so noise coefficients
 have variance sigma^2 in every coordinate.
 
 Every frame's analyze and dual_synthesize act along the last axis, so a
-(B, n) block of signals is one call.  The filter banks read each tap as a
-strided view of the wrap-padded block and follow a plan cached per filter
-pair, looked up once per transform.  An analysis level pads its input once
-for both filters and computes one product per distinct (offset, |tap|),
-which Haar's two filters share.  A synthesis level pads each source (the
-approximation and the detail) once, computes one product per distinct
-(source, offset, |tap|), computes once a phase sum that both output phases
-share (Haar's low-pass), and adds each phase's low- and high-pass sums
-straight into the strided halves of one output.  Cycle spinning copies its
+(B, n) block of signals is one call.  Analysis and synthesis levels run one
+planner and one executor.  A level lists its sums as (rank, source, offset,
+tap) terms; the plan, cached per filter pair and looked up once per
+transform, computes each distinct (source, offset, |tap|) product once, as
+a strided window of a wrap-padded source, in rank order, so every sum gets
+its terms in tap order, and computes a sum listed twice once.  An analysis
+level pads its input once for both filters, whose products Haar's two
+filters share.  A synthesis level pads each source (the approximation and
+the detail) once, shares Haar's low-pass sum between the two output
+phases, and adds each phase's low- and high-pass sums straight into the
+strided halves of one output.  Cycle spinning copies its
 M shifts into one (B*M, n) basis call and adds them back by slices, and the
 TI and sine analyses are one FFT of the block.
 """
@@ -128,106 +130,73 @@ def _wrap_pad(x, before, after):
     return np.concatenate([x[..., n - before:], x, x[..., :after]], axis=-1)
 
 
-def _accumulate(sums, p, uses):
-    """Add the product p to each sum it enters: onto +0.0 as the first term,
-    subtracted for a negative tap.  f x is -(|f| x) and y - p is y + (-p)
-    exactly, so every sum has the bits of its own tap-by-tap sum."""
-    for k, negative in uses:
-        if sums[k] is None:
-            sums[k] = np.subtract(0.0, p) if negative else np.add(p, 0.0)
-        elif negative:
-            sums[k] -= p
-        else:
-            sums[k] += p
+def _plan(sums):
+    """Plan of several sums of products |tap| * window, each sum listed as
+    its nonzero (rank, source, offset, tap) terms at distinct ranks, the
+    window of (source, offset) being sources[source][..., offset:offset +
+    length:step] at the executor's (length, step).
+
+    Returns (steps, count, index).  steps holds one (source, offset, |tap|,
+    ((sum, negative), ...)) per distinct product, in increasing rank, so
+    every sum receives its terms in rank order.  count is the number of
+    distinct sums (a sum listed twice is computed once) and index the
+    distinct sum of each listed one."""
+    index = {}
+    products = {}
+    for terms in sums:
+        if terms not in index:
+            k = index[terms] = len(index)
+            for rank, s, o, tap in terms:
+                products.setdefault((rank, s, o, abs(tap)), []).append((k, tap < 0.0))
+    steps = tuple((s, o, c, tuple(uses)) for (_, s, o, c), uses
+                  in sorted(products.items(), key=lambda e: e[0][0]))
+    return steps, len(index), tuple(index[terms] for terms in sums)
+
+
+def _filter_sums(sources, plan, length, step):
+    """The sums of plan = _plan(...) over the windows
+    sources[s][..., o:o + length:step]: each distinct product computed once
+    into one buffer and added to every sum it enters, onto +0.0 as the first
+    term, subtracted for a negative tap.  f x is -(|f| x) and y - p is
+    y + (-p) exactly, so every sum has the bits of its own tap-by-tap sum; a
+    sum with no term is +0.0."""
+    steps, count, index = plan
+    sums = [None] * count
+    p = np.empty(sources[0].shape[:-1] + ((length - 1) // step + 1,))
+    for s, o, c, uses in steps:
+        np.multiply(c, sources[s][..., o:o + length:step], out=p)
+        for k, negative in uses:
+            if sums[k] is None:
+                sums[k] = np.subtract(0.0, p) if negative else np.add(p, 0.0)
+            elif negative:
+                sums[k] -= p
+            else:
+                sums[k] += p
+    return [np.zeros_like(p) if sums[k] is None else sums[k] for k in index]
 
 
 @lru_cache(maxsize=64)
-def _product_plan(filters):
-    """Analysis plan of several filters read at the same offsets: the wrap
-    pad after x, the filter count, and the taps grouped by product, one
-    (m, |f[m]|, ((filter index, negative), ...)) per distinct (offset,
-    magnitude), in increasing m, skipping zero taps."""
-    steps = []
-    for m in range(max(len(f) for f in filters)):
-        uses = {}
-        for i, f in enumerate(filters):
-            if m < len(f) and f[m] != 0.0:
-                uses.setdefault(abs(f[m]), []).append((i, f[m] < 0.0))
-        steps.extend((m, c, tuple(u)) for c, u in uses.items())
-    return max(max(len(f) for f in filters) - 2, 0), len(filters), tuple(steps)
-
-
-def _correlate_down(x, plan):
-    """y_i[k] = sum_m f_i[m] x[(2k+m) mod n] for each filter f_i of
-    plan = _product_plan(filters), from one wrap pad of x.  Each distinct
-    product |f[m]| x[2k+m] is computed once into one buffer and added to
-    every output it enters."""
-    after, count, steps = plan
-    n = x.shape[-1]
-    xp = _wrap_pad(x, 0, after)
-    ys = [None] * count
-    p = np.empty(x.shape[:-1] + (n // 2,))
-    for m, c, uses in steps:
-        np.multiply(c, xp[..., m:m + n - 1:2], out=p)
-        _accumulate(ys, p, uses)
-    return [np.zeros_like(p) if y is None else y for y in ys]
+def _analysis_plan(lo, hi):
+    """(pad, plan) of one analysis level, y_f[k] = sum_m f[m] x[(2k+m) mod n]
+    for f = lo, hi: x wrap-padded after by pad, and tap m of each filter read
+    at offset m and step 2, so Haar's two filters share their products."""
+    pad = max(len(lo), len(hi), 2) - 2
+    return pad, _plan(tuple(tuple((m, 0, m, t) for m, t in enumerate(f) if t != 0.0)
+                            for f in (lo, hi)))
 
 
 @lru_cache(maxsize=64)
 def _synthesis_plan(lo, hi):
-    """Synthesis plan of one level, x = up(a) * lo + up(d) * hi with
-    up(a)[2k] = a[k]: output phase p (i = 2q + p) of a filter f takes the
-    taps m = 2t + p, tap m reading a[(q - t) mod n/2], so the source a is
-    wrap-padded once by before = (len(f) - 1) // 2 and tap m reads it at
-    offset before - t.
-
-    Returns (befores, steps, outputs, sum count).  befores holds one pad
-    per source (a for lo, d for hi).  Each (filter, phase) has one sum of
-    its nonzero terms in increasing t; two phases with the same terms share
-    one sum (Haar's low-pass).  steps holds one (source, offset, |tap|,
-    uses) per distinct product in increasing t, uses its ((sum index,
-    negative), ...), so every sum receives its terms in order.  outputs
-    holds (lo sum index, hi sum index) per phase; a sum with no term stays
-    +0.0."""
-    befores = tuple((len(f) - 1) // 2 for f in (lo, hi))
-    sums = {}
-    outputs = []
-    products = {}
-    for p in (0, 1):
-        phase = []
-        for i, f in enumerate((lo, hi)):
-            terms = tuple(((m - p) // 2, abs(f[m]), f[m] < 0.0)
-                          for m in range(p, len(f), 2) if f[m] != 0.0)
-            k = sums.setdefault((i, terms), len(sums))
-            phase.append(k)
-            for t, c, negative in terms:
-                uses = products.setdefault((t, i, c), [])
-                if (k, negative) not in uses:
-                    uses.append((k, negative))
-        outputs.append(tuple(phase))
-    steps = tuple((i, befores[i] - t, c, tuple(uses))
-                  for (t, i, c), uses in sorted(products.items(), key=lambda e: e[0][0]))
-    return befores, steps, tuple(outputs), len(sums)
-
-
-def _up_conv(a, d, plan):
-    """x[i] = sum_k a[k] lo[(i-2k) mod n] + sum_k d[k] hi[(i-2k) mod n] for
-    plan = _synthesis_plan(lo, hi), n = 2 a.shape[-1]: one wrap pad per
-    source, each distinct product computed once into one buffer, and each
-    phase's lo and hi sums added into x[..., p::2] of one fresh output."""
-    befores, steps, outputs, count = plan
-    h = a.shape[-1]
-    sources = (_wrap_pad(a, befores[0], 0), _wrap_pad(d, befores[1], 0))
-    sums = [None] * count
-    p = np.empty(a.shape[:-1] + (h,))
-    out = np.empty(a.shape[:-1] + (2 * h,))
-    for i, s, c, uses in steps:
-        np.multiply(c, sources[i][..., s:s + h], out=p)
-        _accumulate(sums, p, uses)
-    sums = [0.0 if y is None else y for y in sums]
-    for phase, (k_lo, k_hi) in enumerate(outputs):
-        np.add(sums[k_lo], sums[k_hi], out=out[..., phase::2])
-    return out
+    """(pads, plan) of one synthesis level, x = up(a) * lo + up(d) * hi with
+    up(a)[2k] = a[k].  Output phase p (i = 2q + p) of a filter f takes the
+    taps m = 2t + p, tap m reading a[(q - t) mod n/2], so each source (a for
+    lo, d for hi) is wrap-padded before by (len(f) - 1) // 2 and tap m is read
+    at offset pad - t and step 1.  The plan lists the lo and hi sums of
+    phase 0, then those of phase 1; Haar's two low-pass phases are one sum."""
+    pads = tuple((len(f) - 1) // 2 for f in (lo, hi))
+    return pads, _plan(tuple(tuple(((m - p) // 2, i, pads[i] - (m - p) // 2, f[m])
+                                   for m in range(p, len(f), 2) if f[m] != 0.0)
+                             for p in (0, 1) for i, f in enumerate((lo, hi))))
 
 
 def _shift_windows(bases):
@@ -252,32 +221,60 @@ def _check_dyadic(n):
     return int(np.round(np.log2(n)))
 
 
+# the frame rules that do not depend on n, which load_frame_spec checks too
+
+def _check_coarsest_level(coarsest_level):
+    if coarsest_level < 0:
+        raise FrameError(f"coarsest_level {coarsest_level} must be >= 0")
+
+
+def _check_shift_count(M):
+    if M < 1 or (M & (M - 1)):
+        raise FrameError(f"shift count M={M} must be a power of two")
+
+
+def _check_orthonormal(filters):
+    if filters.analysis_lowpass != filters.synthesis_lowpass:
+        raise FrameError("cycle spinning requires an orthonormal wavelet basis")
+
+
+def _check_oversample(oversample):
+    if oversample < 1 or int(oversample) != oversample:
+        raise FrameError("oversample must be a positive integer")
+
+
 # --- decimated multiresolution transform ------------------------------------
 
 def _dwt_raw(x, filt, levels):
     """Detail coefficients per level (finest first) and final approximation;
     each level pads its input once for both analysis filters."""
-    plan = _product_plan((filt.analysis_lowpass, filt.analysis_highpass))
+    pad, plan = _analysis_plan(filt.analysis_lowpass, filt.analysis_highpass)
     details = []
     a = np.asarray(x, dtype=float)
     for _ in range(levels):
-        a, d = _correlate_down(a, plan)
+        a, d = _filter_sums((_wrap_pad(a, 0, pad),), plan, a.shape[-1] - 1, 2)
         details.append(d)
     return details, a
 
 
 def _idwt_raw(details, approx, lo, hi):
     """One synthesis loop, coarsest level first, with the filter pair (lo, hi)
-    (sequences of floats).
+    (sequences of floats): per level one pad per source, and each phase's lo
+    and hi sums added into x[..., p::2] of one fresh output.
 
     The synthesis filters invert _dwt_raw; the analysis filters give the
     adjoint of the analysis map (the same map for orthonormal pairs), which
     materializes analysis atoms in the biorthogonal case.
     """
-    plan = _synthesis_plan(tuple(lo), tuple(hi))
+    pads, plan = _synthesis_plan(tuple(lo), tuple(hi))
     a = np.asarray(approx, dtype=float)
     for d in reversed(details):
-        a = _up_conv(a, d, plan)
+        h = a.shape[-1]
+        lo0, hi0, lo1, hi1 = _filter_sums((_wrap_pad(a, pads[0], 0), _wrap_pad(d, pads[1], 0)),
+                                          plan, h, 1)
+        a = np.empty(a.shape[:-1] + (2 * h,))
+        np.add(lo0, hi0, out=a[..., 0::2])
+        np.add(lo1, hi1, out=a[..., 1::2])
     return a
 
 
@@ -293,7 +290,8 @@ class WaveletBasis(Frame):
         J = _check_dyadic(n)
         if isinstance(filters, str):
             filters = get_filters(filters)
-        if not 0 <= coarsest_level < J:
+        _check_coarsest_level(coarsest_level)
+        if coarsest_level >= J:
             raise FrameError(f"coarsest_level {coarsest_level} outside [0, {J})")
         self.n = int(n)
         self.J = J
@@ -304,17 +302,10 @@ class WaveletBasis(Frame):
         self.carry_dim = 2 ** coarsest_level
         self.span_dim = self.atom_count
         self.name = f"wavelet[{filters.name},n={n},c={coarsest_level}]"
-        js = []
-        ks = []
-        for j in range(self.coarsest_level, J):
-            js.append(np.full(2 ** j, j, dtype=int))
-            ks.append(np.arange(2 ** j, dtype=int))
-        self._labels = (np.concatenate(js), np.concatenate(ks))
-        self._scale_slices = {}
-        off = 0
-        for j in range(self.coarsest_level, J):
-            self._scale_slices[j] = slice(off, off + 2 ** j)
-            off += 2 ** j
+        # scale j holds locations 0..2^j - 1 at positions from 2^j - 2^c on
+        js = np.arange(self.coarsest_level, J)
+        starts = np.repeat(2 ** js - self.carry_dim, 2 ** js)
+        self._labels = (np.repeat(js, 2 ** js), np.arange(self.atom_count) - starts)
         # every scale-j atom is a shift of the k = 0 atom by multiples of n/2^j
         raw = self._unit_responses()[:-1]
         self._norms = np.array([np.linalg.norm(row) for row in raw])
@@ -325,15 +316,12 @@ class WaveletBasis(Frame):
         if filters.analysis_lowpass == filters.synthesis_lowpass:
             self.bounds = (1.0, 1.0)  # orthonormal: the atoms are a basis of their span
 
-    # raw detail list index l (finest first, l=0) corresponds to scale
-    # j = J - 1 - l; the stacked layout is coarsest first.
-
-    def _details_to_values(self, details):
-        # details is finest-first; the stacked layout is coarsest-first
-        return np.concatenate(details[::-1], axis=-1)
+    # the raw detail list runs finest first (index l holds scale J - 1 - l);
+    # the stacked layout runs coarsest first
 
     def _values_to_details(self, values):
-        return [values[..., self._scale_slices[j]]
+        c = self.carry_dim  # scale j sits at positions 2^j - c .. 2^(j+1) - c - 1
+        return [values[..., (1 << j) - c:(2 << j) - c]
                 for j in range(self.J - 1, self.coarsest_level - 1, -1)]
 
     def _unit_responses(self, synthesis=False):
@@ -342,21 +330,21 @@ class WaveletBasis(Frame):
         scale, coarsest first, then the coarsest scaling atom.  The analysis
         filters give the analysis atoms, the synthesis filters the synthesis
         atoms."""
-        rows = self.levels + 1
-        details = [np.zeros((rows, 2 ** j)) for j in range(self.J - 1, self.coarsest_level - 1, -1)]
-        for row, d in enumerate(details[::-1]):
-            d[row, 0] = 1.0
-        approx = np.zeros((rows, self.carry_dim))
-        approx[-1, 0] = 1.0
+        # row r holds a 1 at position 2^(c + r) - 2^c, the first of scale
+        # c + r = coarsest_level + r, and the last row the first carry entry
+        starts = 2 ** np.arange(self.coarsest_level, self.J + 1) - self.carry_dim
+        units = np.zeros((len(starts), self.n))
+        units[np.arange(len(starts)), starts] = 1.0
         f = self.filters
         pair = ((f.synthesis_lowpass, f.synthesis_highpass) if synthesis
                 else (f.analysis_lowpass, f.analysis_highpass))
-        return _idwt_raw(details, approx, *pair)
+        return _idwt_raw(self._values_to_details(units[:, :self.atom_count]),
+                         units[:, self.atom_count:], *pair)
 
     def analyze(self, signal):
         signal = self._check_signal(signal)
         details, approx = _dwt_raw(signal, self.filters, self.levels)
-        values = self._details_to_values(details)
+        values = np.concatenate(details[::-1], axis=-1)
         values /= self._scale  # in the concatenation's fresh array
         return CoefficientVector(values, ("j", "k"), self._labels, carry=approx)
 
@@ -421,11 +409,9 @@ class CycleSpinFrame(Frame):
 
     def __init__(self, n, M, filters=HAAR, coarsest_level=0):
         basis = WaveletBasis(n, filters, coarsest_level)
-        if basis.filters.analysis_lowpass != basis.filters.synthesis_lowpass:
-            raise FrameError("cycle spinning requires an orthonormal wavelet basis")
+        _check_orthonormal(basis.filters)
         M = int(M)
-        if M < 1 or (M & (M - 1)):
-            raise FrameError(f"shift count M={M} must be a power of two")
+        _check_shift_count(M)
         if M > basis.n:
             raise FrameError(f"M={M} exceeds n={basis.n}")
         self.basis = basis
@@ -646,8 +632,7 @@ class SineFrame(Frame):
     """
 
     def __init__(self, n, oversample=1):
-        if oversample < 1 or int(oversample) != oversample:
-            raise FrameError("oversample must be a positive integer")
+        _check_oversample(oversample)
         if n < 2:
             raise FrameError(f"sine frame needs n >= 2, got {n}")
         self.n = int(n)
@@ -758,6 +743,9 @@ _NEEDED_SPEC_KEYS = {"cyclespin": ("M",), "explicit": ("matrix_path",)}
 _SPEC_FRAMES = {"wavelet": WaveletBasis, "cyclespin": CycleSpinFrame, "ti": TIWaveletFrame,
                 "sine": SineFrame}
 _INTEGER_SPEC_KEYS = ("n", "M", "oversample", "coarsest_level")
+#: the value rule of each integer key that does not depend on n
+_SPEC_VALUE_RULES = {"M": _check_shift_count, "oversample": _check_oversample,
+                     "coarsest_level": _check_coarsest_level}
 _STRING_SPEC_KEYS = ("type", "filters", "matrix_path", "name")
 
 
@@ -768,7 +756,10 @@ def load_frame_spec(spec):
     Raises OSError for an unreadable file, json.JSONDecodeError for bad
     JSON and FrameError for a spec that is not a JSON object, names an
     unknown type or filter family, lacks a key its type needs, holds a key
-    its type does not take or holds a field of the wrong JSON type.
+    its type does not take, holds a field of the wrong JSON type, or holds
+    a value that no n admits: an oversample below 1, an M that is not a
+    power of two, a negative coarsest_level or, for cycle spinning, a
+    biorthogonal filter pair.
     """
     if isinstance(spec, str):
         if spec.strip().startswith("{"):
@@ -796,8 +787,13 @@ def load_frame_spec(spec):
     if unknown:
         raise FrameError(f"{kind} frame spec takes no key {unknown[0]!r}; it takes "
                          f"{', '.join(_SPEC_KEYS[kind])}")
+    for key, check in _SPEC_VALUE_RULES.items():
+        if key in spec:
+            check(spec[key])
     if "filters" in spec:
-        get_filters(spec["filters"])
+        filters = get_filters(spec["filters"])
+        if kind == "cyclespin":
+            _check_orthonormal(filters)
     return spec
 
 

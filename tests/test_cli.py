@@ -888,6 +888,15 @@ _OUT_OF_RANGE_MATRICES = {"huge.csv": "1e200,1e200\n0,1\n", "tiny.csv": "1e-200,
      2, "--n-list"),
     (["diagnose", "--frame-spec", '{"type":"ti","filter":"d4"}', "--n-list", "4", "8", "16"],
      2, "--frame-spec"),
+    # a field that no n admits is the spec's fault, not the sizes'
+    (["diagnose", "--frame-spec", '{"type":"sine","oversample":0}', "--n-list", "4", "8", "16"],
+     2, "--frame-spec"),
+    (["diagnose", "--frame-spec", '{"type":"cyclespin","M":3}', "--n-list", "4", "8", "16"],
+     2, "--frame-spec"),
+    (["diagnose", "--frame-spec", '{"type":"wavelet","coarsest_level":-1}',
+      "--n-list", "4", "8", "16"], 2, "--frame-spec"),
+    (["diagnose", "--frame-spec", '{"type":"cyclespin","M":2,"filters":"cdf97"}',
+      "--n-list", "4", "8", "16"], 2, "--frame-spec"),
     ([*_DIAGNOSE, "--delta", "5"], 2, "--delta"),
     ([*_DIAGNOSE, "--delta", "nan"], 2, "--delta"),
     ([*_DIAGNOSE, "--delta", "0.3", "--rho", "0.2"], 2, "--delta"),
@@ -942,6 +951,8 @@ _OUT_OF_RANGE_MATRICES = {"huge.csv": "1e200,1e200\n0,1\n", "tiny.csv": "1e-200,
          "frame-spec-matrix-nan", "frame-spec-matrix-row-overflow",
          "frame-spec-matrix-row-underflow", "simulate-matrix-nan",
          "diagnose-wavelet-n-3", "diagnose-cyclespin-n-2", "diagnose-ti-filter-key",
+         "diagnose-sine-oversample-0", "diagnose-cyclespin-M-3",
+         "diagnose-wavelet-coarsest-level-negative", "diagnose-cyclespin-biorthogonal",
          "diagnose-delta-5",
          "diagnose-delta-nan", "diagnose-delta-above-rho", "replay-binary-manifest", "sigma-before-file-error",
          "denoise-alpha-unused", "denoise-c-unused", "denoise-z-unused",

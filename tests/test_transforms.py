@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framethresh.core import CoefficientVector, DimensionMismatch, ExplicitFrame, FrameError
 from framethresh.shrink import shrink_value
-from framethresh.transforms import (CDF97, D4, FILTERS, HAAR, CycleSpinFrame, SineFrame,
-                                    TIWaveletFrame, WaveletBasis, _correlate_down, _dwt_raw,
-                                    _idwt_raw, _product_plan, _shift_windows, _shifted_atoms,
+from framethresh.transforms import (CDF97, CDF97R, D4, FILTERS, HAAR, CycleSpinFrame,
+                                    SineFrame, TIWaveletFrame, WaveletBasis, WaveletFilterPair,
+                                    _analysis_plan, _dwt_raw, _idwt_raw, _shift_windows,
+                                    _shifted_atoms, _synthesis_plan,
                                     cs_distinct_count, frame_from_spec, get_filters,
                                     load_frame_spec)
 
@@ -64,15 +67,69 @@ def _signed_zero_inputs(shape, rng):
 @pytest.mark.parametrize("n", [2, 4, 6, 16, 1024])
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["1d", "block"])
 def test_filter_primitives_equal_roll_formulas_bytewise(name, n, lead, rng):
-    # the up-convolution of one filter, as one synthesis level with that
-    # filter on both sources
+    # the down-correlation of one filter, as one analysis level with that
+    # filter on both outputs, and its up-convolution, as one synthesis level
+    # with that filter on both sources
     for f in _arrays(FILTERS[name]):
+        pair = WaveletFilterPair("f", tuple(f), tuple(f), (), ())
         for x in _signed_zero_inputs(lead + (n,), rng):
-            assert (_correlate_down(x, _product_plan((tuple(f),)))[0].tobytes()
-                    == _roll_correlate_down(x, f).tobytes())
+            (d,), a = _dwt_raw(x, pair, 1)
+            assert a.tobytes() == d.tobytes() == _roll_correlate_down(x, f).tobytes()
             a, d = x[..., : n // 2], x[..., n // 2:]
             assert (_idwt_raw([d], a, f, f).tobytes()
                     == (_roll_up_conv(a, f, n) + _roll_up_conv(d, f, n)).tobytes())
+
+
+#: tap magnitudes: zero, a dyadic one, Haar's, and any float in [0, 2]
+_MAGNITUDES = st.sampled_from([0.0, 0.5, 2 ** -0.5]) | st.floats(0.0, 2.0)
+
+
+@st.composite
+def _filter_pairs(draw):
+    """A (lo, hi) pair of lengths 1-10.  Each tap is either the magnitude
+    drawn for its offset, which both filters share (and, when drawn so, taps
+    2t and 2t + 1 too), with a drawn sign, or an independent signed draw."""
+    mags = draw(st.lists(_MAGNITUDES, min_size=10, max_size=10))
+    if draw(st.booleans()):
+        mags = [mags[m - m % 2] for m in range(10)]
+
+    def taps():
+        return tuple((draw(st.sampled_from([1.0, -1.0])) * mag if draw(st.booleans())
+                      else draw(_MAGNITUDES) * draw(st.sampled_from([1.0, -1.0])))
+                     for mag in mags[:draw(st.integers(1, 10))])
+    return taps(), taps()
+
+
+@settings(deadline=None)
+@given(pair=_filter_pairs(), n=st.sampled_from([2, 4, 8, 64]),
+       lead=st.sampled_from([(), (3,)]), seed=st.integers(0, 2 ** 32 - 1))
+def test_filter_levels_of_drawn_pairs_equal_roll_formulas_bytewise(pair, n, lead, seed):
+    # products shared between the filters, between the phases, and a phase
+    # sum shared by both phases keep every sum's terms in tap order
+    lo, hi = pair
+    x = _signed_zero_inputs(lead + (n,), np.random.default_rng(seed))[0]
+    (d,), a = _dwt_raw(x, WaveletFilterPair("drawn", lo, hi, (), ()), 1)
+    assert d.tobytes() == _roll_correlate_down(x, hi).tobytes()
+    assert a.tobytes() == _roll_correlate_down(x, lo).tobytes()
+    a, d = x[..., : n // 2], x[..., n // 2:]
+    assert (_idwt_raw([d], a, lo, hi).tobytes()
+            == (_roll_up_conv(a, lo, n) + _roll_up_conv(d, hi, n)).tobytes())
+
+
+def test_filter_plans_share_products_and_sums():
+    # the plans exist for this sharing: Haar's analysis filters read x with
+    # one |tap| at each of their two offsets, and its two synthesis phases
+    # share each source's product and the low-pass sum; the longer filters
+    # have no two taps to share, so one product per nonzero tap
+    _, (steps, count, _) = _analysis_plan(HAAR.analysis_lowpass, HAAR.analysis_highpass)
+    assert (len(steps), count) == (2, 2)
+    _, (steps, count, index) = _synthesis_plan(HAAR.synthesis_lowpass, HAAR.synthesis_highpass)
+    assert (len(steps), count, len(index)) == (2, 3, 4)
+    for f in (D4, CDF97, CDF97R):
+        for plan, lo, hi, sums in ((_analysis_plan, *_arrays(f)[:2], 2),
+                                   (_synthesis_plan, *_arrays(f)[2:], 4)):
+            _, (steps, count, _) = plan(tuple(lo), tuple(hi))
+            assert (len(steps), count) == (np.count_nonzero(lo) + np.count_nonzero(hi), sums)
 
 
 # --- decimated transform --------------------------------------------------------
